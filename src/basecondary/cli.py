@@ -77,6 +77,13 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def _need(doc: dict, key: str):
     if key not in doc:
         raise InputError(f"input is missing the required field {key!r}")
@@ -103,7 +110,7 @@ def _load_config(doc: dict) -> PointConfig:
             raise InputError(f"points of 'A' must have {n} coordinates")
         return make_config(n, pts)
     if n == 0 and "m" in doc:
-        return make_config(0, [[] for _ in range(int(doc["m"]))])
+        return make_config(0, [[] for _ in range(_int(doc["m"], "field 'm'"))])
     raise InputError("input needs a point list 'A' (or 'm' when n = 0)")
 
 
@@ -115,13 +122,13 @@ def _load_set_function(doc: dict, config: Optional[PointConfig], min_size: int) 
     if config is not None:
         m = config.m
     elif "m" in doc:
-        m = int(doc["m"])
+        m = _int(doc["m"], "field 'm'")
     else:
         raise InputError("set-function input needs 'm' or a configuration 'A'")
     if kind == "table":
         values = {}
         for key, val in spec.get("values", {}).items():
-            labels = [int(tok) for tok in key.split(",") if tok.strip()] if key else []
+            labels = [_int(tok, "table key label") for tok in key.split(",") if tok.strip()]
             values[frozenset(labels)] = rat(val)
         return setfun.SetFunction(
             kind="table",
@@ -135,7 +142,8 @@ def _load_set_function(doc: dict, config: Optional[PointConfig], min_size: int) 
             raise InputError("neg_gcd needs a one-dimensional configuration 'A'")
         return setfun.neg_gcd_function(config, min_size=min_size)
     if kind == "neg_indicator_full":
-        return setfun.neg_indicator_function(m, point=int(spec.get("point", 1)), min_size=min_size)
+        point = _int(spec.get("point", 1), "field 'point'")
+        return setfun.neg_indicator_function(m, point=point, min_size=min_size)
     if kind == "matrix_rank":
         cols = spec.get("columns")
         if not isinstance(cols, list) or len(cols) != m:
@@ -389,7 +397,7 @@ def _run(verb: str, args, doc: dict):
         if samples is None:
             raise InputError("trop-sample needs --samples (or a 'samples' field)")
         report = tropical.sample_morse_fraction(
-            _need(doc, "support"), int(samples), args.seed, doc.get("bound")
+            _need(doc, "support"), _int(samples, "field 'samples'"), args.seed, doc.get("bound")
         )
         return {
             "samples": report.samples,

@@ -16,51 +16,33 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .exact_core import (
-    CircuitData,
-    PointConfig,
-    affine_rank,
-    lattice_volume,
-    oriented_volume,
-)
+from .exact_core import PointConfig, lattice_volume, oriented_volume, rat
+
+# The supports and the genericity test live beside the lift in `secondary`;
+# they are re-exported here as part of this module's interface.
 from .secondary import (
+    CircuitalSupport,
     Covector,
+    SimplicialSupport,
     Wall,
     cone_witness,
     covector,
     discover_cones_random,
+    enumerate_circuital,
+    enumerate_simplicial,
     enumerate_triangulations_1d,
     enumerate_walls_1d,
+    is_generic,
     regular_subdivision,
     secondary_support,
     upper_cells,
-    _affine_through,
+    _is_generic_lift,
     _values_under,
 )
 from .setfun import SetFunction, evaluate_f
 
 STEP_SEARCH_CAP = 64
 ORDER_CONE_CAP = 8
-
-
-@dataclass(frozen=True)
-class SimplicialSupport:
-    """Affine functional whose offset heights peak on exactly n+1 spanning points."""
-
-    linear: tuple[Fraction, ...]
-    max_value: Fraction
-    maximizers: tuple[int, ...]
-    generic: bool
-
-
-@dataclass(frozen=True)
-class CircuitalSupport:
-    """Affine functional whose offset heights peak on exactly n+2 spanning points."""
-
-    linear: tuple[Fraction, ...]
-    max_value: Fraction
-    maximizers: tuple[int, ...]
-    circuit: CircuitData
 
 
 @dataclass(frozen=True)
@@ -88,86 +70,6 @@ class PiecewiseLinearRep:
 # supports and orderings
 
 
-def enumerate_simplicial(config: PointConfig, gamma) -> tuple[SimplicialSupport, ...]:
-    """All affine supports maximized on exactly n+1 affinely spanning points."""
-    gamma = covector(config, gamma)
-    n = config.n
-    out = []
-    seen = set()
-    for base in itertools.combinations(range(1, config.m + 1), n + 1):
-        if affine_rank(config.subset_points(base)) != n:
-            continue
-        fit = _affine_through(config, gamma, base)
-        if fit is None:
-            continue
-        linear, _ = fit
-        values = _values_under(config, gamma, linear)
-        top = max(values)
-        maximizers = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
-        if maximizers != base or maximizers in seen:
-            continue
-        seen.add(maximizers)
-        off = [values[i - 1] for i in range(1, config.m + 1) if i not in base]
-        out.append(
-            SimplicialSupport(
-                linear=linear,
-                max_value=top,
-                maximizers=maximizers,
-                generic=len(off) == len(set(off)),
-            )
-        )
-    return tuple(sorted(out, key=lambda s: s.maximizers))
-
-
-def enumerate_circuital(config: PointConfig, gamma) -> tuple[CircuitalSupport, ...]:
-    """All affine supports maximized on exactly n+2 affinely spanning points."""
-    gamma = covector(config, gamma)
-    n = config.n
-    out = []
-    for base in itertools.combinations(range(1, config.m + 1), n + 2):
-        pts = config.subset_points(base)
-        if affine_rank(pts) != n:
-            continue
-        fit = _affine_through(config, gamma, base)
-        if fit is None:  # lifted points not coplanar
-            continue
-        linear, _ = fit
-        values = _values_under(config, gamma, linear)
-        top = max(values)
-        maximizers = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
-        if maximizers != base:
-            continue
-        out.append(
-            CircuitalSupport(
-                linear=linear,
-                max_value=top,
-                maximizers=maximizers,
-                circuit=find_circuit_for(config, base),
-            )
-        )
-    return tuple(sorted(out, key=lambda s: s.maximizers))
-
-
-def find_circuit_for(config: PointConfig, labels: Sequence[int]) -> CircuitData:
-    from .exact_core import find_circuit
-
-    return find_circuit(config.subset_points(labels), labels=list(labels))
-
-
-def is_generic(config: PointConfig, gamma) -> bool:
-    """Whether gamma sits in the open interior of a full secondary cone.
-
-    Requires the induced subdivision to be a triangulation, every simplicial
-    support generic, and no circuital support.
-    """
-    gamma = covector(config, gamma)
-    if not regular_subdivision(config, gamma).is_triangulation:
-        return False
-    if any(not s.generic for s in enumerate_simplicial(config, gamma)):
-        return False
-    return not enumerate_circuital(config, gamma)
-
-
 def _positive_orientation(config: PointConfig, labels: Sequence[int]) -> tuple[int, ...]:
     """Even-permutation representative with positive base orientation."""
     head = sorted(labels)
@@ -181,6 +83,16 @@ def _positive_orientation(config: PointConfig, labels: Sequence[int]) -> tuple[i
     return tuple(head)
 
 
+def _descending_tail(config: PointConfig, head, values) -> tuple[int, ...]:
+    """Labels off the head by descending value, ties broken by label."""
+    return tuple(
+        sorted(
+            (i for i in range(1, config.m + 1) if i not in head),
+            key=lambda i: (-values[i - 1], i),
+        )
+    )
+
+
 def order_simplicial(
     config: PointConfig, gamma, s: SimplicialSupport
 ) -> OrderedSupport:
@@ -190,11 +102,7 @@ def order_simplicial(
     gamma = covector(config, gamma)
     values = _values_under(config, gamma, s.linear)
     head = _positive_orientation(config, s.maximizers)
-    tail = sorted(
-        (i for i in range(1, config.m + 1) if i not in s.maximizers),
-        key=lambda i: (-values[i - 1], i),
-    )
-    return OrderedSupport(tuple=head + tuple(tail), head=config.n + 1)
+    return OrderedSupport(tuple=head + _descending_tail(config, head, values), head=config.n + 1)
 
 
 def order_circuital(
@@ -211,10 +119,7 @@ def order_circuital(
     off = [values[i - 1] for i in range(1, config.m + 1) if i not in c.maximizers]
     if len(off) != len(set(off)):
         raise InputError("tail values must be pairwise distinct to order a circuit")
-    tail = sorted(
-        (i for i in range(1, config.m + 1) if i not in c.maximizers),
-        key=lambda i: -values[i - 1],
-    )
+    tail = _descending_tail(config, c.maximizers, values)
     circ = c.circuit
     pos = [i for i, _ in circ.positive]
     neg = [i for i, _ in circ.negative]
@@ -237,7 +142,7 @@ def order_circuital(
                     best = tuple(head)
     if best is None:
         raise InternalError("no arrangement satisfies the circuit volume identity")
-    return OrderedSupport(tuple=best + tuple(tail), head=n + 2)
+    return OrderedSupport(tuple=best + tail, head=n + 2)
 
 
 def _circuit_identity_holds(config, head, p, q, target) -> bool:
@@ -300,17 +205,17 @@ def expansion_terms(
     """
     _check_f(config, f)
     gamma = covector(config, gamma)
-    if not is_generic(config, gamma):
+    cells = upper_cells(config, gamma)
+    if not _is_generic_lift(config.n, cells):
         raise InputError("expansion needs a generic height vector; use the general evaluator")
     n = config.n
+    lifted = {i: tuple(config.image(i)) + (gamma[i - 1],) for i in range(1, config.m + 1)}
     terms = []
-    for s in enumerate_simplicial(config, gamma):
-        ordered = order_simplicial(config, gamma, s).tuple
-        lifted = {
-            i: tuple(config.image(i)) + (gamma[i - 1],) for i in range(1, config.m + 1)
-        }
-        head_pts = [lifted[i] for i in ordered[: n + 1]]
-        prefix = set(ordered[: n + 1])
+    for cell in cells:
+        head = _positive_orientation(config, cell.cell)
+        ordered = head + _descending_tail(config, head, cell.values)
+        head_pts = [lifted[i] for i in head]
+        prefix = set(head)
         prev = evaluate_f(f, prefix)
         for pos in range(n + 1, config.m):
             i = ordered[pos]
@@ -321,7 +226,7 @@ def expansion_terms(
             if diff == 0:
                 continue
             volume = -oriented_volume(head_pts + [lifted[i]])
-            terms.append((ordered[: n + 1] + (i,), diff, volume))
+            terms.append((head + (i,), diff, volume))
     return tuple(terms)
 
 
@@ -426,9 +331,10 @@ def gradient_on_cone(
             raise InputError("either a set function or an explicit fn is required")
         _check_f(config, f)
         fn = lambda g: eval_basecondary_general(config, f, g)
-    if not is_generic(config, witness):
+    cells = upper_cells(config, witness)
+    if not _is_generic_lift(config.n, cells):
         raise InputError("gradients are taken at generic witnesses")
-    base_cells = regular_subdivision(config, witness).cells
+    base_cells = tuple(c.cell for c in cells)
     value = fn(witness)
     grad = []
     for k in range(config.m):
@@ -575,8 +481,6 @@ def reconstruct_polytope(
     A failed certificate is a legitimate result describing a non-convex
     function, returned with the failing pair, never raised.
     """
-    from .exact_core import rat
-
     _check_f(config, f)
     c = rat(convexifier)
     if c == 0:

@@ -49,10 +49,6 @@ def point(coords) -> Point:
     return tuple(rat(c) for c in coords)
 
 
-def vector_str(v: Sequence[Fraction]) -> list[str]:
-    return [rat_str(c) for c in v]
-
-
 # ---------------------------------------------------------------------------
 # point configurations
 
@@ -355,6 +351,26 @@ def convex_hull_2d(points: Sequence[Point2]) -> tuple[Point2, ...]:
     return tuple(hull)
 
 
+def upper_chain(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[int]:
+    """Indices of the strict corners of the upper hull of (xs[k], ys[k]).
+
+    Andrew's monotone chain over points given by strictly increasing x; a
+    point on the segment between its neighbours is not a corner.
+    """
+    chain: list[int] = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        while len(chain) >= 2:
+            x0, y0 = xs[chain[-2]], ys[chain[-2]]
+            x1, y1 = xs[chain[-1]], ys[chain[-1]]
+            # pop unless (x0,y0) -> (x1,y1) -> (x,y) turns strictly right
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) >= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(k)
+    return chain
+
+
 def _shoelace_area(vertices: Sequence[Point2]) -> Fraction:
     s = Fraction(0)
     k = len(vertices)
@@ -411,10 +427,6 @@ class Polygon2:
         if t == 0:
             return Polygon2.from_points([(Fraction(0), Fraction(0))]) if self.vertices else self
         return Polygon2.from_points([(t * x, t * y) for x, y in self.vertices])
-
-    def translated(self, dx, dy) -> "Polygon2":
-        dx, dy = rat(dx), rat(dy)
-        return Polygon2.from_points([(x + dx, y + dy) for x, y in self.vertices])
 
 
 def _merge_start(vertices: tuple[Point2, ...]) -> int:

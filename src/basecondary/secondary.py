@@ -12,12 +12,13 @@ from .errors import InputError, InternalError
 from .exact_core import (
     CircuitData,
     PointConfig,
-    affine_rank,
+    Polygon2,
     convex_hull_2d,
     find_circuit,
     lattice_volume,
     rat,
     solve_linear,
+    upper_chain,
 )
 
 Covector = tuple[Fraction, ...]
@@ -61,33 +62,31 @@ class UpperCell:
     max_value: Fraction
     values: tuple[Fraction, ...]
 
+    @property
+    def distinct_tail(self) -> bool:
+        """Whether the values off the cell are pairwise distinct."""
+        off = [v for i, v in enumerate(self.values, 1) if i not in self.cell]
+        return len(off) == len(set(off))
 
-def _affine_through(config: PointConfig, gamma: Covector, labels: Sequence[int]):
-    """(L, c) with gamma = L o A + c on `labels`, or None if not affinely solvable."""
-    n = config.n
-    rows = []
-    rhs = []
-    for i in labels:
-        rows.append(list(config.image(i)) + [Fraction(1)])
-        rhs.append(gamma[i - 1])
-    if len(labels) == n + 1:
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            return None
-        return tuple(sol[:n]), sol[n]
-    # overdetermined: solve on an independent subset, then verify the rest
-    for sub in itertools.combinations(labels, n + 1):
-        if affine_rank(config.subset_points(sub)) == n:
-            fit = _affine_through(config, gamma, sub)
-            if fit is None:
-                return None
-            linear, const = fit
-            for i in labels:
-                p = config.image(i)
-                if sum(linear[c] * p[c] for c in range(n)) + const != gamma[i - 1]:
-                    return None
-            return linear, const
-    return None
+
+@dataclass(frozen=True)
+class SimplicialSupport:
+    """Affine functional whose offset heights peak on exactly n+1 spanning points."""
+
+    linear: tuple[Fraction, ...]
+    max_value: Fraction
+    maximizers: tuple[int, ...]
+    generic: bool
+
+
+@dataclass(frozen=True)
+class CircuitalSupport:
+    """Affine functional whose offset heights peak on exactly n+2 spanning points."""
+
+    linear: tuple[Fraction, ...]
+    max_value: Fraction
+    maximizers: tuple[int, ...]
+    circuit: CircuitData
 
 
 def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fraction, ...]:
@@ -98,31 +97,101 @@ def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fractio
     )
 
 
+def _subset_fits(config: PointConfig, gamma: Covector):
+    """(L, c) with gamma = L o A + c on each affinely independent (n+1)-subset."""
+    n = config.n
+    for base in itertools.combinations(range(1, config.m + 1), n + 1):
+        sol = solve_linear(
+            [list(config.image(i)) + [Fraction(1)] for i in base],
+            [gamma[i - 1] for i in base],
+        )
+        if sol is not None:  # None: the base is affinely dependent
+            yield tuple(sol[:n]), sol[n]
+
+
 def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     """All full-dimensional upper cells of the lift i -> (A(i), gamma(i)).
 
     Every cell is the maximizer set of gamma - L o A for the unique affine
-    functional through its points; points lifted strictly below are excluded.
+    functional L through its points; points lifted strictly below are
+    excluded. The candidate functionals come from one pass per call:
+
+    - n = 0: the constant max(gamma), whose cell is the argmax set;
+    - n = 1: the edges of one strict monotone-chain upper hull (Andrew 1979)
+      over the points sorted by coordinate; each cell holds every label on
+      its edge, collinear ones included;
+    - n >= 2: the affine functional through each affinely independent
+      (n+1)-subset, kept when no point lies above it.
     """
     gamma = covector(config, gamma)
-    n = config.n
+    if config.n == 0:
+        fits = [((), max(gamma))]
+    elif config.n == 1:
+        order = _labels_by_coordinate(config)
+        xs = [config.image(i)[0] for i in order]
+        ys = [gamma[i - 1] for i in order]
+        chain = upper_chain(xs, ys)
+        fits = []
+        for a, b in zip(chain, chain[1:]):
+            slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
+            fits.append(((slope,), ys[a] - slope * xs[a]))
+    else:
+        fits = _subset_fits(config, gamma)
     out: dict[tuple[int, ...], UpperCell] = {}
-    for base in itertools.combinations(range(1, config.m + 1), n + 1):
-        if affine_rank(config.subset_points(base)) != n:
-            continue
-        fit = _affine_through(config, gamma, base)
-        if fit is None:
-            continue
-        linear, _ = fit
+    for linear, top in fits:
         values = _values_under(config, gamma, linear)
-        top = max(values)
+        if max(values) != top:  # a point lies above: not an upper face
+            continue
         cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
-        if cell in out:
-            continue
-        if affine_rank(config.subset_points(cell)) != n:
-            continue
-        out[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
+        if cell not in out:
+            out[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
     return tuple(sorted(out.values(), key=lambda c: c.cell))
+
+
+def _is_generic_lift(n: int, cells: Sequence[UpperCell]) -> bool:
+    return all(len(c.cell) == n + 1 and c.distinct_tail for c in cells)
+
+
+def is_generic(config: PointConfig, gamma) -> bool:
+    """Whether the heights induce a triangulation with generic simplicial supports.
+
+    Checks exactly two things: every upper cell has n+1 points, so the
+    subdivision is a triangulation and has no circuital support; and for
+    each cell, a simplicial support, the values of gamma - L o A off the cell
+    are pairwise distinct.
+    """
+    return _is_generic_lift(config.n, upper_cells(config, gamma))
+
+
+def enumerate_simplicial(config: PointConfig, gamma) -> tuple[SimplicialSupport, ...]:
+    """All affine supports maximized on exactly n+1 affinely spanning points.
+
+    These are the upper cells of size n+1.
+    """
+    return tuple(
+        SimplicialSupport(
+            linear=c.linear, max_value=c.max_value, maximizers=c.cell, generic=c.distinct_tail
+        )
+        for c in upper_cells(config, gamma)
+        if len(c.cell) == config.n + 1
+    )
+
+
+def enumerate_circuital(config: PointConfig, gamma) -> tuple[CircuitalSupport, ...]:
+    """All affine supports maximized on exactly n+2 affinely spanning points.
+
+    These are the upper cells of size n+2.
+    """
+    return tuple(
+        CircuitalSupport(
+            linear=c.linear,
+            max_value=c.max_value,
+            maximizers=c.cell,
+            circuit=find_circuit(config.subset_points(c.cell), labels=list(c.cell)),
+        )
+        for c in upper_cells(config, gamma)
+        if len(c.cell) == config.n + 2
+    )
 
 
 def regular_subdivision(config: PointConfig, gamma) -> Subdivision:
@@ -227,15 +296,7 @@ def area_N(config: PointConfig, gamma) -> Fraction:
         a = config.image(i)[0]
         pts.append((a, Fraction(0)))
         pts.append((a, gamma[i - 1]))
-    hull = convex_hull_2d(pts)
-    if len(hull) < 3:
-        return Fraction(0)
-    s = Fraction(0)
-    for k in range(len(hull)):
-        x0, y0 = hull[k]
-        x1, y1 = hull[(k + 1) % len(hull)]
-        s += x0 * y1 - x1 * y0
-    return s / 2
+    return Polygon2.from_points(pts).area()
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +312,6 @@ def cone_witness(config: PointConfig, t: Subdivision, salt: int = 0) -> Covector
     geometric jitter (prime ratio, shrinking amplitude) is applied until the
     genericity check passes.
     """
-    from . import core  # local import; core depends on this module
-
     if not t.is_triangulation:
         raise InputError("cone witnesses are built for triangulations")
     verts = set(t.vertex_set())
@@ -279,9 +338,8 @@ def cone_witness(config: PointConfig, t: Subdivision, salt: int = 0) -> Covector
             base[i - 1] + jitter.get(i, Fraction(0))
             for i in range(1, config.m + 1)
         )
-        if regular_subdivision(config, gamma).cells == t.cells and core.is_generic(
-            config, gamma
-        ):
+        cells = upper_cells(config, gamma)
+        if tuple(c.cell for c in cells) == t.cells and _is_generic_lift(config.n, cells):
             return gamma
     raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
 
@@ -302,8 +360,6 @@ class Wall:
 
 
 def _wall_between(config: PointConfig, t: Subdivision, j: int) -> Wall:
-    from . import core
-
     order = [i for i in _labels_by_coordinate(config) if i in set(t.vertex_set())]
     pos = order.index(j)
     ln, rn = order[pos - 1], order[pos + 1]
@@ -320,10 +376,10 @@ def _wall_between(config: PointConfig, t: Subdivision, j: int) -> Wall:
         w0 = list(cone_witness(config, t, salt=salt))
         w0[j - 1] = w0[ln - 1] + (w0[rn - 1] - w0[ln - 1]) * (aj - al) / (ar - al)
         witness = tuple(w0)
-        circuital = core.enumerate_circuital(config, witness)
-        if len(circuital) != 1:
+        cells = upper_cells(config, witness)
+        if sum(len(c.cell) == 3 for c in cells) != 1:
             continue
-        if not all(s.generic for s in core.enumerate_simplicial(config, witness)):
+        if not all(c.distinct_tail for c in cells if len(c.cell) == 2):
             continue
         return Wall(
             left=t,
@@ -349,8 +405,6 @@ def discover_cones_random(
     config: PointConfig, samples: int, seed: int
 ) -> tuple[tuple[Subdivision, Covector], ...]:
     """Deduplicated (triangulation, generic witness) pairs from seeded heights."""
-    from . import core
-
     if samples < 1:
         raise InputError("need at least one sample")
     rng = random.Random(seed)
@@ -361,9 +415,8 @@ def discover_cones_random(
             Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
             for _ in range(config.m)
         )
-        sub = regular_subdivision(config, gamma)
-        if not sub.is_triangulation or sub.cells in found:
-            continue
-        if core.is_generic(config, gamma):
-            found[sub.cells] = (sub, gamma)
+        cells = upper_cells(config, gamma)
+        key = tuple(c.cell for c in cells)
+        if key not in found and _is_generic_lift(config.n, cells):
+            found[key] = (Subdivision(n=config.n, cells=key), gamma)
     return tuple(found[key] for key in sorted(found))

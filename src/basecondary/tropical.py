@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exact_core import rat
+from .exact_core import rat, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
 
@@ -60,26 +60,9 @@ class CriticalPoint:
     degenerate: bool
 
 
-def _upper_chain(p: TropicalPolynomial) -> list[int]:
-    """Indices of the terms on the strict upper concave envelope of (a, c_a)."""
-    pts = list(zip(p.support, p.coefficients))
-    chain: list[int] = []
-    for k, (a, c) in enumerate(pts):
-        while len(chain) >= 2:
-            a0, c0 = pts[chain[-2]]
-            a1, c1 = pts[chain[-1]]
-            # pop unless (a0,c0) -> (a1,c1) -> (a,c) turns strictly right
-            if (a1 - a0) * (c - c0) - (c1 - c0) * (a - a0) >= 0:
-                chain.pop()
-            else:
-                break
-        chain.append(k)
-    return chain
-
-
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
     """All breakpoints of the upper envelope, ascending, with tie annotations."""
-    chain = _upper_chain(p)
+    chain = upper_chain(p.support, p.coefficients)
     out = []
     for i, j in zip(chain, chain[1:]):
         ai, ci = p.support[i], p.coefficients[i]

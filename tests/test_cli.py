@@ -3,6 +3,7 @@
 import json
 import os
 
+import pytest
 
 from basecondary.cli import main
 
@@ -192,3 +193,21 @@ def test_pentagon_polytope_needs_seed(capsys):
     code, out = run(capsys, "polytope", "--input", fixture("pentagon_indicator.json"))
     assert code == 2
     assert "seed" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("lovasz", {"n": 0, "m": "x", "F": {"kind": "table", "values": {}}, "x": [1]}),
+        ("eval", {"n": 0, "m": "x", "F": {"kind": "neg_card_ratio"}, "gamma": [1]}),
+        ("check-submodular", {"m": 2, "F": {"kind": "table", "values": {"1,a": "1"}}}),
+        ("lovasz", {"m": 2, "F": {"kind": "neg_indicator_full", "point": "p"}, "x": [1, 2]}),
+        ("trop-sample", {"support": [0, 1, 2], "samples": "many"}),
+    ],
+)
+def test_malformed_integers_exit_2(capsys, tmp_path, verb, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, verb, "--input", str(path), "--seed", "1")
+    assert code == 2
+    assert "must be an integer" in json.loads(out)["error"]

@@ -1,0 +1,154 @@
+"""The lift against a brute-force oracle: every (n+1)- and (n+2)-subset scanned.
+
+The oracle below is the subset scan the library used before it computed one
+lift per height vector: an affine solve per subset, one pass each for the
+upper cells, the simplicial supports and the circuital supports, with
+genericity read off all three. Results must agree exactly, Fraction types included.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from basecondary.core import (
+    CircuitalSupport,
+    SimplicialSupport,
+    enumerate_circuital,
+    enumerate_simplicial,
+    is_generic,
+)
+from basecondary.exact_core import affine_rank, find_circuit, make_config, solve_linear
+from basecondary.secondary import UpperCell, upper_cells
+
+
+def _fit(config, gamma, labels):
+    """(L, c) with gamma = L o A + c on `labels`, or None."""
+    n = config.n
+    if len(labels) > n + 1:
+        for sub in itertools.combinations(labels, n + 1):
+            if affine_rank(config.subset_points(sub)) == n:
+                fit = _fit(config, gamma, sub)
+                if fit is None:
+                    return None
+                linear, const = fit
+                for i in labels:
+                    p = config.image(i)
+                    if sum(linear[c] * p[c] for c in range(n)) + const != gamma[i - 1]:
+                        return None
+                return fit
+        return None
+    sol = solve_linear(
+        [list(config.image(i)) + [F(1)] for i in labels], [gamma[i - 1] for i in labels]
+    )
+    return None if sol is None else (tuple(sol[:n]), sol[n])
+
+
+def _values(config, gamma, linear):
+    return tuple(
+        gamma[i - 1] - sum(linear[c] * config.points[i - 1][c] for c in range(config.n))
+        for i in range(1, config.m + 1)
+    )
+
+
+def _peaks(config, gamma, size):
+    """(base, linear, top, values) for each spanning `size`-subset that is a maximizer set."""
+    for base in itertools.combinations(range(1, config.m + 1), size):
+        if affine_rank(config.subset_points(base)) != config.n:
+            continue
+        fit = _fit(config, gamma, base)
+        if fit is None:
+            continue
+        values = _values(config, gamma, fit[0])
+        top = max(values)
+        if tuple(i for i in range(1, config.m + 1) if values[i - 1] == top) == base:
+            yield base, fit[0], top, values
+
+
+def oracle_upper_cells(config, gamma):
+    out = {}
+    for base in itertools.combinations(range(1, config.m + 1), config.n + 1):
+        if affine_rank(config.subset_points(base)) != config.n:
+            continue
+        fit = _fit(config, gamma, base)
+        if fit is None:
+            continue
+        values = _values(config, gamma, fit[0])
+        top = max(values)
+        cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
+        if cell not in out and affine_rank(config.subset_points(cell)) == config.n:
+            out[cell] = UpperCell(cell=cell, linear=fit[0], max_value=top, values=values)
+    return tuple(sorted(out.values(), key=lambda c: c.cell))
+
+
+def oracle_simplicial(config, gamma):
+    out = []
+    for base, linear, top, values in _peaks(config, gamma, config.n + 1):
+        off = [values[i - 1] for i in range(1, config.m + 1) if i not in base]
+        out.append(SimplicialSupport(linear, top, base, len(off) == len(set(off))))
+    return tuple(out)
+
+
+def oracle_circuital(config, gamma):
+    return tuple(
+        CircuitalSupport(linear, top, base, find_circuit(config.subset_points(base), list(base)))
+        for base, linear, top, _ in _peaks(config, gamma, config.n + 2)
+    )
+
+
+def _config(rng, n, m):
+    if n == 0:
+        return make_config(0, [[] for _ in range(m)])
+    if n == 1:  # labels deliberately not in coordinate order
+        return make_config(1, [[a] for a in rng.sample(range(-9, 12), m)])
+    pts = set()
+    while len(pts) < m:
+        pts.add((rng.randint(0, 4), rng.randint(0, 4)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    return make_config(2, pts)
+
+
+def _heights(rng, config, kind):
+    if kind == "generic":
+        return tuple(F(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(config.m))
+    if kind == "ties":
+        return tuple(F(rng.randint(0, 3)) for _ in range(config.m))
+    # an integer affine function with some points pushed down: many lifted
+    # points on one line (n = 1) or plane (n = 2) of the upper hull
+    slope = [rng.randint(-2, 2) for _ in range(config.n)]
+    const = rng.randint(-3, 3)
+    return tuple(
+        F(sum(s * x for s, x in zip(slope, p)) + const - (rng.random() < 0.4) * rng.randint(1, 3))
+        for p in config.points
+    )
+
+
+# 126 + 117 + 90 = 333 seeded instances
+SIZES = {0: range(2, 9), 1: range(2, 15), 2: range(3, 8)}
+REPEATS = {0: 6, 1: 3, 2: 6}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_lift_matches_subset_scan(n):
+    collinear = 0
+    for m, kind, rep in itertools.product(SIZES[n], ("generic", "ties", "affine"), range(REPEATS[n])):
+        rng = random.Random(f"lift/{n}/{m}/{kind}/{rep}")
+        config = _config(rng, n, m)
+        gamma = _heights(rng, config, kind)
+        cells = upper_cells(config, gamma)
+        want_cells = oracle_upper_cells(config, gamma)
+        want_simplicial = oracle_simplicial(config, gamma)
+        want_circuital = oracle_circuital(config, gamma)
+        assert repr(cells) == repr(want_cells), (config, gamma)
+        assert repr(enumerate_simplicial(config, gamma)) == repr(want_simplicial)
+        assert repr(enumerate_circuital(config, gamma)) == repr(want_circuital)
+        assert is_generic(config, gamma) == (
+            all(len(c.cell) == n + 1 for c in want_cells)
+            and all(s.generic for s in want_simplicial)
+            and not want_circuital
+        )
+        collinear += any(len(c.cell) > n + 1 for c in cells)
+    # the tie-heavy heights do put more than n+1 lifted points on one upper face
+    assert collinear >= 10
