@@ -3,9 +3,18 @@
 The function attached to a point configuration A and a set function F is
 piecewise linear in the height vector; this module provides two independent
 evaluation routes (a threshold sum over subdivision cells and the
-simplicial-support expansion), wall defects across secondary walls, the
-minimal convexifying multiple of the secondary support, and reconstruction
-of the per-cone gradient representation with an exact convexity certificate.
+simplicial-support expansion), the minimal convexifying multiple of the
+secondary support, and reconstruction of the per-cone gradient
+representation with an exact convexity certificate.
+
+Gradients and wall defects are closed forms read off one lift, never
+difference quotients. At a generic witness the expansion is a fixed sum of
+F-differences times lifted simplex volumes, and each volume is linear in the
+heights, so the gradient is the sum of the F-differences times the volumes'
+height cofactors. The secondary support's gradient there is the GKZ vector
+of the induced triangulation. Across a 1D wall whose witness has every tail
+distinct, the wall defect is the lifted circuit volume times the circuit
+expression in F.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
 from .exact_core import PointConfig, lattice_volume, oriented_volume, rat
@@ -32,16 +41,15 @@ from .secondary import (
     enumerate_simplicial,
     enumerate_triangulations_1d,
     enumerate_walls_1d,
+    gkz_vector,
     is_generic,
     regular_subdivision,
-    secondary_support,
     upper_cells,
     _is_generic_lift,
     _values_under,
 )
 from .setfun import SetFunction, evaluate_f
 
-STEP_SEARCH_CAP = 64
 ORDER_CONE_CAP = 8
 
 
@@ -194,6 +202,27 @@ def eval_basecondary_general(config: PointConfig, f: SetFunction, gamma) -> Frac
     return total
 
 
+def _expansion_summands(config: PointConfig, f: SetFunction, gamma: Covector):
+    """(ordered simplex, F-difference) per nonzero summand at a generic height.
+
+    The simplex is the cell's labels in positive base orientation followed
+    by one tail label; tails are taken in descending value order.
+    """
+    cells = upper_cells(config, gamma)
+    if not _is_generic_lift(config.n, cells):
+        raise InputError("expansion needs a generic height vector; use the general evaluator")
+    for cell in cells:
+        head = _positive_orientation(config, cell.cell)
+        prefix = set(head)
+        prev = evaluate_f(f, prefix)
+        for i in _descending_tail(config, head, cell.values):
+            prefix.add(i)
+            cur = evaluate_f(f, prefix)
+            if prev != cur:
+                yield head + (i,), prev - cur
+            prev = cur
+
+
 def expansion_terms(
     config: PointConfig, f: SetFunction, gamma
 ) -> tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]:
@@ -205,29 +234,11 @@ def expansion_terms(
     """
     _check_f(config, f)
     gamma = covector(config, gamma)
-    cells = upper_cells(config, gamma)
-    if not _is_generic_lift(config.n, cells):
-        raise InputError("expansion needs a generic height vector; use the general evaluator")
-    n = config.n
-    lifted = {i: tuple(config.image(i)) + (gamma[i - 1],) for i in range(1, config.m + 1)}
-    terms = []
-    for cell in cells:
-        head = _positive_orientation(config, cell.cell)
-        ordered = head + _descending_tail(config, head, cell.values)
-        head_pts = [lifted[i] for i in head]
-        prefix = set(head)
-        prev = evaluate_f(f, prefix)
-        for pos in range(n + 1, config.m):
-            i = ordered[pos]
-            prefix.add(i)
-            cur = evaluate_f(f, prefix)
-            diff = prev - cur
-            prev = cur
-            if diff == 0:
-                continue
-            volume = -oriented_volume(head_pts + [lifted[i]])
-            terms.append((head + (i,), diff, volume))
-    return tuple(terms)
+    lifted = {i: config.image(i) + (gamma[i - 1],) for i in range(1, config.m + 1)}
+    return tuple(
+        (simplex, diff, -oriented_volume([lifted[i] for i in simplex]))
+        for simplex, diff in _expansion_summands(config, f, gamma)
+    )
 
 
 def eval_basecondary_generic(config: PointConfig, f: SetFunction, gamma) -> Fraction:
@@ -242,70 +253,27 @@ def eval_basecondary_generic(config: PointConfig, f: SetFunction, gamma) -> Frac
 # wall defects
 
 
-def _second_difference(
-    config: PointConfig, fn: Callable[[Covector], Fraction], wall: Wall
-) -> tuple[Fraction, Fraction]:
-    """Normalized second difference across a wall and the step that realized it.
-
-    The step is halved until both offsets land in the advertised adjacent
-    cones and the normalized value is stable under one further halving, so
-    the result is the exact one-sided gradient jump.
-    """
-    w = wall.witness
-    u = wall.direction
-    base = fn(w)
-    eps = Fraction(1)
-    prev: Optional[Fraction] = None
-    for _ in range(STEP_SEARCH_CAP):
-        plus = tuple(a + eps * b for a, b in zip(w, u))
-        minus = tuple(a - eps * b for a, b in zip(w, u))
-        ok = (
-            regular_subdivision(config, plus).cells == wall.left.cells
-            and regular_subdivision(config, minus).cells == wall.right.cells
-        )
-        if ok:
-            value = (fn(plus) + fn(minus) - 2 * base) / eps
-            if prev is not None and value == prev:
-                return value, eps * 2
-            prev = value
-        else:
-            prev = None
-        eps /= 2
-    raise InternalError("no stable step found across the wall; malformed wall data")
-
-
 def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Fraction:
-    """Second difference of the basecondary function across the wall, per unit step."""
-    _check_f(config, f)
-    value, _ = _second_difference(
-        config, lambda g: eval_basecondary_general(config, f, g), wall
-    )
-    return value
+    """Second difference of the basecondary function across the wall, per unit step.
 
-
-def wall_defect_symbolic(config: PointConfig, f: SetFunction, wall: Wall) -> Fraction:
-    """Closed-form wall defect: lifted circuit volume times the circuit expression.
-
-    The volume factor is the unsigned volume of the lifted maximizer set at
-    the same probe point the numeric defect uses, so the two defects share
-    their sign and differ by a positive per-wall constant.
+    Computed by the circuit lemma: with I the wall circuit's labels and N the
+    ground set, the defect is |vol(I lifted by wall.direction)| times
+    sum over k in the circuit's support of F(I - k)
+    - (|support| - 1) * F(I) - F(N).
+    The lemma's hypotheses are that the witness carries exactly one circuital
+    cell and that every cell's values off the cell are pairwise distinct;
+    `enumerate_walls_1d` builds its witnesses to meet both. The name dates
+    from the difference-quotient implementation and is kept because the
+    benchmark tracer binds it.
     """
     _check_f(config, f)
-    _, eps = _second_difference(
-        config, lambda g: eval_basecondary_general(config, f, g), wall
-    )
-    probe = tuple(a - eps * b for a, b in zip(wall.witness, wall.direction))
-    supports = enumerate_circuital(config, wall.witness)
-    if len(supports) != 1:
-        raise InternalError("wall witness must carry exactly one circuital support")
-    i_alpha = supports[0].maximizers
-    circ = supports[0].circuit
-    lifted = [tuple(config.image(i)) + (probe[i - 1],) for i in i_alpha]
-    vol = abs(oriented_volume(lifted))
+    circ = wall.circuit
+    labels = frozenset(circ.ordering)
+    vol = abs(oriented_volume([config.image(i) + (wall.direction[i - 1],) for i in labels]))
     ground = frozenset(range(1, config.m + 1))
-    expr = -(len(circ.support) - 1) * evaluate_f(f, i_alpha) - evaluate_f(f, ground)
+    expr = -(len(circ.support) - 1) * evaluate_f(f, labels) - evaluate_f(f, ground)
     for k in circ.support:
-        expr += evaluate_f(f, frozenset(i_alpha) - {k})
+        expr += evaluate_f(f, labels - {k})
     return vol * expr
 
 
@@ -313,52 +281,23 @@ def wall_defect_symbolic(config: PointConfig, f: SetFunction, wall: Wall) -> Fra
 # gradients, convexifier, reconstruction
 
 
-def gradient_on_cone(
-    config: PointConfig,
-    f: Optional[SetFunction],
-    witness,
-    fn: Optional[Callable[[Covector], Fraction]] = None,
-) -> tuple[Fraction, ...]:
-    """Exact gradient of the (piecewise linear) function at a generic witness.
+def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Fraction, ...]:
+    """Exact gradient of the basecondary function at a generic witness.
 
-    Coordinate steps are halved until the perturbed height keeps the same
-    subdivision and the difference quotient is stable under halving; the
-    result is checked against the homogeneity identity <g, witness> = value.
+    Near a generic witness the expansion terms of `expansion_terms` keep
+    their simplices and F-differences, and each lifted volume is linear in
+    the heights, so the gradient is the sum over the terms of F-difference
+    times d(volume)/d(gamma_k): the same volume with the simplex lifted by the
+    unit heights e_k, a cofactor of the lifted simplex. Non-generic witnesses
+    are refused with InputError.
     """
     witness = covector(config, witness)
-    if fn is None:
-        if f is None:
-            raise InputError("either a set function or an explicit fn is required")
-        _check_f(config, f)
-        fn = lambda g: eval_basecondary_general(config, f, g)
-    cells = upper_cells(config, witness)
-    if not _is_generic_lift(config.n, cells):
-        raise InputError("gradients are taken at generic witnesses")
-    base_cells = tuple(c.cell for c in cells)
-    value = fn(witness)
-    grad = []
-    for k in range(config.m):
-        eps = Fraction(1)
-        prev: Optional[Fraction] = None
-        slope: Optional[Fraction] = None
-        for _ in range(STEP_SEARCH_CAP):
-            pert = tuple(
-                w + (eps if i == k else 0) for i, w in enumerate(witness)
-            )
-            if regular_subdivision(config, pert).cells == base_cells:
-                q = (fn(pert) - value) / eps
-                if prev is not None and q == prev:
-                    slope = q
-                    break
-                prev = q
-            else:
-                prev = None
-            eps /= 2
-        if slope is None:
-            raise InternalError("no stable coordinate step inside the cone")
-        grad.append(slope)
-    if sum(g * w for g, w in zip(grad, witness)) != value:
-        raise InternalError("gradient fails the homogeneity identity at its witness")
+    _check_f(config, f)
+    grad = [Fraction(0)] * config.m
+    for simplex, diff in _expansion_summands(config, f, witness):
+        for k in simplex:
+            unit_lift = [config.image(i) + (int(i == k),) for i in simplex]
+            grad[k - 1] -= diff * oriented_volume(unit_lift)
     return tuple(grad)
 
 
@@ -431,6 +370,11 @@ def min_convexifier(
 
     Exact via wall enumeration for n = 1 (and via order cones for n = 0);
     for n >= 2 a lower bound over discovered cones, flagged not exact.
+    For n = 1 each wall's basecondary defect is the circuit lemma of
+    `wall_defect_numeric`, and the secondary support's defect is the jump
+    gkz(left)[j] - gkz(right)[j] of the GKZ vectors at the moved label j.
+    Otherwise the rows compare closed-form gradients (`gradient_on_cone`)
+    and GKZ vectors at generic cone witnesses.
     """
     _check_f(config, f)
     if config.n == 1:
@@ -438,9 +382,8 @@ def min_convexifier(
         best = Fraction(0)
         for wall in enumerate_walls_1d(config):
             d_f = wall_defect_numeric(config, f, wall)
-            d_sec, _ = _second_difference(
-                config, lambda g: secondary_support(config, g), wall
-            )
+            j = wall.moved - 1
+            d_sec = gkz_vector(config, wall.left)[j] - gkz_vector(config, wall.right)[j]
             if d_sec <= 0:
                 raise InternalError("secondary support must be strictly wall-convex")
             rows.append((wall.circuit.support, d_f, d_sec))
@@ -448,15 +391,8 @@ def min_convexifier(
                 best = -d_f / d_sec
         return MinConvexifier(value=best, exact=True, walls=tuple(rows))
     witnesses = cone_witnesses(config, samples=samples, seed=seed)
-    f_grads = [
-        gradient_on_cone(config, f, w) for w in witnesses
-    ]
-    s_grads = [
-        gradient_on_cone(
-            config, None, w, fn=lambda g: secondary_support(config, g)
-        )
-        for w in witnesses
-    ]
+    f_grads = [gradient_on_cone(config, f, w) for w in witnesses]
+    s_grads = [gkz_vector(config, regular_subdivision(config, w)) for w in witnesses]
     best = Fraction(0)
     for j, wj in enumerate(witnesses):
         for k in range(len(witnesses)):
@@ -478,21 +414,19 @@ def reconstruct_polytope(
 ) -> PiecewiseLinearRep:
     """Per-cone gradients of the (optionally convexified) function.
 
-    A failed certificate is a legitimate result describing a non-convex
-    function, returned with the failing pair, never raised.
+    Each gradient is gradient_on_cone plus c times the GKZ vector at the
+    cone witness. A failed certificate is a legitimate result describing a
+    non-convex function, returned with the failing pair, never raised.
     """
     _check_f(config, f)
     c = rat(convexifier)
-    if c == 0:
-        fn = lambda g: eval_basecondary_general(config, f, g)
-    else:
-        fn = lambda g: eval_basecondary_general(config, f, g) + c * secondary_support(
-            config, g
-        )
     entries = []
     seen_gradients = set()
     for w in cone_witnesses(config, samples=samples, seed=seed):
-        g = gradient_on_cone(config, None, w, fn=fn)
+        g = gradient_on_cone(config, f, w)
+        if c != 0:
+            gkz = gkz_vector(config, regular_subdivision(config, w))
+            g = tuple(a + c * b for a, b in zip(g, gkz))
         if g not in seen_gradients:
             seen_gradients.add(g)
             entries.append((w, g))

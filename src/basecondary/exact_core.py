@@ -37,6 +37,20 @@ def rat(x) -> Fraction:
     raise InputError(f"not a rational: {x!r}")
 
 
+def as_int(x, what: str = "value") -> int:
+    """Coerce an int or an integral rational string to an int, exactly.
+
+    Non-integral or non-numeric input is an InputError, never truncated.
+    """
+    try:
+        q = rat(x)
+    except InputError:
+        q = None
+    if q is None or q.denominator != 1:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return q.numerator
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a rational in lowest terms: "p" for integers, else "p/q"."""
     q = Fraction(q)

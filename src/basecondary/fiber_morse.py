@@ -11,20 +11,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .core import (
     PiecewiseLinearRep,
     convexity_certificate,
     eval_basecondary_general,
     gradient_on_cone,
 )
-from .exact_core import PointConfig, Point3, fiber_polygon, make_config
+from .exact_core import PointConfig, Point3, as_int, fiber_polygon, make_config
 from .secondary import (
     Covector,
     area_N,
     cone_witness,
     covector,
     enumerate_triangulations_1d,
+    gkz_vector,
+    regular_subdivision,
     secondary_support,
 )
 from .setfun import SetFunction, neg_gcd_function
@@ -39,6 +41,7 @@ VARIANTS = ("morse", "maxwell")
 # against symbolically computed Morse discriminants for exponent sets
 # {1,2,3}, {1,2,4}, {1,2,3,4}.
 FIBER_SUPPORT_SCALE = Fraction(8)
+STEP_HALVINGS = 64
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class MorseConfig:
 
 
 def morse_config(points) -> MorseConfig:
-    return MorseConfig(points=tuple(int(a) for a in points))
+    return MorseConfig(points=tuple(as_int(a, "exponent") for a in points))
 
 
 @dataclass(frozen=True)
@@ -176,21 +179,62 @@ def _shifted_witness(pc: PointConfig, witness: Covector) -> Covector:
     return tuple(w + shift for w in witness)
 
 
+def _fiber_gradient(config: MorseConfig, witness: Covector) -> tuple[Fraction, ...]:
+    """Gradient of area_P_bar at a positive generic witness, by difference quotients.
+
+    area_P_bar has no closed form yet, so each coordinate step is halved
+    until the perturbed heights induce the witness's subdivision and the
+    quotient is stable under one further halving; the result must satisfy
+    the homogeneity identity <g, witness> = area_P_bar(witness). This is the
+    library's only step search; it can go once the linearity chambers of
+    the fiber body are known.
+    """
+    pc = config.config()
+    cells = regular_subdivision(pc, witness).cells
+    value = area_P_bar(config, witness)
+    grad = []
+    for k in range(config.m):
+        eps = Fraction(1)
+        prev = None
+        for _ in range(STEP_HALVINGS):
+            pert = tuple(w + (eps if i == k else 0) for i, w in enumerate(witness))
+            if regular_subdivision(pc, pert).cells == cells:
+                slope = (area_P_bar(config, pert) - value) / eps
+                if slope == prev:
+                    break
+                prev = slope
+            else:
+                prev = None
+            eps /= 2
+        else:
+            raise InternalError("no stable coordinate step for the fiber gradient")
+        grad.append(slope)
+    if sum(g * w for g, w in zip(grad, witness)) != value:
+        raise InternalError("fiber gradient fails the homogeneity identity at its witness")
+    return tuple(grad)
+
+
 def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLinearRep:
-    """Per-secondary-cone gradient representation of the chosen support."""
+    """Per-secondary-cone gradient representation of the chosen support.
+
+    Each cone's gradient sums three parts at its positive witness: the fiber
+    gradient, the closed-form basecondary gradient for F = -gcd, and a GKZ
+    term. On nonnegative heights area_N is half the secondary support, so
+    Morse takes fiber + base - 3 * gkz and Maxwell (fiber + base - 4 * gkz) / 2.
+    """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
     pc = config.config()
-    fn = (
-        (lambda g: morse_support(config, g))
-        if variant == "morse"
-        else (lambda g: maxwell_support(config, g))
-    )
+    f = config.gcd_function()
     entries = []
     seen = set()
     for t in enumerate_triangulations_1d(pc):
         w = _shifted_witness(pc, cone_witness(pc, t))
-        g = gradient_on_cone(pc, None, w, fn=fn)
+        parts = zip(_fiber_gradient(config, w), gradient_on_cone(pc, f, w), gkz_vector(pc, t))
+        if variant == "morse":
+            g = tuple(a + b - 3 * c for a, b, c in parts)
+        else:
+            g = tuple((a + b - 4 * c) / 2 for a, b, c in parts)
         if g not in seen:
             seen.add(g)
             entries.append((w, g))

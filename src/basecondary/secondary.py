@@ -368,10 +368,12 @@ def _wall_between(config: PointConfig, t: Subdivision, j: int) -> Wall:
     direction = tuple(
         Fraction(1) if i == j else Fraction(0) for i in range(1, config.m + 1)
     )
-    # moving gamma(j) onto the chord can tie tail values of other cells, so
-    # retry from differently jittered cone witnesses until the Lemma-style
-    # hypotheses hold: exactly one hull circuit, all simplicial supports
-    # generic at the witness
+    # moving gamma(j) onto the chord can tie off-cell values, so retry from
+    # differently jittered cone witnesses until the circuit lemma's
+    # hypotheses hold: exactly one circuital cell, and every cell, the
+    # circuital one included, with pairwise distinct off-cell values. Without
+    # the latter the wall defect is taken on a tail-order boundary and
+    # differs from the lemma's closed form.
     for salt in range(WITNESS_RETRY_CAP):
         w0 = list(cone_witness(config, t, salt=salt))
         w0[j - 1] = w0[ln - 1] + (w0[rn - 1] - w0[ln - 1]) * (aj - al) / (ar - al)
@@ -379,7 +381,7 @@ def _wall_between(config: PointConfig, t: Subdivision, j: int) -> Wall:
         cells = upper_cells(config, witness)
         if sum(len(c.cell) == 3 for c in cells) != 1:
             continue
-        if not all(c.distinct_tail for c in cells if len(c.cell) == 2):
+        if not all(c.distinct_tail for c in cells):
             continue
         return Wall(
             left=t,

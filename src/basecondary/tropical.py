@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exact_core import rat, upper_chain
+from .exact_core import as_int, rat, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
 
@@ -39,7 +39,7 @@ class TropicalPolynomial:
 
 def tropical_polynomial(support, coefficients) -> TropicalPolynomial:
     return TropicalPolynomial(
-        support=tuple(int(a) for a in support),
+        support=tuple(as_int(a, "support entry") for a in support),
         coefficients=tuple(rat(c) for c in coefficients),
     )
 
@@ -147,10 +147,10 @@ def sample_morse_fraction(
     """Fraction of seeded random coefficient vectors classified Morse."""
     if samples < 1:
         raise InputError("need at least one sample")
-    bound = DEFAULT_COEFF_BOUND if bound is None else int(bound)
+    bound = DEFAULT_COEFF_BOUND if bound is None else as_int(bound, "coefficient bound")
     if bound < 1:
         raise InputError("coefficient bound must be positive")
-    supp = tuple(int(a) for a in support)
+    supp = tuple(as_int(a, "support entry") for a in support)
     rng = random.Random(seed)
     hits = 0
     bad = []

@@ -203,6 +203,14 @@ def test_pentagon_polytope_needs_seed(capsys):
         ("check-submodular", {"m": 2, "F": {"kind": "table", "values": {"1,a": "1"}}}),
         ("lovasz", {"m": 2, "F": {"kind": "neg_indicator_full", "point": "p"}, "x": [1, 2]}),
         ("trop-sample", {"support": [0, 1, 2], "samples": "many"}),
+        ("trop-sample", {"support": [0, 1, 2], "samples": 5, "bound": "big"}),
+        ("trop-sample", {"support": [0, "x", 2], "samples": 5}),
+        ("trop-morse", {"support": [0, "x", 2], "coefficients": [0, 1, 0]}),
+        ("morse-support", {"A": [1, "z", 3], "gamma": [1, 1, 1]}),
+        ("maxwell-support", {"A": [1, "z", 3], "gamma": [1, 1, 1]}),
+        ("morse-polytope", {"A": [1, "z", 3]}),
+        ("morse-support", {"A": [1, 2.5, 3], "gamma": [1, 1, 1]}),
+        ("eval", {"n": 0, "m": 2.5, "F": {"kind": "neg_card_ratio"}, "gamma": [1, 2]}),
     ],
 )
 def test_malformed_integers_exit_2(capsys, tmp_path, verb, doc):

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from numeric_oracle import second_difference
 
 from basecondary.core import (
     convexity_certificate,
@@ -21,7 +22,6 @@ from basecondary.core import (
     order_simplicial,
     reconstruct_polytope,
     wall_defect_numeric,
-    wall_defect_symbolic,
 )
 from basecondary.errors import InputError
 from basecondary.exact_core import make_config
@@ -267,7 +267,6 @@ def test_wall_defects_zero_function():
     zero = table_function(4, {}, min_size=1)
     for wall in enumerate_walls_1d(A1367):
         assert wall_defect_numeric(A1367, zero, wall) == 0
-        assert wall_defect_symbolic(A1367, zero, wall) == 0
 
 
 def test_wall_defects_neg_gcd_frozen():
@@ -287,29 +286,17 @@ def test_wall_defects_indicator_one_sign():
 
 
 def test_wall_defect_symbolic_matches_numeric():
+    # the circuit lemma equals the step-halving second difference exactly
     rng = random.Random(15)
     walls = enumerate_walls_1d(A1367)
-    for _ in range(8):
-        f = random_table(rng, 4, min_size=1)
-        ratios = {}
+    fs = [random_table(rng, 4, min_size=1) for _ in range(8)]
+    fs += [neg_gcd_function(A1367, min_size=1), neg_indicator_function(4, min_size=1)]
+    for f in fs:
         for wall in walls:
-            num = wall_defect_numeric(A1367, f, wall)
-            sym = wall_defect_symbolic(A1367, f, wall)
-            if num == 0:
-                assert sym == 0
-            else:
-                assert sym * num > 0
-                ratios.setdefault(wall.circuit.support, sym / num)
-    # per-wall ratio is a positive constant independent of f
-    gcd = neg_gcd_function(A1367, min_size=1)
-    ind = neg_indicator_function(4, min_size=1)
-    for wall in walls:
-        n1 = wall_defect_numeric(A1367, gcd, wall)
-        n2 = wall_defect_numeric(A1367, ind, wall)
-        if n1 != 0 and n2 != 0:
-            assert wall_defect_symbolic(A1367, gcd, wall) / n1 == wall_defect_symbolic(
-                A1367, ind, wall
-            ) / n2
+            oracle, _ = second_difference(
+                A1367, lambda g: eval_basecondary_general(A1367, f, g), wall
+            )
+            assert wall_defect_numeric(A1367, f, wall) == oracle
 
 
 def test_min_convexifier_zero_cases():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import random
 
 import pytest
+from numeric_oracle import numeric_gradient
 
 from basecondary.errors import InputError
 from basecondary.exact_core import fiber_polygon, fiber_polygon_grid_area
@@ -20,7 +21,7 @@ from basecondary.fiber_morse import (
     morse_support,
 )
 from basecondary.secondary import area_N, secondary_support
-from basecondary.core import eval_basecondary_general, gradient_on_cone
+from basecondary.core import eval_basecondary_general
 from basecondary.secondary import cone_witness, enumerate_triangulations_1d
 
 MC = morse_config([1, 3, 6, 7])
@@ -178,9 +179,9 @@ def test_morse_polytope_gradient_additivity():
     f = MC.gcd_function()
     rep = morse_polytope(MC, "morse")
     for w, g in rep.entries:
-        g_fiber = gradient_on_cone(PC, None, w, fn=lambda x: area_P_bar(MC, x))
-        g_base = gradient_on_cone(PC, None, w, fn=lambda x: eval_basecondary_general(PC, f, x))
-        g_area = gradient_on_cone(PC, None, w, fn=lambda x: area_N(PC, x))
+        g_fiber = numeric_gradient(PC, lambda x: area_P_bar(MC, x), w)
+        g_base = numeric_gradient(PC, lambda x: eval_basecondary_general(PC, f, x), w)
+        g_area = numeric_gradient(PC, lambda x: area_N(PC, x), w)
         combined = tuple(a + b - 6 * c for a, b, c in zip(g_fiber, g_base, g_area))
         assert combined == g
 

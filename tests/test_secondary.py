@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import random
 
 import pytest
+from numeric_oracle import second_difference
 
 from basecondary.core import (
     enumerate_circuital,
     enumerate_simplicial,
     is_generic,
-    _second_difference,
 )
 from basecondary.errors import InputError
 from basecondary.exact_core import make_config
@@ -166,7 +166,7 @@ def test_walls_empty_for_two_points():
 
 def test_secondary_support_strictly_convex_across_walls():
     for w in enumerate_walls_1d(A1367):
-        defect, _ = _second_difference(
+        defect, _ = second_difference(
             A1367, lambda g: secondary_support(A1367, g), w
         )
         assert defect > 0
