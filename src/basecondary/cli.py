@@ -119,8 +119,11 @@ def _load_set_function(doc: dict, config: Optional[PointConfig], min_size: int) 
     else:
         raise InputError("set-function input needs 'm' or a configuration 'A'")
     if kind == "table":
+        raw = spec.get("values", {})
+        if not isinstance(raw, dict):
+            raise InputError("table 'values' must be an object")
         values = {}
-        for key, val in spec.get("values", {}).items():
+        for key, val in raw.items():
             labels = [as_int(tok, "table key label") for tok in key.split(",") if tok.strip()]
             values[frozenset(labels)] = rat(val)
         return setfun.SetFunction(

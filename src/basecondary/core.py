@@ -48,7 +48,7 @@ from .secondary import (
     _is_generic_lift,
     _values_under,
 )
-from .setfun import SetFunction, evaluate_f
+from .setfun import SetFunction, evaluate_f, is_submodular_above
 
 ORDER_CONE_CAP = 8
 
@@ -260,6 +260,8 @@ def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Frac
     ground set, the defect is |vol(I lifted by wall.direction)| times
     sum over k in the circuit's support of F(I - k)
     - (|support| - 1) * F(I) - F(N).
+    The direction is the unit vector at the moved label j, so that volume
+    is, up to sign, the volume of the circuit's points other than j.
     The lemma's hypotheses are that the witness carries exactly one circuital
     cell and that every cell's values off the cell are pairwise distinct;
     `enumerate_walls_1d` builds its witnesses to meet both. The name dates
@@ -269,7 +271,7 @@ def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Frac
     _check_f(config, f)
     circ = wall.circuit
     labels = frozenset(circ.ordering)
-    vol = abs(oriented_volume([config.image(i) + (wall.direction[i - 1],) for i in labels]))
+    vol = abs(oriented_volume(config.subset_points(sorted(labels - {wall.moved}))))
     ground = frozenset(range(1, config.m + 1))
     expr = -(len(circ.support) - 1) * evaluate_f(f, labels) - evaluate_f(f, ground)
     for k in circ.support:
@@ -287,17 +289,17 @@ def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Frac
     Near a generic witness the expansion terms of `expansion_terms` keep
     their simplices and F-differences, and each lifted volume is linear in
     the heights, so the gradient is the sum over the terms of F-difference
-    times d(volume)/d(gamma_k): the same volume with the simplex lifted by the
-    unit heights e_k, a cofactor of the lifted simplex. Non-generic witnesses
-    are refused with InputError.
+    times d(volume)/d(gamma_k), the height cofactor of the lifted simplex:
+    (-1)^(n+1+pos) times the volume of the simplex without k, at 0-based
+    position pos. Non-generic witnesses are refused with InputError.
     """
     witness = covector(config, witness)
     _check_f(config, f)
     grad = [Fraction(0)] * config.m
     for simplex, diff in _expansion_summands(config, f, witness):
-        for k in simplex:
-            unit_lift = [config.image(i) + (int(i == k),) for i in simplex]
-            grad[k - 1] -= diff * oriented_volume(unit_lift)
+        for pos, k in enumerate(simplex):
+            facet = config.subset_points(simplex[:pos] + simplex[pos + 1:])
+            grad[k - 1] -= diff * (-1) ** (config.n + 1 + pos) * oriented_volume(facet)
     return tuple(grad)
 
 
@@ -370,6 +372,9 @@ def min_convexifier(
 
     Exact via wall enumeration for n = 1 (and via order cones for n = 0);
     for n >= 2 a lower bound over discovered cones, flagged not exact.
+    For n = 0 order cones with the same top element share their secondary
+    gradient, so no c exists unless F is submodular above size 1; otherwise
+    InputError names the violation.
     For n = 1 each wall's basecondary defect is the circuit lemma of
     `wall_defect_numeric`, and the secondary support's defect is the jump
     gkz(left)[j] - gkz(right)[j] of the GKZ vectors at the moved label j.
@@ -391,6 +396,10 @@ def min_convexifier(
                 best = -d_f / d_sec
         return MinConvexifier(value=best, exact=True, walls=tuple(rows))
     witnesses = cone_witnesses(config, samples=samples, seed=seed)
+    if config.n == 0:
+        report = is_submodular_above(f, 1)
+        if not report.holds:
+            raise InputError(f"no convexifier: F is not submodular above size 1 ({report.witness})")
     f_grads = [gradient_on_cone(config, f, w) for w in witnesses]
     s_grads = [gkz_vector(config, regular_subdivision(config, w)) for w in witnesses]
     best = Fraction(0)

@@ -1,18 +1,24 @@
 """Exact rational geometry: volumes, circuits, convex polygons, fiber slices.
 
-Everything below computes with `fractions.Fraction`; there is no floating
-point anywhere, so equality tests are meaningful and results are
+Every result is an exact `fractions.Fraction` or integer; there is no
+floating point anywhere, so equality tests are meaningful and results are
 reproducible bit for bit.
+
+All linear algebra (determinants, ranks, solves, kernels, circuits) runs
+through one integer elimination, `_echelon`: rows are cleared of denominators
+and reduced by Bareiss's fraction-free elimination, whose exact divisions
+keep every entry a minor, plus one shared integer back-substitution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError
 
 Point = tuple[Fraction, ...]
 
@@ -49,6 +55,13 @@ def as_int(x, what: str = "value") -> int:
     if q is None or q.denominator != 1:
         raise InputError(f"{what} must be an integer, got {x!r}")
     return q.numerator
+
+
+def as_list(x, what: str = "value") -> list:
+    """The entries of a list or tuple; any other input is an InputError."""
+    if not isinstance(x, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {x!r}")
+    return list(x)
 
 
 def rat_str(q: Fraction) -> str:
@@ -107,110 +120,86 @@ def make_config(n: int, points) -> PointConfig:
 # exact linear algebra on small matrices
 
 
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
+
+    Rows are scaled to integers by the lcm of their denominators; zero
+    columns are skipped, pivots swapped up, and each lower row becomes
+    (pivot * row - lead * pivot row) // previous pivot, exact by Sylvester's
+    identity, so entry (r, pivots[r]) is a leading minor of the permuted
+    scaled matrix. Returns the rows, the pivot columns, and the product of
+    the row scales signed by the swap parity.
+    """
+    dens = [math.lcm(*(x.denominator for x in r)) for r in rows]
+    a = [[x.numerator * (d // x.denominator) for x in r] for r, d in zip(rows, dens)]
+    scale = math.prod(dens)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        p = next((i for i in range(top, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != top:
+            a[top], a[p] = a[p], a[top]
+            scale = -scale
+        head = a[top]
+        piv = head[col]
+        for row in a[top + 1:]:
+            lead = row[col]
+            row[col:] = [0] + [(piv * x - lead * y) // prev for x, y in zip(row[col + 1:], head[col + 1:])]
+        prev = piv
+        pivots.append(col)
+    return a, pivots, scale
+
+
+def _null_vector(a: list[list[int]], pivots: list[int], ncols: int) -> Optional[list[Fraction]]:
+    """The kernel vector with 1 in the first non-pivot column t, 0 after it.
+
+    None if every column is a pivot. Rows 0..t-1 pivot in columns 0..t-1;
+    with d the last such pivot, Cramer's rule makes each d * x[j] an integer,
+    so the back-substitution divides exactly and by d only at the end.
+    """
+    t = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    if t == ncols:
+        return None
+    d = a[t - 1][t - 1] if t else 1
+    y = [0] * t + [d]
+    for r in reversed(range(t)):
+        y[r] = -sum(a[r][j] * y[j] for j in range(r + 1, t + 1)) // a[r][r]
+    return [Fraction(v, d) for v in y] + [Fraction(0)] * (ncols - t - 1)
+
+
 def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-enough Gaussian elimination."""
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise InputError("determinant needs a square matrix")
-    if k == 0:
-        return Fraction(1)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, k):
-                    a[r][c] -= factor * a[col][c]
-    return det
+    """Determinant of a square matrix: its last Bareiss pivot over the signed scale."""
+    a, pivots, scale = _echelon(rows)
+    return Fraction(a[-1][-1] if rows else 1, scale) if len(pivots) == len(rows) else Fraction(0)
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination."""
-    a = [list(map(Fraction, r)) for r in rows]
-    if not a or not a[0]:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        for r in range(nrows):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, ncols):
-                    a[r][c] -= factor * a[row][c]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank over Q: the number of pivots of the fraction-free echelon form."""
+    return len(_echelon(rows)[1])
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square system exactly; None when singular."""
+    """Solve a square system exactly; None when singular.
+
+    The solution is the kernel vector of [rows | -rhs] with last entry 1.
+    """
     k = len(rows)
-    a = [list(rows[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, k + 1):
-                    a[r][c] -= factor * a[col][c]
-    return [a[i][k] / a[i][i] for i in range(k)]
+    a, pivots, _ = _echelon([list(r) + [-b] for r, b in zip(rows, rhs)])
+    return _null_vector(a, pivots, k + 1)[:k] if pivots == list(range(k)) else None
 
 
 def kernel_vector(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
     """A nonzero kernel vector of the matrix, or None if the kernel is 0.
 
-    Intended for systems whose kernel is at most one-dimensional; returns a
-    generator of the kernel in that case.
+    Generates the kernel when that is at most one-dimensional.
     """
-    a = [list(r) for r in rows]
-    if not a:
+    if not rows:
         return None
-    ncols = len(a[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    f = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[f] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -a[r][f]
-    return vec
+    a, pivots, _ = _echelon(rows)
+    return _null_vector(a, pivots, len(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +228,7 @@ def affine_rank(points: Sequence[Point]) -> int:
         raise InputError("affine_rank of an empty point list")
     p0 = points[0]
     rows = [[p[c] - p0[c] for c in range(len(p0))] for p in points[1:]]
-    return matrix_rank(rows) if rows else 0
+    return matrix_rank(rows)
 
 
 def lattice_volume(points: Sequence[Point]) -> Fraction:
@@ -306,17 +295,15 @@ def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None
     n = len(points[0])
     if len(points) != n + 2:
         raise InputError(f"find_circuit needs exactly {n + 2} points in Q^{n}")
-    if affine_rank(points) != n:
-        raise InputError("points lie in a hyperplane; no unique circuit")
     if labels is None:
         labels = list(range(1, n + 3))
-    # kernel of the (n+1) x (n+2) matrix with a row of ones atop the coordinates
-    rows = [[Fraction(1)] * (n + 2)]
-    for c in range(n):
-        rows.append([p[c] for p in points])
-    alpha = kernel_vector(rows)
-    if alpha is None:
-        raise InternalError("rank-n configuration of n+2 points must have a relation")
+    # one elimination of the (n+1) x (n+2) matrix with a row of ones atop the
+    # coordinates: rank n+1 says the points span, and its kernel is the relation
+    rows = [[1] * (n + 2)] + [[p[c] for p in points] for c in range(n)]
+    a, pivots, _ = _echelon(rows)
+    if len(pivots) != n + 1:
+        raise InputError("points lie in a hyperplane; no unique circuit")
+    alpha = _null_vector(a, pivots, n + 2)
     pos = [(labels[i], alpha[i]) for i in range(n + 2) if alpha[i] > 0]
     neg = [(labels[i], -alpha[i]) for i in range(n + 2) if alpha[i] < 0]
     zer = [labels[i] for i in range(n + 2) if alpha[i] == 0]

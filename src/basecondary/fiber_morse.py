@@ -18,7 +18,7 @@ from .core import (
     eval_basecondary_general,
     gradient_on_cone,
 )
-from .exact_core import PointConfig, Point3, as_int, fiber_polygon, make_config
+from .exact_core import PointConfig, Point3, as_int, as_list, fiber_polygon, make_config
 from .secondary import (
     Covector,
     area_N,
@@ -73,7 +73,7 @@ class MorseConfig:
 
 
 def morse_config(points) -> MorseConfig:
-    return MorseConfig(points=tuple(as_int(a, "exponent") for a in points))
+    return MorseConfig(points=tuple(as_int(a, "exponent") for a in as_list(points, "exponents")))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, ResourceError
-from .exact_core import PointConfig, find_circuit, affine_rank, matrix_rank, rat
+from .exact_core import PointConfig, affine_rank, as_int, as_list, find_circuit, matrix_rank, rat
 
 SUBMODULAR_CHECK_CAP = 16
 BASE_POLYTOPE_CAP = 8
@@ -76,11 +76,8 @@ def neg_gcd_function(config_or_points, min_size: int = 0) -> SetFunction:
     if isinstance(config_or_points, PointConfig):
         if config_or_points.n != 1:
             raise InputError("neg_gcd needs a one-dimensional configuration")
-        pts = tuple(int(p[0]) for p in config_or_points.points)
-        if any(Fraction(a) != p[0] for a, p in zip(pts, config_or_points.points)):
-            raise InputError("neg_gcd needs integer points")
-    else:
-        pts = tuple(int(a) for a in config_or_points)
+        config_or_points = [p[0] for p in config_or_points.points]
+    pts = tuple(as_int(a, "neg_gcd point") for a in config_or_points)
     return SetFunction(kind="neg_gcd", m=len(pts), min_size=min_size, gcd_points=pts)
 
 
@@ -89,7 +86,7 @@ def neg_indicator_function(m: int, point: int = 1, min_size: int = 0) -> SetFunc
 
 
 def matrix_rank_function(columns, min_size: int = 0) -> SetFunction:
-    cols = tuple(tuple(rat(x) for x in col) for col in columns)
+    cols = tuple(tuple(rat(x) for x in as_list(col, "matrix column")) for col in columns)
     return SetFunction(kind="matrix_rank", m=len(cols), min_size=min_size, columns=cols)
 
 
@@ -213,7 +210,7 @@ def lovasz_extension(f: SetFunction, x) -> Fraction:
     """
     if f.min_size != 0:
         raise InputError("Lovász extension needs min_size 0")
-    vec = [rat(c) for c in x]
+    vec = [rat(c) for c in as_list(x, "x")]
     if len(vec) != f.m:
         raise InputError(f"expected a vector of length {f.m}")
     order = sorted(range(1, f.m + 1), key=lambda i: (-vec[i - 1], i))
@@ -265,7 +262,7 @@ def submodular_polyhedron_contains(f: SetFunction, y) -> bool:
     """Whether sum_{s in X} y_s <= F(X) for every subset X."""
     if f.min_size != 0:
         raise InputError("submodular polyhedron needs min_size 0")
-    vec = [rat(c) for c in y]
+    vec = [rat(c) for c in as_list(y, "y")]
     if len(vec) != f.m:
         raise InputError(f"expected a vector of length {f.m}")
     for x in _subsets_by_mask(f.m):

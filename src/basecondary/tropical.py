@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exact_core import as_int, rat, upper_chain
+from .exact_core import as_int, as_list, rat, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
 
@@ -39,8 +39,8 @@ class TropicalPolynomial:
 
 def tropical_polynomial(support, coefficients) -> TropicalPolynomial:
     return TropicalPolynomial(
-        support=tuple(as_int(a, "support entry") for a in support),
-        coefficients=tuple(rat(c) for c in coefficients),
+        support=tuple(as_int(a, "support entry") for a in as_list(support, "support")),
+        coefficients=tuple(rat(c) for c in as_list(coefficients, "coefficients")),
     )
 
 
@@ -150,7 +150,7 @@ def sample_morse_fraction(
     bound = DEFAULT_COEFF_BOUND if bound is None else as_int(bound, "coefficient bound")
     if bound < 1:
         raise InputError("coefficient bound must be positive")
-    supp = tuple(as_int(a, "support entry") for a in support)
+    supp = tuple(as_int(a, "support entry") for a in as_list(support, "support"))
     rng = random.Random(seed)
     hits = 0
     bad = []

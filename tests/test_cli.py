@@ -219,3 +219,27 @@ def test_malformed_integers_exit_2(capsys, tmp_path, verb, doc):
     code, out = run(capsys, verb, "--input", str(path), "--seed", "1")
     assert code == 2
     assert "must be an integer" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("morse-support", {"A": 5, "gamma": [1, 1, 1]}),
+        ("maxwell-support", {"A": 5, "gamma": [1, 1, 1]}),
+        ("morse-polytope", {"A": 5}),
+        ("trop-morse", {"support": 5, "coefficients": [0, 1, 0]}),
+        ("trop-morse", {"support": [0, 1, 2], "coefficients": 5}),
+        ("trop-sample", {"support": 5, "samples": 5}),
+        ("eval", {"n": 1, "A": [[1], [3], [6], [7]], "gamma": [1, 2, 3, 4],
+                  "F": {"kind": "table", "values": [1, 2]}}),
+        ("check-submodular", {"m": 2, "F": {"kind": "matrix_rank", "columns": [[1, 0], 5]}}),
+        ("lovasz", {"m": 2, "F": {"kind": "matrix_rank", "columns": [5, [0, 1]]}, "x": [1, 2]}),
+        ("lovasz", {"m": 2, "F": {"kind": "neg_card_ratio"}, "x": 5}),
+    ],
+)
+def test_wrong_field_shapes_exit_2(capsys, tmp_path, verb, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, verb, "--input", str(path), "--seed", "1")
+    assert code == 2
+    assert "must be" in json.loads(out)["error"]

@@ -36,6 +36,7 @@ from basecondary.setfun import (
     SetFunction,
     evaluate_f,
     greedy_vertex,
+    is_submodular_above,
     lovasz_extension,
     neg_card_ratio_function,
     neg_gcd_function,
@@ -316,6 +317,42 @@ def test_min_convexifier_neg_gcd():
     barely_under = reconstruct_polytope(A1367, gcd, result.value * F(999, 1000))
     assert not barely_under.certified
     assert barely_under.failure_witness is not None
+
+
+def test_min_convexifier_n0_refuses_non_submodular_tables():
+    # For n = 0 no multiple of the secondary support max(gamma) repairs a
+    # kink between order cones with the same top element, so a table that
+    # is not submodular above size 1 has no convexifier at all.
+    rng = random.Random(4242)
+    refused = 0
+    for _ in range(40):
+        m = rng.randint(3, 4)
+        cfg = make_config(0, [[] for _ in range(m)])
+        f = random_table(rng, m, lo=-6, hi=6)
+        if is_submodular_above(f, 1).holds:
+            result = min_convexifier(cfg, f)
+            assert result.exact and reconstruct_polytope(cfg, f, result.value).certified
+            continue
+        refused += 1
+        with pytest.raises(InputError, match="not submodular above size 1"):
+            min_convexifier(cfg, f)
+        assert not reconstruct_polytope(cfg, f, 1000).certified
+    assert refused >= 30
+
+
+def test_min_convexifier_n0_submodular_stays_exact():
+    # a weighted coverage function: submodular, so the convexifier exists
+    cfg = make_config(0, [[] for _ in range(4)])
+    groups = [({1, 2}, 3), ({2, 3, 4}, 2), ({4}, 5)]
+    values = {
+        frozenset(sub): F(sum(w for g, w in groups if g & set(sub)))
+        for r in range(1, 5)
+        for sub in itertools.combinations(range(1, 5), r)
+    }
+    f = SetFunction(kind="table", m=4, min_size=0, table=values)
+    result = min_convexifier(cfg, f)
+    assert result.exact
+    assert reconstruct_polytope(cfg, f, result.value).certified
 
 
 def test_gradient_zero_function():

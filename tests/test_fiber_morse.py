@@ -22,7 +22,7 @@ from basecondary.fiber_morse import (
 )
 from basecondary.secondary import area_N, secondary_support
 from basecondary.core import eval_basecondary_general
-from basecondary.secondary import cone_witness, enumerate_triangulations_1d
+from basecondary.secondary import cone_witness, enumerate_triangulations_1d, regular_subdivision
 
 MC = morse_config([1, 3, 6, 7])
 PC = MC.config()
@@ -262,3 +262,33 @@ def test_standing_identity_on_wall_witnesses():
         shift = 1 - min(wall.witness)
         w = tuple(c + shift for c in wall.witness)
         assert secondary_support(PC, w) == 2 * area_N(PC, w)
+
+
+def _same_cone_pairs(mc, rng, count, bound=12):
+    """Seeded pairs of nonnegative integer heights inducing the same subdivision."""
+    pc = mc.config()
+    seen = {}
+    pairs = []
+    while len(pairs) < count:
+        g = tuple(F(rng.randint(0, bound)) for _ in range(mc.m))
+        cells = regular_subdivision(pc, g).cells
+        pairs.extend((g, h) for h in seen.get(cells, [])[: count - len(pairs)])
+        seen.setdefault(cells, []).append(g)
+    return pairs
+
+
+def _additive(mc, g, h):
+    total = tuple(a + b for a, b in zip(g, h))
+    return area_P_bar(mc, total) == area_P_bar(mc, g) + area_P_bar(mc, h)
+
+
+def test_fiber_summand_additive_on_same_sign_cones():
+    # With every exponent on one side of 0 the fiber summand is additive on
+    # each secondary cone, so a gradient built from the cone's rays would be
+    # exact there. With interior vertices on both sides of 0 it is not.
+    rng = random.Random(31)
+    for pts in ([1, 2, 4, 7], [1, 3, 4, 6], [2, 3, 5], [-5, -3, -2, -1], [-7, -4, -3]):
+        mc = morse_config(pts)
+        assert all(_additive(mc, g, h) for g, h in _same_cone_pairs(mc, rng, 24)), pts
+    mixed = morse_config([-2, -1, 1, 3])
+    assert not all(_additive(mixed, g, h) for g, h in _same_cone_pairs(mixed, rng, 40))

@@ -65,6 +65,15 @@ def test_evaluate_examples():
     assert evaluate_f(ind, {2, 3, 4}) == 0
 
 
+def test_neg_gcd_points_are_parsed_exactly():
+    assert neg_gcd_function([4, "6", F(9)]).gcd_points == (4, 6, 9)
+    for bad in ([4, 6.5, "9"], [4, F(13, 2), 9], [4, "13/2", 9], [4, "x", 9]):
+        with pytest.raises(InputError, match="must be an integer"):
+            neg_gcd_function(bad)
+    with pytest.raises(InputError, match="must be an integer"):
+        neg_gcd_function(make_config(1, [[1], ["5/2"], [6]]))
+
+
 def test_evaluate_domain_errors():
     f = neg_gcd_function([1, 3, 6, 7], min_size=1)
     with pytest.raises(InputError):
