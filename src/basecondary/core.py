@@ -48,7 +48,7 @@ from .secondary import (
     _is_generic_lift,
     _values_under,
 )
-from .setfun import SetFunction, evaluate_f, is_submodular_above
+from .setfun import SetFunction, circuit_condition_check, circuit_value, evaluate_f, is_submodular_above
 
 ORDER_CONE_CAP = 8
 
@@ -119,8 +119,14 @@ def order_circuital(
     """Circuit-compatible arrangement validated by the double alternating sum.
 
     The head holds the positive side, the negative side, then the
-    zero-coefficient members; among the arrangements satisfying the exact
-    volume identities the lexicographically smallest is returned.
+    zero-coefficient members; the lexicographically smallest arrangement
+    satisfying the exact volume identities is returned. By Cramer's rule the
+    volume of the head without position i is (-1)^i * lam * alpha_i for the
+    circuit's coefficients alpha and one scalar lam, so the identities hold
+    exactly when lam > 0, a parity condition on the arrangement. Hence the
+    answer is the circuit ordering, each side sorted by label, or else that
+    ordering with the last two labels of its last block of two or more
+    members swapped.
     """
     gamma = covector(config, gamma)
     values = _values_under(config, gamma, c.linear)
@@ -129,28 +135,22 @@ def order_circuital(
         raise InputError("tail values must be pairwise distinct to order a circuit")
     tail = _descending_tail(config, c.maximizers, values)
     circ = c.circuit
-    pos = [i for i, _ in circ.positive]
-    neg = [i for i, _ in circ.negative]
-    zer = list(circ.zeros)
-    n = config.n
     # hull of a circuit configuration = union of the simplices obtained by
     # dropping one positive-side point, with disjoint interiors
     target = sum(
         abs(oriented_volume(config.subset_points([j for j in c.maximizers if j != i])))
-        for i in pos
+        for i, _ in circ.positive
     )
-    best = None
-    for pp in itertools.permutations(pos):
-        for nn in itertools.permutations(neg):
-            for zz in itertools.permutations(zer):
-                head = list(pp) + list(nn) + list(zz)
-                if best is not None and tuple(head) >= best:
-                    continue
-                if _circuit_identity_holds(config, head, len(pp), len(nn), target):
-                    best = tuple(head)
-    if best is None:
-        raise InternalError("no arrangement satisfies the circuit volume identity")
-    return OrderedSupport(tuple=best + tail, head=n + 2)
+    head = list(circ.ordering)
+    if not _circuit_identity_holds(config, head, circ.p, circ.q, target):
+        sizes = (circ.p, circ.q, len(circ.zeros))
+        for end, size in reversed(list(zip(itertools.accumulate(sizes), sizes))):
+            if size >= 2:
+                head[end - 2], head[end - 1] = head[end - 1], head[end - 2]
+                break
+        if not _circuit_identity_holds(config, head, circ.p, circ.q, target):
+            raise InternalError("no arrangement satisfies the circuit volume identity")
+    return OrderedSupport(tuple=tuple(head) + tail, head=config.n + 2)
 
 
 def _circuit_identity_holds(config, head, p, q, target) -> bool:
@@ -256,12 +256,10 @@ def eval_basecondary_generic(config: PointConfig, f: SetFunction, gamma) -> Frac
 def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Fraction:
     """Second difference of the basecondary function across the wall, per unit step.
 
-    Computed by the circuit lemma: with I the wall circuit's labels and N the
-    ground set, the defect is |vol(I lifted by wall.direction)| times
-    sum over k in the circuit's support of F(I - k)
-    - (|support| - 1) * F(I) - F(N).
-    The direction is the unit vector at the moved label j, so that volume
-    is, up to sign, the volume of the circuit's points other than j.
+    Computed by the circuit lemma: |vol(I lifted by wall.direction)| times
+    `circuit_value` of the wall circuit, with I the circuit's labels. The
+    direction is the unit vector at the moved label j, so that volume is,
+    up to sign, the volume of the circuit's points other than j.
     The lemma's hypotheses are that the witness carries exactly one circuital
     cell and that every cell's values off the cell are pairwise distinct;
     `enumerate_walls_1d` builds its witnesses to meet both. The name dates
@@ -270,13 +268,8 @@ def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Frac
     """
     _check_f(config, f)
     circ = wall.circuit
-    labels = frozenset(circ.ordering)
-    vol = abs(oriented_volume(config.subset_points(sorted(labels - {wall.moved}))))
-    ground = frozenset(range(1, config.m + 1))
-    expr = -(len(circ.support) - 1) * evaluate_f(f, labels) - evaluate_f(f, ground)
-    for k in circ.support:
-        expr += evaluate_f(f, labels - {k})
-    return vol * expr
+    others = sorted(frozenset(circ.ordering) - {wall.moved})
+    return abs(oriented_volume(config.subset_points(others))) * circuit_value(f, circ)
 
 
 # ---------------------------------------------------------------------------
@@ -370,36 +363,35 @@ def min_convexifier(
     """Smallest c >= 0 making the function wall-convex after adding c times
     the secondary support.
 
-    Exact via wall enumeration for n = 1 (and via order cones for n = 0);
-    for n >= 2 a lower bound over discovered cones, flagged not exact.
-    For n = 0 order cones with the same top element share their secondary
-    gradient, so no c exists unless F is submodular above size 1; otherwise
-    InputError names the violation.
-    For n = 1 each wall's basecondary defect is the circuit lemma of
-    `wall_defect_numeric`, and the secondary support's defect is the jump
-    gkz(left)[j] - gkz(right)[j] of the GKZ vectors at the moved label j.
-    Otherwise the rows compare closed-form gradients (`gradient_on_cone`)
-    and GKZ vectors at generic cone witnesses.
+    For n <= 1 this is the circuit condition, exact: one row
+    (J, vol(J) * value(J), vol(J)) per spanning (n+2)-subset J, in
+    lexicographic order, with value(J) its `circuit_value` and vol(J) its
+    lattice volume (1 for n = 0, the length of its span for n = 1); c is
+    max(0, -min value). For n = 1 every 3-subset J is the circuit of a
+    wall, whose basecondary defect is that row's second entry and whose
+    secondary defect, the GKZ jump at the middle label, is its third. For
+    n = 0, h + c * max(gamma) is the Lovász extension of F - F(N) + c on
+    nonempty sets, which is submodular exactly when F is submodular above
+    size 1 and c >= -value({a, b}) for every pair; without the former no c
+    exists and InputError names the violation.
+    For n >= 2 the value is a lower bound, flagged not exact: the largest
+    ratio over pairs of cones discovered from `samples` seeded heights,
+    comparing closed-form gradients (`gradient_on_cone`) and GKZ vectors at
+    their witnesses.
     """
     _check_f(config, f)
-    if config.n == 1:
+    if config.n <= 1:
+        if config.n == 0:
+            report = is_submodular_above(f, 1)
+            if not report.holds:
+                raise InputError(f"no convexifier: F is not submodular above size 1 ({report.witness})")
         rows = []
-        best = Fraction(0)
-        for wall in enumerate_walls_1d(config):
-            d_f = wall_defect_numeric(config, f, wall)
-            j = wall.moved - 1
-            d_sec = gkz_vector(config, wall.left)[j] - gkz_vector(config, wall.right)[j]
-            if d_sec <= 0:
-                raise InternalError("secondary support must be strictly wall-convex")
-            rows.append((wall.circuit.support, d_f, d_sec))
-            if -d_f / d_sec > best:
-                best = -d_f / d_sec
+        for j, value in circuit_condition_check(f, config).rows:
+            vol = lattice_volume(config.subset_points(j))
+            rows.append((j, vol * value, vol))
+        best = max([Fraction(0)] + [-d_f / vol for _, d_f, vol in rows])
         return MinConvexifier(value=best, exact=True, walls=tuple(rows))
     witnesses = cone_witnesses(config, samples=samples, seed=seed)
-    if config.n == 0:
-        report = is_submodular_above(f, 1)
-        if not report.holds:
-            raise InputError(f"no convexifier: F is not submodular above size 1 ({report.witness})")
     f_grads = [gradient_on_cone(config, f, w) for w in witnesses]
     s_grads = [gkz_vector(config, regular_subdivision(config, w)) for w in witnesses]
     best = Fraction(0)
@@ -411,7 +403,7 @@ def min_convexifier(
             numer = sum((a - b) * c for a, b, c in zip(f_grads[k], f_grads[j], wj))
             if denom > 0 and numer / denom > best:
                 best = numer / denom
-    return MinConvexifier(value=best, exact=config.n == 0)
+    return MinConvexifier(value=best, exact=False)
 
 
 def reconstruct_polytope(

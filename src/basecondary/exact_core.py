@@ -191,17 +191,6 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
     return _null_vector(a, pivots, k + 1)[:k] if pivots == list(range(k)) else None
 
 
-def kernel_vector(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """A nonzero kernel vector of the matrix, or None if the kernel is 0.
-
-    Generates the kernel when that is at most one-dimensional.
-    """
-    if not rows:
-        return None
-    a, pivots, _ = _echelon(rows)
-    return _null_vector(a, pivots, len(rows[0]))
-
-
 # ---------------------------------------------------------------------------
 # volumes and ranks
 

@@ -211,9 +211,8 @@ def _labels_by_coordinate(config: PointConfig) -> list[int]:
 
 
 def _chain_cells(ordered_vertices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted((a, b))) for a, b in zip(ordered_vertices, ordered_vertices[1:])
-    )
+    """Cells between consecutive vertices, label-sorted as `upper_cells` lists them."""
+    return tuple(sorted(tuple(sorted(e)) for e in zip(ordered_vertices, ordered_vertices[1:])))
 
 
 def enumerate_triangulations_1d(config: PointConfig) -> tuple[Subdivision, ...]:

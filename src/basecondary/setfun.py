@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, ResourceError
-from .exact_core import PointConfig, affine_rank, as_int, as_list, find_circuit, matrix_rank, rat
+from .exact_core import CircuitData, PointConfig, affine_rank, as_int, as_list, find_circuit, matrix_rank, rat
 
 SUBMODULAR_CHECK_CAP = 16
 BASE_POLYTOPE_CAP = 8
@@ -55,6 +55,8 @@ class SetFunction:
         if self.kind == "matrix_rank":
             if self.columns is None or len(self.columns) != self.m:
                 raise InputError("matrix_rank needs one column per ground element")
+            if len({len(c) for c in self.columns}) != 1:
+                raise InputError("matrix_rank columns must be equally long")
         if self.kind == "neg_indicator_full" and not 1 <= self.point <= self.m:
             raise InputError("marked element out of range")
         if self.kind == "table":
@@ -174,32 +176,35 @@ class CircuitConditionReport:
     rows: tuple[tuple[tuple[int, ...], Fraction], ...] = field(default=())
 
 
+def circuit_value(f: SetFunction, circuit: CircuitData) -> Fraction:
+    """The circuit expression of F, the value the convexity theorem tests.
+
+    With J the circuit's labels (`circuit.ordering`), J0 its support and N
+    the ground set: sum_{k in J0} F(J \\ k) - (|J0| - 1) F(J) - F(N).
+    """
+    labels = frozenset(circuit.ordering)
+    value = -(len(circuit.support) - 1) * evaluate_f(f, labels) - evaluate_f(f, f.ground())
+    for k in circuit.support:
+        value += evaluate_f(f, labels - {k})
+    return value
+
+
 def circuit_condition_check(f: SetFunction, config: PointConfig) -> CircuitConditionReport:
     """Evaluate the circuit inequality on every spanning (n+2)-subset.
 
-    For each J with full-rank image and circuit support J0, the tested value
-    is sum_{k in J0} F(J \\ k) - (|J0|-1) F(J) - F(ground); the report passes
-    when every value is >= 0.
+    Each row is a subset J with full-rank image, in lexicographic order, and
+    the `circuit_value` of its circuit; the report passes when every value
+    is >= 0.
     """
-    n = config.n
     if f.m != config.m:
         raise InputError("set function and configuration disagree on m")
-    ground = f.ground()
-    f_full = evaluate_f(f, ground)
     rows = []
-    ok = True
-    for j in itertools.combinations(range(1, config.m + 1), n + 2):
+    for j in itertools.combinations(range(1, config.m + 1), config.n + 2):
         pts = config.subset_points(j)
-        if affine_rank(pts) != n:
+        if affine_rank(pts) != config.n:
             continue  # hyperplane case is outside the theorem's hypothesis
-        circuit = find_circuit(pts, labels=list(j))
-        value = -(len(circuit.support) - 1) * evaluate_f(f, j) - f_full
-        for k in circuit.support:
-            value += evaluate_f(f, frozenset(j) - {k})
-        rows.append((tuple(j), value))
-        if value < 0:
-            ok = False
-    return CircuitConditionReport(passed=ok, rows=tuple(rows))
+        rows.append((j, circuit_value(f, find_circuit(pts, labels=list(j)))))
+    return CircuitConditionReport(passed=all(v >= 0 for _, v in rows), rows=tuple(rows))
 
 
 def lovasz_extension(f: SetFunction, x) -> Fraction:

@@ -102,6 +102,19 @@ def test_convexify_and_polytope(capsys, tmp_path):
     assert json.loads(out)["certified"] is False
 
 
+def test_unsorted_1d_labels(capsys, tmp_path):
+    # labels out of coordinate order used to find no generic cone witness
+    doc = {"n": 1, "A": [[3], [1], [2], [4]], "F": {"kind": "neg_gcd"}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "convexify", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["exact"] is True
+    code, out = run(capsys, "polytope", "--input", str(path), "--convexifier", json.loads(out)["value"])
+    assert code == 0
+    assert json.loads(out)["certified"] is True
+
+
 def test_check_verbs(capsys, tmp_path):
     doc = {"n": 1, "A": [[1], [3], [6], [7]], "F": {"kind": "neg_gcd"}}
     path = tmp_path / "p.json"
@@ -235,6 +248,7 @@ def test_malformed_integers_exit_2(capsys, tmp_path, verb, doc):
         ("check-submodular", {"m": 2, "F": {"kind": "matrix_rank", "columns": [[1, 0], 5]}}),
         ("lovasz", {"m": 2, "F": {"kind": "matrix_rank", "columns": [5, [0, 1]]}, "x": [1, 2]}),
         ("lovasz", {"m": 2, "F": {"kind": "neg_card_ratio"}, "x": 5}),
+        ("check-submodular", {"m": 2, "F": {"kind": "matrix_rank", "columns": [[1, 0], [1]]}}),
     ],
 )
 def test_wrong_field_shapes_exit_2(capsys, tmp_path, verb, doc):

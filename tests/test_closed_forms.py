@@ -106,13 +106,16 @@ def test_walls_meet_the_lemma_and_match_the_oracle(xs):
     }
     for f in fs:
         result = min_convexifier(config, f)
-        assert len(result.walls) == len(walls)
+        # one row per circuit; every 3-subset is the circuit of some wall
+        rows = {circ: (d_f, d_sec) for circ, d_f, d_sec in result.walls}
+        assert len(rows) == len(result.walls) == len(list(itertools.combinations(xs, 3)))
+        assert set(rows) == {wall.circuit.support for wall in walls}
         for k in checked:
             d_f, _ = second_difference(
                 config, lambda g: eval_basecondary_general(config, f, g), walls[k]
             )
-            assert result.walls[k] == (walls[k].circuit.support, d_f, sec[k])
-        assert result.value == max([F(0)] + [-d_f / d_sec for _, d_f, d_sec in result.walls])
+            assert rows[walls[k].circuit.support] == (d_f, sec[k])
+        assert result.value == max([F(0)] + [-d_f / d_sec for d_f, d_sec in rows.values()])
 
 
 @pytest.mark.parametrize("points", [[1, 2, 3], [1, 3, 6, 7], [1, 2, 4], [-2, -1, 1, 2], [2, 3, 5, 6]])
