@@ -126,8 +126,11 @@ def order_circuital(
     exactly when lam > 0, a parity condition on the arrangement. Hence the
     answer is the circuit ordering, each side sorted by label, or else that
     ordering with the last two labels of its last block of two or more
-    members swapped.
+    members swapped. An n = 0 circuit, two points of Q^0, has no
+    orientation for the identities to test, and is refused.
     """
+    if config.n == 0:
+        raise InputError("circuit orderings need n >= 1; an n = 0 circuit has no orientation")
     gamma = covector(config, gamma)
     values = _values_under(config, gamma, c.linear)
     off = [values[i - 1] for i in range(1, config.m + 1) if i not in c.maximizers]
@@ -372,8 +375,11 @@ def min_convexifier(
     secondary defect, the GKZ jump at the middle label, is its third. For
     n = 0, h + c * max(gamma) is the Lovász extension of F - F(N) + c on
     nonempty sets, which is submodular exactly when F is submodular above
-    size 1 and c >= -value({a, b}) for every pair; without the former no c
-    exists and InputError names the violation.
+    size 1 and c >= -value({a, b}) for every pair.
+    The rule for every n <= 1: F must be submodular above size n + 1, or
+    InputError carries the violating pair. For n = 1 the rows do not test
+    that rule, and without it h + c * secondary at their c need not be
+    convex. The exhaustive check costs O(2^m m^2) evaluations of F.
     For n >= 2 the value is a lower bound, flagged not exact: the largest
     ratio over pairs of cones discovered from `samples` seeded heights,
     comparing closed-form gradients (`gradient_on_cone`) and GKZ vectors at
@@ -381,10 +387,11 @@ def min_convexifier(
     """
     _check_f(config, f)
     if config.n <= 1:
-        if config.n == 0:
-            report = is_submodular_above(f, 1)
-            if not report.holds:
-                raise InputError(f"no convexifier: F is not submodular above size 1 ({report.witness})")
+        report = is_submodular_above(f, config.n + 1)
+        if not report.holds:
+            raise InputError(
+                f"no convexifier: F is not submodular above size {config.n + 1} ({report.witness})"
+            )
         rows = []
         for j, value in circuit_condition_check(f, config).rows:
             vol = lattice_volume(config.subset_points(j))

@@ -4,6 +4,11 @@ Every result is an exact `fractions.Fraction` or integer; there is no
 floating point anywhere, so equality tests are meaningful and results are
 reproducible bit for bit.
 
+A `Jet` is a rational plus a linear term in infinitesimals, and evaluates a
+piecewise-linear function and its gradient in one pass (forward mode). The
+1D lift, the 1D cell volumes and the polygon code take jets wherever they
+take heights; the linear algebra below never does.
+
 All linear algebra (determinants, ranks, solves, kernels, circuits) runs
 through one integer elimination, `_echelon`: rows are cleared of denominators
 and reduced by Bareiss's fraction-free elimination, whose exact divisions
@@ -14,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 Point = tuple[Fraction, ...]
 
@@ -28,8 +34,8 @@ Point = tuple[Fraction, ...]
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, Fraction, or "p/q"/"p" string to an exact Fraction."""
-    if isinstance(x, Fraction):
+    """Coerce an int, Fraction, or "p/q"/"p" string to an exact Fraction; jets pass."""
+    if isinstance(x, (Fraction, Jet)):
         return x
     if isinstance(x, bool):
         raise InputError(f"not a rational: {x!r}")
@@ -74,6 +80,86 @@ def rat_str(q: Fraction) -> str:
 
 def point(coords) -> Point:
     return tuple(rat(c) for c in coords)
+
+
+# ---------------------------------------------------------------------------
+# first-order jets
+
+
+def _order(test):
+    """A jet comparison: `test` on (value, *grad), a rational having zero gradient."""
+
+    def compare(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Jet(other, [0] * len(self.grad))
+        elif not isinstance(other, Jet):
+            return NotImplemented
+        return test((self.value, *self.grad), (other.value, *other.grad))
+
+    return compare
+
+
+class Jet:
+    """value + <grad, eps> for infinitesimals eps_1 >> eps_2 >> ... > 0.
+
+    A forward-mode derivative (Griewank-Walther 2008): sums and rational
+    multiples are exact, and a product or quotient of two jets, not linear
+    in eps, raises InternalError. Jets of one seed order lexicographically,
+    value first, then the gradient entries: a simulation of simplicity
+    (Edelsbrunner-Mücke 1990) that breaks every tie between seeded heights
+    one way. A rational is a jet with zero gradient, which equals, hashes
+    and compares like its value.
+    """
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad):
+        self.value, self.grad = value, tuple(grad)
+
+    @staticmethod
+    def seed(values) -> tuple["Jet", ...]:
+        """values[k] + eps_k for every coordinate k."""
+        zeros = [Fraction(0)] * len(values)
+        return tuple(Jet(v, zeros[:k] + [Fraction(1)] + zeros[k + 1:]) for k, v in enumerate(values))
+
+    __eq__, __lt__, __le__ = _order(operator.eq), _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
+
+    def __hash__(self):
+        return hash((self.value, self.grad) if any(self.grad) else self.value)
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value, (a + b for a, b in zip(self.grad, other.grad, strict=True)))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Jet(self.value + other, self.grad)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            raise InternalError("a product of two jets is not linear in eps")
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Jet(self.value * other, (g * other for g in self.grad))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            raise InternalError("a quotient of two jets is not linear in eps")
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        raise InternalError("a division by a jet is not linear in eps")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +408,7 @@ def convex_hull_2d(points: Sequence[Point2]) -> tuple[Point2, ...]:
 
     Degenerate inputs collapse to a segment (two vertices) or a point.
     """
-    pts = sorted(set((Fraction(p[0]), Fraction(p[1])) for p in points))
+    pts = sorted(set((rat(p[0]), rat(p[1])) for p in points))
     if len(pts) <= 2:
         return tuple(pts)
     lower: list[Point2] = []
@@ -431,9 +517,6 @@ def _edge_cycle(poly: Polygon2) -> tuple[Point2, list[Point2]]:
         return vs[0], []
     start = _merge_start(vs)
     ordered = [vs[(start + i) % len(vs)] for i in range(len(vs))]
-    if len(vs) == 2:
-        a, b = ordered
-        return a, [(b[0] - a[0], b[1] - a[1]), (a[0] - b[0], a[1] - b[1])]
     edges = []
     for i in range(len(ordered)):
         a, b = ordered[i], ordered[(i + 1) % len(ordered)]
@@ -528,8 +611,6 @@ def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
     if not vs:
         raise InputError("fiber_polygon needs vertices")
     breaks = sorted(set(v[0] for v in vs))
-    if len(breaks) == 1:
-        return Polygon2.from_points([(Fraction(0), Fraction(0))])
     total = Polygon2.from_points([(Fraction(0), Fraction(0))])
     slices = {x: fiber_slice(vs, x) for x in breaks}
     for x0, x1 in zip(breaks, breaks[1:]):

@@ -2,7 +2,9 @@
 
 The pipeline never materializes the high-dimensional iterated fiber
 polytope: all its support values are obtained by slicing the 3D pyramid
-projection, which commutes with Minkowski integration.
+projection, which commutes with Minkowski integration. The Morse and
+Maxwell formulas are spelled once, in `morse_support` and `maxwell_support`;
+`morse_polytope` evaluates them on jets (`exact_core.Jet`) for gradients.
 """
 
 from __future__ import annotations
@@ -12,21 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .core import (
-    PiecewiseLinearRep,
-    convexity_certificate,
-    eval_basecondary_general,
-    gradient_on_cone,
-)
-from .exact_core import PointConfig, Point3, as_int, as_list, fiber_polygon, make_config
+from .core import PiecewiseLinearRep, convexity_certificate, eval_basecondary_general
+from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config
 from .secondary import (
     Covector,
     area_N,
     cone_witness,
     covector,
     enumerate_triangulations_1d,
-    gkz_vector,
-    regular_subdivision,
     secondary_support,
 )
 from .setfun import SetFunction, neg_gcd_function
@@ -41,7 +36,6 @@ VARIANTS = ("morse", "maxwell")
 # against symbolically computed Morse discriminants for exponent sets
 # {1,2,3}, {1,2,4}, {1,2,3,4}.
 FIBER_SUPPORT_SCALE = Fraction(8)
-STEP_HALVINGS = 64
 
 
 @dataclass(frozen=True)
@@ -179,64 +173,29 @@ def _shifted_witness(pc: PointConfig, witness: Covector) -> Covector:
     return tuple(w + shift for w in witness)
 
 
-def _fiber_gradient(config: MorseConfig, witness: Covector) -> tuple[Fraction, ...]:
-    """Gradient of area_P_bar at a positive generic witness, by difference quotients.
-
-    area_P_bar has no closed form yet, so each coordinate step is halved
-    until the perturbed heights induce the witness's subdivision and the
-    quotient is stable under one further halving; the result must satisfy
-    the homogeneity identity <g, witness> = area_P_bar(witness). This is the
-    library's only step search; it can go once the linearity chambers of
-    the fiber body are known.
-    """
-    pc = config.config()
-    cells = regular_subdivision(pc, witness).cells
-    value = area_P_bar(config, witness)
-    grad = []
-    for k in range(config.m):
-        eps = Fraction(1)
-        prev = None
-        for _ in range(STEP_HALVINGS):
-            pert = tuple(w + (eps if i == k else 0) for i, w in enumerate(witness))
-            if regular_subdivision(pc, pert).cells == cells:
-                slope = (area_P_bar(config, pert) - value) / eps
-                if slope == prev:
-                    break
-                prev = slope
-            else:
-                prev = None
-            eps /= 2
-        else:
-            raise InternalError("no stable coordinate step for the fiber gradient")
-        grad.append(slope)
-    if sum(g * w for g, w in zip(grad, witness)) != value:
-        raise InternalError("fiber gradient fails the homogeneity identity at its witness")
-    return tuple(grad)
-
-
 def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLinearRep:
     """Per-secondary-cone gradient representation of the chosen support.
 
-    Each cone's gradient sums three parts at its positive witness: the fiber
-    gradient, the closed-form basecondary gradient for F = -gcd, and a GKZ
-    term. On nonnegative heights area_N is half the secondary support, so
-    Morse takes fiber + base - 3 * gkz and Maxwell (fiber + base - 4 * gkz) / 2.
+    Each cone's gradient is read off one evaluation of `morse_support` or
+    `maxwell_support` at its positive witness w seeded as the jet w + eps:
+    the heights enter every predicate and area linearly, so the jet's
+    gradient is exact, and on a wall of the support's linearity chambers it
+    is that of the chamber toward eps_1 >> eps_2 >> ... The homogeneity
+    identity <g, w> = support(w) is checked as an invariant.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
+    support = morse_support if variant == "morse" else maxwell_support
     pc = config.config()
-    f = config.gcd_function()
     entries = []
     seen = set()
     for t in enumerate_triangulations_1d(pc):
         w = _shifted_witness(pc, cone_witness(pc, t))
-        parts = zip(_fiber_gradient(config, w), gradient_on_cone(pc, f, w), gkz_vector(pc, t))
-        if variant == "morse":
-            g = tuple(a + b - 3 * c for a, b, c in parts)
-        else:
-            g = tuple((a + b - 4 * c) / 2 for a, b, c in parts)
-        if g not in seen:
-            seen.add(g)
-            entries.append((w, g))
+        jet = support(config, Jet.seed(w))
+        if sum(g * x for g, x in zip(jet.grad, w)) != jet.value:
+            raise InternalError("support gradient fails the homogeneity identity at its witness")
+        if jet.grad not in seen:
+            seen.add(jet.grad)
+            entries.append((w, jet.grad))
     ok, failure = convexity_certificate(entries)
     return PiecewiseLinearRep(entries=tuple(entries), certified=ok, failure_witness=failure)

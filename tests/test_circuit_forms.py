@@ -16,7 +16,13 @@ import random
 import convexifier_reference as ref
 import pytest
 
-from basecondary.core import CircuitalSupport, min_convexifier, order_circuital, reconstruct_polytope
+from basecondary.core import (
+    CircuitalSupport,
+    enumerate_circuital,
+    min_convexifier,
+    order_circuital,
+    reconstruct_polytope,
+)
 from basecondary.errors import InputError
 from basecondary.exact_core import affine_rank, find_circuit, make_config
 from basecondary.secondary import enumerate_walls_1d
@@ -92,6 +98,10 @@ def test_n1_convexifier_matches_the_wall_search(m):
         if all(p[0] != 0 for p in config.points):
             fs.append(neg_gcd_function(config, min_size=1))
         for f in fs:
+            if not is_submodular_above(f, 2).holds:
+                with pytest.raises(InputError, match="not submodular above size 2"):
+                    min_convexifier(config, f)
+                continue
             result = min_convexifier(config, f)
             _same_answer(result, ref.min_convexifier(config, f))
             assert len(result.walls) == len(list(itertools.combinations(range(m), 3)))
@@ -182,10 +192,29 @@ def test_unsorted_1d_labels_give_the_relabelled_answer(m):
 
         walls = sorted(moved(w.circuit.support) for w in enumerate_walls_1d(config))
         assert sorted(w.circuit.support for w in enumerate_walls_1d(shuffled)) == walls
+        def moved_table(t):
+            return _table({frozenset(moved(x)): v for x, v in t.table.items()}, m, 1)
+
         f = random_table(rng, m, 1)
-        g = _table({frozenset(moved(x)): v for x, v in f.table.items()}, m, 1)
-        for here, there in ((f, g), (neg_gcd_function(config, 1), neg_gcd_function(shuffled, 1))):
+        g = moved_table(f)
+        c = coverage_table(rng, m, 1)
+        pairs = ((f, g), (c, moved_table(c)), (neg_gcd_function(config, 1), neg_gcd_function(shuffled, 1)))
+        for here, there in pairs:
+            if not is_submodular_above(here, 2).holds:
+                for cfg, fn in ((config, here), (shuffled, there)):
+                    with pytest.raises(InputError, match="not submodular above size 2"):
+                        min_convexifier(cfg, fn)
+                continue
             a, b = min_convexifier(config, here), min_convexifier(shuffled, there)
             assert a.value == b.value
             assert {(moved(j), d, v) for j, d, v in a.walls} == set(b.walls)
         reconstruct_polytope(shuffled, g)  # used to find no generic witness
+
+
+def test_n0_circuits_have_no_ordering():
+    config = make_config(0, [[], [], []])
+    gamma = (F(1), F(1), F(0))
+    (support,) = enumerate_circuital(config, gamma)
+    assert support.maximizers == (1, 2)
+    with pytest.raises(InputError, match="n >= 1"):
+        order_circuital(config, gamma, support)

@@ -100,6 +100,11 @@ def test_convexify_and_polytope(capsys, tmp_path):
     assert parsed["certified"] is True
     code, out = run(capsys, "polytope", "--input", str(path))
     assert json.loads(out)["certified"] is False
+    # F({1,2,3,4}) = 1 and 0 elsewhere is not submodular above size 2: refused
+    doc["F"] = {"kind": "table", "values": {"1,2,3,4": 1}, "default": 0}
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "convexify", "--input", str(path))
+    assert code == 2 and "not submodular above size 2" in json.loads(out)["error"]
 
 
 def test_unsorted_1d_labels(capsys, tmp_path):

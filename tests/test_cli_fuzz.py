@@ -2,7 +2,9 @@
 
 Documents are n = 0/1/2 configurations with labels in arbitrary order, every
 set-function kind (valid or not for the configuration) and seeded heights;
-each one runs through the verbs that read a configuration and F.
+each one runs through the verbs that read a configuration and F. Exponent
+lists (m <= 4, valid or not) with heights run through the Morse verbs, and
+max-plus supports with coefficients through the tropical verbs.
 """
 
 import contextlib
@@ -17,7 +19,17 @@ from hypothesis import strategies as st
 from basecondary.cli import main
 from basecondary.setfun import KINDS
 
-VERBS = ("eval", "subdivision", "secondary", "check-circuit-condition", "convexify", "polytope")
+VERBS = (
+    "eval",
+    "eval-terms",
+    "simplicial",
+    "circuital",
+    "subdivision",
+    "secondary",
+    "check-circuit-condition",
+    "convexify",
+    "polytope",
+)
 
 rationals = st.one_of(
     st.integers(-6, 6),
@@ -56,16 +68,55 @@ flags = st.lists(
 ).map(lambda pairs: [token for pair in pairs for token in pair])
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(doc=documents(), extra=flags)
-def test_verbs_exit_0_or_2_with_json(doc, extra):
+def _exits_0_or_2_with_json(verbs, doc, extra):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for verb in VERBS:
+        for verb in verbs:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main([verb, "--input", path, *extra])
             assert code in (0, 2), (verb, doc, extra, out.getvalue())
             json.loads(out.getvalue())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=documents(), extra=flags)
+def test_verbs_exit_0_or_2_with_json(doc, extra):
+    _exits_0_or_2_with_json(VERBS, doc, extra)
+
+
+@st.composite
+def morse_documents(draw):
+    exponents = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=4, unique=True))
+    if draw(st.integers(0, 3)):
+        exponents = sorted(a for a in exponents if a) or [0]
+    heights = rationals if draw(st.booleans()) else st.integers(0, 6)
+    gamma = draw(st.lists(heights, min_size=len(exponents), max_size=len(exponents)))
+    return {"A": exponents, "gamma": gamma}
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(doc=morse_documents(), variant=st.sampled_from(["morse", "maxwell"]))
+def test_morse_verbs_exit_0_or_2_with_json(doc, variant):
+    verbs = ("morse-support", "maxwell-support", "morse-polytope")
+    _exits_0_or_2_with_json(verbs, doc, ["--variant", variant])
+
+
+@st.composite
+def tropical_documents(draw):
+    support = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
+    if draw(st.integers(0, 3)):
+        support = sorted(set(support))
+    size = len(support) if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
+    doc = {"support": support, "coefficients": draw(st.lists(rationals, min_size=size, max_size=size))}
+    if draw(st.booleans()):
+        doc["bound"] = draw(st.integers(-1, 5))
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(doc=tropical_documents(), samples=st.integers(-1, 20))
+def test_tropical_verbs_exit_0_or_2_with_json(doc, samples):
+    _exits_0_or_2_with_json(("trop-morse", "trop-sample"), doc, ["--seed", "7", "--samples", str(samples)])

@@ -15,7 +15,8 @@ import random
 import pytest
 from numeric_oracle import numeric_gradient, second_difference
 
-from basecondary.core import eval_basecondary_general, gradient_on_cone, min_convexifier
+from basecondary.core import eval_basecondary_general, gradient_on_cone, min_convexifier, wall_defect_numeric
+from basecondary.errors import InputError
 from basecondary.exact_core import affine_rank, make_config
 from basecondary.fiber_morse import (
     _shifted_witness,
@@ -34,7 +35,7 @@ from basecondary.secondary import (
     secondary_support,
     upper_cells,
 )
-from basecondary.setfun import SetFunction, neg_gcd_function, neg_indicator_function
+from basecondary.setfun import SetFunction, is_submodular_above, neg_gcd_function, neg_indicator_function
 
 
 def random_table(rng, m):
@@ -105,16 +106,23 @@ def test_walls_meet_the_lemma_and_match_the_oracle(xs):
         for k in checked
     }
     for f in fs:
+        d_fs = {
+            k: second_difference(config, lambda g: eval_basecondary_general(config, f, g), walls[k])[0]
+            for k in checked
+        }
+        if not is_submodular_above(f, 2).holds:
+            # refused, yet each wall defect still follows the circuit lemma
+            with pytest.raises(InputError, match="not submodular above size 2"):
+                min_convexifier(config, f)
+            assert all(wall_defect_numeric(config, f, walls[k]) == d_fs[k] for k in checked)
+            continue
         result = min_convexifier(config, f)
         # one row per circuit; every 3-subset is the circuit of some wall
         rows = {circ: (d_f, d_sec) for circ, d_f, d_sec in result.walls}
         assert len(rows) == len(result.walls) == len(list(itertools.combinations(xs, 3)))
         assert set(rows) == {wall.circuit.support for wall in walls}
         for k in checked:
-            d_f, _ = second_difference(
-                config, lambda g: eval_basecondary_general(config, f, g), walls[k]
-            )
-            assert rows[walls[k].circuit.support] == (d_f, sec[k])
+            assert rows[walls[k].circuit.support] == (d_fs[k], sec[k])
         assert result.value == max([F(0)] + [-d_f / d_sec for d_f, d_sec in rows.values()])
 
 

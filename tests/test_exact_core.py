@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from basecondary.errors import InputError
+from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import (
+    Jet,
     Polygon2,
     affine_rank,
     fiber_polygon,
@@ -252,3 +253,30 @@ def test_grid_oracle_converges():
     approx, bound = fiber_polygon_grid_area(verts, 200)
     assert abs(exact - approx) <= bound
     assert abs(exact - approx) < F(1, 10)
+
+
+def test_jets_order_lexicographically():
+    a, b, c = Jet.seed((F(1), F(1), F(0)))  # 1 + eps_1, 1 + eps_2, eps_3
+    assert b < a and c < b and 0 < c < 1
+    assert sorted([a, F(1), b, F(1, 2), c, F(2)]) == [c, F(1, 2), F(1), b, a, F(2)]
+    assert max([F(1), -a + 2, b]) == b and min([F(1), -b + 2]) == -b + 2
+    assert a - b > 0 and (a - b) + (b - a) == 0 and 1 - a == -(a - 1)
+    assert a + b - 2 == Jet(F(0), (1, 1, 0))
+    assert a * 3 == 3 * a == Jet(F(3), (3, 0, 0))
+    assert (a - 1) / 2 == Jet(F(0), (F(1, 2), 0, 0))
+
+
+def test_jets_with_zero_gradient_equal_and_hash_like_their_value():
+    a, b = Jet.seed((F(3, 2), F(3, 2)))
+    flat = a - a + F(3, 2)
+    assert flat == F(3, 2) and F(3, 2) == flat and hash(flat) == hash(F(3, 2))
+    assert len({flat, F(3, 2), a, b, a + 0, Jet(F(3, 2), (1, 0))}) == 3
+    assert a != b and a != F(3, 2) and a != "3/2"
+    assert rat(a) is a and point((a, 1)) == (a, F(1))
+
+
+def test_jet_products_and_quotients_raise():
+    a, b = Jet.seed((F(1), F(2)))
+    for op in (lambda: a * b, lambda: a / b, lambda: 1 / a, lambda: F(1) / a):
+        with pytest.raises(InternalError, match="not linear in eps"):
+            op()

@@ -2,15 +2,20 @@
 
 from fractions import Fraction as F
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
 from numeric_oracle import numeric_gradient
 
+from basecondary.cli import main
 from basecondary.errors import InputError
-from basecondary.exact_core import fiber_polygon, fiber_polygon_grid_area
+from basecondary.exact_core import Jet, fiber_polygon, fiber_polygon_grid_area
 from basecondary.fiber_morse import (
     FIBER_SUPPORT_SCALE,
+    _shifted_witness,
     area_P_bar,
     build_delta,
     build_delta_bar,
@@ -292,3 +297,44 @@ def test_fiber_summand_additive_on_same_sign_cones():
         assert all(_additive(mc, g, h) for g, h in _same_cone_pairs(mc, rng, 24)), pts
     mixed = morse_config([-2, -1, 1, 3])
     assert not all(_additive(mixed, g, h) for g, h in _same_cone_pairs(mixed, rng, 40))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [[1, 2, 4, 7], [1, 3, 4, 6], [2, 3, 5], [-5, -3, -2, -1], [-7, -4, -3]]  # the same-sign sets above
+    + [[1, 3, 6, 7], [1, 2, 4, 5, 7], [-3, -1, 2, 5]],
+)
+def test_fiber_jet_gradient_matches_the_oracle(pts):
+    mc = morse_config(pts)
+    pc = mc.config()
+    for t in enumerate_triangulations_1d(pc):
+        w = _shifted_witness(pc, cone_witness(pc, t))
+        jet = area_P_bar(mc, Jet.seed(w))
+        assert jet.value == area_P_bar(mc, w)
+        assert jet.grad == numeric_gradient(pc, lambda x: area_P_bar(mc, x), w)
+
+
+@pytest.mark.parametrize("variant", ["morse", "maxwell"])
+def test_morse_polytope_at_a_witness_on_a_fiber_chamber_wall(tmp_path, variant):
+    # A cone witness of these exponents lies on a wall between linearity
+    # chambers of the fiber summand, where coordinate difference quotients
+    # mix two chambers; the jet takes the gradient of the chamber toward
+    # eps_1 >> eps_2 >> ..., which the lexicographic line w + s (1, d, d^2, ...)
+    # stays in for small s.
+    exponents = [-8, -6, -3, -1, 3, 8]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"A": exponents}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["morse-polytope", "--input", str(path), "--variant", variant]) == 0
+    rep = json.loads(out.getvalue())
+    assert rep["certified"] is True
+    mc = morse_config(exponents)
+    fn = morse_support if variant == "morse" else maxwell_support
+    step = tuple(F(1, 10**6) * F(1, 10**3) ** k for k in range(mc.m))
+    for cone in rep["cones"]:
+        w, g = tuple(map(F, cone["witness"])), tuple(map(F, cone["gradient"]))
+        value = fn(mc, w)
+        assert sum(a * b for a, b in zip(g, w)) == value
+        moved = tuple(a + b for a, b in zip(w, step))
+        assert fn(mc, moved) == value + sum(a * b for a, b in zip(g, step))
