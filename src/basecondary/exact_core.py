@@ -12,7 +12,11 @@ take heights; the linear algebra below never does.
 All linear algebra (determinants, ranks, solves, kernels, circuits) runs
 through one integer elimination, `_echelon`: rows are cleared of denominators
 and reduced by Bareiss's fraction-free elimination, whose exact divisions
-keep every entry a minor, plus one shared integer back-substitution.
+keep every entry a minor, plus one shared integer back-substitution. Beside
+it, `integer_normal` takes the signed maximal minors of a small integer
+matrix by cofactors: the n >= 2 lift clears denominators once per height
+vector, with the `clear_denominators` that `_echelon` applies to each row,
+and then needs only integer normals and the signs of integer dot products.
 """
 
 from __future__ import annotations
@@ -206,6 +210,12 @@ def make_config(n: int, points) -> PointConfig:
 # exact linear algebra on small matrices
 
 
+def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers d * x for d the lcm of the denominators of xs, and d > 0."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
 
@@ -216,9 +226,9 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
     scaled matrix. Returns the rows, the pivot columns, and the product of
     the row scales signed by the swap parity.
     """
-    dens = [math.lcm(*(x.denominator for x in r)) for r in rows]
-    a = [[x.numerator * (d // x.denominator) for x in r] for r, d in zip(rows, dens)]
-    scale = math.prod(dens)
+    cleared = [clear_denominators(r) for r in rows]
+    a = [r for r, _ in cleared]
+    scale = math.prod(d for _, d in cleared)
     pivots: list[int] = []
     prev = 1
     for col in range(len(a[0]) if a else 0):
@@ -237,6 +247,30 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
         prev = piv
         pivots.append(col)
     return a, pivots, scale
+
+
+def _int_det(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small square integer matrix, by cofactors along its first row."""
+    if len(a) == 1:
+        return a[0][0]
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return sum(
+        (-1) ** j * x * _int_det([r[:j] + r[j + 1:] for r in a[1:]])
+        for j, x in enumerate(a[0]) if x
+    )
+
+
+def integer_normal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The signed maximal minors N of a k x (k+1) integer matrix.
+
+    N[j] is (-1)^j times the minor without column j, so <N, r> is the
+    determinant of the matrix with r put on top (k = 2: the cross product).
+    N is orthogonal to every row, and zero exactly when the rows are
+    dependent. Cofactor expansion needs no division; at the k = 2 and 3 of
+    the lift it beats one elimination per minor.
+    """
+    return [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
 
 
 def _null_vector(a: list[list[int]], pivots: list[int], ncols: int) -> Optional[list[Fraction]]:

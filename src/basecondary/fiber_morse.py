@@ -121,13 +121,15 @@ def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
 
     On nonnegative heights this is area_P_bar; elsewhere it extends through
     the homogeneous-polytope identity h(gamma + c*1) = h(gamma) + c*h(1),
-    with the level h(1) computed once as area_P_bar(1,...,1).
+    with the level h(1) computed once as area_P_bar(1,...,1). The integer
+    c exceeds minus the lowest value part, so every shifted height, a jet
+    included, is positive.
     """
     gamma = covector(config.config(), gamma)
     low = min(gamma)
     if low >= 0:
         return area_P_bar(config, gamma)
-    shift = Fraction(math.ceil(-low))
+    shift = Fraction(math.floor(-(low.value if isinstance(low, Jet) else low)) + 1)
     level = area_P_bar(config, (Fraction(1),) * config.m)
     lifted = tuple(g + shift for g in gamma)
     return area_P_bar(config, lifted) - shift * level

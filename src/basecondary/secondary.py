@@ -13,11 +13,12 @@ from .exact_core import (
     CircuitData,
     PointConfig,
     Polygon2,
+    clear_denominators,
     convex_hull_2d,
     find_circuit,
+    integer_normal,
     lattice_volume,
     rat,
-    solve_linear,
     upper_chain,
 )
 
@@ -97,16 +98,36 @@ def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fractio
     )
 
 
-def _subset_fits(config: PointConfig, gamma: Covector):
-    """(L, c) with gamma = L o A + c on each affinely independent (n+1)-subset."""
-    n = config.n
-    for base in itertools.combinations(range(1, config.m + 1), n + 1):
-        sol = solve_linear(
-            [list(config.image(i)) + [Fraction(1)] for i in base],
-            [gamma[i - 1] for i in base],
-        )
-        if sol is not None:  # None: the base is affinely dependent
-            yield tuple(sol[:n]), sol[n]
+def _oriented_scan(config: PointConfig, gamma: Covector) -> dict[tuple[int, ...], UpperCell]:
+    """Upper cells for n >= 2 by integer orientation tests on every (n+1)-subset."""
+    n, m = config.n, config.m
+    flat, dx = clear_denominators([c for p in config.points for c in p])
+    zs, dz = clear_denominators(gamma)
+    lifted = [flat[k * n:(k + 1) * n] + [zs[k]] for k in range(m)]
+    out: dict[tuple[int, ...], UpperCell] = {}
+    for base in itertools.combinations(range(m), n + 1):
+        p0 = lifted[base[0]]
+        normal = integer_normal([[x - y for x, y in zip(lifted[k], p0)] for k in base[1:]])
+        if normal[n] == 0:  # the base is affinely dependent
+            continue
+        if normal[n] < 0:
+            normal = [-x for x in normal]
+        offset = sum(a * x for a, x in zip(normal, p0))
+        heights = []
+        for p in lifted:
+            h = sum(a * x for a, x in zip(normal, p)) - offset
+            if h > 0:  # a point lies above: not an upper face
+                break
+            heights.append(h)
+        else:
+            cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
+            if cell not in out:
+                scale = dz * normal[n]
+                linear = tuple(Fraction(-dx * c, scale) for c in normal[:n])
+                top = gamma[base[0]] - sum(x * a for x, a in zip(linear, config.points[base[0]]))
+                values = tuple(top + Fraction(h, scale) for h in heights)
+                out[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
+    return out
 
 
 def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
@@ -114,38 +135,43 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
 
     Every cell is the maximizer set of gamma - L o A for the unique affine
     functional L through its points; points lifted strictly below are
-    excluded. The candidate functionals come from one pass per call:
+    excluded. The cells come from one pass per call:
 
     - n = 0: the constant max(gamma), whose cell is the argmax set;
     - n = 1: the edges of one strict monotone-chain upper hull (Andrew 1979)
       over the points sorted by coordinate; each cell holds every label on
-      its edge, collinear ones included;
-    - n >= 2: the affine functional through each affinely independent
-      (n+1)-subset, kept when no point lies above it.
+      its edge, collinear ones included. Heights may be jets here.
+    - n >= 2: an orientation test of every (n+1)-subset in integers
+      (Fortune-Van Wyk 1996). Coordinates are scaled by the lcm dx of their
+      denominators and heights by the lcm dz of theirs; both are positive,
+      so the scaled lift has the same upper faces and the same coplanar
+      points. The integer normal N of a lifted base, its maximal minors
+      turned so that N_z > 0 (N_z = 0: the base is dependent), is an upper
+      face's when no lifted point P has h = <N, P - P0> > 0. The cell is the
+      points with h = 0, L = -dx N_x / (dz N_z), and gamma - L o A is its
+      maximum plus h / (dz N_z).
     """
     gamma = covector(config, gamma)
-    if config.n == 0:
-        fits = [((), max(gamma))]
-    elif config.n == 1:
-        order = _labels_by_coordinate(config)
-        xs = [config.image(i)[0] for i in order]
-        ys = [gamma[i - 1] for i in order]
-        chain = upper_chain(xs, ys)
-        fits = []
-        for a, b in zip(chain, chain[1:]):
-            slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
-            fits.append(((slope,), ys[a] - slope * xs[a]))
+    if config.n >= 2:
+        cells = _oriented_scan(config, gamma)
     else:
-        fits = _subset_fits(config, gamma)
-    out: dict[tuple[int, ...], UpperCell] = {}
-    for linear, top in fits:
-        values = _values_under(config, gamma, linear)
-        if max(values) != top:  # a point lies above: not an upper face
-            continue
-        cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
-        if cell not in out:
-            out[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
-    return tuple(sorted(out.values(), key=lambda c: c.cell))
+        if config.n == 0:
+            fits = [((), max(gamma))]
+        else:
+            order = _labels_by_coordinate(config)
+            xs = [config.image(i)[0] for i in order]
+            ys = [gamma[i - 1] for i in order]
+            chain = upper_chain(xs, ys)
+            fits = []
+            for a, b in zip(chain, chain[1:]):
+                slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
+                fits.append(((slope,), ys[a] - slope * xs[a]))
+        cells = {}
+        for linear, top in fits:  # the argmax and the strict chain put no point above
+            values = _values_under(config, gamma, linear)
+            cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
+            cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
+    return tuple(sorted(cells.values(), key=lambda c: c.cell))
 
 
 def _is_generic_lift(n: int, cells: Sequence[UpperCell]) -> bool:

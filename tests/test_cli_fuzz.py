@@ -1,8 +1,9 @@
 """CLI contract under generated documents: exit 0 or 2, JSON on stdout, never a traceback.
 
-Documents are n = 0/1/2 configurations with labels in arbitrary order, every
-set-function kind (valid or not for the configuration) and seeded heights;
-each one runs through the verbs that read a configuration and F. Exponent
+Documents are n = 0..3 configurations with integer or "p/q" coordinates and
+labels in arbitrary order, every set-function kind (valid or not for the
+configuration) and seeded heights; each one runs through the verbs that read
+a configuration and F, so an n = 3 `secondary` exits 2. Exponent
 lists (m <= 4, valid or not) with heights run through the Morse verbs, and
 max-plus supports with coefficients through the tropical verbs.
 """
@@ -39,12 +40,12 @@ rationals = st.one_of(
 
 @st.composite
 def documents(draw):
-    n = draw(st.integers(0, 2))
+    n = draw(st.integers(0, 3))
     if n == 0:
         m = draw(st.integers(2, 4))
         points = [[] for _ in range(m)]
     else:
-        coordinate = st.tuples(*[st.integers(-4, 4)] * n)
+        coordinate = st.tuples(*[st.integers(-4, 4) if draw(st.integers(0, 2)) else rationals] * n)
         points = [list(p) for p in draw(st.lists(coordinate, min_size=n + 1, max_size=5, unique=True))]
         m = len(points)
     kind = draw(st.sampled_from(KINDS))

@@ -104,6 +104,17 @@ def test_iterated_fiber_homogeneity():
         assert lhs == iterated_fiber_support(MC, gamma) + c * level
 
 
+def test_negative_heights_take_jets():
+    # the homogeneity shift is read off the value part, and must lift a jet
+    # at an integral low value with a negative gradient above zero too
+    w = (-1, 2, 3, 4)
+    jet = maxwell_support(MC, Jet.seed(w))
+    assert jet.value == maxwell_support(MC, w)
+    assert jet.grad == numeric_gradient(PC, lambda x: maxwell_support(MC, x), w)
+    falling = tuple(-j for j in Jet.seed([-g for g in w]))
+    assert iterated_fiber_support(MC, falling).value == iterated_fiber_support(MC, w)
+
+
 def test_morse_support_assembly():
     rng = random.Random(5)
     f = MC.gcd_function()

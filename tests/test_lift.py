@@ -19,8 +19,9 @@ from basecondary.core import (
     enumerate_simplicial,
     is_generic,
 )
+from basecondary import exact_core, secondary
 from basecondary.exact_core import affine_rank, find_circuit, make_config, solve_linear
-from basecondary.secondary import UpperCell, upper_cells
+from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
 
 
 def _fit(config, gamma, labels):
@@ -97,22 +98,28 @@ def oracle_circuital(config, gamma):
     )
 
 
-def _config(rng, n, m):
+def _config(rng, n, m, rational):
     if n == 0:
         return make_config(0, [[] for _ in range(m)])
     if n == 1:  # labels deliberately not in coordinate order
         return make_config(1, [[a] for a in rng.sample(range(-9, 12), m)])
+    # grid points, or rationals with small denominators: both put several
+    # points on one line or plane
+    coordinate = (lambda: F(rng.randint(0, 8), rng.randint(1, 3))) if rational else (lambda: rng.randint(0, 4))
     pts = set()
     while len(pts) < m:
-        pts.add((rng.randint(0, 4), rng.randint(0, 4)))
+        pts.add(tuple(coordinate() for _ in range(n)))
     pts = sorted(pts)
     rng.shuffle(pts)
-    return make_config(2, pts)
+    return make_config(n, pts)
 
 
 def _heights(rng, config, kind):
     if kind == "generic":
         return tuple(F(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(config.m))
+    if kind == "random":  # as discover_cones_random draws them
+        bound = RANDOM_HEIGHT_BOUND
+        return tuple(F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(config.m))
     if kind == "ties":
         return tuple(F(rng.randint(0, 3)) for _ in range(config.m))
     # an integer affine function with some points pushed down: many lifted
@@ -125,17 +132,25 @@ def _heights(rng, config, kind):
     )
 
 
-# 126 + 117 + 90 = 333 seeded instances
-SIZES = {0: range(2, 9), 1: range(2, 15), 2: range(3, 8)}
-REPEATS = {0: 6, 1: 3, 2: 6}
+KINDS = ("generic", "ties", "affine", "random")
+SIZES = {0: range(2, 9), 1: range(2, 15), 2: range(3, 8), 3: range(4, 8)}
+REPEATS = {0: 6, 1: 3, 2: 6, 3: 6}
+# 168 + 156 + 120 + 120 + 96 = 660 seeded instances
+CASES = [
+    pytest.param(0, False, id="0"),
+    pytest.param(1, False, id="1"),
+    pytest.param(2, False, id="2"),
+    pytest.param(2, True, id="2-rational"),
+    pytest.param(3, False, id="3"),
+]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_lift_matches_subset_scan(n):
+@pytest.mark.parametrize("n, rational", CASES)
+def test_lift_matches_subset_scan(n, rational):
     collinear = 0
-    for m, kind, rep in itertools.product(SIZES[n], ("generic", "ties", "affine"), range(REPEATS[n])):
-        rng = random.Random(f"lift/{n}/{m}/{kind}/{rep}")
-        config = _config(rng, n, m)
+    for m, kind, rep in itertools.product(SIZES[n], KINDS, range(REPEATS[n])):
+        rng = random.Random(f"lift/{n}{'/rational' * rational}/{m}/{kind}/{rep}")
+        config = _config(rng, n, m, rational)
         gamma = _heights(rng, config, kind)
         cells = upper_cells(config, gamma)
         want_cells = oracle_upper_cells(config, gamma)
@@ -152,3 +167,17 @@ def test_lift_matches_subset_scan(n):
         collinear += any(len(c.cell) > n + 1 for c in cells)
     # the tie-heavy heights do put more than n+1 lifted points on one upper face
     assert collinear >= 10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lift_runs_no_elimination_for_n_at_least_2(monkeypatch, n):
+    calls = []
+    for module in (exact_core, secondary):
+        for name in ("solve_linear", "_echelon"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    rng = random.Random(f"no-elimination/{n}")
+    config = _config(rng, n, 6, rational=True)
+    cells = upper_cells(config, _heights(rng, config, "random"))
+    assert cells and calls == []
