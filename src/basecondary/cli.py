@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import core, fiber_morse, secondary, setfun, tropical
 from .errors import InputError, InternalError
-from .exact_core import PointConfig, as_int, make_config, rat, rat_str
+from .exact_core import PointConfig, affine_rank, as_int, make_config, rat, rat_str
 
 VERBS = (
     "eval",
@@ -101,7 +101,10 @@ def _load_config(doc: dict) -> PointConfig:
                 raise InputError("points of 'A' must be coordinate lists")
         if any(len(p) != n for p in pts):
             raise InputError(f"points of 'A' must have {n} coordinates")
-        return make_config(n, pts)
+        config = make_config(n, pts)
+        if affine_rank(config.points) != n:
+            raise InputError(f"the points of 'A' must affinely span Q^{n}")
+        return config
     if n == 0 and "m" in doc:
         return make_config(0, [[] for _ in range(as_int(doc["m"], "field 'm'"))])
     raise InputError("input needs a point list 'A' (or 'm' when n = 0)")

@@ -10,17 +10,20 @@ piecewise-linear function and its gradient in one pass (forward mode). The
 take heights; the linear algebra below never does.
 
 All linear algebra (determinants, ranks, solves, kernels, circuits) runs
-through one integer elimination, `_echelon`: rows are cleared of denominators
-and reduced by Bareiss's fraction-free elimination, whose exact divisions
-keep every entry a minor, plus one shared integer back-substitution. Beside
-it, `integer_normal` takes the signed maximal minors of a small integer
-matrix by cofactors: the n >= 2 lift clears denominators once per height
-vector, with the `clear_denominators` that `_echelon` applies to each row,
-and then needs only integer normals and the signs of integer dot products.
+through one integer elimination, `_bareiss`: Bareiss's fraction-free
+elimination, whose exact divisions keep every entry a minor. `_echelon`
+clears each row of denominators and runs it, and one shared integer
+back-substitution reads kernels and solves off the result. The n >= 2 lift
+clears denominators once per height vector, with the `clear_denominators`
+that `_echelon` applies to each row, and then needs only the signs of
+integer dot products with `integer_normal`: the signed maximal minors of a
+small integer matrix, closed forms up to 2 x 2 and else the last pivot of
+the same `_bareiss` loop.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -216,21 +219,16 @@ def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free row echelon form (Bareiss 1968) of an integer matrix, in place.
 
-    Rows are scaled to integers by the lcm of their denominators; zero
-    columns are skipped, pivots swapped up, and each lower row becomes
+    Zero columns are skipped, pivots swapped up, and each lower row becomes
     (pivot * row - lead * pivot row) // previous pivot, exact by Sylvester's
-    identity, so entry (r, pivots[r]) is a leading minor of the permuted
-    scaled matrix. Returns the rows, the pivot columns, and the product of
-    the row scales signed by the swap parity.
+    identity, so entry (r, pivots[r]) is a leading minor of the row-permuted
+    matrix. Returns the pivot columns and the sign of the row permutation.
     """
-    cleared = [clear_denominators(r) for r in rows]
-    a = [r for r, _ in cleared]
-    scale = math.prod(d for _, d in cleared)
     pivots: list[int] = []
-    prev = 1
+    sign = prev = 1
     for col in range(len(a[0]) if a else 0):
         top = len(pivots)
         p = next((i for i in range(top, len(a)) if a[i][col]), None)
@@ -238,7 +236,7 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
             continue
         if p != top:
             a[top], a[p] = a[p], a[top]
-            scale = -scale
+            sign = -sign
         head = a[top]
         piv = head[col]
         for row in a[top + 1:]:
@@ -246,19 +244,31 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
             row[col:] = [0] + [(piv * x - lead * y) // prev for x, y in zip(row[col + 1:], head[col + 1:])]
         prev = piv
         pivots.append(col)
-    return a, pivots, scale
+    return pivots, sign
+
+
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+    """`_bareiss` of a rational matrix whose rows are scaled to integers.
+
+    Each row is scaled by the lcm of its denominators. Returns the echelon
+    rows, the pivot columns, and the product of the row scales signed by the
+    swap parity.
+    """
+    cleared = [clear_denominators(r) for r in rows]
+    a = [r for r, _ in cleared]
+    pivots, sign = _bareiss(a)
+    return a, pivots, sign * math.prod(d for _, d in cleared)
 
 
 def _int_det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small square integer matrix, by cofactors along its first row."""
+    """Determinant of a square integer matrix: closed forms up to 2 x 2, else its last Bareiss pivot."""
     if len(a) == 1:
         return a[0][0]
     if len(a) == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return sum(
-        (-1) ** j * x * _int_det([r[:j] + r[j + 1:] for r in a[1:]])
-        for j, x in enumerate(a[0]) if x
-    )
+    rows = [list(r) for r in a]
+    pivots, sign = _bareiss(rows)
+    return sign * rows[-1][-1] if len(pivots) == len(rows) else 0
 
 
 def integer_normal(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -267,8 +277,8 @@ def integer_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     N[j] is (-1)^j times the minor without column j, so <N, r> is the
     determinant of the matrix with r put on top (k = 2: the cross product).
     N is orthogonal to every row, and zero exactly when the rows are
-    dependent. Cofactor expansion needs no division; at the k = 2 and 3 of
-    the lift it beats one elimination per minor.
+    dependent. Minors up to 2 x 2, all the n = 2 lift needs, are closed
+    forms; larger ones are the last pivot of `_bareiss`, O(k^3) each.
     """
     return [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
 
@@ -539,64 +549,45 @@ class Polygon2:
         return Polygon2.from_points([(t * x, t * y) for x, y in self.vertices])
 
 
-def _merge_start(vertices: tuple[Point2, ...]) -> int:
-    """Index of the bottommost (then leftmost) vertex."""
-    return min(range(len(vertices)), key=lambda i: (vertices[i][1], vertices[i][0]))
+def _angle_cmp(u: Point2, v: Point2) -> int:
+    """-1, 0 or 1 as u's direction angle in [0, 2*pi) is below, at or above v's.
 
-
-def _edge_cycle(poly: Polygon2) -> tuple[Point2, list[Point2]]:
-    """Start vertex and CCW edge vectors beginning at the bottommost vertex."""
-    vs = poly.vertices
-    if len(vs) == 1:
-        return vs[0], []
-    start = _merge_start(vs)
-    ordered = [vs[(start + i) % len(vs)] for i in range(len(vs))]
-    edges = []
-    for i in range(len(ordered)):
-        a, b = ordered[i], ordered[(i + 1) % len(ordered)]
-        edges.append((b[0] - a[0], b[1] - a[1]))
-    return ordered[0], edges
-
-
-def _angle_less(u: Point2, v: Point2) -> bool:
-    """Compare direction angles in [0, 2*pi) without transcendentals."""
+    Exact: the half-plane of each vector first, then the sign of the cross
+    product, which orders two directions within one half-plane.
+    """
 
     def half(w):
         return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
 
     hu, hv = half(u), half(v)
     if hu != hv:
-        return hu < hv
-    return u[0] * v[1] - u[1] * v[0] > 0
+        return hu - hv
+    cross = u[0] * v[1] - u[1] * v[0]
+    return (cross < 0) - (cross > 0)
 
 
-def minkowski_sum(a: Polygon2, b: Polygon2) -> Polygon2:
-    """Exact Minkowski sum of convex polygons via the edge-vector merge."""
-    if a.is_empty or b.is_empty:
+def minkowski_sum(*polygons: Polygon2) -> Polygon2:
+    """Exact Minkowski sum of convex polygons by one merge of all edge vectors.
+
+    The sum's bottommost (then leftmost) vertex is the sum of the summands'
+    ones; from there its boundary runs through every summand's edge vectors
+    in angle order, parallel edges one after another (de Berg et al.,
+    *Computational Geometry*, 2008, sec. 13.3). The walk is canonicalised
+    once. No summands sum to the origin; an empty summand gives the empty
+    polygon.
+    """
+    if any(p.is_empty for p in polygons):
         return Polygon2(vertices=())
-    sa, ea = _edge_cycle(a)
-    sb, eb = _edge_cycle(b)
-    cur = (sa[0] + sb[0], sa[1] + sb[1])
+    edges = []
+    for p in polygons:
+        vs = p.vertices
+        if len(vs) > 1:
+            edges += [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
+    bottoms = [min(p.vertices, key=lambda v: (v[1], v[0])) for p in polygons]
+    cur = (sum(v[0] for v in bottoms), sum(v[1] for v in bottoms))
     out = [cur]
-    i = j = 0
-    while i < len(ea) or j < len(eb):
-        if j >= len(eb):
-            step = ea[i]
-            i += 1
-        elif i >= len(ea):
-            step = eb[j]
-            j += 1
-        elif _angle_less(ea[i], eb[j]):
-            step = ea[i]
-            i += 1
-        elif _angle_less(eb[j], ea[i]):
-            step = eb[j]
-            j += 1
-        else:  # parallel edges advance together
-            step = (ea[i][0] + eb[j][0], ea[i][1] + eb[j][1])
-            i += 1
-            j += 1
-        cur = (cur[0] + step[0], cur[1] + step[1])
+    for dx, dy in sorted(edges, key=functools.cmp_to_key(_angle_cmp)):
+        cur = (cur[0] + dx, cur[1] + dy)
         out.append(cur)
     return Polygon2.from_points(out)
 
@@ -637,21 +628,21 @@ def fiber_slice(vertices: Sequence[Point3], xi) -> Polygon2:
 def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
     """Minkowski integral of the first-axis fibers of conv(vertices).
 
-    Between consecutive distinct first coordinates the fiber varies
-    Minkowski-linearly, so each cell [xi0, xi1] contributes exactly
-    ((xi1-xi0)/2) * fiber(xi0) + ((xi1-xi0)/2) * fiber(xi1).
+    Between consecutive breakpoints x_0 < ... < x_K, the distinct first
+    coordinates, the fiber varies Minkowski-linearly, so the cell
+    [x_{k-1}, x_k] contributes exactly ((x_k - x_{k-1})/2) * (fiber(x_{k-1})
+    + fiber(x_k)). Regrouped by breakpoint, the integral is one Minkowski
+    sum of the slices fiber(x_k) weighted (x_{k+1} - x_{k-1})/2, the ends
+    (x_1 - x_0)/2 and (x_K - x_{K-1})/2; a single breakpoint gives the origin.
     """
     vs = [point(v) for v in vertices]
     if not vs:
         raise InputError("fiber_polygon needs vertices")
     breaks = sorted(set(v[0] for v in vs))
-    total = Polygon2.from_points([(Fraction(0), Fraction(0))])
-    slices = {x: fiber_slice(vs, x) for x in breaks}
-    for x0, x1 in zip(breaks, breaks[1:]):
-        half = (x1 - x0) / 2
-        cell = minkowski_sum(slices[x0].scaled(half), slices[x1].scaled(half))
-        total = minkowski_sum(total, cell)
-    return total
+    ends = [breaks[0], *breaks, breaks[-1]]
+    return minkowski_sum(
+        *(fiber_slice(vs, x).scaled((ends[k + 2] - ends[k]) / 2) for k, x in enumerate(breaks))
+    )
 
 
 def fiber_polygon_grid_area(vertices: Sequence[Point3], cells: int) -> tuple[Fraction, Fraction]:

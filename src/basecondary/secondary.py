@@ -6,7 +6,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InternalError
 from .exact_core import (
@@ -135,7 +135,9 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
 
     Every cell is the maximizer set of gamma - L o A for the unique affine
     functional L through its points; points lifted strictly below are
-    excluded. The cells come from one pass per call:
+    excluded. A configuration that does not affinely span Q^n has no
+    full-dimensional cell, so its result is empty. The cells come from one
+    pass per call:
 
     - n = 0: the constant max(gamma), whose cell is the argmax set;
     - n = 1: the edges of one strict monotone-chain upper hull (Andrew 1979)
@@ -328,14 +330,14 @@ def area_N(config: PointConfig, gamma) -> Fraction:
 # cone witnesses and walls (exact for n = 1)
 
 
-def cone_witness(config: PointConfig, t: Subdivision, salt: int = 0) -> Covector:
-    """A deterministic generic height vector inducing the triangulation t.
+def _witness_candidates(config: PointConfig, t: Subdivision) -> Iterator[Covector]:
+    """Heights inducing t generically, in attempt order; one lift per attempt.
 
     Vertices sit on a concave parabola, non-vertices at small negative
-    values strictly below every chord. Parabola heights alone tie two tail
-    values whenever two vertex pairs share their coordinate sum, so a
-    geometric jitter (prime ratio, shrinking amplitude) is applied until the
-    genericity check passes.
+    values strictly below every chord. Attempt 0 is the bare parabola, which
+    ties two tail values whenever two vertex pairs share their coordinate
+    sum; later attempts add a geometric jitter (prime ratio, shrinking
+    amplitude) to the vertices, up to `WITNESS_RETRY_CAP` attempts.
     """
     if not t.is_triangulation:
         raise InputError("cone witnesses are built for triangulations")
@@ -343,30 +345,27 @@ def cone_witness(config: PointConfig, t: Subdivision, salt: int = 0) -> Covector
     if config.n != 1:
         raise InputError("deterministic witnesses implemented for n = 1")
     big = 1 + max(p[0] * p[0] for p in config.points)
-    base = []
-    for i in range(1, config.m + 1):
-        a = config.image(i)[0]
-        if i in verts:
-            base.append(big - a * a)
-        else:
-            base.append(Fraction(i, config.m + 1) - 1)
+    base = [big - p[0] * p[0] if i in verts else Fraction(i, config.m + 1) - 1
+            for i, p in enumerate(config.points, 1)]
     primes = (2, 3, 5, 7, 11, 13)
-    for raw_attempt in range(WITNESS_RETRY_CAP):
-        attempt = raw_attempt + salt
-        if attempt == 0:
-            jitter = {i: Fraction(0) for i in verts}
-        else:
+    for attempt in range(WITNESS_RETRY_CAP):
+        jitter = {}
+        if attempt:
             r = primes[(attempt - 1) % len(primes)]
             amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1))
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
-        gamma = tuple(
-            base[i - 1] + jitter.get(i, Fraction(0))
-            for i in range(1, config.m + 1)
-        )
+        gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
         cells = upper_cells(config, gamma)
         if tuple(c.cell for c in cells) == t.cells and _is_generic_lift(config.n, cells):
-            return gamma
-    raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
+            yield gamma
+
+
+def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
+    """A deterministic generic height vector inducing the triangulation t: its first candidate."""
+    gamma = next(_witness_candidates(config, t), None)
+    if gamma is None:
+        raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -384,47 +383,45 @@ class Wall:
         return next(i + 1 for i, d in enumerate(self.direction) if d != 0)
 
 
-def _wall_between(config: PointConfig, t: Subdivision, j: int) -> Wall:
-    order = [i for i in _labels_by_coordinate(config) if i in set(t.vertex_set())]
-    pos = order.index(j)
-    ln, rn = order[pos - 1], order[pos + 1]
-    al, aj, ar = (config.image(i)[0] for i in (ln, j, rn))
-    right = Subdivision(n=1, cells=_chain_cells([i for i in order if i != j]))
-    direction = tuple(
-        Fraction(1) if i == j else Fraction(0) for i in range(1, config.m + 1)
-    )
-    # moving gamma(j) onto the chord can tie off-cell values, so retry from
-    # differently jittered cone witnesses until the circuit lemma's
-    # hypotheses hold: exactly one circuital cell, and every cell, the
-    # circuital one included, with pairwise distinct off-cell values. Without
-    # the latter the wall defect is taken on a tail-order boundary and
-    # differs from the lemma's closed form.
-    for salt in range(WITNESS_RETRY_CAP):
-        w0 = list(cone_witness(config, t, salt=salt))
-        w0[j - 1] = w0[ln - 1] + (w0[rn - 1] - w0[ln - 1]) * (aj - al) / (ar - al)
-        witness = tuple(w0)
-        cells = upper_cells(config, witness)
-        if sum(len(c.cell) == 3 for c in cells) != 1:
-            continue
-        if not all(c.distinct_tail for c in cells):
-            continue
-        return Wall(
-            left=t,
-            right=right,
-            witness=witness,
-            direction=direction,
-            circuit=find_circuit(config.subset_points((ln, j, rn)), labels=[ln, j, rn]),
-        )
-    raise InternalError(f"no valid wall witness between {t.cells} and {right.cells}")
-
-
 def enumerate_walls_1d(config: PointConfig) -> tuple[Wall, ...]:
-    """One wall per (triangulation, interior vertex) pair, each listed once."""
+    """One wall per (triangulation t, interior vertex j) pair, each listed once.
+
+    Each t's witness candidates are generated once, lazily, and shared by
+    all of its walls. The wall of (t, j) takes the first candidate that still
+    meets the circuit lemma's hypotheses once gamma(j) is moved onto the
+    chord of j's neighbours: exactly one circuital cell, and pairwise distinct
+    off-cell values in every cell, the circuital one included (else the wall
+    defect sits on a tail-order boundary and misses the lemma's closed form).
+    """
+    order = _labels_by_coordinate(config)
     walls = []
     for t in enumerate_triangulations_1d(config):
-        verts = [i for i in _labels_by_coordinate(config) if i in set(t.vertex_set())]
-        for j in verts[1:-1]:
-            walls.append(_wall_between(config, t, j))
+        verts = [i for i in order if i in set(t.vertex_set())]
+        pending = verts[1:-1]
+        candidates = _witness_candidates(config, t)
+        while pending:
+            w0 = next(candidates, None)
+            if w0 is None:
+                raise InternalError(f"no valid wall witness for {t.cells} moving {pending}")
+            unresolved = []
+            for j in pending:
+                ln, rn = verts[verts.index(j) - 1], verts[verts.index(j) + 1]
+                al, aj, ar = (config.image(i)[0] for i in (ln, j, rn))
+                chord = w0[ln - 1] + (w0[rn - 1] - w0[ln - 1]) * (aj - al) / (ar - al)
+                witness = w0[:j - 1] + (chord,) + w0[j:]
+                cells = upper_cells(config, witness)
+                circuital = sum(len(c.cell) == 3 for c in cells)
+                if circuital != 1 or not all(c.distinct_tail for c in cells):
+                    unresolved.append(j)
+                    continue
+                walls.append(Wall(
+                    left=t,
+                    right=Subdivision(n=1, cells=_chain_cells([i for i in verts if i != j])),
+                    witness=witness,
+                    direction=tuple(Fraction(int(i == j)) for i in range(1, config.m + 1)),
+                    circuit=find_circuit(config.subset_points((ln, j, rn)), labels=[ln, j, rn]),
+                ))
+            pending = unresolved
     return tuple(sorted(walls, key=lambda w: (w.left.cells, w.moved)))
 
 

@@ -262,3 +262,14 @@ def test_wrong_field_shapes_exit_2(capsys, tmp_path, verb, doc):
     code, out = run(capsys, verb, "--input", str(path), "--seed", "1")
     assert code == 2
     assert "must be" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("verb", ["subdivision", "simplicial", "secondary", "eval"])
+def test_non_spanning_configuration_exits_2(capsys, tmp_path, verb):
+    # three collinear points in Q^2 have no full-dimensional cell
+    doc = {"n": 2, "A": [[0, 0], [1, 1], [2, 2]], "F": {"kind": "neg_card_ratio"}, "gamma": [1, 2, 3]}
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, verb, "--input", str(path))
+    assert code == 2
+    assert "affinely span" in json.loads(out)["error"]

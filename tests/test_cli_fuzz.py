@@ -3,9 +3,11 @@
 Documents are n = 0..3 configurations with integer or "p/q" coordinates and
 labels in arbitrary order, every set-function kind (valid or not for the
 configuration) and seeded heights; each one runs through the verbs that read
-a configuration and F, so an n = 3 `secondary` exits 2. Exponent
-lists (m <= 4, valid or not) with heights run through the Morse verbs, and
-max-plus supports with coefficients through the tropical verbs.
+a configuration and F, so an n = 3 `secondary` exits 2. Ground sizes m
+(valid or not) with F of every kind and vectors x of the right or the wrong
+length run through the verbs that read F alone. Exponent lists (m <= 4,
+valid or not) with heights run through the Morse verbs, and max-plus supports
+with coefficients through the tropical verbs.
 """
 
 import contextlib
@@ -48,6 +50,13 @@ def documents(draw):
         coordinate = st.tuples(*[st.integers(-4, 4) if draw(st.integers(0, 2)) else rationals] * n)
         points = [list(p) for p in draw(st.lists(coordinate, min_size=n + 1, max_size=5, unique=True))]
         m = len(points)
+    spec = _set_function_spec(draw, m)
+    gamma = draw(st.lists(rationals, min_size=m, max_size=m))
+    return {"n": n, "A": points, "F": spec, "gamma": gamma}
+
+
+def _set_function_spec(draw, m):
+    """A spec of every kind on a ground set of size m >= 1, valid or not."""
     kind = draw(st.sampled_from(KINDS))
     spec = {"kind": kind}
     if kind == "table":
@@ -60,8 +69,7 @@ def documents(draw):
         rows, ragged = draw(st.integers(1, 3)), draw(st.booleans())
         heights = [draw(st.integers(1, 3)) if ragged else rows for _ in range(m)]
         spec["columns"] = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)) for k in heights]
-    gamma = draw(st.lists(rationals, min_size=m, max_size=m))
-    return {"n": n, "A": points, "F": spec, "gamma": gamma}
+    return spec
 
 
 flags = st.lists(
@@ -86,6 +94,25 @@ def _exits_0_or_2_with_json(verbs, doc, extra):
 @given(doc=documents(), extra=flags)
 def test_verbs_exit_0_or_2_with_json(doc, extra):
     _exits_0_or_2_with_json(VERBS, doc, extra)
+
+
+@st.composite
+def set_function_documents(draw):
+    m = draw(st.integers(1, 5))
+    doc = {"F": _set_function_spec(draw, m)}
+    # the ground size as an integer or an integral string, invalid, or missing
+    ground = draw(st.sampled_from([m, m, str(m), 0, -1, "x", "3/2", 2.5, None]))
+    if ground is not None:
+        doc["m"] = ground
+    size = m if draw(st.integers(0, 2)) else draw(st.integers(0, 6))
+    doc["x"] = draw(st.lists(rationals, min_size=size, max_size=size))
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(doc=set_function_documents())
+def test_set_function_verbs_exit_0_or_2_with_json(doc):
+    _exits_0_or_2_with_json(("base-polytope", "lovasz", "check-submodular"), doc, [])
 
 
 @st.composite

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import linalg_reference as ref
 from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import (
     Jet,
@@ -15,6 +16,7 @@ from basecondary.exact_core import (
     fiber_polygon_grid_area,
     fiber_slice,
     find_circuit,
+    integer_normal,
     lattice_volume,
     minkowski_sum,
     oriented_volume,
@@ -167,6 +169,52 @@ def test_minkowski_commutes_and_superadditive_area():
             [(p[0] + q[0], p[1] + q[1]) for p in a.vertices for q in b.vertices]
         )
         assert ab.vertices == oracle.vertices
+
+
+def _summand(rng, jets):
+    """A point, a segment, or a polygon on a coarse grid, so that edges of summands run parallel."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        raw = [(rng.randint(-3, 3), rng.randint(-3, 3))]
+    elif kind == 1:
+        x, y, dx, dy = (rng.randint(-2, 2) for _ in range(4))
+        raw = [(x + t * dx, y + t * dy) for t in range(rng.randint(2, 3))]
+    else:
+        raw = [(rng.randint(-2, 2), F(rng.randint(-4, 4), 2)) for _ in range(rng.randint(3, 5))]
+    if jets:  # the second coordinate a jet, as fiber slices of jet heights have it
+        raw = [(x, Jet(F(y), (F(rng.randint(-1, 1)), F(rng.randint(-1, 1))))) for x, y in raw]
+    return Polygon2.from_points(raw)
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["rational", "jet"])
+def test_minkowski_sum_of_many_summands_is_the_hull_of_vertex_sums(jets):
+    rng = random.Random(f"minkowski/{jets}")
+    for _ in range(120):
+        summands = [_summand(rng, jets) for _ in range(rng.randint(3, 4))]
+        sums = {(F(0), F(0))}
+        for p in summands:
+            sums = {(s[0] + v[0], s[1] + v[1]) for s in sums for v in p.vertices}
+        assert minkowski_sum(*summands).vertices == Polygon2.from_points(sums).vertices
+    square = Polygon2.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert minkowski_sum().vertices == ((F(0), F(0)),)
+    assert minkowski_sum(square, square, square).vertices == square.scaled(3).vertices
+    assert minkowski_sum(square, Polygon2(vertices=()), square).is_empty
+
+
+def test_integer_normal_against_reference_minors():
+    rng = random.Random("integer-normal")
+    for k in range(1, 10):
+        for rep in range(10):
+            rows = [[rng.randint(-6, 6) for _ in range(k + 1)] for _ in range(k)]
+            if rep % 3 == 1:  # a zero column: skipped by the elimination
+                for r in rows:
+                    r[rng.randrange(k + 1)] = 0
+            if rep % 3 == 2 and k > 1:  # dependent rows: the zero normal
+                rows[-1] = [3 * x for x in rows[0]]
+            want = [(-1) ** j * ref.det([list(map(F, r[:j] + r[j + 1:])) for r in rows]) for j in range(k + 1)]
+            normal = integer_normal(rows)
+            assert normal == want and all(type(x) is int for x in normal), (k, rows)
+            assert all(sum(a * x for a, x in zip(normal, r)) == 0 for r in rows)
 
 
 CUBE = [

@@ -5,7 +5,10 @@ from fractions import Fraction as F
 import random
 
 import pytest
+import witness_reference
 from numeric_oracle import second_difference
+
+from basecondary import secondary
 
 from basecondary.core import (
     enumerate_circuital,
@@ -162,6 +165,35 @@ def test_walls_1367():
 def test_walls_empty_for_two_points():
     two = make_config(1, [[0], [5]])
     assert enumerate_walls_1d(two) == ()
+
+
+def _wall_configs():
+    """A1367, unsorted labels, a set with many tied coordinate sums, and seeded sets."""
+    configs = [A1367, make_config(1, [[3], [1], [2], [4]]), make_config(1, [[a] for a in (0, 1, 2, 4, 5, 7, 8)])]
+    rng = random.Random("walls")
+    for m in range(3, 9):
+        for _ in range(2):
+            pts = set()
+            while len(pts) < m:  # some rational coordinates, labels in random order
+                pts.add(F(rng.randint(-12, 12), rng.choice((1, 1, 2, 3))))
+            configs.append(make_config(1, [[a] for a in rng.sample(sorted(pts), m)]))
+    return configs
+
+
+def test_walls_and_witnesses_match_the_salt_loop():
+    for config in _wall_configs():
+        for t in enumerate_triangulations_1d(config):
+            assert repr(cone_witness(config, t)) == repr(witness_reference.cone_witness(config, t))
+        assert repr(enumerate_walls_1d(config)) == repr(witness_reference.enumerate_walls_1d(config))
+
+
+def test_walls_share_each_triangulations_candidates(monkeypatch):
+    calls = []
+    real = secondary.upper_cells
+    monkeypatch.setattr(secondary, "upper_cells", lambda *a: calls.append(a) or real(*a))
+    assert len(enumerate_walls_1d(A1367)) == 4
+    # three triangulations have walls: one candidate lift each, then one lift per wall
+    assert len(calls) == 7
 
 
 def test_secondary_support_strictly_convex_across_walls():

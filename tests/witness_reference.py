@@ -1,0 +1,96 @@
+"""Cone witnesses and 1D walls by nested retries: the reference for the shared candidates.
+
+The library generates each 1D triangulation's witness candidates once and
+hands them to the triangulation's cone witness and to all of its walls.
+These helpers find the same heights the long way, as the library once did:
+a cone witness restarts its jitter loop at an offset `salt`, and each wall
+retries cone witnesses at salts 0, 1, 2, ... until one still qualifies with
+the moved height on its neighbours' chord.
+"""
+
+from fractions import Fraction
+
+from basecondary.errors import InputError, InternalError
+from basecondary.exact_core import find_circuit
+from basecondary.secondary import (
+    WITNESS_RETRY_CAP,
+    Subdivision,
+    Wall,
+    _chain_cells,
+    _is_generic_lift,
+    _labels_by_coordinate,
+    enumerate_triangulations_1d,
+    upper_cells,
+)
+
+
+def cone_witness(config, t, salt=0):
+    """Parabola heights on t's vertices, jittered from attempt `salt` on until generic."""
+    if not t.is_triangulation:
+        raise InputError("cone witnesses are built for triangulations")
+    verts = set(t.vertex_set())
+    if config.n != 1:
+        raise InputError("deterministic witnesses implemented for n = 1")
+    big = 1 + max(p[0] * p[0] for p in config.points)
+    base = []
+    for i in range(1, config.m + 1):
+        a = config.image(i)[0]
+        if i in verts:
+            base.append(big - a * a)
+        else:
+            base.append(Fraction(i, config.m + 1) - 1)
+    primes = (2, 3, 5, 7, 11, 13)
+    for raw_attempt in range(WITNESS_RETRY_CAP):
+        attempt = raw_attempt + salt
+        if attempt == 0:
+            jitter = {i: Fraction(0) for i in verts}
+        else:
+            r = primes[(attempt - 1) % len(primes)]
+            amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1))
+            jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
+        gamma = tuple(
+            base[i - 1] + jitter.get(i, Fraction(0))
+            for i in range(1, config.m + 1)
+        )
+        cells = upper_cells(config, gamma)
+        if tuple(c.cell for c in cells) == t.cells and _is_generic_lift(config.n, cells):
+            return gamma
+    raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
+
+
+def wall_between(config, t, j):
+    """The wall moving vertex j of t, from the first salt whose witness still qualifies."""
+    order = [i for i in _labels_by_coordinate(config) if i in set(t.vertex_set())]
+    pos = order.index(j)
+    ln, rn = order[pos - 1], order[pos + 1]
+    al, aj, ar = (config.image(i)[0] for i in (ln, j, rn))
+    right = Subdivision(n=1, cells=_chain_cells([i for i in order if i != j]))
+    direction = tuple(
+        Fraction(1) if i == j else Fraction(0) for i in range(1, config.m + 1)
+    )
+    for salt in range(WITNESS_RETRY_CAP):
+        w0 = list(cone_witness(config, t, salt=salt))
+        w0[j - 1] = w0[ln - 1] + (w0[rn - 1] - w0[ln - 1]) * (aj - al) / (ar - al)
+        witness = tuple(w0)
+        cells = upper_cells(config, witness)
+        if sum(len(c.cell) == 3 for c in cells) != 1:
+            continue
+        if not all(c.distinct_tail for c in cells):
+            continue
+        return Wall(
+            left=t,
+            right=right,
+            witness=witness,
+            direction=direction,
+            circuit=find_circuit(config.subset_points((ln, j, rn)), labels=[ln, j, rn]),
+        )
+    raise InternalError(f"no valid wall witness between {t.cells} and {right.cells}")
+
+
+def enumerate_walls_1d(config):
+    walls = []
+    for t in enumerate_triangulations_1d(config):
+        verts = [i for i in _labels_by_coordinate(config) if i in set(t.vertex_set())]
+        for j in verts[1:-1]:
+            walls.append(wall_between(config, t, j))
+    return tuple(sorted(walls, key=lambda w: (w.left.cells, w.moved)))
