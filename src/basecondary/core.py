@@ -12,7 +12,7 @@ difference quotients. At a generic witness the expansion is a fixed sum of
 F-differences times lifted simplex volumes, and each volume is linear in the
 heights, so the gradient is the sum of the F-differences times the volumes'
 height cofactors. The secondary support's gradient there is the GKZ vector
-of the induced triangulation. Across a 1D wall whose witness has every tail
+of the induced triangulation. At a point of a 1D wall where every tail is
 distinct, the wall defect is the lifted circuit volume times the circuit
 expression in F.
 """
@@ -33,6 +33,7 @@ from .secondary import (
     CircuitalSupport,
     Covector,
     SimplicialSupport,
+    Subdivision,
     Wall,
     cone_witness,
     covector,
@@ -43,7 +44,6 @@ from .secondary import (
     enumerate_walls_1d,
     gkz_vector,
     is_generic,
-    regular_subdivision,
     upper_cells,
     _is_generic_lift,
     _values_under,
@@ -263,9 +263,10 @@ def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Frac
     `circuit_value` of the wall circuit, with I the circuit's labels. The
     direction is the unit vector at the moved label j, so that volume is,
     up to sign, the volume of the circuit's points other than j.
-    The lemma's hypotheses are that the witness carries exactly one circuital
-    cell and that every cell's values off the cell are pairwise distinct;
-    `enumerate_walls_1d` builds its witnesses to meet both. The name dates
+    It is the jump at any wall point that meets the lemma's hypotheses:
+    exactly one circuital cell, and every cell's values off the cell pairwise
+    distinct. `tests/witness_reference.py` finds such points, and the numeric
+    oracle checks the closed form there. The name dates
     from the difference-quotient implementation and is kept because the
     benchmark tracer binds it.
     """
@@ -322,32 +323,28 @@ def convexity_certificate(rep_or_entries) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
-def _order_cone_witnesses(config: PointConfig) -> list[Covector]:
-    """Witnesses of the strict-order cones for a zero-dimensional configuration."""
-    if config.m > ORDER_CONE_CAP:
-        raise ResourceError(f"order-cone enumeration capped at m = {ORDER_CONE_CAP}")
-    out = []
-    for perm in itertools.permutations(range(1, config.m + 1)):
-        gamma = [Fraction(0)] * config.m
-        for rank, i in enumerate(perm):
-            gamma[i - 1] = Fraction(config.m - rank)
-        out.append(tuple(gamma))
-    return out
-
-
 def cone_witnesses(
     config: PointConfig, samples: Optional[int] = None, seed: Optional[int] = None
-) -> tuple[Covector, ...]:
-    """Generic witnesses covering the secondary cones (exact for n <= 1)."""
+) -> tuple[tuple[Subdivision, Covector], ...]:
+    """(triangulation, generic witness) pairs covering the secondary cones (all of them for n <= 1).
+
+    n = 0: one pair per strict order of the labels, the witness ranking them
+    m, m - 1, ..., 1 and the subdivision its top label alone; n = 1: every
+    triangulation with its `cone_witness`; n >= 2: `discover_cones_random`.
+    """
     if config.n == 0:
-        return tuple(_order_cone_witnesses(config))
-    if config.n == 1:
+        if config.m > ORDER_CONE_CAP:
+            raise ResourceError(f"order-cone enumeration capped at m = {ORDER_CONE_CAP}")
         return tuple(
-            cone_witness(config, t) for t in enumerate_triangulations_1d(config)
+            (Subdivision(n=0, cells=((perm[0],),)),
+             tuple(Fraction(config.m - perm.index(i)) for i in range(1, config.m + 1)))
+            for perm in itertools.permutations(range(1, config.m + 1))
         )
+    if config.n == 1:
+        return tuple((t, cone_witness(config, t)) for t in enumerate_triangulations_1d(config))
     if samples is None or seed is None:
         raise InputError("cone discovery for n >= 2 needs samples and a seed")
-    return tuple(w for _, w in discover_cones_random(config, samples, seed))
+    return discover_cones_random(config, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -398,12 +395,12 @@ def min_convexifier(
             rows.append((j, vol * value, vol))
         best = max([Fraction(0)] + [-d_f / vol for _, d_f, vol in rows])
         return MinConvexifier(value=best, exact=True, walls=tuple(rows))
-    witnesses = cone_witnesses(config, samples=samples, seed=seed)
-    f_grads = [gradient_on_cone(config, f, w) for w in witnesses]
-    s_grads = [gkz_vector(config, regular_subdivision(config, w)) for w in witnesses]
+    cones = cone_witnesses(config, samples=samples, seed=seed)
+    f_grads = [gradient_on_cone(config, f, w) for _, w in cones]
+    s_grads = [gkz_vector(config, t) for t, _ in cones]
     best = Fraction(0)
-    for j, wj in enumerate(witnesses):
-        for k in range(len(witnesses)):
+    for j, (_, wj) in enumerate(cones):
+        for k in range(len(cones)):
             if k == j:
                 continue
             denom = sum((a - b) * c for a, b, c in zip(s_grads[j], s_grads[k], wj))
@@ -430,11 +427,10 @@ def reconstruct_polytope(
     c = rat(convexifier)
     entries = []
     seen_gradients = set()
-    for w in cone_witnesses(config, samples=samples, seed=seed):
+    for t, w in cone_witnesses(config, samples=samples, seed=seed):
         g = gradient_on_cone(config, f, w)
         if c != 0:
-            gkz = gkz_vector(config, regular_subdivision(config, w))
-            g = tuple(a + c * b for a, b in zip(g, gkz))
+            g = tuple(a + c * b for a, b in zip(g, gkz_vector(config, t)))
         if g not in seen_gradients:
             seen_gradients.add(g)
             entries.append((w, g))

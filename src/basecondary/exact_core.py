@@ -541,12 +541,13 @@ class Polygon2:
         return total
 
     def scaled(self, t) -> "Polygon2":
+        """t times the polygon; t > 0 keeps the canonical form, so no re-hull."""
         t = rat(t)
         if t < 0:
             raise InputError("polygon scaling expects t >= 0")
         if t == 0:
             return Polygon2.from_points([(Fraction(0), Fraction(0))]) if self.vertices else self
-        return Polygon2.from_points([(t * x, t * y) for x, y in self.vertices])
+        return Polygon2(vertices=tuple((t * x, t * y) for x, y in self.vertices))
 
 
 def _angle_cmp(u: Point2, v: Point2) -> int:
@@ -601,9 +602,10 @@ Point3 = tuple[Fraction, Fraction, Fraction]
 def fiber_slice(vertices: Sequence[Point3], xi) -> Polygon2:
     """The (y, z) polygon {(y, z) : (xi, y, z) in conv(vertices)}.
 
-    Computed as the hull of all cuts of pair segments [v_i, v_j] with
-    x_i <= xi <= x_j; provably the true fiber of the hull. Empty when xi is
-    outside the first-coordinate range.
+    Computed as the hull of the vertices at xi and the cuts of the segments
+    [v_i, v_j] with x_i < xi < x_j; provably the true fiber of the hull. A
+    segment with an endpoint at xi would only cut that endpoint again. Empty
+    when xi is outside the first-coordinate range.
     """
     xi = rat(xi)
     vs = [point(v) for v in vertices]
@@ -615,13 +617,11 @@ def fiber_slice(vertices: Sequence[Point3], xi) -> Polygon2:
     if xi < min(xs) or xi > max(xs):
         return Polygon2(vertices=())
     cuts: list[Point2] = [(v[1], v[2]) for v in vs if v[0] == xi]
-    for u, w in itertools.combinations(vs, 2):
-        if u[0] == w[0]:
-            continue
-        lo, hi = (u, w) if u[0] < w[0] else (w, u)
-        if lo[0] <= xi <= hi[0]:
-            t = (xi - lo[0]) / (hi[0] - lo[0])
-            cuts.append((lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])))
+    left = [v for v in vs if v[0] < xi]
+    right = [v for v in vs if v[0] > xi]
+    for lo, hi in itertools.product(left, right):
+        t = (xi - lo[0]) / (hi[0] - lo[0])
+        cuts.append((lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])))
     return Polygon2.from_points(cuts)
 
 

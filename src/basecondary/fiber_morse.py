@@ -14,16 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .core import PiecewiseLinearRep, convexity_certificate, eval_basecondary_general
+from .core import (PiecewiseLinearRep, cone_witnesses, convexity_certificate,
+                   eval_basecondary_general)
 from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config
-from .secondary import (
-    Covector,
-    area_N,
-    cone_witness,
-    covector,
-    enumerate_triangulations_1d,
-    secondary_support,
-)
+from .secondary import Covector, area_N, covector, secondary_support
 from .setfun import SetFunction, neg_gcd_function
 
 VARIANTS = ("morse", "maxwell")
@@ -191,8 +185,8 @@ def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLine
     pc = config.config()
     entries = []
     seen = set()
-    for t in enumerate_triangulations_1d(pc):
-        w = _shifted_witness(pc, cone_witness(pc, t))
+    for _, w in cone_witnesses(pc):
+        w = _shifted_witness(pc, w)
         jet = support(config, Jet.seed(w))
         if sum(g * x for g, x in zip(jet.grad, w)) != jet.value:
             raise InternalError("support gradient fails the homogeneity identity at its witness")

@@ -6,7 +6,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InputError, InternalError
 from .exact_core import (
@@ -330,14 +330,17 @@ def area_N(config: PointConfig, gamma) -> Fraction:
 # cone witnesses and walls (exact for n = 1)
 
 
-def _witness_candidates(config: PointConfig, t: Subdivision) -> Iterator[Covector]:
-    """Heights inducing t generically, in attempt order; one lift per attempt.
+def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
+    """A deterministic generic height vector inducing the triangulation t; one lift per attempt.
 
     Vertices sit on a concave parabola, non-vertices at small negative
     values strictly below every chord. Attempt 0 is the bare parabola, which
     ties two tail values whenever two vertex pairs share their coordinate
     sum; later attempts add a geometric jitter (prime ratio, shrinking
-    amplitude) to the vertices, up to `WITNESS_RETRY_CAP` attempts.
+    amplitude <= 1/(2 d^2), d the lcm of the coordinates' denominators) to
+    the vertices, up to `WITNESS_RETRY_CAP` attempts. The parabola lies
+    (x_v - x_u)(x_w - x_v) >= 1/d^2 above the chord of a vertex's neighbours
+    u, w, so every attempt induces t and only genericity is retried.
     """
     if not t.is_triangulation:
         raise InputError("cone witnesses are built for triangulations")
@@ -347,34 +350,31 @@ def _witness_candidates(config: PointConfig, t: Subdivision) -> Iterator[Covecto
     big = 1 + max(p[0] * p[0] for p in config.points)
     base = [big - p[0] * p[0] if i in verts else Fraction(i, config.m + 1) - 1
             for i, p in enumerate(config.points, 1)]
+    d2 = clear_denominators([p[0] for p in config.points])[1] ** 2
     primes = (2, 3, 5, 7, 11, 13)
     for attempt in range(WITNESS_RETRY_CAP):
         jitter = {}
         if attempt:
             r = primes[(attempt - 1) % len(primes)]
-            amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1))
+            amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1) * d2)
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
         gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
         cells = upper_cells(config, gamma)
         if tuple(c.cell for c in cells) == t.cells and _is_generic_lift(config.n, cells):
-            yield gamma
-
-
-def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
-    """A deterministic generic height vector inducing the triangulation t: its first candidate."""
-    gamma = next(_witness_candidates(config, t), None)
-    if gamma is None:
-        raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
-    return gamma
+            return gamma
+    raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
 
 
 @dataclass(frozen=True)
 class Wall:
-    """Codimension-1 boundary between two adjacent full secondary cones."""
+    """Codimension-1 boundary between two adjacent full secondary cones.
+
+    `direction` is the unit vector at the moved label, pointing into `left`'s
+    cone; `circuit` is that label with its two neighbours in `left`.
+    """
 
     left: Subdivision
     right: Subdivision
-    witness: Covector
     direction: Covector
     circuit: CircuitData
 
@@ -384,44 +384,23 @@ class Wall:
 
 
 def enumerate_walls_1d(config: PointConfig) -> tuple[Wall, ...]:
-    """One wall per (triangulation t, interior vertex j) pair, each listed once.
+    """One wall per (triangulation t, interior vertex j) pair, read off t with no lift.
 
-    Each t's witness candidates are generated once, lazily, and shared by
-    all of its walls. The wall of (t, j) takes the first candidate that still
-    meets the circuit lemma's hypotheses once gamma(j) is moved onto the
-    chord of j's neighbours: exactly one circuital cell, and pairwise distinct
-    off-cell values in every cell, the circuital one included (else the wall
-    defect sits on a tail-order boundary and misses the lemma's closed form).
+    In one dimension every wall of the secondary fan is a circuit flip (GKZ
+    1994; De Loera-Rambau-Santos, *Triangulations*, 2010): the wall of (t, j)
+    has t on one side, t without j on the other, and the circuit of j with
+    its neighbours ln, rn in t. Walls are sorted by t's cells, then by j.
     """
-    order = _labels_by_coordinate(config)
     walls = []
     for t in enumerate_triangulations_1d(config):
-        verts = [i for i in order if i in set(t.vertex_set())]
-        pending = verts[1:-1]
-        candidates = _witness_candidates(config, t)
-        while pending:
-            w0 = next(candidates, None)
-            if w0 is None:
-                raise InternalError(f"no valid wall witness for {t.cells} moving {pending}")
-            unresolved = []
-            for j in pending:
-                ln, rn = verts[verts.index(j) - 1], verts[verts.index(j) + 1]
-                al, aj, ar = (config.image(i)[0] for i in (ln, j, rn))
-                chord = w0[ln - 1] + (w0[rn - 1] - w0[ln - 1]) * (aj - al) / (ar - al)
-                witness = w0[:j - 1] + (chord,) + w0[j:]
-                cells = upper_cells(config, witness)
-                circuital = sum(len(c.cell) == 3 for c in cells)
-                if circuital != 1 or not all(c.distinct_tail for c in cells):
-                    unresolved.append(j)
-                    continue
-                walls.append(Wall(
-                    left=t,
-                    right=Subdivision(n=1, cells=_chain_cells([i for i in verts if i != j])),
-                    witness=witness,
-                    direction=tuple(Fraction(int(i == j)) for i in range(1, config.m + 1)),
-                    circuit=find_circuit(config.subset_points((ln, j, rn)), labels=[ln, j, rn]),
-                ))
-            pending = unresolved
+        verts = sorted(t.vertex_set(), key=lambda i: config.image(i)[0])
+        for ln, j, rn in zip(verts, verts[1:], verts[2:]):
+            walls.append(Wall(
+                left=t,
+                right=Subdivision(n=1, cells=_chain_cells([i for i in verts if i != j])),
+                direction=tuple(Fraction(int(i == j)) for i in range(1, config.m + 1)),
+                circuit=find_circuit(config.subset_points((ln, j, rn)), labels=[ln, j, rn]),
+            ))
     return tuple(sorted(walls, key=lambda w: (w.left.cells, w.moved)))
 
 

@@ -64,7 +64,7 @@ def min_convexifier(config, f):
             best = max(best, -d_f / d_sec)
         return MinConvexifier(value=best, exact=True, walls=tuple(rows))
     assert config.n == 0
-    witnesses = cone_witnesses(config)
+    witnesses = [w for _, w in cone_witnesses(config)]
     report = is_submodular_above(f, 1)
     if not report.holds:
         raise InputError(f"no convexifier: F is not submodular above size 1 ({report.witness})")

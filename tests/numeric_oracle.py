@@ -49,9 +49,10 @@ def numeric_gradient(config, fn, witness):
 def second_difference(config, fn, wall):
     """(fn(w + eps u) + fn(w - eps u) - 2 fn(w)) / eps across a wall, and eps.
 
-    The step is halved until both offsets land in the wall's two cones and
-    the value is stable under one more halving, so it is the exact jump of
-    the one-sided derivatives along the wall direction.
+    The wall is a `witness_reference.WallWitness`, w its witness point and u
+    its direction. The step is halved until both offsets land in the wall's
+    two cones and the value is stable under one more halving, so it is the
+    exact jump of the one-sided derivatives along the wall direction.
     """
     w, u = wall.witness, wall.direction
     base = fn(w)

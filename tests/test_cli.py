@@ -120,6 +120,17 @@ def test_unsorted_1d_labels(capsys, tmp_path):
     assert json.loads(out)["certified"] is True
 
 
+@pytest.mark.parametrize("xs, d", [([0, 1, 2, 3, 4], 1000), ([0, 1, 3, 4, 6, 7], 100000)])
+def test_closely_spaced_rational_coordinates(capsys, tmp_path, xs, d):
+    # the cone witness jitter once broke concavity here, and polytope exited 3
+    doc = {"n": 1, "A": [[f"{x}/{d}"] for x in xs], "F": {"kind": "neg_card_ratio"}}
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "polytope", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["cones"]
+
+
 def test_check_verbs(capsys, tmp_path):
     doc = {"n": 1, "A": [[1], [3], [6], [7]], "F": {"kind": "neg_gcd"}}
     path = tmp_path / "p.json"

@@ -13,6 +13,7 @@ import itertools
 import random
 
 import pytest
+import witness_reference
 from numeric_oracle import numeric_gradient, second_difference
 
 from basecondary.core import eval_basecondary_general, gradient_on_cone, min_convexifier, wall_defect_numeric
@@ -92,8 +93,11 @@ def test_walls_meet_the_lemma_and_match_the_oracle(xs):
     config = make_config(1, [[x] for x in xs])
     rng = random.Random(len(xs))
     walls = enumerate_walls_1d(config)
-    for wall in walls:
-        cells = upper_cells(config, wall.witness)
+    # the oracle steps off a wall point of the reference's, matched by (left, moved)
+    by_side = witness_reference.walls_by_side(config)
+    points = [by_side[(wall.left, wall.moved)] for wall in walls]
+    for point in points:
+        cells = upper_cells(config, point.witness)
         assert sum(len(c.cell) == 3 for c in cells) == 1
         assert all(c.distinct_tail for c in cells)
     fs = [random_table(rng, config.m), neg_indicator_function(config.m, min_size=1)]
@@ -102,12 +106,12 @@ def test_walls_meet_the_lemma_and_match_the_oracle(xs):
     # the oracle is slow: compare a seeded sample of at most 24 walls
     checked = sorted(rng.sample(range(len(walls)), min(len(walls), 24)))
     sec = {
-        k: second_difference(config, lambda g: secondary_support(config, g), walls[k])[0]
+        k: second_difference(config, lambda g: secondary_support(config, g), points[k])[0]
         for k in checked
     }
     for f in fs:
         d_fs = {
-            k: second_difference(config, lambda g: eval_basecondary_general(config, f, g), walls[k])[0]
+            k: second_difference(config, lambda g: eval_basecondary_general(config, f, g), points[k])[0]
             for k in checked
         }
         if not is_submodular_above(f, 2).holds:

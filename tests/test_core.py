@@ -6,9 +6,11 @@ import itertools
 import random
 
 import pytest
+import witness_reference
 from numeric_oracle import second_difference
 
 from basecondary.core import (
+    cone_witnesses,
     convexity_certificate,
     enumerate_circuital,
     enumerate_simplicial,
@@ -290,12 +292,13 @@ def test_wall_defect_symbolic_matches_numeric():
     # the circuit lemma equals the step-halving second difference exactly
     rng = random.Random(15)
     walls = enumerate_walls_1d(A1367)
+    points = witness_reference.walls_by_side(A1367)
     fs = [random_table(rng, 4, min_size=1) for _ in range(8)]
     fs += [neg_gcd_function(A1367, min_size=1), neg_indicator_function(4, min_size=1)]
     for f in fs:
         for wall in walls:
             oracle, _ = second_difference(
-                A1367, lambda g: eval_basecondary_general(A1367, f, g), wall
+                A1367, lambda g: eval_basecondary_general(A1367, f, g), points[(wall.left, wall.moved)]
             )
             assert wall_defect_numeric(A1367, f, wall) == oracle
 
@@ -490,6 +493,21 @@ def test_min_convexifier_sampled_pentagon():
     result = min_convexifier(pentagon, ind, samples=800, seed=20240811)
     assert result.value == 0
     assert not result.exact
+
+
+def test_cone_witnesses_carry_their_subdivisions():
+    # reconstruction and the n >= 2 convexifier read the subdivision, never re-lift the witness
+    pentagon = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
+    cases = [
+        (make_config(0, [[], [], [], []]), {}),
+        (A1367, {}),
+        (pentagon, {"samples": 200, "seed": 20240811}),
+    ]
+    for config, sampling in cases:
+        pairs = cone_witnesses(config, **sampling)
+        assert len(pairs) > 1
+        for t, w in pairs:
+            assert regular_subdivision(config, w) == t
 
 
 def test_reconstruct_n0_base_polytope_shift():

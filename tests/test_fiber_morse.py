@@ -8,8 +8,10 @@ import json
 import random
 
 import pytest
+import witness_reference
 from numeric_oracle import numeric_gradient
 
+from basecondary import exact_core
 from basecondary.cli import main
 from basecondary.errors import InputError
 from basecondary.exact_core import Jet, fiber_polygon, fiber_polygon_grid_area
@@ -60,6 +62,17 @@ def test_build_delta_bar_examples():
     assert all(v[1] == 1 or v[2] != 0 or v[0] != 0 for v in unb.vertices)
     with pytest.raises(InputError):
         build_delta_bar(mc, (1, -1))
+
+
+def test_fiber_polygon_hulls_once_per_breakpoint(monkeypatch):
+    # one hull per slice and one for the Minkowski sum; scaling a slice keeps its canonical form
+    calls = []
+    real = exact_core.convex_hull_2d
+    monkeypatch.setattr(exact_core, "convex_hull_2d", lambda pts: calls.append(pts) or real(pts))
+    vertices = build_delta_bar(MC, (2, 4, 5, 3)).vertices
+    assert len({v[0] for v in vertices}) == 5
+    fiber_polygon(vertices)
+    assert len(calls) == 6
 
 
 def test_area_p_bar_zero_and_scaling():
@@ -258,9 +271,11 @@ def test_supports_continuous_across_walls():
     from basecondary.secondary import enumerate_walls_1d
 
     walls = enumerate_walls_1d(PC)
+    points = witness_reference.walls_by_side(PC)
     for wall in walls[:2]:
-        shift = 1 - min(wall.witness)
-        w = tuple(c + shift for c in wall.witness)
+        witness = points[(wall.left, wall.moved)].witness
+        shift = 1 - min(witness)
+        w = tuple(c + shift for c in witness)
         for fn in (lambda g: morse_support(MC, g), lambda g: maxwell_support(MC, g)):
             base = fn(w)
             for sign in (1, -1):
@@ -274,9 +289,11 @@ def test_supports_continuous_across_walls():
 def test_standing_identity_on_wall_witnesses():
     from basecondary.secondary import enumerate_walls_1d, secondary_support
 
+    points = witness_reference.walls_by_side(PC)
     for wall in enumerate_walls_1d(PC):
-        shift = 1 - min(wall.witness)
-        w = tuple(c + shift for c in wall.witness)
+        witness = points[(wall.left, wall.moved)].witness
+        shift = 1 - min(witness)
+        w = tuple(c + shift for c in witness)
         assert secondary_support(PC, w) == 2 * area_N(PC, w)
 
 

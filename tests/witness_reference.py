@@ -1,27 +1,45 @@
-"""Cone witnesses and 1D walls by nested retries: the reference for the shared candidates.
+"""Cone witnesses and 1D wall points by nested retries: the reference for the library's reads.
 
-The library generates each 1D triangulation's witness candidates once and
-hands them to the triangulation's cone witness and to all of its walls.
-These helpers find the same heights the long way, as the library once did:
-a cone witness restarts its jitter loop at an offset `salt`, and each wall
-retries cone witnesses at salts 0, 1, 2, ... until one still qualifies with
-the moved height on its neighbours' chord.
+The library takes each 1D triangulation's cone witness from one jitter loop
+and reads its walls off the triangulation, with no lift. These helpers find
+the same cones and walls the long way, as the library once did: a cone
+witness restarts its jitter loop at an offset `salt`, and each wall retries
+cone witnesses at salts 0, 1, 2, ... until one still meets the circuit
+lemma's hypotheses with the moved height on its neighbours' chord. That
+point is the wall's witness, where the numeric oracle checks the closed-form
+wall defects.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from basecondary.errors import InputError, InternalError
-from basecondary.exact_core import find_circuit
+from basecondary.exact_core import CircuitData, clear_denominators, find_circuit
 from basecondary.secondary import (
     WITNESS_RETRY_CAP,
+    Covector,
     Subdivision,
-    Wall,
     _chain_cells,
     _is_generic_lift,
     _labels_by_coordinate,
     enumerate_triangulations_1d,
     upper_cells,
 )
+
+
+@dataclass(frozen=True)
+class WallWitness:
+    """A wall with a point on it: exactly one circuital cell, every tail distinct."""
+
+    left: Subdivision
+    right: Subdivision
+    witness: Covector
+    direction: Covector
+    circuit: CircuitData
+
+    @property
+    def moved(self) -> int:
+        return next(i + 1 for i, d in enumerate(self.direction) if d != 0)
 
 
 def cone_witness(config, t, salt=0):
@@ -39,6 +57,8 @@ def cone_witness(config, t, salt=0):
             base.append(big - a * a)
         else:
             base.append(Fraction(i, config.m + 1) - 1)
+    # the parabola clears each chord by >= 1/d^2; the jitter stays below half that
+    d = clear_denominators([p[0] for p in config.points])[1]
     primes = (2, 3, 5, 7, 11, 13)
     for raw_attempt in range(WITNESS_RETRY_CAP):
         attempt = raw_attempt + salt
@@ -46,7 +66,7 @@ def cone_witness(config, t, salt=0):
             jitter = {i: Fraction(0) for i in verts}
         else:
             r = primes[(attempt - 1) % len(primes)]
-            amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1))
+            amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1)) / (d * d)
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
         gamma = tuple(
             base[i - 1] + jitter.get(i, Fraction(0))
@@ -77,7 +97,7 @@ def wall_between(config, t, j):
             continue
         if not all(c.distinct_tail for c in cells):
             continue
-        return Wall(
+        return WallWitness(
             left=t,
             right=right,
             witness=witness,
@@ -94,3 +114,8 @@ def enumerate_walls_1d(config):
         for j in verts[1:-1]:
             walls.append(wall_between(config, t, j))
     return tuple(sorted(walls, key=lambda w: (w.left.cells, w.moved)))
+
+
+def walls_by_side(config):
+    """The reference walls keyed by (left subdivision, moved label), as a library wall is matched."""
+    return {(w.left, w.moved): w for w in enumerate_walls_1d(config)}
