@@ -18,7 +18,9 @@ clears denominators once per height vector, with the `clear_denominators`
 that `_echelon` applies to each row, and then needs only the signs of
 integer dot products with `integer_normal`: the signed maximal minors of a
 small integer matrix, closed forms up to 2 x 2 and else the last pivot of
-the same `_bareiss` loop.
+the same `_bareiss` loop. Tropical critical points and n >= 2 cone discovery
+test scaled integers the same way: a positive scale keeps every sign and
+every equality, so only reported values become Fractions.
 """
 
 from __future__ import annotations
@@ -94,14 +96,16 @@ def point(coords) -> Point:
 
 
 def _order(test):
-    """A jet comparison: `test` on (value, *grad), a rational having zero gradient."""
+    """A jet comparison: `test` on (value, *grad), a rational having zero gradient; ties read grad."""
 
     def compare(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Jet(other, [0] * len(self.grad))
-        elif not isinstance(other, Jet):
+        if isinstance(other, Jet):
+            value, grad = other.value, other.grad
+        elif isinstance(other, (int, Fraction)):
+            value, grad = other, (0,) * len(self.grad)
+        else:
             return NotImplemented
-        return test((self.value, *self.grad), (other.value, *other.grad))
+        return test(self.value, value) if self.value != value else test(self.grad, grad)
 
     return compare
 
@@ -155,7 +159,11 @@ class Jet:
         return self * -1
 
     def __sub__(self, other):
-        return self + -other
+        if isinstance(other, Jet):
+            return Jet(self.value - other.value, (a - b for a, b in zip(self.grad, other.grad, strict=True)))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Jet(self.value - other, self.grad)
 
     def __rsub__(self, other):
         return -self + other

@@ -98,13 +98,17 @@ def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fractio
     )
 
 
-def _oriented_scan(config: PointConfig, gamma: Covector) -> dict[tuple[int, ...], UpperCell]:
-    """Upper cells for n >= 2 by integer orientation tests on every (n+1)-subset."""
+def _oriented_scan(config: PointConfig, gamma: Covector):
+    """Upper cells for n >= 2 by integer orientation tests on every (n+1)-subset.
+
+    Yields (cell, base index, normal N, heights h, dx, dz) once per cell and
+    builds no Fraction; `upper_cells` turns them into affine data.
+    """
     n, m = config.n, config.m
     flat, dx = clear_denominators([c for p in config.points for c in p])
     zs, dz = clear_denominators(gamma)
     lifted = [flat[k * n:(k + 1) * n] + [zs[k]] for k in range(m)]
-    out: dict[tuple[int, ...], UpperCell] = {}
+    seen = set()
     for base in itertools.combinations(range(m), n + 1):
         p0 = lifted[base[0]]
         normal = integer_normal([[x - y for x, y in zip(lifted[k], p0)] for k in base[1:]])
@@ -121,13 +125,9 @@ def _oriented_scan(config: PointConfig, gamma: Covector) -> dict[tuple[int, ...]
             heights.append(h)
         else:
             cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
-            if cell not in out:
-                scale = dz * normal[n]
-                linear = tuple(Fraction(-dx * c, scale) for c in normal[:n])
-                top = gamma[base[0]] - sum(x * a for x, a in zip(linear, config.points[base[0]]))
-                values = tuple(top + Fraction(h, scale) for h in heights)
-                out[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
-    return out
+            if cell not in seen:
+                seen.add(cell)
+                yield cell, base[0], normal, heights, dx, dz
 
 
 def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
@@ -154,8 +154,14 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
       maximum plus h / (dz N_z).
     """
     gamma = covector(config, gamma)
+    cells = {}
     if config.n >= 2:
-        cells = _oriented_scan(config, gamma)
+        for cell, b, normal, heights, dx, dz in _oriented_scan(config, gamma):
+            scale = dz * normal[-1]
+            linear = tuple(Fraction(-dx * c, scale) for c in normal[:-1])
+            top = gamma[b] - sum(x * a for x, a in zip(linear, config.points[b]))
+            values = tuple(top + Fraction(h, scale) for h in heights)
+            cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
     else:
         if config.n == 0:
             fits = [((), max(gamma))]
@@ -168,7 +174,6 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
             for a, b in zip(chain, chain[1:]):
                 slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
                 fits.append(((slope,), ys[a] - slope * xs[a]))
-        cells = {}
         for linear, top in fits:  # the argmax and the strict chain put no point above
             values = _values_under(config, gamma, linear)
             cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
@@ -180,6 +185,23 @@ def _is_generic_lift(n: int, cells: Sequence[UpperCell]) -> bool:
     return all(len(c.cell) == n + 1 and c.distinct_tail for c in cells)
 
 
+def _generic_triangulation(config: PointConfig, gamma: Covector):
+    """The cells of the lift of gamma when it passes `is_generic`, else None.
+
+    For n >= 2 it reads the integer scan: a cell's values are its maximum plus
+    h / (dz N_z), dz N_z > 0, so they are distinct exactly where the h are.
+    """
+    if config.n <= 1:
+        cells = upper_cells(config, gamma)
+        return tuple(c.cell for c in cells) if _is_generic_lift(config.n, cells) else None
+    cells = []
+    for cell, _, _, heights, _, _ in _oriented_scan(config, gamma):
+        if len(cell) != config.n + 1 or len(set(heights)) != config.m - config.n:
+            return None
+        cells.append(cell)
+    return tuple(sorted(cells))
+
+
 def is_generic(config: PointConfig, gamma) -> bool:
     """Whether the heights induce a triangulation with generic simplicial supports.
 
@@ -188,7 +210,7 @@ def is_generic(config: PointConfig, gamma) -> bool:
     each cell, a simplicial support, the values of gamma - L o A off the cell
     are pairwise distinct.
     """
-    return _is_generic_lift(config.n, upper_cells(config, gamma))
+    return _generic_triangulation(config, covector(config, gamma)) is not None
 
 
 def enumerate_simplicial(config: PointConfig, gamma) -> tuple[SimplicialSupport, ...]:
@@ -359,8 +381,7 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
             amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1) * d2)
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
         gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
-        cells = upper_cells(config, gamma)
-        if tuple(c.cell for c in cells) == t.cells and _is_generic_lift(config.n, cells):
+        if _generic_triangulation(config, gamma) == t.cells:
             return gamma
     raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
 
@@ -407,7 +428,10 @@ def enumerate_walls_1d(config: PointConfig) -> tuple[Wall, ...]:
 def discover_cones_random(
     config: PointConfig, samples: int, seed: int
 ) -> tuple[tuple[Subdivision, Covector], ...]:
-    """Deduplicated (triangulation, generic witness) pairs from seeded heights."""
+    """Deduplicated (triangulation, generic witness) pairs from seeded heights.
+
+    For n >= 2 each sample is classified in integers (`_generic_triangulation`).
+    """
     if samples < 1:
         raise InputError("need at least one sample")
     rng = random.Random(seed)
@@ -418,8 +442,7 @@ def discover_cones_random(
             Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
             for _ in range(config.m)
         )
-        cells = upper_cells(config, gamma)
-        key = tuple(c.cell for c in cells)
-        if key not in found and _is_generic_lift(config.n, cells):
+        key = _generic_triangulation(config, gamma)
+        if key is not None and key not in found:
             found[key] = (Subdivision(n=config.n, cells=key), gamma)
     return tuple(found[key] for key in sorted(found))

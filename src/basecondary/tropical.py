@@ -8,14 +8,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exact_core import as_int, as_list, rat, upper_chain
+from .exact_core import as_int, as_list, clear_denominators, rat, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
 
 
 @dataclass(frozen=True)
 class TropicalPolynomial:
-    """max_a (c_a + a*x) with strictly increasing integer support."""
+    """max_a (c_a + a*x) with strictly increasing integer support and rational coefficients."""
 
     support: tuple[int, ...]
     coefficients: tuple[Fraction, ...]
@@ -27,6 +27,8 @@ class TropicalPolynomial:
             raise InputError("support and coefficients must have equal length")
         if any(a >= b for a, b in zip(self.support, self.support[1:])):
             raise InputError("support must be strictly increasing")
+        if not all(isinstance(c, (int, Fraction)) for c in self.coefficients):
+            raise InputError("coefficients must be rationals")
 
     def value(self, x) -> Fraction:
         x = rat(x)
@@ -61,16 +63,21 @@ class CriticalPoint:
 
 
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
-    """All breakpoints of the upper envelope, ascending, with tie annotations."""
-    chain = upper_chain(p.support, p.coefficients)
+    """All breakpoints of the upper envelope, ascending, with tie annotations.
+
+    Every test runs in integers cs = d * coefficients, d > 0, which keep the
+    chain. Chain pair (i, j) breaks at num / (d * den), den = a_j - a_i > 0,
+    num = cs_i - cs_j, where the term values times d * den are the integers
+    cs_k * den + a_k * num: same ties, same maximizers.
+    """
+    support, (cs, d) = p.support, clear_denominators(p.coefficients)
+    chain = upper_chain(support, cs)
     out = []
     for i, j in zip(chain, chain[1:]):
-        ai, ci = p.support[i], p.coefficients[i]
-        aj, cj = p.support[j], p.coefficients[j]
-        x = (ci - cj) / Fraction(aj - ai)
-        values = p.term_values(x)
+        den, num = support[j] - support[i], cs[i] - cs[j]
+        values = [c * den + a * num for a, c in zip(support, cs)]
         top = max(values)
-        groups: dict[Fraction, list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for k, v in enumerate(values):
             groups.setdefault(v, []).append(k)
         ties = []
@@ -78,13 +85,13 @@ def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
             if len(members) > 1:
                 for u in range(len(members)):
                     for w in range(u + 1, len(members)):
-                        ties.append((p.support[members[u]], p.support[members[w]]))
+                        ties.append((support[members[u]], support[members[w]]))
         maximizers = [k for k, v in enumerate(values) if v == top]
         out.append(
             CriticalPoint(
-                location=x,
-                value=top,
-                max_pair=(p.support[maximizers[0]], p.support[maximizers[-1]]),
+                location=Fraction(num, d * den),
+                value=Fraction(top, d * den),
+                max_pair=(support[maximizers[0]], support[maximizers[-1]]),
                 tie_pairs=tuple(sorted(ties)),
                 degenerate=len(ties) >= 2,
             )

@@ -19,6 +19,7 @@ from basecondary.core import (
     enumerate_simplicial,
     is_generic,
 )
+from basecondary.secondary import Subdivision, _is_generic_lift, discover_cones_random
 from basecondary import exact_core, secondary
 from basecondary.exact_core import affine_rank, find_circuit, make_config, solve_linear
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
@@ -181,3 +182,57 @@ def test_lift_runs_no_elimination_for_n_at_least_2(monkeypatch, n):
     config = _config(rng, n, 6, rational=True)
     cells = upper_cells(config, _heights(rng, config, "random"))
     assert cells and calls == []
+
+
+def reference_discover(config, samples, seed):
+    """Cone discovery as one `upper_cells` lift per sample, genericity read off its cells."""
+    rng = random.Random(seed)
+    bound = secondary.RANDOM_HEIGHT_BOUND
+    found = {}
+    for _ in range(samples):
+        gamma = tuple(F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(config.m))
+        cells = upper_cells(config, gamma)
+        key = tuple(c.cell for c in cells)
+        if key not in found and _is_generic_lift(config.n, cells):
+            found[key] = (Subdivision(n=config.n, cells=key), gamma)
+    return tuple(found[key] for key in sorted(found))
+
+
+PENTAGON = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
+COLLINEAR_TRIPLE = make_config(2, [[0, 0], [1, 1], [2, 2]])
+
+
+@pytest.mark.parametrize("n, rational", CASES[2:])
+def test_integer_discovery_matches_the_lift(monkeypatch, n, rational):
+    """120 seeded configurations with collinear or coplanar points (40 per case)."""
+    for m, rep in itertools.product(SIZES[n], range(40 // len(SIZES[n]))):
+        rng = random.Random(f"discover/{n}{'/rational' * rational}/{m}/{rep}")
+        config = _config(rng, n, m, rational)
+        for kind in KINDS:
+            gamma = _heights(rng, config, kind)
+            assert is_generic(config, gamma) == _is_generic_lift(n, upper_cells(config, gamma)), (config, gamma)
+        with monkeypatch.context() as patch:
+            # heights from -3..3 over 1..3 tie often; the default bound almost never does
+            patch.setattr(secondary, "RANDOM_HEIGHT_BOUND", 3)
+            assert repr(discover_cones_random(config, 30, rep)) == repr(reference_discover(config, 30, rep))
+        assert repr(discover_cones_random(config, 10, rep)) == repr(reference_discover(config, 10, rep))
+
+
+def test_integer_discovery_on_the_pentagon_and_a_collinear_triple():
+    assert repr(discover_cones_random(PENTAGON, 200, 41)) == repr(reference_discover(PENTAGON, 200, 41))
+    found = discover_cones_random(COLLINEAR_TRIPLE, 5, 1)
+    assert repr(found) == repr(reference_discover(COLLINEAR_TRIPLE, 5, 1))
+    assert [sub.cells for sub, _ in found] == [()]  # no full-dimensional cell, generic
+    assert is_generic(COLLINEAR_TRIPLE, (F(0), F(1), F(0)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_discovery_makes_no_lift_for_n_at_least_2(monkeypatch, n):
+    calls = []
+    real = secondary.upper_cells
+    monkeypatch.setattr(secondary, "upper_cells", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(f"no-lift/{n}")
+    config = _config(rng, n, 6, rational=True)
+    assert discover_cones_random(config, 20, 1)
+    is_generic(config, _heights(rng, config, "ties"))
+    assert calls == []

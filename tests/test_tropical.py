@@ -2,12 +2,17 @@
 
 from fractions import Fraction as F
 
+import functools
 import random
 
 import pytest
 
+import tropical_reference
+from basecondary import tropical
 from basecondary.errors import InputError
+from basecondary.exact_core import Jet
 from basecondary.tropical import (
+    TropicalPolynomial,
     critical_points,
     has_degenerate_root,
     is_morse,
@@ -184,3 +189,53 @@ def test_sample_morse_fraction_deterministic():
     assert two.fraction == 1
     with pytest.raises(InputError):
         sample_morse_fraction([0, 1], 0, seed=1)
+
+
+def test_coefficients_must_be_rational():
+    with pytest.raises(InputError):
+        tropical_polynomial([0, 1, 2], Jet.seed([0, 1, 2]))
+    with pytest.raises(InputError):
+        TropicalPolynomial(support=(0, 1), coefficients=(F(0), 0.5))
+
+
+def _oracle_polynomials():
+    """22,000 seeded polynomials, m = 2..6: 20,000 with tie-heavy small
+    coefficients p/q (|p| <= 4, q <= 3), 2,000 with denominators up to 10^4."""
+    rng = random.Random("tropical-oracle")
+    for k in range(22_000):
+        m = rng.randint(2, 6)
+        support = sorted(rng.sample(range(-6, 7), m))
+        if k < 20_000:
+            coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+        else:
+            coeffs = [F(rng.randint(-10**4, 10**4), rng.randint(1, 10**4)) for _ in range(m)]
+        yield tropical_polynomial(support, coeffs)
+
+
+def test_integer_kernel_matches_the_fraction_reference(monkeypatch):
+    polys = list(_oracle_polynomials())
+
+    def answers():
+        return [(repr(tropical.critical_points(p)), repr(is_morse(p)), has_degenerate_root(p)) for p in polys]
+
+    got = answers()
+    with monkeypatch.context() as patch:  # each reference evaluation made once
+        patch.setattr(tropical, "critical_points", functools.cache(tropical_reference.critical_points))
+        want = answers()
+    for p, g, w in zip(polys, got, want):
+        assert g == w, p
+    # the small coefficients do make both kinds of non-Morse polynomial common
+    assert sum("degenerate=True" in g[0] for g in got) >= 1000
+    assert sum("coinciding_critical_values" in g[1] for g in got) >= 1000
+
+
+@pytest.mark.parametrize("support", [[0, 1, 2], [3, 9], [-2, -1, 1, 2], [0, 1, 3, 4, 6], [-3, 0, 1, 5, 6, 8]])
+def test_sample_reports_match_the_fraction_reference(monkeypatch, support):
+    bounds = (6, 6, None, None)  # tie-heavy coefficients, then the default draw
+
+    def reports():
+        return [repr(sample_morse_fraction(support, 200, seed, b)) for seed, b in enumerate(bounds)]
+
+    got = reports()
+    monkeypatch.setattr(tropical, "critical_points", tropical_reference.critical_points)
+    assert got == reports()

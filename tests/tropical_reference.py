@@ -1,0 +1,44 @@
+"""Critical points over `Fraction`: the reference for the integer tropical kernel.
+
+The library clears the coefficients' denominators once and finds each
+breakpoint's ties and maximizers among integers. This is the evaluation it
+replaced, kept verbatim: the envelope chain on the rational coefficients,
+each breakpoint as a Fraction, and every term value there as a Fraction.
+"""
+
+from fractions import Fraction
+
+from basecondary.exact_core import upper_chain
+from basecondary.tropical import CriticalPoint, TropicalPolynomial
+
+
+def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
+    """All breakpoints of the upper envelope, ascending, with tie annotations."""
+    chain = upper_chain(p.support, p.coefficients)
+    out = []
+    for i, j in zip(chain, chain[1:]):
+        ai, ci = p.support[i], p.coefficients[i]
+        aj, cj = p.support[j], p.coefficients[j]
+        x = (ci - cj) / Fraction(aj - ai)
+        values = p.term_values(x)
+        top = max(values)
+        groups: dict[Fraction, list[int]] = {}
+        for k, v in enumerate(values):
+            groups.setdefault(v, []).append(k)
+        ties = []
+        for members in groups.values():
+            if len(members) > 1:
+                for u in range(len(members)):
+                    for w in range(u + 1, len(members)):
+                        ties.append((p.support[members[u]], p.support[members[w]]))
+        maximizers = [k for k, v in enumerate(values) if v == top]
+        out.append(
+            CriticalPoint(
+                location=x,
+                value=top,
+                max_pair=(p.support[maximizers[0]], p.support[maximizers[-1]]),
+                tie_pairs=tuple(sorted(ties)),
+                degenerate=len(ties) >= 2,
+            )
+        )
+    return tuple(out)
