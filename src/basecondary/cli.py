@@ -126,16 +126,10 @@ def _load_set_function(doc: dict, config: Optional[PointConfig], min_size: int) 
         if not isinstance(raw, dict):
             raise InputError("table 'values' must be an object")
         values = {}
-        for key, val in raw.items():
+        for key, val in raw.items():  # each entry's labels, then its value
             labels = [as_int(tok, "table key label") for tok in key.split(",") if tok.strip()]
             values[frozenset(labels)] = rat(val)
-        return setfun.SetFunction(
-            kind="table",
-            m=m,
-            min_size=min_size,
-            table=values,
-            default=rat(spec.get("default", 0)),
-        )
+        return setfun.table_function(m, values, spec.get("default", 0), min_size)
     if kind == "neg_gcd":
         if config is None or config.n != 1:
             raise InputError("neg_gcd needs a one-dimensional configuration 'A'")

@@ -73,6 +73,20 @@ class PiecewiseLinearRep:
     def gradients(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(g for _, g in self.entries)
 
+    @classmethod
+    def certify(cls, pairs) -> "PiecewiseLinearRep":
+        """The first (witness, gradient) pair of each distinct gradient, with its `convexity_certificate`.
+
+        A failed certificate is a legitimate result describing a non-convex
+        function, returned with the failing pair, never raised.
+        """
+        first = {}
+        for w, g in pairs:
+            first.setdefault(g, (w, g))
+        entries = tuple(first.values())
+        ok, failure = convexity_certificate(entries)
+        return cls(entries=entries, certified=ok, failure_witness=failure)
+
 
 # ---------------------------------------------------------------------------
 # supports and orderings
@@ -185,23 +199,24 @@ def eval_basecondary_general(config: PointConfig, f: SetFunction, gamma) -> Frac
 
     Per full-dimensional upper cell with offset heights v and maximum M:
     volume(cell) * sum over values c < M of (c - M) * (F{v >= c} - F{v > c}).
-    Only subsets with more than n elements are ever queried.
+    The cell's distinct values are walked down from M, and F{v > c} is
+    F{v >= c'} for the value c' just above c, so a cell with k values below
+    M makes k + 1 calls of F, none when k = 0. The sets are chosen by value,
+    not by the tail order of the generic evaluator, which stays an
+    independent check. Only subsets with more than n elements are queried.
     """
     _check_f(config, f)
     gamma = covector(config, gamma)
-    total = Fraction(0)
+    total, labels = Fraction(0), range(1, config.m + 1)
     for cell in upper_cells(config, gamma):
         vol = lattice_volume(config.subset_points(cell.cell))
-        if vol == 0:
+        v, top = cell.values, cell.max_value
+        levels = sorted(set(v), reverse=True)  # levels[0] is top
+        if vol == 0 or len(levels) == 1:
             continue
-        v = cell.values
-        top = cell.max_value
-        for c in sorted(set(v)):
-            if c >= top:
-                continue
-            ge = frozenset(i for i in range(1, config.m + 1) if v[i - 1] >= c)
-            gt = frozenset(i for i in range(1, config.m + 1) if v[i - 1] > c)
-            total += vol * (c - top) * (evaluate_f(f, ge) - evaluate_f(f, gt))
+        at_least = [evaluate_f(f, frozenset(i for i in labels if v[i - 1] >= c)) for c in levels]
+        for c, at, above in zip(levels[1:], at_least[1:], at_least):  # above = F{v > c}
+            total += vol * (c - top) * (at - above)
     return total
 
 
@@ -417,24 +432,17 @@ def reconstruct_polytope(
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> PiecewiseLinearRep:
-    """Per-cone gradients of the (optionally convexified) function.
+    """Per-cone gradients of the (optionally convexified) function, certified.
 
     Each gradient is gradient_on_cone plus c times the GKZ vector at the
-    cone witness. A failed certificate is a legitimate result describing a
-    non-convex function, returned with the failing pair, never raised.
+    cone witness; `PiecewiseLinearRep.certify` keeps one witness per gradient.
     """
     _check_f(config, f)
     c = rat(convexifier)
-    entries = []
-    seen_gradients = set()
+    pairs = []
     for t, w in cone_witnesses(config, samples=samples, seed=seed):
         g = gradient_on_cone(config, f, w)
         if c != 0:
             g = tuple(a + c * b for a, b in zip(g, gkz_vector(config, t)))
-        if g not in seen_gradients:
-            seen_gradients.add(g)
-            entries.append((w, g))
-    ok, failure = convexity_certificate(entries)
-    return PiecewiseLinearRep(
-        entries=tuple(entries), certified=ok, failure_witness=failure
-    )
+        pairs.append((w, g))
+    return PiecewiseLinearRep.certify(pairs)

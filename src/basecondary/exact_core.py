@@ -9,18 +9,18 @@ piecewise-linear function and its gradient in one pass (forward mode). The
 1D lift, the 1D cell volumes and the polygon code take jets wherever they
 take heights; the linear algebra below never does.
 
-All linear algebra (determinants, ranks, solves, kernels, circuits) runs
-through one integer elimination, `_bareiss`: Bareiss's fraction-free
-elimination, whose exact divisions keep every entry a minor. `_echelon`
-clears each row of denominators and runs it, and one shared integer
-back-substitution reads kernels and solves off the result. The n >= 2 lift
-clears denominators once per height vector, with the `clear_denominators`
-that `_echelon` applies to each row, and then needs only the signs of
-integer dot products with `integer_normal`: the signed maximal minors of a
-small integer matrix, closed forms up to 2 x 2 and else the last pivot of
-the same `_bareiss` loop. Tropical critical points and n >= 2 cone discovery
-test scaled integers the same way: a positive scale keeps every sign and
-every equality, so only reported values become Fractions.
+All linear algebra runs in integers, on rows cleared of denominators by
+`clear_denominators`. Every determinant (oriented volumes, the minors of
+`integer_normal`) is one `_int_det`: closed forms up to 2 x 2, else the last
+pivot of `_bareiss`, Bareiss's fraction-free elimination, whose exact
+divisions keep every entry a minor. `_echelon` runs `_bareiss` on a cleared
+rational matrix for ranks, circuits and `solve_linear`, and one shared
+integer back-substitution reads kernels and solves off its result. The
+n >= 2 lift clears denominators once per height vector and then needs only
+the signs of integer dot products with `integer_normal`. Tropical critical
+points and n >= 2 cone discovery test scaled integers the same way: a
+positive scale keeps every sign and every equality, so only reported values
+become Fractions.
 """
 
 from __future__ import annotations
@@ -255,21 +255,16 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
-    """`_bareiss` of a rational matrix whose rows are scaled to integers.
-
-    Each row is scaled by the lcm of its denominators. Returns the echelon
-    rows, the pivot columns, and the product of the row scales signed by the
-    swap parity.
-    """
-    cleared = [clear_denominators(r) for r in rows]
-    a = [r for r, _ in cleared]
-    pivots, sign = _bareiss(a)
-    return a, pivots, sign * math.prod(d for _, d in cleared)
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """The echelon rows and pivot columns of `_bareiss` on rows each scaled to integers."""
+    a = [clear_denominators(r)[0] for r in rows]
+    return a, _bareiss(a)[0]
 
 
 def _int_det(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: closed forms up to 2 x 2, else its last Bareiss pivot."""
+    if not a:
+        return 1
     if len(a) == 1:
         return a[0][0]
     if len(a) == 2:
@@ -309,9 +304,9 @@ def _null_vector(a: list[list[int]], pivots: list[int], ncols: int) -> Optional[
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square matrix: its last Bareiss pivot over the signed scale."""
-    a, pivots, scale = _echelon(rows)
-    return Fraction(a[-1][-1] if rows else 1, scale) if len(pivots) == len(rows) else Fraction(0)
+    """Determinant of a square matrix: `_int_det` of its rows cleared to integers over the row scales."""
+    cleared = [clear_denominators(r) for r in rows]
+    return Fraction(_int_det([r for r, _ in cleared]), math.prod(d for _, d in cleared))
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -325,7 +320,7 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
     The solution is the kernel vector of [rows | -rhs] with last entry 1.
     """
     k = len(rows)
-    a, pivots, _ = _echelon([list(r) + [-b] for r, b in zip(rows, rhs)])
+    a, pivots = _echelon([list(r) + [-b] for r, b in zip(rows, rhs)])
     return _null_vector(a, pivots, k + 1)[:k] if pivots == list(range(k)) else None
 
 
@@ -373,10 +368,7 @@ def lattice_volume(points: Sequence[Point]) -> Fraction:
         xs = [p[0] for p in points]
         return max(xs) - min(xs)
     if d == 2:
-        hull = convex_hull_2d(points)
-        if len(hull) < 3:
-            return Fraction(0)
-        return 2 * _shoelace_area(hull)
+        return 2 * Polygon2.from_points(points).area()
     raise InputError("lattice_volume implemented for ambient dimension <= 2")
 
 
@@ -427,7 +419,7 @@ def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None
     # one elimination of the (n+1) x (n+2) matrix with a row of ones atop the
     # coordinates: rank n+1 says the points span, and its kernel is the relation
     rows = [[1] * (n + 2)] + [[p[c] for p in points] for c in range(n)]
-    a, pivots, _ = _echelon(rows)
+    a, pivots = _echelon(rows)
     if len(pivots) != n + 1:
         raise InputError("points lie in a hyperplane; no unique circuit")
     alpha = _null_vector(a, pivots, n + 2)
@@ -455,7 +447,7 @@ def _cross(o: Point2, a: Point2, b: Point2) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_2d(points: Sequence[Point2]) -> tuple[Point2, ...]:
+def convex_hull_2d(points: Iterable[Point2]) -> tuple[Point2, ...]:
     """Strict convex hull, CCW, starting at the lexicographic minimum.
 
     Degenerate inputs collapse to a segment (two vertices) or a point.
@@ -463,17 +455,16 @@ def convex_hull_2d(points: Sequence[Point2]) -> tuple[Point2, ...]:
     pts = sorted(set((rat(p[0]), rat(p[1])) for p in points))
     if len(pts) <= 2:
         return tuple(pts)
-    lower: list[Point2] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point2] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+
+    def chain(seq):  # its last point starts the other chain
+        out: list[Point2] = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
     if len(hull) < 3:  # all collinear
         return (pts[0], pts[-1])
     return tuple(hull)
@@ -499,16 +490,6 @@ def upper_chain(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[int]:
     return chain
 
 
-def _shoelace_area(vertices: Sequence[Point2]) -> Fraction:
-    s = Fraction(0)
-    k = len(vertices)
-    for i in range(k):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % k]
-        s += x0 * y1 - x1 * y0
-    return s / 2
-
-
 @dataclass(frozen=True)
 class Polygon2:
     """Convex polygon in Q^2 in canonical form.
@@ -522,19 +503,19 @@ class Polygon2:
 
     @staticmethod
     def from_points(points: Iterable[Point2]) -> "Polygon2":
-        pts = list(points)
-        if not pts:
-            return Polygon2(vertices=())
-        return Polygon2(vertices=convex_hull_2d(pts))
+        return Polygon2(vertices=convex_hull_2d(points))
 
     @property
     def is_empty(self) -> bool:
         return not self.vertices
 
     def area(self) -> Fraction:
-        if len(self.vertices) < 3:
+        """Euclidean area by the shoelace formula; 0 below three vertices."""
+        vs = self.vertices
+        if len(vs) < 3:
             return Fraction(0)
-        return _shoelace_area(self.vertices)
+        edges = zip(vs, vs[1:] + vs[:1])
+        return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges), Fraction(0)) / 2
 
     def perimeter_l1(self) -> Fraction:
         """Taxicab perimeter; an exact upper bound for the Euclidean one."""
@@ -676,11 +657,7 @@ def fiber_polygon_grid_area(vertices: Sequence[Point3], cells: int) -> tuple[Fra
     h = (hi - lo) / cells
     grid = [lo + h * k for k in range(cells + 1)]
     slices = [fiber_slice(vs, x) for x in grid]
-    total = Polygon2.from_points([(Fraction(0), Fraction(0))])
-    for k in range(cells):
-        half = h / 2
-        cell = minkowski_sum(slices[k].scaled(half), slices[k + 1].scaled(half))
-        total = minkowski_sum(total, cell)
+    total = minkowski_sum(*(s.scaled(h / 2) for cell in zip(slices, slices[1:]) for s in cell))
     ys = [v[1] for v in vs]
     zs = [v[2] for v in vs]
     diameter = (max(ys) - min(ys)) + (max(zs) - min(zs))

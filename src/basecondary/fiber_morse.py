@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .core import (PiecewiseLinearRep, cone_witnesses, convexity_certificate,
-                   eval_basecondary_general)
+from .core import PiecewiseLinearRep, cone_witnesses, eval_basecondary_general
 from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config
 from .secondary import Covector, area_N, covector, secondary_support
 from .setfun import SetFunction, neg_gcd_function
@@ -183,15 +182,11 @@ def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLine
         raise InputError(f"variant must be one of {VARIANTS}")
     support = morse_support if variant == "morse" else maxwell_support
     pc = config.config()
-    entries = []
-    seen = set()
+    pairs = []
     for _, w in cone_witnesses(pc):
         w = _shifted_witness(pc, w)
         jet = support(config, Jet.seed(w))
         if sum(g * x for g, x in zip(jet.grad, w)) != jet.value:
             raise InternalError("support gradient fails the homogeneity identity at its witness")
-        if jet.grad not in seen:
-            seen.add(jet.grad)
-            entries.append((w, jet.grad))
-    ok, failure = convexity_certificate(entries)
-    return PiecewiseLinearRep(entries=tuple(entries), certified=ok, failure_witness=failure)
+        pairs.append((w, jet.grad))
+    return PiecewiseLinearRep.certify(pairs)

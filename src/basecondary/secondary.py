@@ -318,19 +318,16 @@ def _refine_cell(config: PointConfig, cell: Sequence[int]) -> list[tuple[int, ..
 
 
 def secondary_support(config: PointConfig, gamma) -> Fraction:
-    """Support value of the secondary polytope at gamma.
+    """Support value of the secondary polytope at gamma: <phi_T, gamma> (GKZ 1994).
 
-    Computed as sum over a simplicial refinement of the induced subdivision
-    of volume(simplex) * sum of heights at its vertices; the value does not
-    depend on the refinement because gamma is affine on each cell.
+    phi_T is the `gkz_vector` of T, the simplicial refinement of the induced
+    subdivision by `_refine_cell`; the value does not depend on the
+    refinement because gamma is affine on each cell. Heights may be jets.
     """
     gamma = covector(config, gamma)
-    total = Fraction(0)
-    for cell in upper_cells(config, gamma):
-        for simplex in _refine_cell(config, cell.cell):
-            vol = lattice_volume(config.subset_points(simplex))
-            total += vol * sum(gamma[i - 1] for i in simplex)
-    return total
+    simplices = tuple(s for cell in upper_cells(config, gamma) for s in _refine_cell(config, cell.cell))
+    phi = gkz_vector(config, Subdivision(n=config.n, cells=simplices))
+    return sum((p * g for p, g in zip(phi, gamma)), Fraction(0))
 
 
 def area_N(config: PointConfig, gamma) -> Fraction:

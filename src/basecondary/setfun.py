@@ -208,7 +208,7 @@ def circuit_condition_check(f: SetFunction, config: PointConfig) -> CircuitCondi
 
 
 def lovasz_extension(f: SetFunction, x) -> Fraction:
-    """Piecewise-linear extension via descending coordinate sorting.
+    """Piecewise-linear extension: <x, greedy_vertex(f, order)> for x's descending order.
 
     Ties are broken by ascending index; the value does not depend on the
     tie break.
@@ -219,15 +219,7 @@ def lovasz_extension(f: SetFunction, x) -> Fraction:
     if len(vec) != f.m:
         raise InputError(f"expected a vector of length {f.m}")
     order = sorted(range(1, f.m + 1), key=lambda i: (-vec[i - 1], i))
-    total = Fraction(0)
-    prev = Fraction(0)
-    chain: set[int] = set()
-    for i in order:
-        chain.add(i)
-        cur = evaluate_f(f, chain)
-        total += vec[i - 1] * (cur - prev)
-        prev = cur
-    return total
+    return sum((c * y for c, y in zip(vec, greedy_vertex(f, order))), Fraction(0))
 
 
 def greedy_vertex(f: SetFunction, order) -> tuple[Fraction, ...]:

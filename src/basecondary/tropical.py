@@ -31,8 +31,7 @@ class TropicalPolynomial:
             raise InputError("coefficients must be rationals")
 
     def value(self, x) -> Fraction:
-        x = rat(x)
-        return max(c + a * x for a, c in zip(self.support, self.coefficients))
+        return max(self.term_values(x))
 
     def term_values(self, x) -> tuple[Fraction, ...]:
         x = rat(x)
@@ -100,11 +99,13 @@ def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
 
 
 def has_degenerate_root(p: TropicalPolynomial) -> bool:
-    """Whether some point sees three or more terms at the envelope maximum."""
-    for cp in critical_points(p):
-        if sum(1 for v in p.term_values(cp.location) if v == cp.value) >= 3:
-            return True
-    return False
+    """Whether some point sees three or more terms at the envelope maximum.
+
+    Tie pairs list the smaller exponent first and each term has one value,
+    so a breakpoint's maximizers are max_pair[0] and every exponent tied
+    with it. Off the breakpoints one term alone attains the maximum.
+    """
+    return any(sum(a == cp.max_pair[0] for a, _ in cp.tie_pairs) >= 2 for cp in critical_points(p))
 
 
 @dataclass(frozen=True)

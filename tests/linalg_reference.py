@@ -1,7 +1,7 @@
 """Gaussian eliminations over `Fraction`: the reference for the Bareiss kernel.
 
 The library runs all of its exact linear algebra through one fraction-free
-integer elimination (`exact_core._echelon`). These are the four textbook
+integer elimination (`exact_core._bareiss`). These are the four textbook
 eliminations it replaced, kept verbatim so the kernel can be checked against
 them: a forward elimination for determinants, Gauss-Jordan for the rank and
 for square solves, and a reduced row echelon form for kernel vectors.

@@ -1,0 +1,77 @@
+"""Second routes to quantities the library now computes in one place.
+
+`eval_basecondary_general` once made two F calls per threshold, F{v >= c}
+and F{v > c}, where it now reads F{v > c} off the level above c.
+`secondary_support` once summed volume(simplex) * (heights on the simplex)
+over the refined subdivision, where it is now <GKZ vector, gamma>.
+`lattice_volume` once took its own hull and shoelace sum in the plane, where
+it now reads `Polygon2.area`. Each is kept verbatim here, the evaluator and
+the support on the kept `lattice_volume`, so results can be compared exactly.
+"""
+
+from fractions import Fraction
+
+from basecondary.core import _check_f
+from basecondary.errors import InputError
+from basecondary.exact_core import convex_hull_2d
+from basecondary.secondary import _refine_cell, covector, upper_cells
+from basecondary.setfun import evaluate_f
+
+
+def _shoelace_area(vertices):
+    s = Fraction(0)
+    k = len(vertices)
+    for i in range(k):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % k]
+        s += x0 * y1 - x1 * y0
+    return s / 2
+
+
+def lattice_volume(points):
+    """Nonnegative lattice d-volume of the convex hull (d = ambient dim <= 2)."""
+    if not points:
+        return Fraction(0)
+    d = len(points[0])
+    if d == 0:
+        return Fraction(1)
+    if d == 1:
+        xs = [p[0] for p in points]
+        return max(xs) - min(xs)
+    if d == 2:
+        hull = convex_hull_2d(points)
+        if len(hull) < 3:
+            return Fraction(0)
+        return 2 * _shoelace_area(hull)
+    raise InputError("lattice_volume implemented for ambient dimension <= 2")
+
+
+def eval_basecondary_general(config, f, gamma):
+    """Threshold form with both F{v >= c} and F{v > c} queried for every c < M."""
+    _check_f(config, f)
+    gamma = covector(config, gamma)
+    total = Fraction(0)
+    for cell in upper_cells(config, gamma):
+        vol = lattice_volume(config.subset_points(cell.cell))
+        if vol == 0:
+            continue
+        v = cell.values
+        top = cell.max_value
+        for c in sorted(set(v)):
+            if c >= top:
+                continue
+            ge = frozenset(i for i in range(1, config.m + 1) if v[i - 1] >= c)
+            gt = frozenset(i for i in range(1, config.m + 1) if v[i - 1] > c)
+            total += vol * (c - top) * (evaluate_f(f, ge) - evaluate_f(f, gt))
+    return total
+
+
+def secondary_support(config, gamma):
+    """Sum over the refined subdivision of volume(simplex) * sum of its heights."""
+    gamma = covector(config, gamma)
+    total = Fraction(0)
+    for cell in upper_cells(config, gamma):
+        for simplex in _refine_cell(config, cell.cell):
+            vol = lattice_volume(config.subset_points(simplex))
+            total += vol * sum(gamma[i - 1] for i in simplex)
+    return total

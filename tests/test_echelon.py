@@ -73,7 +73,7 @@ def test_kernel_matches_the_fraction_eliminations():
             seen += 1
             assert _same(matrix_rank(rows), ref.matrix_rank(rows)), rows
             if rows:  # the back-substitution shared by solve_linear and find_circuit
-                a, pivots, _ = _echelon(rows)
+                a, pivots = _echelon(rows)
                 assert _same(_null_vector(a, pivots, len(rows[0])), ref.kernel_vector(rows)), rows
             if all(len(r) == len(rows) for r in rows):
                 dets += 1

@@ -4,6 +4,8 @@ The library clears the coefficients' denominators once and finds each
 breakpoint's ties and maximizers among integers. This is the evaluation it
 replaced, kept verbatim: the envelope chain on the rational coefficients,
 each breakpoint as a Fraction, and every term value there as a Fraction.
+`has_degenerate_root` is likewise the test that counted the Fraction term
+values at the envelope maximum, where the library now reads the tie pairs.
 """
 
 from fractions import Fraction
@@ -42,3 +44,11 @@ def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
             )
         )
     return tuple(out)
+
+
+def has_degenerate_root(p: TropicalPolynomial) -> bool:
+    """Whether some point sees three or more terms at the envelope maximum."""
+    for cp in critical_points(p):
+        if sum(1 for v in p.term_values(cp.location) if v == cp.value) >= 3:
+            return True
+    return False
