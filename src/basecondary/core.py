@@ -206,9 +206,13 @@ def eval_basecondary_general(config: PointConfig, f: SetFunction, gamma) -> Frac
     independent check. Only subsets with more than n elements are queried.
     """
     _check_f(config, f)
-    gamma = covector(config, gamma)
+    return _threshold_sum(config, f, upper_cells(config, covector(config, gamma)))
+
+
+def _threshold_sum(config: PointConfig, f: SetFunction, cells) -> Fraction:
+    """`eval_basecondary_general` on the upper cells of its lift."""
     total, labels = Fraction(0), range(1, config.m + 1)
-    for cell in upper_cells(config, gamma):
+    for cell in cells:
         vol = lattice_volume(config.subset_points(cell.cell))
         v, top = cell.values, cell.max_value
         levels = sorted(set(v), reverse=True)  # levels[0] is top

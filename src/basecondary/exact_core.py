@@ -7,7 +7,10 @@ reproducible bit for bit.
 A `Jet` is a rational plus a linear term in infinitesimals, and evaluates a
 piecewise-linear function and its gradient in one pass (forward mode). The
 1D lift, the 1D cell volumes and the polygon code take jets wherever they
-take heights; the linear algebra below never does.
+take heights; the linear algebra below never does. A jet stores only its
+nonzero gradient entries, and the polygon predicates (the turns of
+`convex_hull_2d`, the edge angles of `minkowski_sum`) decide on value parts,
+reading gradients only where a value cross product is 0.
 
 All linear algebra runs in integers, on rows cleared of denominators by
 `clear_denominators`. Every determinant (oriented volumes, the minors of
@@ -96,18 +99,29 @@ def point(coords) -> Point:
 
 
 def _order(test):
-    """A jet comparison: `test` on (value, *grad), a rational having zero gradient; ties read grad."""
+    """A jet comparison: `test` on the values, or where they tie on the first differing gradient entries."""
 
     def compare(self, other):
         if isinstance(other, Jet):
-            value, grad = other.value, other.grad
+            value, terms = other.value, other.terms
         elif isinstance(other, (int, Fraction)):
-            value, grad = other, (0,) * len(self.grad)
+            value, terms = other, {}
         else:
             return NotImplemented
-        return test(self.value, value) if self.value != value else test(self.grad, grad)
+        if self.value != value:
+            return test(self.value, value)
+        ours = self.terms  # k = -1 when the gradients are equal: test(0, 0)
+        k = min((k for k in ours.keys() | terms.keys() if ours.get(k, 0) != terms.get(k, 0)), default=-1)
+        return test(ours.get(k, 0), terms.get(k, 0))
 
     return compare
+
+
+def _jet(value, terms: dict, size: int) -> "Jet":
+    """The jet of `value` and the nonzero gradient entries `terms`, which it shares, never changes."""
+    jet = object.__new__(Jet)
+    jet.value, jet.terms, jet.size = value, terms, size
+    return jet
 
 
 class Jet:
@@ -120,38 +134,58 @@ class Jet:
     (Edelsbrunner-Mücke 1990) that breaks every tie between seeded heights
     one way. A rational is a jet with zero gradient, which equals, hashes
     and compares like its value.
+
+    The gradient is stored sparsely, `terms` mapping the index of each
+    nonzero entry to it, `size` its length; `grad` is the dense tuple. Jets
+    of different lengths do not add.
     """
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "terms", "size")
 
     def __init__(self, value, grad):
-        self.value, self.grad = value, tuple(grad)
+        grad = tuple(grad)
+        self.value, self.size = value, len(grad)
+        self.terms = {k: g for k, g in enumerate(grad) if g}
 
     @staticmethod
     def seed(values) -> tuple["Jet", ...]:
         """values[k] + eps_k for every coordinate k."""
-        zeros = [Fraction(0)] * len(values)
-        return tuple(Jet(v, zeros[:k] + [Fraction(1)] + zeros[k + 1:]) for k, v in enumerate(values))
+        return tuple(_jet(v, {k: Fraction(1)}, len(values)) for k, v in enumerate(values))
+
+    @property
+    def grad(self) -> tuple:
+        return tuple(self.terms.get(k, Fraction(0)) for k in range(self.size))
 
     __eq__, __lt__, __le__ = _order(operator.eq), _order(operator.lt), _order(operator.le)
     __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
 
     def __hash__(self):
-        return hash((self.value, self.grad) if any(self.grad) else self.value)
+        return hash((self.value, frozenset(self.terms.items()))) if self.terms else hash(self.value)
+
+    def _combine(self, other, op):
+        """op(self, other) for op adding or subtracting, over the nonzero entries of a jet `other`."""
+        if isinstance(other, (int, Fraction)):
+            return _jet(op(self.value, other), self.terms, self.size)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        if other.size != self.size:
+            raise ValueError(f"jets of lengths {self.size} and {other.size} do not add")
+        terms = dict(self.terms)
+        for k, g in other.terms.items():
+            if s := op(terms.pop(k, 0), g):
+                terms[k] = s
+        return _jet(op(self.value, other.value), terms, self.size)
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.value + other.value, (a + b for a, b in zip(self.grad, other.grad, strict=True)))
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return Jet(self.value + other, self.grad)
+        return self._combine(other, operator.add)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             raise InternalError("a product of two jets is not linear in eps")
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return Jet(self.value * other, (g * other for g in self.grad))
+        terms = {k: g * other for k, g in self.terms.items()} if other else {}
+        return _jet(self.value * other, terms, self.size)
 
     __radd__, __rmul__ = __add__, __mul__
 
@@ -159,11 +193,7 @@ class Jet:
         return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.value - other.value, (a - b for a, b in zip(self.grad, other.grad, strict=True)))
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return Jet(self.value - other, self.grad)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return -self + other
@@ -443,7 +473,22 @@ def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None
 Point2 = tuple[Fraction, Fraction]
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> Fraction:
+def _values(p: Point2) -> Point2:
+    """The value parts of a point's coordinates; the point itself when it holds no jet."""
+    if isinstance(p[0], Jet) or isinstance(p[1], Jet):
+        return tuple(c.value if isinstance(c, Jet) else c for c in p)
+    return p
+
+
+def _cross(o, a, b) -> Fraction:
+    """(a - o) x (b - o) of (point, value parts) pairs, in the sign of the jet product.
+
+    That of the value parts; that of the points only where it is 0 and one holds a jet.
+    """
+    (o, vo), (a, va), (b, vb) = o, a, b
+    cross = (va[0] - vo[0]) * (vb[1] - vo[1]) - (va[1] - vo[1]) * (vb[0] - vo[0])
+    if cross or (o is vo and a is va and b is vb):
+        return cross
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -457,17 +502,18 @@ def convex_hull_2d(points: Iterable[Point2]) -> tuple[Point2, ...]:
         return tuple(pts)
 
     def chain(seq):  # its last point starts the other chain
-        out: list[Point2] = []
+        out: list = []
         for p in seq:
             while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out[:-1]
 
-    hull = chain(pts) + chain(reversed(pts))
+    pairs = [(p, _values(p)) for p in pts]
+    hull = chain(pairs) + chain(reversed(pairs))
     if len(hull) < 3:  # all collinear
         return (pts[0], pts[-1])
-    return tuple(hull)
+    return tuple(p for p, _ in hull)
 
 
 def upper_chain(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[int]:
@@ -539,20 +585,25 @@ class Polygon2:
         return Polygon2(vertices=tuple((t * x, t * y) for x, y in self.vertices))
 
 
-def _angle_cmp(u: Point2, v: Point2) -> int:
+def _angle_cmp(u, v) -> int:
     """-1, 0 or 1 as u's direction angle in [0, 2*pi) is below, at or above v's.
 
-    Exact: the half-plane of each vector first, then the sign of the cross
-    product, which orders two directions within one half-plane.
+    Exact, on (vector, value parts) pairs: the half-plane of each vector
+    first, then the sign of the cross product, which orders two directions
+    within one half-plane. The cross product is taken of the value parts,
+    and of the vectors only where that is 0 and one holds a jet.
     """
 
     def half(w):
         return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
 
+    (u, vu), (v, vv) = u, v
     hu, hv = half(u), half(v)
     if hu != hv:
         return hu - hv
-    cross = u[0] * v[1] - u[1] * v[0]
+    cross = vu[0] * vv[1] - vu[1] * vv[0]
+    if not cross and (u is not vu or v is not vv):
+        cross = u[0] * v[1] - u[1] * v[0]
     return (cross < 0) - (cross > 0)
 
 
@@ -576,7 +627,7 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
     bottoms = [min(p.vertices, key=lambda v: (v[1], v[0])) for p in polygons]
     cur = (sum(v[0] for v in bottoms), sum(v[1] for v in bottoms))
     out = [cur]
-    for dx, dy in sorted(edges, key=functools.cmp_to_key(_angle_cmp)):
+    for (dx, dy), _ in sorted(((e, _values(e)) for e in edges), key=functools.cmp_to_key(_angle_cmp)):
         cur = (cur[0] + dx, cur[1] + dy)
         out.append(cur)
     return Polygon2.from_points(out)

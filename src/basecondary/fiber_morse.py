@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .core import PiecewiseLinearRep, cone_witnesses, eval_basecondary_general
+from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses, eval_basecondary_general
 from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config
-from .secondary import Covector, area_N, covector, secondary_support
+from .secondary import Covector, _gkz_pairing, area_N, covector, upper_cells
 from .setfun import SetFunction, neg_gcd_function
 
 VARIANTS = ("morse", "maxwell")
@@ -150,10 +150,11 @@ def maxwell_support(config: MorseConfig, gamma) -> Fraction:
     """Support of the Newton polytope of the Maxwell stratum, up to a linear part."""
     pc = config.config()
     gamma = covector(pc, gamma)
+    cells = upper_cells(pc, gamma)  # one lift for the basecondary value and the secondary support
     return (
         iterated_fiber_support(config, gamma)
-        + eval_basecondary_general(pc, config.gcd_function(), gamma)
-        - 4 * secondary_support(pc, gamma)
+        + _threshold_sum(pc, config.gcd_function(), cells)
+        - 4 * _gkz_pairing(pc, cells, gamma)
     ) / 2
 
 

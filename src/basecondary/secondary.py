@@ -325,7 +325,12 @@ def secondary_support(config: PointConfig, gamma) -> Fraction:
     refinement because gamma is affine on each cell. Heights may be jets.
     """
     gamma = covector(config, gamma)
-    simplices = tuple(s for cell in upper_cells(config, gamma) for s in _refine_cell(config, cell.cell))
+    return _gkz_pairing(config, upper_cells(config, gamma), gamma)
+
+
+def _gkz_pairing(config: PointConfig, cells: Sequence[UpperCell], gamma: Covector) -> Fraction:
+    """`secondary_support` on the upper cells of the lift of gamma."""
+    simplices = tuple(s for cell in cells for s in _refine_cell(config, cell.cell))
     phi = gkz_vector(config, Subdivision(n=config.n, cells=simplices))
     return sum((p * g for p, g in zip(phi, gamma)), Fraction(0))
 

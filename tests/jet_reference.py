@@ -1,0 +1,144 @@
+"""The dense `Jet` and the polygon code that multiplied jets out at every predicate.
+
+`exact_core.Jet` now stores only its nonzero gradient entries, and the hull
+and Minkowski predicates decide on value parts, reading gradients only
+where the value part is 0. This is what they replaced, kept as it was: a jet
+holding its whole gradient tuple, and `convex_hull_2d` and `minkowski_sum`
+whose `_cross` and `_angle_cmp` take full jet cross products. Swapping them
+in for the library's must change no result.
+"""
+
+import functools
+import operator
+from fractions import Fraction
+
+from basecondary.errors import InternalError
+from basecondary.exact_core import Polygon2, rat
+
+
+def _order(test):
+    """A jet comparison: `test` on (value, *grad), a rational having zero gradient; ties read grad."""
+
+    def compare(self, other):
+        if isinstance(other, Jet):
+            value, grad = other.value, other.grad
+        elif isinstance(other, (int, Fraction)):
+            value, grad = other, (0,) * len(self.grad)
+        else:
+            return NotImplemented
+        return test(self.value, value) if self.value != value else test(self.grad, grad)
+
+    return compare
+
+
+class Jet:
+    """value + <grad, eps> for infinitesimals eps_1 >> eps_2 >> ... > 0, the gradient dense."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad):
+        self.value, self.grad = value, tuple(grad)
+
+    @staticmethod
+    def seed(values) -> tuple["Jet", ...]:
+        """values[k] + eps_k for every coordinate k."""
+        zeros = [Fraction(0)] * len(values)
+        return tuple(Jet(v, zeros[:k] + [Fraction(1)] + zeros[k + 1:]) for k, v in enumerate(values))
+
+    __eq__, __lt__, __le__ = _order(operator.eq), _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
+
+    def __hash__(self):
+        return hash((self.value, self.grad) if any(self.grad) else self.value)
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value, (a + b for a, b in zip(self.grad, other.grad, strict=True)))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Jet(self.value + other, self.grad)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            raise InternalError("a product of two jets is not linear in eps")
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Jet(self.value * other, (g * other for g in self.grad))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.value - other.value, (a - b for a, b in zip(self.grad, other.grad, strict=True)))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Jet(self.value - other, self.grad)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            raise InternalError("a quotient of two jets is not linear in eps")
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        raise InternalError("a division by a jet is not linear in eps")
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull_2d(points):
+    """Strict convex hull, CCW, starting at the lexicographic minimum."""
+    pts = sorted(set((rat(p[0]), rat(p[1])) for p in points))
+    if len(pts) <= 2:
+        return tuple(pts)
+
+    def chain(seq):  # its last point starts the other chain
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    if len(hull) < 3:  # all collinear
+        return (pts[0], pts[-1])
+    return tuple(hull)
+
+
+def _angle_cmp(u, v):
+    """-1, 0 or 1 as u's direction angle in [0, 2*pi) is below, at or above v's."""
+
+    def half(w):
+        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+
+    hu, hv = half(u), half(v)
+    if hu != hv:
+        return hu - hv
+    cross = u[0] * v[1] - u[1] * v[0]
+    return (cross < 0) - (cross > 0)
+
+
+def minkowski_sum(*polygons):
+    """Exact Minkowski sum of convex polygons by one angle sort of all edge vectors."""
+    if any(p.is_empty for p in polygons):
+        return Polygon2(vertices=())
+    edges = []
+    for p in polygons:
+        vs = p.vertices
+        if len(vs) > 1:
+            edges += [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
+    bottoms = [min(p.vertices, key=lambda v: (v[1], v[0])) for p in polygons]
+    cur = (sum(v[0] for v in bottoms), sum(v[1] for v in bottoms))
+    out = [cur]
+    for dx, dy in sorted(edges, key=functools.cmp_to_key(_angle_cmp)):
+        cur = (cur[0] + dx, cur[1] + dy)
+        out.append(cur)
+    return Polygon2(vertices=convex_hull_2d(out))

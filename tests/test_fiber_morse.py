@@ -11,7 +11,7 @@ import pytest
 import witness_reference
 from numeric_oracle import numeric_gradient
 
-from basecondary import exact_core
+from basecondary import exact_core, fiber_morse
 from basecondary.cli import main
 from basecondary.errors import InputError
 from basecondary.exact_core import Jet, fiber_polygon, fiber_polygon_grid_area
@@ -366,3 +366,22 @@ def test_morse_polytope_at_a_witness_on_a_fiber_chamber_wall(tmp_path, variant):
         assert sum(a * b for a, b in zip(g, w)) == value
         moved = tuple(a + b for a, b in zip(w, step))
         assert fn(mc, moved) == value + sum(a * b for a, b in zip(g, step))
+
+
+def test_maxwell_support_lifts_once(monkeypatch):
+    # the basecondary value and the secondary support read one lift of gamma
+    from basecondary import core, secondary
+
+    lifts = []
+    real = secondary.upper_cells
+    for module in (secondary, core, fiber_morse):
+        if getattr(module, "upper_cells", None) is real:
+            monkeypatch.setattr(module, "upper_cells", lambda *a: lifts.append(a) or real(*a))
+    for gamma in ((1, 2, 3, 5), (-1, 0, 4, 2), Jet.seed((1, 2, 3, 5))):
+        lifts.clear()
+        maxwell_support(MC, gamma)
+        assert len(lifts) == 1
+    for variant in ("morse", "maxwell"):  # 4 cone witnesses and 4 evaluations
+        lifts.clear()
+        morse_polytope(MC, variant)
+        assert len(lifts) == 8
