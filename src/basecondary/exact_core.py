@@ -10,7 +10,8 @@ piecewise-linear function and its gradient in one pass (forward mode). The
 take heights; the linear algebra below never does. A jet stores only its
 nonzero gradient entries, and the polygon predicates (the turns of
 `convex_hull_2d`, the edge angles of `minkowski_sum`) decide on value parts,
-reading gradients only where a value cross product is 0.
+reading gradients only where a value cross product is 0. A Minkowski sum
+canonicalises its angle-sorted walk in one pass, without a hull.
 
 All linear algebra runs in integers, on rows cleared of denominators by
 `clear_denominators`. Every determinant (oriented volumes, the minors of
@@ -613,9 +614,11 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
     The sum's bottommost (then leftmost) vertex is the sum of the summands'
     ones; from there its boundary runs through every summand's edge vectors
     in angle order, parallel edges one after another (de Berg et al.,
-    *Computational Geometry*, 2008, sec. 13.3). The walk is canonicalised
-    once. No summands sum to the origin; an empty summand gives the empty
-    polygon.
+    *Computational Geometry*, 2008, sec. 13.3). That walk is convex and in
+    order, so it is canonicalised without a hull: the vertex between two
+    parallel edges and the closing point are dropped, and the rest rotated
+    to start at the lexicographic minimum. No summands sum to the origin; an
+    empty summand gives the empty polygon.
     """
     if any(p.is_empty for p in polygons):
         return Polygon2(vertices=())
@@ -625,12 +628,15 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
         if len(vs) > 1:
             edges += [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
     bottoms = [min(p.vertices, key=lambda v: (v[1], v[0])) for p in polygons]
-    cur = (sum(v[0] for v in bottoms), sum(v[1] for v in bottoms))
+    cur = (sum((v[0] for v in bottoms), Fraction(0)), sum((v[1] for v in bottoms), Fraction(0)))
     out = [cur]
-    for (dx, dy), _ in sorted(((e, _values(e)) for e in edges), key=functools.cmp_to_key(_angle_cmp)):
-        cur = (cur[0] + dx, cur[1] + dy)
-        out.append(cur)
-    return Polygon2.from_points(out)
+    walk = sorted(((e, _values(e)) for e in edges), key=functools.cmp_to_key(_angle_cmp))
+    for edge, after in zip(walk, walk[1:]):  # the last edge closes the walk
+        cur = (cur[0] + edge[0][0], cur[1] + edge[0][1])
+        if _angle_cmp(edge, after):
+            out.append(cur)
+    k = out.index(min(out))
+    return Polygon2(vertices=tuple(out[k:] + out[:k]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, InternalError
 from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses, eval_basecondary_general
-from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config
+from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config, upper_chain
 from .secondary import Covector, _gkz_pairing, area_N, covector, upper_cells
 from .setfun import SetFunction, neg_gcd_function
 
@@ -77,15 +77,18 @@ def _nonnegative(gamma: Covector):
 
 
 def build_delta_bar(config: MorseConfig, gamma) -> Pyramid3:
-    """Pyramid with base row (a,0,0), roof (a,0,gamma(a)), apex (0,1,0)."""
+    """Pyramid over base row (a,0,0) and roof (a,0,gamma(a)) to apex (0,1,0).
+
+    Carries only its hull vertices: the base corners, the roof points off
+    the base at strict corners of the roof's upper chain, and the apex.
+    The other points lie in the hull, so the fiber is the same.
+    """
     gamma = covector(config.config(), gamma)
     _nonnegative(gamma)
-    verts: list[Point3] = []
-    for a, g in zip(config.points, gamma):
-        verts.append((Fraction(a), Fraction(0), Fraction(0)))
-        if g != 0:
-            verts.append((Fraction(a), Fraction(0), g))
-    verts.append((Fraction(0), Fraction(1), Fraction(0)))
+    xs = [Fraction(a) for a in config.points]
+    zero = Fraction(0)
+    roof = [(xs[k], zero, gamma[k]) for k in upper_chain(xs, gamma) if gamma[k] != 0]
+    verts = [(xs[0], zero, zero), (xs[-1], zero, zero), *roof, (zero, Fraction(1), zero)]
     return Pyramid3(vertices=tuple(verts), barred=True)
 
 

@@ -5,7 +5,9 @@ and F{v > c}, where it now reads F{v > c} off the level above c.
 `secondary_support` once summed volume(simplex) * (heights on the simplex)
 over the refined subdivision, where it is now <GKZ vector, gamma>.
 `lattice_volume` once took its own hull and shoelace sum in the plane, where
-it now reads `Polygon2.area`. Each is kept verbatim here, the evaluator and
+it now reads `Polygon2.area`. `build_delta_bar` once emitted every base
+point (a,0,0) and every roof point (a,0,gamma(a)), where it now emits only
+the pyramid's hull vertices. Each is kept verbatim here, the evaluator and
 the support on the kept `lattice_volume`, so results can be compared exactly.
 """
 
@@ -75,3 +77,17 @@ def secondary_support(config, gamma):
             vol = lattice_volume(config.subset_points(simplex))
             total += vol * sum(gamma[i - 1] for i in simplex)
     return total
+
+
+def build_delta_bar(config, gamma):
+    """The barred pyramid's vertex list with every base and roof point: base row, roof, apex (0,1,0)."""
+    gamma = covector(config.config(), gamma)
+    if any(g < 0 for g in gamma):
+        raise InputError("heights must be nonnegative here")
+    verts = []
+    for a, g in zip(config.points, gamma):
+        verts.append((Fraction(a), Fraction(0), Fraction(0)))
+        if g != 0:
+            verts.append((Fraction(a), Fraction(0), g))
+    verts.append((Fraction(0), Fraction(1), Fraction(0)))
+    return tuple(verts)

@@ -188,13 +188,33 @@ def _summand(rng, jets):
 
 @pytest.mark.parametrize("jets", [False, True], ids=["rational", "jet"])
 def test_minkowski_sum_of_many_summands_is_the_hull_of_vertex_sums(jets):
-    rng = random.Random(f"minkowski/{jets}")
-    for _ in range(120):
-        summands = [_summand(rng, jets) for _ in range(rng.randint(3, 4))]
+    def check(*summands):
         sums = {(F(0), F(0))}
         for p in summands:
             sums = {(s[0] + v[0], s[1] + v[1]) for s in sums for v in p.vertices}
-        assert minkowski_sum(*summands).vertices == Polygon2.from_points(sums).vertices
+        vertices = minkowski_sum(*summands).vertices
+        assert vertices == Polygon2.from_points(sums).vertices
+        return vertices
+
+    def poly(*raw):  # with jets, sheared by (x, y) -> (x, y + x * eps_1): parallel edges stay parallel
+        if jets:
+            raw = [(x, Jet(F(y), (F(x), F(0)))) for x, y in raw]
+        return Polygon2.from_points(raw)
+
+    rng = random.Random(f"minkowski/{jets}")
+    for _ in range(120):
+        check(*(_summand(rng, jets) for _ in range(rng.randint(3, 4))))
+    # every summand a segment along one line: the sum is a segment
+    assert len(check(poly((0, 0), (1, 2)), poly((3, 1), (1, -3)), poly((2, 2), (4, 6)))) == 2
+    # runs of three and four parallel edges
+    square, rectangle = poly((0, 0), (1, 0), (1, 1), (0, 1)), poly((0, 0), (3, 0), (3, 1), (0, 1))
+    assert len(check(square, rectangle, poly((0, 0), (2, 0), (2, 2), (0, 2)))) == 4
+    assert len(check(poly((0, 0), (2, 1)), poly((0, 0), (2, 1)), poly((4, 2), (6, 3)), square)) == 6
+    # a lone point among segments
+    assert len(check(poly((0, 1)), poly((0, 0), (1, 0)), poly((2, 2)), poly((0, 0), (0, 3)))) == 4
+    if jets:  # value parts along one line, gradients not: the sum is a polygon of infinitesimal area
+        lean = [Polygon2.from_points([(0, F(0)), (x, Jet(F(x), g))]) for x, g in ((1, (1, 0)), (2, (0, 1)), (1, (0, 0)))]
+        assert len(check(*lean)) > 2
     square = Polygon2.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert minkowski_sum().vertices == ((F(0), F(0)),)
     assert minkowski_sum(square, square, square).vertices == square.scaled(3).vertices

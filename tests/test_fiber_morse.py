@@ -64,15 +64,35 @@ def test_build_delta_bar_examples():
         build_delta_bar(mc, (1, -1))
 
 
+def test_build_delta_bar_keeps_only_hull_vertices():
+    # (2,0,1) lies under the roof's upper chain and (5,0,3) on it; the base points between the corners lie inside
+    pyramid = build_delta_bar(morse_config([1, 2, 3, 5, 7]), (2, 1, 4, 3, 2)).vertices
+    assert sorted(pyramid) == sorted([(1, 0, 0), (7, 0, 0), (1, 0, 2), (3, 0, 4), (7, 0, 2), (0, 1, 0)])
+    # a roof corner at height 0 is a base corner already
+    pyramid = build_delta_bar(morse_config([1, 2, 3]), (0, 1, 0)).vertices
+    assert sorted(pyramid) == sorted([(1, 0, 0), (3, 0, 0), (2, 0, 1), (0, 1, 0)])
+
+
 def test_fiber_polygon_hulls_once_per_breakpoint(monkeypatch):
-    # one hull per slice and one for the Minkowski sum; scaling a slice keeps its canonical form
+    # one hull per slice and none for the Minkowski sum; scaling a slice keeps its canonical form
     calls = []
     real = exact_core.convex_hull_2d
     monkeypatch.setattr(exact_core, "convex_hull_2d", lambda pts: calls.append(pts) or real(pts))
     vertices = build_delta_bar(MC, (2, 4, 5, 3)).vertices
     assert len({v[0] for v in vertices}) == 5
     fiber_polygon(vertices)
-    assert len(calls) == 6
+    assert len(calls) == 5
+
+
+def test_minkowski_sum_takes_no_hull(monkeypatch):
+    # the angle-sorted walk is convex and in order, so it is canonicalised without a hull
+    vertices = build_delta_bar(MC, Jet.seed((2, 4, 5, 3))).vertices
+    slices = [exact_core.fiber_slice(vertices, x) for x in sorted({v[0] for v in vertices})]
+    calls = []
+    real = exact_core.convex_hull_2d
+    monkeypatch.setattr(exact_core, "convex_hull_2d", lambda pts: calls.append(pts) or real(pts))
+    assert len(exact_core.minkowski_sum(*slices).vertices) > 2
+    assert calls == []
 
 
 def test_area_p_bar_zero_and_scaling():

@@ -3,7 +3,8 @@
 The general evaluator, the secondary support and the planar lattice volume
 must return exactly what `quantity_reference` returns, type included, on
 seeded n = 0, 1 and 2 configurations with tie-heavy integer heights (and
-jets for n <= 1, as `maxwell_support` passes them). Two pins keep the single
+jets for n <= 1, as `maxwell_support` passes them). The fiber polygon of
+the pyramid's hull vertices must be that of all its base and roof points. Two pins keep the single
 routes single: an oriented volume runs no rational elimination, and a cell
 with k values below its maximum costs the evaluator k + 1 F calls.
 """
@@ -18,7 +19,8 @@ import quantity_reference as ref
 
 from basecondary import core, exact_core
 from basecondary.core import eval_basecondary_general
-from basecondary.exact_core import Jet, lattice_volume, make_config, oriented_volume
+from basecondary.exact_core import Jet, fiber_polygon, lattice_volume, make_config, oriented_volume
+from basecondary.fiber_morse import build_delta_bar, morse_config
 from basecondary.secondary import secondary_support, upper_cells
 from basecondary.setfun import SetFunction, evaluate_f
 
@@ -125,3 +127,17 @@ def test_each_threshold_set_costs_one_f_call(monkeypatch):
         calls.clear()
         eval_basecondary_general(config, _table(rng, config), gamma)
         assert len(calls) == sum(k + 1 for k in levels if k)
+
+
+@pytest.mark.parametrize("points", [[1, 3, 6, 7], [1, 2, 3, 5, 8], [-3, -1, 1, 2, 4], [-8, -6, -3, -1, 3, 8]])
+def test_pyramid_hull_vertices_give_the_fiber_of_all_points(points):
+    mc = morse_config(points)
+    rng = random.Random(f"pyramid/{points}")
+    for rep in range(16):
+        if rep % 4 < 2:  # rational, then tie-heavy integer heights
+            gamma = [F(rng.randint(0, 12), rng.randint(1, 3)) if rep % 4 == 0 else F(rng.randint(0, 2)) for _ in points]
+        else:  # jets, then tie-heavy integer jets
+            gamma = Jet.seed([F(rng.randint(0, 12), rng.randint(1, 3)) if rep % 4 == 2 else F(rng.randint(0, 2)) for _ in points])
+        got = fiber_polygon(build_delta_bar(mc, gamma).vertices).vertices
+        want = fiber_polygon(ref.build_delta_bar(mc, gamma)).vertices
+        assert [tuple(map(_key, v)) for v in got] == [tuple(map(_key, v)) for v in want], (points, gamma)
