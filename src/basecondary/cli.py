@@ -16,48 +16,32 @@ from . import core, fiber_morse, secondary, setfun, tropical
 from .errors import InputError, InternalError
 from .exact_core import PointConfig, affine_rank, as_int, make_config, rat, rat_str
 
-VERBS = (
-    "eval",
-    "eval-terms",
-    "simplicial",
-    "circuital",
-    "subdivision",
-    "secondary",
-    "base-polytope",
-    "lovasz",
-    "check-submodular",
-    "check-circuit-condition",
-    "convexify",
-    "polytope",
-    "morse-support",
-    "maxwell-support",
-    "morse-polytope",
-    "trop-morse",
-    "trop-sample",
-)
+_VERB_HELP = {
+    "eval": "basecondary value at gamma (general evaluator)",
+    "eval-terms": "simplicial-expansion summands at a generic gamma",
+    "simplicial": "affine supports peaking on n+1 points",
+    "circuital": "affine supports peaking on n+2 points",
+    "subdivision": "regular subdivision induced by gamma",
+    "secondary": "secondary-polytope support value at gamma",
+    "base-polytope": "greedy vertices of a submodular base polytope",
+    "lovasz": "Lovász extension value at x",
+    "check-submodular": "exhaustive submodularity check",
+    "check-circuit-condition": "circuit inequality over all spanning (n+2)-subsets",
+    "convexify": "minimal convexifying multiple of the secondary support",
+    "polytope": "per-cone gradients with convexity certificate",
+    "morse-support": "Morse-discriminant Newton-polytope support at gamma",
+    "maxwell-support": "Maxwell-stratum Newton-polytope support at gamma",
+    "morse-polytope": "certified gradient representation (--variant)",
+    "trop-morse": "tropical Morse classification of a max-plus polynomial",
+    "trop-sample": "seeded Morse-fraction sampling over coefficients",
+}
+VERBS = tuple(_VERB_HELP)
 
 USAGE = """usage: bck VERB --input PATH [--output PATH] [--seed N] [--samples N]
            [--convexifier Q] [--variant morse|maxwell] [--svg PATH]
 
 verbs:
-  eval                     basecondary value at gamma (general evaluator)
-  eval-terms               simplicial-expansion summands at a generic gamma
-  simplicial               affine supports peaking on n+1 points
-  circuital                affine supports peaking on n+2 points
-  subdivision              regular subdivision induced by gamma
-  secondary                secondary-polytope support value at gamma
-  base-polytope            greedy vertices of a submodular base polytope
-  lovasz                   Lovász extension value at x
-  check-submodular         exhaustive submodularity check
-  check-circuit-condition  circuit inequality over all spanning (n+2)-subsets
-  convexify                minimal convexifying multiple of the secondary support
-  polytope                 per-cone gradients with convexity certificate
-  morse-support            Morse-discriminant Newton-polytope support at gamma
-  maxwell-support          Maxwell-stratum Newton-polytope support at gamma
-  morse-polytope           certified gradient representation (--variant)
-  trop-morse               tropical Morse classification of a max-plus polynomial
-  trop-sample              seeded Morse-fraction sampling over coefficients
-"""
+""" + "".join(f"  {verb:<24} {text}\n" for verb, text in _VERB_HELP.items())
 
 
 def _vec(values) -> list[str]:

@@ -130,18 +130,18 @@ def order_simplicial(
 def order_circuital(
     config: PointConfig, gamma, c: CircuitalSupport
 ) -> OrderedSupport:
-    """Circuit-compatible arrangement validated by the double alternating sum.
+    """The lexicographically smallest arrangement satisfying the double alternating sum.
 
     The head holds the positive side, the negative side, then the
-    zero-coefficient members; the lexicographically smallest arrangement
-    satisfying the exact volume identities is returned. By Cramer's rule the
-    volume of the head without position i is (-1)^i * lam * alpha_i for the
-    circuit's coefficients alpha and one scalar lam, so the identities hold
-    exactly when lam > 0, a parity condition on the arrangement. Hence the
-    answer is the circuit ordering, each side sorted by label, or else that
-    ordering with the last two labels of its last block of two or more
-    members swapped. An n = 0 circuit, two points of Q^0, has no
-    orientation for the identities to test, and is refused.
+    zero-coefficient members. By Cramer's rule the volume of the head
+    without position i is (-1)^i * lam * alpha_i for the circuit's
+    coefficients alpha and one scalar lam, and the identities hold exactly
+    when lam > 0, that is, when the head without its first (positive-side)
+    label has negative volume. Then the answer is the circuit ordering, each
+    side sorted by label; else it swaps the last two labels of the last
+    block of two or more members (a circuit of distinct points has one),
+    which turns the sign of lam. An n = 0 circuit, two points of Q^0, has
+    no orientation, and is refused.
     """
     if config.n == 0:
         raise InputError("circuit orderings need n >= 1; an n = 0 circuit has no orientation")
@@ -152,35 +152,14 @@ def order_circuital(
         raise InputError("tail values must be pairwise distinct to order a circuit")
     tail = _descending_tail(config, c.maximizers, values)
     circ = c.circuit
-    # hull of a circuit configuration = union of the simplices obtained by
-    # dropping one positive-side point, with disjoint interiors
-    target = sum(
-        abs(oriented_volume(config.subset_points([j for j in c.maximizers if j != i])))
-        for i, _ in circ.positive
-    )
     head = list(circ.ordering)
-    if not _circuit_identity_holds(config, head, circ.p, circ.q, target):
+    if oriented_volume(config.subset_points(head[1:])) > 0:
         sizes = (circ.p, circ.q, len(circ.zeros))
         for end, size in reversed(list(zip(itertools.accumulate(sizes), sizes))):
             if size >= 2:
                 head[end - 2], head[end - 1] = head[end - 1], head[end - 2]
                 break
-        if not _circuit_identity_holds(config, head, circ.p, circ.q, target):
-            raise InternalError("no arrangement satisfies the circuit volume identity")
     return OrderedSupport(tuple=tuple(head) + tail, head=config.n + 2)
-
-
-def _circuit_identity_holds(config, head, p, q, target) -> bool:
-    first = Fraction(0)
-    second = Fraction(0)
-    for i in range(1, p + q + 1):  # 1-based position within the head
-        rest = [head[k] for k in range(len(head)) if k != i - 1]
-        vol = oriented_volume(config.subset_points(rest))
-        if i <= p:
-            first += vol if i % 2 == 0 else -vol
-        else:
-            second += vol if i % 2 == 1 else -vol
-    return first == target and second == target
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +298,13 @@ def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Frac
     return tuple(grad)
 
 
-def convexity_certificate(rep_or_entries) -> tuple[bool, Optional[tuple]]:
-    """Pairwise support maximality: <g_j, w_j> >= <g_k, w_j> for all pairs.
+def convexity_certificate(entries) -> tuple[bool, Optional[tuple]]:
+    """Pairwise support maximality of (witness, gradient) entries: <g_j, w_j> >= <g_k, w_j> for all pairs.
 
     Returns (True, None) or (False, (witness_j, j, k)) for the first failing
     pair; with full cone coverage success certifies that the represented
     function is the support function of the convex hull of the gradients.
     """
-    if isinstance(rep_or_entries, PiecewiseLinearRep):
-        entries = rep_or_entries.entries
-    else:
-        entries = tuple(rep_or_entries)
     if not entries:
         raise InputError("certificate needs at least one entry")
     for j, (wj, gj) in enumerate(entries):

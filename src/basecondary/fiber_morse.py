@@ -3,7 +3,9 @@
 The pipeline never materializes the high-dimensional iterated fiber
 polytope: all its support values are obtained by slicing the 3D pyramid
 projection, which commutes with Minkowski integration. The Morse and
-Maxwell formulas are spelled once, in `morse_support` and `maxwell_support`;
+Maxwell formulas are spelled once, over one lift, in `morse_support`
+(P + h - 3 S) and `maxwell_support` ((P + h - 4 S) / 2), for the fiber summand
+P, the basecondary value h of F = -gcd and the secondary support S;
 `morse_polytope` evaluates them on jets (`exact_core.Jet`) for gradients.
 """
 
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses, eval_basecondary_general
+from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses
 from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config, upper_chain
-from .secondary import Covector, _gkz_pairing, area_N, covector, upper_cells
+from .secondary import Covector, _gkz_pairing, covector, upper_cells
 from .setfun import SetFunction, neg_gcd_function
 
 VARIANTS = ("morse", "maxwell")
@@ -25,9 +27,8 @@ VARIANTS = ("morse", "maxwell")
 # which the fiber body of the coefficient simplex is literally the secondary
 # polytope (each 1D integration doubles the raw integral), and its area is
 # lattice-normalized (twice Euclidean). Relative to the raw Euclidean area of
-# the raw fiber polygon this is a factor 2 * 2 * 2. Calibrated and verified
-# against symbolically computed Morse discriminants for exponent sets
-# {1,2,3}, {1,2,4}, {1,2,3,4}.
+# the raw fiber polygon this is a factor 2 * 2 * 2. No test checks it against a
+# computed Morse discriminant yet: that is ROADMAP item 7's resultant oracle.
 FIBER_SUPPORT_SCALE = Fraction(8)
 
 
@@ -63,25 +64,17 @@ def morse_config(points) -> MorseConfig:
     return MorseConfig(points=tuple(as_int(a, "exponent") for a in as_list(points, "exponents")))
 
 
-@dataclass(frozen=True)
-class Pyramid3:
-    """Vertex set of the height pyramid over the exponent axis."""
-
-    vertices: tuple[Point3, ...]
-    barred: bool
-
-
 def _nonnegative(gamma: Covector):
     if any(g < 0 for g in gamma):
         raise InputError("heights must be nonnegative here")
 
 
-def build_delta_bar(config: MorseConfig, gamma) -> Pyramid3:
-    """Pyramid over base row (a,0,0) and roof (a,0,gamma(a)) to apex (0,1,0).
+def build_delta_bar(config: MorseConfig, gamma) -> tuple[Point3, ...]:
+    """Hull vertices of the pyramid over base row (a,0,0) and roof (a,0,gamma(a)) to apex (0,1,0).
 
-    Carries only its hull vertices: the base corners, the roof points off
-    the base at strict corners of the roof's upper chain, and the apex.
-    The other points lie in the hull, so the fiber is the same.
+    They are the base corners, the roof points off the base at strict
+    corners of the roof's upper chain, and the apex. The other points lie
+    in the hull, so the fiber is the same.
     """
     gamma = covector(config.config(), gamma)
     _nonnegative(gamma)
@@ -89,18 +82,18 @@ def build_delta_bar(config: MorseConfig, gamma) -> Pyramid3:
     zero = Fraction(0)
     roof = [(xs[k], zero, gamma[k]) for k in upper_chain(xs, gamma) if gamma[k] != 0]
     verts = [(xs[0], zero, zero), (xs[-1], zero, zero), *roof, (zero, Fraction(1), zero)]
-    return Pyramid3(vertices=tuple(verts), barred=True)
+    return tuple(verts)
 
 
-def build_delta(config: MorseConfig, gamma) -> Pyramid3:
-    """Roof-only pyramid: (a,0,gamma(a)) plus the apex, no base row."""
+def build_delta(config: MorseConfig, gamma) -> tuple[Point3, ...]:
+    """Vertices of the roof-only pyramid: (a,0,gamma(a)) plus the apex, no base row."""
     gamma = covector(config.config(), gamma)
     _nonnegative(gamma)
     verts: list[Point3] = [
         (Fraction(a), Fraction(0), g) for a, g in zip(config.points, gamma)
     ]
     verts.append((Fraction(0), Fraction(1), Fraction(0)))
-    return Pyramid3(vertices=tuple(verts), barred=False)
+    return tuple(verts)
 
 
 def area_P_bar(config: MorseConfig, gamma) -> Fraction:
@@ -109,7 +102,7 @@ def area_P_bar(config: MorseConfig, gamma) -> Fraction:
     Equals FIBER_SUPPORT_SCALE times the raw Euclidean area of the raw
     fiber polygon of the barred pyramid.
     """
-    return FIBER_SUPPORT_SCALE * fiber_polygon(build_delta_bar(config, gamma).vertices).area()
+    return FIBER_SUPPORT_SCALE * fiber_polygon(build_delta_bar(config, gamma)).area()
 
 
 def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
@@ -134,18 +127,18 @@ def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
 def morse_support(config: MorseConfig, gamma) -> Fraction:
     """Support of the Newton polytope of the Morse discriminant, up to a shift.
 
-    The sum of the iterated-fiber summand, the basecondary value for
-    F = -gcd, and -3 times the lattice-normalized area of the lifted region
-    (= -6 times the Euclidean area_N), on nonnegative heights. Verified
-    against symbolically computed Morse discriminants at desk scale.
+    P + h - 3 S on nonnegative heights: the iterated-fiber summand P, the
+    basecondary value h for F = -gcd, and -3 times the secondary support S
+    (twice the Euclidean `area_N`), with h and S read off one lift.
     """
     pc = config.config()
     gamma = covector(pc, gamma)
     _nonnegative(gamma)
+    cells = upper_cells(pc, gamma)
     return (
         area_P_bar(config, gamma)
-        + eval_basecondary_general(pc, config.gcd_function(), gamma)
-        - 6 * area_N(pc, gamma)
+        + _threshold_sum(pc, config.gcd_function(), cells)
+        - 3 * _gkz_pairing(pc, cells, gamma)
     )
 
 

@@ -12,7 +12,6 @@ from .errors import InputError, InternalError
 from .exact_core import (
     CircuitData,
     PointConfig,
-    Polygon2,
     clear_denominators,
     convex_hull_2d,
     find_circuit,
@@ -342,12 +341,7 @@ def area_N(config: PointConfig, gamma) -> Fraction:
     gamma = covector(config, gamma)
     if any(g < 0 for g in gamma):
         raise InputError("area_N needs nonnegative heights")
-    pts = []
-    for i in range(1, config.m + 1):
-        a = config.image(i)[0]
-        pts.append((a, Fraction(0)))
-        pts.append((a, gamma[i - 1]))
-    return Polygon2.from_points(pts).area()
+    return secondary_support(config, gamma) / 2  # the region under the lift's upper chain
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,12 +80,11 @@ def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
         groups: dict[int, list[int]] = {}
         for k, v in enumerate(values):
             groups.setdefault(v, []).append(k)
-        ties = []
-        for members in groups.values():
-            if len(members) > 1:
-                for u in range(len(members)):
-                    for w in range(u + 1, len(members)):
-                        ties.append((support[members[u]], support[members[w]]))
+        ties = [
+            (support[u], support[w])
+            for members in groups.values()
+            for u, w in itertools.combinations(members, 2)
+        ]
         maximizers = [k for k, v in enumerate(values) if v == top]
         out.append(
             CriticalPoint(

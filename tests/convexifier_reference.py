@@ -5,7 +5,8 @@ The library reads the n <= 1 convexifier off one circuit value per
 the same answers the long way, as the library once did: the convexifier
 from every wall of the 1D secondary fan (GKZ jumps and the circuit lemma,
 spelled out here) or from every pair of order cones for n = 0, and the
-circuit ordering from a search over all arrangements of its sides.
+circuit ordering from a search over all arrangements of its sides, each
+tested by the double alternating volume identity `_circuit_identity_holds`.
 """
 
 import functools
@@ -15,7 +16,6 @@ from fractions import Fraction
 from basecondary.core import (
     MinConvexifier,
     OrderedSupport,
-    _circuit_identity_holds,
     _descending_tail,
     _values_under,
     cone_witnesses,
@@ -87,6 +87,20 @@ def min_convexifier(config, f):
         rows.append((tuple(sorted((a, b))), f_grads[j][a - 1] - f_grads[k][a - 1],
                      s_grads[j][a - 1] - s_grads[k][a - 1]))
     return MinConvexifier(value=best, exact=True, walls=tuple(rows))
+
+
+def _circuit_identity_holds(config, head, p, q, target) -> bool:
+    """Both alternating sums of the head's facet volumes, over each side, equal target."""
+    first = Fraction(0)
+    second = Fraction(0)
+    for i in range(1, p + q + 1):  # 1-based position within the head
+        rest = [head[k] for k in range(len(head)) if k != i - 1]
+        vol = oriented_volume(config.subset_points(rest))
+        if i <= p:
+            first += vol if i % 2 == 0 else -vol
+        else:
+            second += vol if i % 2 == 1 else -vol
+    return first == target and second == target
 
 
 def order_circuital(config, gamma, c):

@@ -7,15 +7,17 @@ over the refined subdivision, where it is now <GKZ vector, gamma>.
 `lattice_volume` once took its own hull and shoelace sum in the plane, where
 it now reads `Polygon2.area`. `build_delta_bar` once emitted every base
 point (a,0,0) and every roof point (a,0,gamma(a)), where it now emits only
-the pyramid's hull vertices. Each is kept verbatim here, the evaluator and
-the support on the kept `lattice_volume`, so results can be compared exactly.
+the pyramid's hull vertices. `area_N` once took the hull of every base and
+roof point, where it now halves the secondary support. Each is kept
+verbatim here, the evaluator and the support on the kept `lattice_volume`,
+so results can be compared exactly.
 """
 
 from fractions import Fraction
 
 from basecondary.core import _check_f
 from basecondary.errors import InputError
-from basecondary.exact_core import convex_hull_2d
+from basecondary.exact_core import Polygon2, convex_hull_2d
 from basecondary.secondary import _refine_cell, covector, upper_cells
 from basecondary.setfun import evaluate_f
 
@@ -91,3 +93,18 @@ def build_delta_bar(config, gamma):
             verts.append((Fraction(a), Fraction(0), g))
     verts.append((Fraction(0), Fraction(1), Fraction(0)))
     return tuple(verts)
+
+
+def area_N(config, gamma):
+    """Euclidean area of conv({(a, 0)} union {(a, gamma(a))}) for gamma >= 0."""
+    if config.n != 1:
+        raise InputError("area_N needs a one-dimensional configuration")
+    gamma = covector(config, gamma)
+    if any(g < 0 for g in gamma):
+        raise InputError("area_N needs nonnegative heights")
+    pts = []
+    for i in range(1, config.m + 1):
+        a = config.image(i)[0]
+        pts.append((a, Fraction(0)))
+        pts.append((a, gamma[i - 1]))
+    return Polygon2.from_points(pts).area()

@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+import quantity_reference
 
 from basecondary.core import (
     enumerate_circuital,
@@ -40,7 +41,6 @@ from basecondary.fiber_morse import (
     morse_support,
 )
 from basecondary.secondary import (
-    area_N,
     discover_cones_random,
     enumerate_triangulations_1d,
     enumerate_walls_1d,
@@ -333,19 +333,19 @@ def test_criterion_7_circuit_ordering_identity():
 def test_criterion_8_fiber_identities():
     with criterion(8, "fiber and support identities", 120):
         rng = random.Random(20240816)
-        # secondary support = twice the Euclidean lifted area
+        # secondary support = twice the Euclidean lifted area, from its own hull
         for _ in range(200):
             m = rng.randint(2, 7)
             config = make_config(
                 1, [[a] for a in sorted(rng.sample(range(-9, 12), m))]
             )
             gamma = tuple(F(rng.randint(0, 25), rng.randint(1, 4)) for _ in range(m))
-            assert secondary_support(config, gamma) == 2 * area_N(config, gamma)
+            assert secondary_support(config, gamma) == 2 * quantity_reference.area_N(config, gamma)
         # the iterated-fiber summand is trusted only after the grid oracle agrees
         probe = morse_config([1, 3, 6, 7])
         for _ in range(2):
             gamma = tuple(F(rng.randint(0, 6)) for _ in range(4))
-            verts = build_delta_bar(probe, gamma).vertices
+            verts = build_delta_bar(probe, gamma)
             raw = fiber_polygon(verts).area()
             approx, bound = fiber_polygon_grid_area(verts, 48)
             assert abs(raw - approx) <= bound
@@ -368,7 +368,7 @@ def test_criterion_8_fiber_identities():
                 )
                 mu = morse_support(mc, gamma)
                 mx = maxwell_support(mc, gamma)
-                assert mu - 2 * mx == 2 * area_N(pc, gamma)
+                assert mu - 2 * mx == 2 * quantity_reference.area_N(pc, gamma)
 
 
 def test_criterion_9_morse_polytope_certification():

@@ -1,8 +1,9 @@
 """The n <= 1 convexifier and the circuit ordering against the searches they replace.
 
 `min_convexifier` for n <= 1 reads one circuit value per (n+2)-subset, and
-`order_circuital` fixes its arrangement by one sign rule; `convexifier_reference`
-keeps the wall, order-cone and permutation searches they replaced. Also
+`order_circuital` fixes its arrangement by one sign rule, one oriented
+volume per circuit; `convexifier_reference` keeps the wall, order-cone and
+permutation searches they replaced. Also
 here: an n = 0 convexifier beyond the order-cone range checked against the
 submodularity of the Lovász-extension set function it convexifies, and 1D
 configurations whose labels are not in coordinate order.
@@ -16,6 +17,7 @@ import random
 import convexifier_reference as ref
 import pytest
 
+from basecondary import core
 from basecondary.core import (
     CircuitalSupport,
     enumerate_circuital,
@@ -177,6 +179,18 @@ def test_circuit_ordering_sign_rule_matches_the_search():
         swapped += ordered.tuple[: config.n + 2] != c.circuit.ordering
         with_zeros += bool(c.circuit.zeros)
     assert swapped >= 500 and with_zeros >= 200
+
+
+def test_circuit_ordering_takes_one_oriented_volume(monkeypatch):
+    calls = []
+    real = core.oriented_volume
+    monkeypatch.setattr(core, "oriented_volume", lambda pts: calls.append(pts) or real(pts))
+    rng = random.Random(701)
+    for _ in range(200):
+        config, gamma, c = _random_circuit(rng)
+        calls.clear()
+        order_circuital(config, gamma, c)
+        assert len(calls) == 1, (config, c)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])

@@ -8,6 +8,7 @@ import json
 import random
 
 import pytest
+import quantity_reference
 import witness_reference
 from numeric_oracle import numeric_gradient
 
@@ -52,24 +53,22 @@ def test_morse_config_validation():
 def test_build_delta_bar_examples():
     mc = morse_config([1, 2])
     flat = build_delta_bar(mc, (0, 0))
-    assert set(flat.vertices) == {(1, 0, 0), (2, 0, 0), (0, 1, 0)}
+    assert set(flat) == {(1, 0, 0), (2, 0, 0), (0, 1, 0)}
     lifted = build_delta_bar(mc, (1, 1))
-    assert len(lifted.vertices) == 5
-    assert (0, 1, 0) in lifted.vertices
-    assert lifted.barred
+    assert len(lifted) == 5
+    assert (0, 1, 0) in lifted
     unb = build_delta(mc, (1, 1))
-    assert not unb.barred
-    assert all(v[1] == 1 or v[2] != 0 or v[0] != 0 for v in unb.vertices)
+    assert all(v[1] == 1 or v[2] != 0 or v[0] != 0 for v in unb)
     with pytest.raises(InputError):
         build_delta_bar(mc, (1, -1))
 
 
 def test_build_delta_bar_keeps_only_hull_vertices():
     # (2,0,1) lies under the roof's upper chain and (5,0,3) on it; the base points between the corners lie inside
-    pyramid = build_delta_bar(morse_config([1, 2, 3, 5, 7]), (2, 1, 4, 3, 2)).vertices
+    pyramid = build_delta_bar(morse_config([1, 2, 3, 5, 7]), (2, 1, 4, 3, 2))
     assert sorted(pyramid) == sorted([(1, 0, 0), (7, 0, 0), (1, 0, 2), (3, 0, 4), (7, 0, 2), (0, 1, 0)])
     # a roof corner at height 0 is a base corner already
-    pyramid = build_delta_bar(morse_config([1, 2, 3]), (0, 1, 0)).vertices
+    pyramid = build_delta_bar(morse_config([1, 2, 3]), (0, 1, 0))
     assert sorted(pyramid) == sorted([(1, 0, 0), (3, 0, 0), (2, 0, 1), (0, 1, 0)])
 
 
@@ -78,7 +77,7 @@ def test_fiber_polygon_hulls_once_per_breakpoint(monkeypatch):
     calls = []
     real = exact_core.convex_hull_2d
     monkeypatch.setattr(exact_core, "convex_hull_2d", lambda pts: calls.append(pts) or real(pts))
-    vertices = build_delta_bar(MC, (2, 4, 5, 3)).vertices
+    vertices = build_delta_bar(MC, (2, 4, 5, 3))
     assert len({v[0] for v in vertices}) == 5
     fiber_polygon(vertices)
     assert len(calls) == 5
@@ -86,7 +85,7 @@ def test_fiber_polygon_hulls_once_per_breakpoint(monkeypatch):
 
 def test_minkowski_sum_takes_no_hull(monkeypatch):
     # the angle-sorted walk is convex and in order, so it is canonicalised without a hull
-    vertices = build_delta_bar(MC, Jet.seed((2, 4, 5, 3))).vertices
+    vertices = build_delta_bar(MC, Jet.seed((2, 4, 5, 3)))
     slices = [exact_core.fiber_slice(vertices, x) for x in sorted({v[0] for v in vertices})]
     calls = []
     real = exact_core.convex_hull_2d
@@ -110,7 +109,7 @@ def test_area_p_bar_grid_oracle():
     rng = random.Random(2)
     for _ in range(3):
         gamma = random_nonneg(rng, 4, hi=6)
-        verts = build_delta_bar(MC, gamma).vertices
+        verts = build_delta_bar(MC, gamma)
         exact_raw = fiber_polygon(verts).area()
         approx, bound = fiber_polygon_grid_area(verts, 60)
         assert abs(exact_raw - approx) <= bound
@@ -157,7 +156,7 @@ def test_morse_support_assembly():
         parts = (
             area_P_bar(MC, gamma)
             + eval_basecondary_general(PC, f, gamma)
-            - 6 * area_N(PC, gamma)
+            - 6 * quantity_reference.area_N(PC, gamma)
         )
         assert total == parts
     with pytest.raises(InputError):
@@ -184,7 +183,7 @@ def test_morse_minus_twice_maxwell():
         gamma = random_nonneg(rng, 4)
         mu = morse_support(MC, gamma)
         mx = maxwell_support(MC, gamma)
-        assert mu - 2 * mx == 2 * area_N(PC, gamma)
+        assert mu - 2 * mx == 2 * quantity_reference.area_N(PC, gamma)
 
 
 def test_morse_support_linear_along_affine_families():
@@ -257,8 +256,8 @@ def test_delta_comparison_invariant():
     rng = random.Random(10)
     for _ in range(6):
         gamma = random_nonneg(rng, 4, hi=9)
-        barred = fiber_polygon(build_delta_bar(MC, gamma).vertices)
-        plain = fiber_polygon(build_delta(MC, gamma).vertices)
+        barred = fiber_polygon(build_delta_bar(MC, gamma))
+        plain = fiber_polygon(build_delta(MC, gamma))
         assert plain.area() <= barred.area()
         assert _upper_integral(plain) == _upper_integral(barred)
 
@@ -314,7 +313,7 @@ def test_standing_identity_on_wall_witnesses():
         witness = points[(wall.left, wall.moved)].witness
         shift = 1 - min(witness)
         w = tuple(c + shift for c in witness)
-        assert secondary_support(PC, w) == 2 * area_N(PC, w)
+        assert secondary_support(PC, w) == 2 * quantity_reference.area_N(PC, w)
 
 
 def _same_cone_pairs(mc, rng, count, bound=12):

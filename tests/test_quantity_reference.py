@@ -4,9 +4,11 @@ The general evaluator, the secondary support and the planar lattice volume
 must return exactly what `quantity_reference` returns, type included, on
 seeded n = 0, 1 and 2 configurations with tie-heavy integer heights (and
 jets for n <= 1, as `maxwell_support` passes them). The fiber polygon of
-the pyramid's hull vertices must be that of all its base and roof points. Two pins keep the single
-routes single: an oriented volume runs no rational elimination, and a cell
-with k values below its maximum costs the evaluator k + 1 F calls.
+the pyramid's hull vertices must be that of all its base and roof points,
+and `area_N`, half the secondary support, the area of its own hull. Three
+pins keep the single routes single: an oriented volume runs no rational
+elimination, a cell with k values below its maximum costs the evaluator
+k + 1 F calls, and `area_N` takes no hull.
 """
 
 import itertools
@@ -17,11 +19,11 @@ import linalg_reference
 import pytest
 import quantity_reference as ref
 
-from basecondary import core, exact_core
+from basecondary import core, exact_core, secondary
 from basecondary.core import eval_basecondary_general
 from basecondary.exact_core import Jet, fiber_polygon, lattice_volume, make_config, oriented_volume
 from basecondary.fiber_morse import build_delta_bar, morse_config
-from basecondary.secondary import secondary_support, upper_cells
+from basecondary.secondary import area_N, secondary_support, upper_cells
 from basecondary.setfun import SetFunction, evaluate_f
 
 CONFIGS = 40
@@ -138,6 +140,26 @@ def test_pyramid_hull_vertices_give_the_fiber_of_all_points(points):
             gamma = [F(rng.randint(0, 12), rng.randint(1, 3)) if rep % 4 == 0 else F(rng.randint(0, 2)) for _ in points]
         else:  # jets, then tie-heavy integer jets
             gamma = Jet.seed([F(rng.randint(0, 12), rng.randint(1, 3)) if rep % 4 == 2 else F(rng.randint(0, 2)) for _ in points])
-        got = fiber_polygon(build_delta_bar(mc, gamma).vertices).vertices
+        got = fiber_polygon(build_delta_bar(mc, gamma)).vertices
         want = fiber_polygon(ref.build_delta_bar(mc, gamma)).vertices
         assert [tuple(map(_key, v)) for v in got] == [tuple(map(_key, v)) for v in want], (points, gamma)
+
+
+def test_area_N_matches_its_own_hull(monkeypatch):
+    hulls = []
+    real = exact_core.convex_hull_2d
+    for module in (exact_core, secondary):
+        monkeypatch.setattr(module, "convex_hull_2d", lambda pts: hulls.append(pts) or real(pts))
+    rng = random.Random("one-route/area_N")
+    for _ in range(CONFIGS):
+        config = _config(rng, 1, rng.randint(2, 8))
+        for rep in range(6):
+            if rep % 3 == 0:  # rational
+                gamma = tuple(F(rng.randint(0, 12), rng.randint(1, 3)) for _ in range(config.m))
+            else:  # tie-heavy integer
+                gamma = tuple(F(rng.randint(0, 2)) for _ in range(config.m))
+            for h in (gamma, Jet.seed(gamma)):
+                hulls.clear()
+                got = area_N(config, h)
+                assert not hulls
+                assert _key(got) == _key(ref.area_N(config, h)), (config, h)

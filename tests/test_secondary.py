@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import random
 
 import pytest
+import quantity_reference
 import witness_reference
 from numeric_oracle import second_difference
 
@@ -122,7 +123,7 @@ def test_secondary_equals_twice_area_N():
     rng = random.Random(5)
     for _ in range(30):
         gamma = tuple(F(rng.randint(0, 12), rng.randint(1, 3)) for _ in range(4))
-        assert secondary_support(A1367, gamma) == 2 * area_N(A1367, gamma)
+        assert secondary_support(A1367, gamma) == 2 * quantity_reference.area_N(A1367, gamma)
 
 
 def test_cone_witness_all_triangulations():
