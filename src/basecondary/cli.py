@@ -54,7 +54,9 @@ def _load_doc(path: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"input file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"input file cannot be read: {path}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError before it
         raise InputError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input must be a JSON object")
@@ -351,7 +353,7 @@ def _run(verb: str, args, doc: dict):
     if verb == "trop-morse":
         poly = _tropical_input(doc)
         report = tropical.is_morse(poly)
-        cps = tropical.critical_points(poly)
+        cps = report.critical_points
         if args.svg:
             lo = min(cp.location for cp in cps) - 1
             hi = max(cp.location for cp in cps) + 1
@@ -367,26 +369,24 @@ def _run(verb: str, args, doc: dict):
             ],
         }
 
-    if verb == "trop-sample":
-        if args.seed is None:
-            raise InputError("trop-sample is randomized and requires --seed")
-        samples = args.samples if args.samples is not None else doc.get("samples")
-        if samples is None:
-            raise InputError("trop-sample needs --samples (or a 'samples' field)")
-        report = tropical.sample_morse_fraction(
-            _need(doc, "support"), as_int(samples, "field 'samples'"), args.seed, doc.get("bound")
-        )
-        return {
-            "samples": report.samples,
-            "morse_count": report.morse_count,
-            "fraction": rat_str(report.fraction),
-            "non_morse": [
-                {"coefficients": _vec(c), "reasons": list(r)}
-                for c, r in report.non_morse
-            ],
-        }
-
-    raise InputError(f"unhandled verb {verb}")
+    # trop-sample, the last verb: main admits only VERBS
+    if args.seed is None:
+        raise InputError("trop-sample is randomized and requires --seed")
+    samples = args.samples if args.samples is not None else doc.get("samples")
+    if samples is None:
+        raise InputError("trop-sample needs --samples (or a 'samples' field)")
+    report = tropical.sample_morse_fraction(
+        _need(doc, "support"), as_int(samples, "field 'samples'"), args.seed, doc.get("bound")
+    )
+    return {
+        "samples": report.samples,
+        "morse_count": report.morse_count,
+        "fraction": rat_str(report.fraction),
+        "non_morse": [
+            {"coefficients": _vec(c), "reasons": list(r)}
+            for c, r in report.non_morse
+        ],
+    }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -426,6 +426,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalError as exc:
         sys.stdout.write(json.dumps({"error": f"internal invariant failure: {exc}"}) + "\n")
         return 3
+    except OSError as exc:  # an --output or --svg path that cannot be written
+        sys.stdout.write(json.dumps({"error": f"output cannot be written: {exc.filename}"}) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

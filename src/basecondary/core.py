@@ -195,7 +195,7 @@ def _threshold_sum(config: PointConfig, f: SetFunction, cells) -> Fraction:
         vol = lattice_volume(config.subset_points(cell.cell))
         v, top = cell.values, cell.max_value
         levels = sorted(set(v), reverse=True)  # levels[0] is top
-        if vol == 0 or len(levels) == 1:
+        if len(levels) == 1:
             continue
         at_least = [evaluate_f(f, frozenset(i for i in labels if v[i - 1] >= c)) for c in levels]
         for c, at, above in zip(levels[1:], at_least[1:], at_least):  # above = F{v > c}

@@ -8,9 +8,9 @@ A `Jet` is a rational plus a linear term in infinitesimals, and evaluates a
 piecewise-linear function and its gradient in one pass (forward mode). The
 1D lift, the 1D cell volumes and the polygon code take jets wherever they
 take heights; the linear algebra below never does. A jet stores only its
-nonzero gradient entries, and the polygon predicates (the turns of
-`convex_hull_2d`, the edge angles of `minkowski_sum`) decide on value parts,
-reading gradients only where a value cross product is 0. A Minkowski sum
+nonzero gradient entries. Every hull is one monotone `_chain`, whose turns,
+like the edge angles of `minkowski_sum`, decide on value parts, reading
+gradients only where a value cross product is 0. A Minkowski sum
 canonicalises its angle-sorted walk in one pass, without a hull.
 
 All linear algebra runs in integers, on rows cleared of denominators by
@@ -474,67 +474,60 @@ def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None
 Point2 = tuple[Fraction, Fraction]
 
 
-def _values(p: Point2) -> Point2:
-    """The value parts of a point's coordinates; the point itself when it holds no jet."""
-    if isinstance(p[0], Jet) or isinstance(p[1], Jet):
-        return tuple(c.value if isinstance(c, Jet) else c for c in p)
-    return p
+def _values(cs: Sequence) -> Sequence:
+    """The value parts of a sequence of coordinates; the sequence itself when it holds no jet."""
+    if any(isinstance(c, Jet) for c in cs):
+        return tuple(c.value if isinstance(c, Jet) else c for c in cs)
+    return cs
 
 
-def _cross(o, a, b) -> Fraction:
-    """(a - o) x (b - o) of (point, value parts) pairs, in the sign of the jet product.
+def _chain(xs: Sequence, ys: Sequence, order: Iterable[int]) -> list[int]:
+    """Andrew's monotone chain (1979): the indices of `order` kept where each turn is strictly left.
 
-    That of the value parts; that of the points only where it is 0 and one holds a jet.
+    Each turn is decided on the value parts, and on the jet coordinates,
+    multiplied out, only where the value cross product is 0.
     """
-    (o, vo), (a, va), (b, vb) = o, a, b
-    cross = (va[0] - vo[0]) * (vb[1] - vo[1]) - (va[1] - vo[1]) * (vb[0] - vo[0])
-    if cross or (o is vo and a is va and b is vb):
-        return cross
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    vx, vy = _values(xs), _values(ys)
+    jets = vx is not xs or vy is not ys
+    out: list[int] = []
+    for k in order:
+        xk, yk = vx[k], vy[k]
+        while len(out) >= 2:
+            i, j = out[-2], out[-1]
+            xi, yi = vx[i], vy[i]
+            cross = (vx[j] - xi) * (yk - yi) - (vy[j] - yi) * (xk - xi)
+            if not cross and jets:
+                cross = (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i])
+            if cross > 0:
+                break
+            out.pop()
+        out.append(k)
+    return out
 
 
 def convex_hull_2d(points: Iterable[Point2]) -> tuple[Point2, ...]:
-    """Strict convex hull, CCW, starting at the lexicographic minimum.
+    """Strict convex hull, CCW, starting at the lexicographic minimum: the lower, then the upper `_chain`.
 
     Degenerate inputs collapse to a segment (two vertices) or a point.
     """
     pts = sorted(set((rat(p[0]), rat(p[1])) for p in points))
     if len(pts) <= 2:
         return tuple(pts)
-
-    def chain(seq):  # its last point starts the other chain
-        out: list = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    pairs = [(p, _values(p)) for p in pts]
-    hull = chain(pairs) + chain(reversed(pairs))
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    hull = _chain(xs, ys, range(len(pts)))[:-1] + _chain(xs, ys, reversed(range(len(pts))))[:-1]
     if len(hull) < 3:  # all collinear
         return (pts[0], pts[-1])
-    return tuple(p for p, _ in hull)
+    return tuple(pts[k] for k in hull)
 
 
 def upper_chain(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[int]:
-    """Indices of the strict corners of the upper hull of (xs[k], ys[k]).
+    """Indices of the strict corners of the upper hull of (xs[k], ys[k]), by increasing x.
 
-    Andrew's monotone chain over points given by strictly increasing x; a
-    point on the segment between its neighbours is not a corner.
+    For strictly increasing xs: `_chain` from right to left, where the upper
+    hull turns left, then reversed. A point on the segment between its
+    neighbours is not a corner.
     """
-    chain: list[int] = []
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        while len(chain) >= 2:
-            x0, y0 = xs[chain[-2]], ys[chain[-2]]
-            x1, y1 = xs[chain[-1]], ys[chain[-1]]
-            # pop unless (x0,y0) -> (x1,y1) -> (x,y) turns strictly right
-            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) >= 0:
-                chain.pop()
-            else:
-                break
-        chain.append(k)
-    return chain
+    return _chain(xs, ys, reversed(range(len(xs))))[::-1]
 
 
 @dataclass(frozen=True)
@@ -563,18 +556,6 @@ class Polygon2:
             return Fraction(0)
         edges = zip(vs, vs[1:] + vs[:1])
         return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges), Fraction(0)) / 2
-
-    def perimeter_l1(self) -> Fraction:
-        """Taxicab perimeter; an exact upper bound for the Euclidean one."""
-        k = len(self.vertices)
-        if k < 2:
-            return Fraction(0)
-        total = Fraction(0)
-        for i in range(k):
-            x0, y0 = self.vertices[i]
-            x1, y1 = self.vertices[(i + 1) % k]
-            total += abs(x1 - x0) + abs(y1 - y0)
-        return total
 
     def scaled(self, t) -> "Polygon2":
         """t times the polygon; t > 0 keeps the canonical form, so no re-hull."""
@@ -689,35 +670,3 @@ def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
     return minkowski_sum(
         *(fiber_slice(vs, x).scaled((ends[k + 2] - ends[k]) / 2) for k, x in enumerate(breaks))
     )
-
-
-def fiber_polygon_grid_area(vertices: Sequence[Point3], cells: int) -> tuple[Fraction, Fraction]:
-    """Grid-trapezoid approximation of area(fiber_polygon) with an error bound.
-
-    Splits the first-coordinate range into `cells` uniform cells and sums the
-    Minkowski trapezoids ((h/2) fiber(left) + (h/2) fiber(right)) without any
-    knowledge of the true breakpoints. A cell free of breakpoints contributes
-    exactly; each of the <= len(breaks) contaminated cells perturbs every
-    support value by at most h * D, D the (y, z) diameter bound. With
-    eps = (#breaks) * h * D the two polygons are within eps in support, so
-    |area_true - area_grid| <= eps * perimeter(grid) + 10 * eps^2
-    (two disc paddings, 3*pi <= 10). Returns (approximate area, rigorous
-    bound); both exact rationals.
-    """
-    if cells < 1:
-        raise InputError("grid oracle needs at least one cell")
-    vs = [point(v) for v in vertices]
-    xs = sorted(set(v[0] for v in vs))
-    if len(xs) == 1:
-        return Fraction(0), Fraction(0)
-    lo, hi = xs[0], xs[-1]
-    h = (hi - lo) / cells
-    grid = [lo + h * k for k in range(cells + 1)]
-    slices = [fiber_slice(vs, x) for x in grid]
-    total = minkowski_sum(*(s.scaled(h / 2) for cell in zip(slices, slices[1:]) for s in cell))
-    ys = [v[1] for v in vs]
-    zs = [v[2] for v in vs]
-    diameter = (max(ys) - min(ys)) + (max(zs) - min(zs))
-    eps = len(xs) * h * diameter
-    bound = eps * total.perimeter_l1() + 10 * eps * eps
-    return total.area(), bound

@@ -247,12 +247,7 @@ def base_polytope(f: SetFunction) -> tuple[tuple[Fraction, ...], ...]:
     report = is_submodular(f)
     if not report.holds:
         raise InputError(f"not submodular; witness {report.witness}")
-    seen = []
-    for order in itertools.permutations(range(1, f.m + 1)):
-        v = greedy_vertex(f, order)
-        if v not in seen:
-            seen.append(v)
-    return tuple(sorted(seen))
+    return tuple(sorted({greedy_vertex(f, order) for order in itertools.permutations(range(1, f.m + 1))}))
 
 
 def submodular_polyhedron_contains(f: SetFunction, y) -> bool:
@@ -262,9 +257,7 @@ def submodular_polyhedron_contains(f: SetFunction, y) -> bool:
     vec = [rat(c) for c in as_list(y, "y")]
     if len(vec) != f.m:
         raise InputError(f"expected a vector of length {f.m}")
-    for x in _subsets_by_mask(f.m):
-        if not x:
-            continue
+    for x in _subsets_by_mask(f.m, 1):
         if sum(vec[i - 1] for i in x) > evaluate_f(f, x):
             return False
     return True

@@ -62,13 +62,19 @@ class CriticalPoint:
     degenerate: bool
 
 
+def _equal_pairs(values) -> list[tuple[int, int]]:
+    """The index pairs u < w with values[u] == values[w], in lexicographic order."""
+    return [(u, w) for u, w in itertools.combinations(range(len(values)), 2) if values[u] == values[w]]
+
+
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
     """All breakpoints of the upper envelope, ascending, with tie annotations.
 
     Every test runs in integers cs = d * coefficients, d > 0, which keep the
     chain. Chain pair (i, j) breaks at num / (d * den), den = a_j - a_i > 0,
     num = cs_i - cs_j, where the term values times d * den are the integers
-    cs_k * den + a_k * num: same ties, same maximizers.
+    cs_k * den + a_k * num: same ties, same maximizers. The maximizers lie on
+    the envelope segment from i to j, so i is the first and j the last.
     """
     support, (cs, d) = p.support, clear_denominators(p.coefficients)
     chain = upper_chain(support, cs)
@@ -76,22 +82,13 @@ def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
     for i, j in zip(chain, chain[1:]):
         den, num = support[j] - support[i], cs[i] - cs[j]
         values = [c * den + a * num for a, c in zip(support, cs)]
-        top = max(values)
-        groups: dict[int, list[int]] = {}
-        for k, v in enumerate(values):
-            groups.setdefault(v, []).append(k)
-        ties = [
-            (support[u], support[w])
-            for members in groups.values()
-            for u, w in itertools.combinations(members, 2)
-        ]
-        maximizers = [k for k, v in enumerate(values) if v == top]
+        ties = [(support[u], support[w]) for u, w in _equal_pairs(values)]
         out.append(
             CriticalPoint(
                 location=Fraction(num, d * den),
-                value=Fraction(top, d * den),
-                max_pair=(support[maximizers[0]], support[maximizers[-1]]),
-                tie_pairs=tuple(sorted(ties)),
+                value=Fraction(values[i], d * den),
+                max_pair=(support[i], support[j]),
+                tie_pairs=tuple(ties),
                 degenerate=len(ties) >= 2,
             )
         )
@@ -110,9 +107,11 @@ def has_degenerate_root(p: TropicalPolynomial) -> bool:
 
 @dataclass(frozen=True)
 class MorseReport:
+    """A Morse verdict, its reasons, and the critical points and value collisions it is read off."""
+
     morse: bool
     reasons: tuple[str, ...] = ()
-    degenerate_points: tuple[CriticalPoint, ...] = ()
+    critical_points: tuple[CriticalPoint, ...] = ()
     value_collisions: tuple[tuple[Fraction, Fraction, Fraction], ...] = ()
 
     def __bool__(self) -> bool:
@@ -122,21 +121,17 @@ class MorseReport:
 def is_morse(p: TropicalPolynomial) -> MorseReport:
     """Nondegenerate breakpoints with pairwise distinct critical values."""
     cps = critical_points(p)
-    degenerate = tuple(cp for cp in cps if cp.degenerate)
-    collisions = []
-    for u in range(len(cps)):
-        for w in range(u + 1, len(cps)):
-            if cps[u].value == cps[w].value:
-                collisions.append((cps[u].location, cps[w].location, cps[u].value))
+    pairs = _equal_pairs([cp.value for cp in cps])
+    collisions = [(cps[u].location, cps[w].location, cps[u].value) for u, w in pairs]
     reasons = []
-    if degenerate:
+    if any(cp.degenerate for cp in cps):
         reasons.append("degenerate_critical_point")
     if collisions:
         reasons.append("coinciding_critical_values")
     return MorseReport(
         morse=not reasons,
         reasons=tuple(reasons),
-        degenerate_points=degenerate,
+        critical_points=cps,
         value_collisions=tuple(collisions),
     )
 
@@ -160,7 +155,6 @@ def sample_morse_fraction(
         raise InputError("coefficient bound must be positive")
     supp = tuple(as_int(a, "support entry") for a in as_list(support, "support"))
     rng = random.Random(seed)
-    hits = 0
     bad = []
     for _ in range(samples):
         coeffs = tuple(
@@ -168,13 +162,12 @@ def sample_morse_fraction(
             for _ in supp
         )
         report = is_morse(TropicalPolynomial(support=supp, coefficients=coeffs))
-        if report.morse:
-            hits += 1
-        else:
+        if not report.morse:
             bad.append((coeffs, report.reasons))
+    morse_count = samples - len(bad)
     return MorseSampleReport(
         samples=samples,
-        morse_count=hits,
-        fraction=Fraction(hits, samples),
+        morse_count=morse_count,
+        fraction=Fraction(morse_count, samples),
         non_morse=tuple(bad),
     )

@@ -4,8 +4,10 @@
 and Minkowski predicates decide on value parts, reading gradients only
 where the value part is 0. This is what they replaced, kept as it was: a jet
 holding its whole gradient tuple, and `convex_hull_2d` and `minkowski_sum`
-whose `_cross` and `_angle_cmp` take full jet cross products. Swapping them
-in for the library's must change no result.
+whose `_cross` and `_angle_cmp` take full jet cross products. `upper_chain`
+is the left-to-right loop that took the full cross product at every turn,
+where the library now runs its one hull chain from right to left. Swapping
+them in for the library's must change no result.
 """
 
 import functools
@@ -111,6 +113,26 @@ def convex_hull_2d(points):
     if len(hull) < 3:  # all collinear
         return (pts[0], pts[-1])
     return tuple(hull)
+
+
+def upper_chain(xs, ys):
+    """Indices of the strict corners of the upper hull of (xs[k], ys[k]).
+
+    Andrew's monotone chain over points given by strictly increasing x; a
+    point on the segment between its neighbours is not a corner.
+    """
+    chain = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        while len(chain) >= 2:
+            x0, y0 = xs[chain[-2]], ys[chain[-2]]
+            x1, y1 = xs[chain[-1]], ys[chain[-1]]
+            # pop unless (x0,y0) -> (x1,y1) -> (x,y) turns strictly right
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) >= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(k)
+    return chain
 
 
 def _angle_cmp(u, v):

@@ -1,14 +1,18 @@
-"""Step-halving difference quotients: the reference the closed forms are tested against.
+"""Numeric oracles: the references the closed forms are tested against.
 
 The library computes gradients (cofactor sums, GKZ vectors) and wall defects
-(the circuit lemma) in closed form. These helpers recover the same numbers
-from function values alone, by halving a step until the perturbed heights
-stay in the right cone and the quotient is stable, so they share no code
-with the closed forms beyond the evaluators and the lift.
+(the circuit lemma) in closed form. The step-halving helpers recover the
+same numbers from function values alone, by halving a step until the
+perturbed heights stay in the right cone and the quotient is stable, so they
+share no code with the closed forms beyond the evaluators and the lift.
+The grid oracle bounds the area of a fiber polygon from slices at uniform
+abscissae, with no knowledge of the true breakpoints.
 """
 
 from fractions import Fraction
 
+from basecondary.errors import InputError
+from basecondary.exact_core import fiber_slice, minkowski_sum, point
 from basecondary.secondary import covector, is_generic, regular_subdivision
 
 STEP_SEARCH_CAP = 64
@@ -73,3 +77,48 @@ def second_difference(config, fn, wall):
             prev = None
         eps /= 2
     raise AssertionError("no stable step across the wall")
+
+
+def perimeter_l1(polygon):
+    """Taxicab perimeter of a `Polygon2`; an exact upper bound for the Euclidean one."""
+    k = len(polygon.vertices)
+    if k < 2:
+        return Fraction(0)
+    total = Fraction(0)
+    for i in range(k):
+        x0, y0 = polygon.vertices[i]
+        x1, y1 = polygon.vertices[(i + 1) % k]
+        total += abs(x1 - x0) + abs(y1 - y0)
+    return total
+
+
+def fiber_polygon_grid_area(vertices, cells):
+    """Grid-trapezoid approximation of area(fiber_polygon) with an error bound.
+
+    Splits the first-coordinate range into `cells` uniform cells and sums the
+    Minkowski trapezoids ((h/2) fiber(left) + (h/2) fiber(right)) without any
+    knowledge of the true breakpoints. A cell free of breakpoints contributes
+    exactly; each of the <= len(breaks) contaminated cells perturbs every
+    support value by at most h * D, D the (y, z) diameter bound. With
+    eps = (#breaks) * h * D the two polygons are within eps in support, so
+    |area_true - area_grid| <= eps * perimeter(grid) + 10 * eps^2
+    (two disc paddings, 3*pi <= 10). Returns (approximate area, rigorous
+    bound); both exact rationals.
+    """
+    if cells < 1:
+        raise InputError("grid oracle needs at least one cell")
+    vs = [point(v) for v in vertices]
+    xs = sorted(set(v[0] for v in vs))
+    if len(xs) == 1:
+        return Fraction(0), Fraction(0)
+    lo, hi = xs[0], xs[-1]
+    h = (hi - lo) / cells
+    grid = [lo + h * k for k in range(cells + 1)]
+    slices = [fiber_slice(vs, x) for x in grid]
+    total = minkowski_sum(*(s.scaled(h / 2) for cell in zip(slices, slices[1:]) for s in cell))
+    ys = [v[1] for v in vs]
+    zs = [v[2] for v in vs]
+    diameter = (max(ys) - min(ys)) + (max(zs) - min(zs))
+    eps = len(xs) * h * diameter
+    bound = eps * perimeter_l1(total) + 10 * eps * eps
+    return total.area(), bound

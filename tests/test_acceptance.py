@@ -11,6 +11,7 @@ import random
 import time
 
 import quantity_reference
+from numeric_oracle import fiber_polygon_grid_area
 
 from basecondary.core import (
     enumerate_circuital,
@@ -27,7 +28,6 @@ from basecondary.core import (
 from basecondary.exact_core import (
     affine_rank,
     fiber_polygon,
-    fiber_polygon_grid_area,
     make_config,
 )
 from basecondary.fiber_morse import (

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from basecondary import tropical
 from basecondary.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -36,6 +37,40 @@ def test_missing_input_file(capsys):
     code, out = run(capsys, "eval", "--input", "/nonexistent.json")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "invalid-json", "directory", "not-utf8", "output-dir", "svg-dir"]
+)
+def test_unreadable_input_and_unwritable_output_exit_2(capfd, tmp_path, case):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"support": [0, 1, 2], "coefficients": [0, 1, 0]}))
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "latin1.json").write_bytes('{"support": [0, 1], "coefficients": ["\xe9"]}'.encode("latin-1"))
+    nowhere = str(tmp_path / "no" / "such" / "dir" / "out")
+    argv = {
+        "missing": ["--input", str(tmp_path / "absent.json")],
+        "invalid-json": ["--input", str(tmp_path / "bad.json")],
+        "directory": ["--input", str(tmp_path)],
+        "not-utf8": ["--input", str(tmp_path / "latin1.json")],
+        "output-dir": ["--input", str(good), "--output", nowhere],
+        "svg-dir": ["--input", str(good), "--svg", nowhere],
+    }[case]
+    code = main(["trop-morse", *argv])
+    captured = capfd.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+def test_trop_morse_computes_the_critical_points_once(capsys, monkeypatch):
+    calls = []
+    real = tropical.critical_points
+    monkeypatch.setattr(tropical, "critical_points", lambda p: calls.append(p) or real(p))
+    code, out = run(capsys, "trop-morse", "--input", fixture("w_shape.json"))
+    assert code == 0 and len(json.loads(out)["critical_points"]) == 3
+    assert len(calls) == 1
 
 
 def test_eval_deterministic(capsys):

@@ -7,13 +7,13 @@ import random
 import pytest
 
 import linalg_reference as ref
+from numeric_oracle import fiber_polygon_grid_area
 from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import (
     Jet,
     Polygon2,
     affine_rank,
     fiber_polygon,
-    fiber_polygon_grid_area,
     fiber_slice,
     find_circuit,
     integer_normal,

@@ -10,12 +10,12 @@ import random
 import pytest
 import quantity_reference
 import witness_reference
-from numeric_oracle import numeric_gradient
+from numeric_oracle import fiber_polygon_grid_area, numeric_gradient
 
 from basecondary import exact_core, fiber_morse
 from basecondary.cli import main
 from basecondary.errors import InputError
-from basecondary.exact_core import Jet, fiber_polygon, fiber_polygon_grid_area
+from basecondary.exact_core import Jet, fiber_polygon
 from basecondary.fiber_morse import (
     FIBER_SUPPORT_SCALE,
     _shifted_witness,

@@ -2,10 +2,12 @@
 
 Seeded random sums, differences, rational scalings, negations and
 comparisons must give the same values, gradients, order and hash classes
-on both jets. `morse_polytope` and fiber-summand gradients must be
-`repr`-equal with the dense jet and the jet-multiplying hull and Minkowski
-sum swapped in. A pin keeps the hull deciding on values: with no value
-cross product 0 it multiplies no jet.
+on both jets. `upper_chain` and `convex_hull_2d` must be `repr`-equal with
+the loops that multiplied jets at every turn, on ints, tie-heavy rationals
+and jets. `morse_polytope` and fiber-summand gradients must be `repr`-equal
+with the dense jet and the jet-multiplying hull, upper chain and Minkowski
+sum swapped in. A pin keeps both chains deciding on values: with no value
+cross product 0 they multiply no jet.
 """
 
 import itertools
@@ -16,8 +18,8 @@ from fractions import Fraction as F
 import jet_reference as ref
 import pytest
 
-from basecondary import exact_core, fiber_morse
-from basecondary.exact_core import Jet, convex_hull_2d
+from basecondary import exact_core, fiber_morse, secondary, tropical
+from basecondary.exact_core import Jet, convex_hull_2d, upper_chain
 from basecondary.fiber_morse import _shifted_witness, area_P_bar, morse_config, morse_polytope
 from basecondary.secondary import cone_witness, enumerate_triangulations_1d
 
@@ -92,13 +94,45 @@ def test_jets_of_different_lengths_do_not_add():
                 op()
 
 
+def _on_runs(rng, xs):
+    """Heights at xs lying on random lines, one per run of consecutive xs: collinear runs and many ties."""
+    ys = []
+    while len(ys) < len(xs):
+        slope, at = F(rng.randint(-2, 2), rng.randint(1, 3)), F(rng.randint(-2, 2))
+        ys += [at + slope * x for x in xs[len(ys):len(ys) + rng.randint(1, 4)]]
+    return ys
+
+
+def _chain_inputs(rng):
+    """Heights over strictly increasing xs: ints, rationals on collinear runs, and jets on such runs."""
+    xs = sorted(rng.sample(range(-9, 10), rng.randint(1, 9)))
+    ints = [rng.randint(-3, 3) for _ in xs]
+    runs = _on_runs(rng, xs)
+    jets = [s if rng.random() < 0.8 else s.value for s in Jet.seed(_on_runs(rng, xs))]
+    return xs, (ints, runs, jets)
+
+
+def test_hull_chains_match_the_multiplying_loops():
+    rng = random.Random("hull chains")
+    for _ in range(400):
+        xs, heights = _chain_inputs(rng)
+        for ys in heights:
+            assert repr(upper_chain(xs, ys)) == repr(ref.upper_chain(xs, ys))
+            # equal x for the hull: the abscissae drawn again from a few values
+            points = [(F(rng.randint(-2, 2), rng.choice((1, 1, 2))), y) for y in ys]
+            want = [tuple(_key(c) for c in p) for p in ref.convex_hull_2d(points)]
+            assert [tuple(_key(c) for c in p) for p in convex_hull_2d(points)] == want
+
+
 @pytest.fixture
 def dense(monkeypatch):
-    """The dense jet and the jet-multiplying hull and Minkowski sum, in place of the library's."""
+    """The dense jet and the jet-multiplying hull, upper chain and Minkowski sum, for the library's."""
     for module in (exact_core, fiber_morse):
         monkeypatch.setattr(module, "Jet", ref.Jet)
     monkeypatch.setattr(exact_core, "convex_hull_2d", ref.convex_hull_2d)
     monkeypatch.setattr(exact_core, "minkowski_sum", ref.minkowski_sum)
+    for module in (exact_core, secondary, fiber_morse, tropical):
+        monkeypatch.setattr(module, "upper_chain", ref.upper_chain)
 
 
 def _results(rng_seed):
@@ -147,4 +181,18 @@ def test_hull_multiplies_no_jet_when_no_value_cross_product_is_zero(monkeypatch)
         assert products == []
         assert [(x, y.value) for x, y in hull] == list(convex_hull_2d(raw))
         hulls += 1
-    assert convex_hull_2d([(0, s) for s in Jet.seed((F(0), F(0), F(0)))]) and products  # a value tie multiplies
+    chains = 0
+    while chains < 40:
+        xs = sorted(F(x) for x in rng.sample(range(-9, 10), rng.randint(3, 8)))
+        ys = [F(rng.randint(-6, 6), 2) for _ in xs]
+        if any(ref._cross(o, a, b) == 0 for o, a, b in itertools.combinations(zip(xs, ys), 3)):
+            continue
+        eps = [s - s.value for s in Jet.seed([0] * len(xs))]
+        jets = [y + rng.randint(-1, 1) * e for y, e in zip(ys, eps)]
+        products.clear()
+        assert upper_chain(xs, jets) == upper_chain(xs, ys)
+        assert products == []
+        chains += 1
+    assert upper_chain([0, 1, 2], Jet.seed((F(0), F(0), F(0)))) and products  # a value tie multiplies
+    products.clear()
+    assert convex_hull_2d([(0, s) for s in Jet.seed((F(0), F(0), F(0)))]) and products

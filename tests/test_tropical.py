@@ -216,7 +216,10 @@ def test_integer_kernel_matches_the_fraction_reference(monkeypatch):
     polys = list(_oracle_polynomials())
 
     def answers():
-        return [(repr(tropical.critical_points(p)), repr(is_morse(p)), tropical.has_degenerate_root(p)) for p in polys]
+        return [
+            (repr(tropical.critical_points(p)), repr(tropical.is_morse(p)), tropical.has_degenerate_root(p))
+            for p in polys
+        ]
 
     got = answers()
     with monkeypatch.context() as patch:  # each reference evaluation made once
@@ -224,6 +227,7 @@ def test_integer_kernel_matches_the_fraction_reference(monkeypatch):
         for module in (tropical, tropical_reference):
             patch.setattr(module, "critical_points", cached)
         patch.setattr(tropical, "has_degenerate_root", tropical_reference.has_degenerate_root)
+        patch.setattr(tropical, "is_morse", tropical_reference.is_morse)
         want = answers()
     for p, g, w in zip(polys, got, want):
         assert g == w, p

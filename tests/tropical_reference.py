@@ -5,13 +5,16 @@ breakpoint's ties and maximizers among integers. This is the evaluation it
 replaced, kept verbatim: the envelope chain on the rational coefficients,
 each breakpoint as a Fraction, and every term value there as a Fraction.
 `has_degenerate_root` is likewise the test that counted the Fraction term
-values at the envelope maximum, where the library now reads the tie pairs.
+values at the envelope maximum, where the library now reads the tie pairs,
+and `is_morse` the double loop over critical points that found equal
+critical values, where the library shares one equal-value rule with the
+tie pairs.
 """
 
 from fractions import Fraction
 
 from basecondary.exact_core import upper_chain
-from basecondary.tropical import CriticalPoint, TropicalPolynomial
+from basecondary.tropical import CriticalPoint, MorseReport, TropicalPolynomial
 
 
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
@@ -52,3 +55,25 @@ def has_degenerate_root(p: TropicalPolynomial) -> bool:
         if sum(1 for v in p.term_values(cp.location) if v == cp.value) >= 3:
             return True
     return False
+
+
+def is_morse(p: TropicalPolynomial) -> MorseReport:
+    """Nondegenerate breakpoints with pairwise distinct critical values."""
+    cps = critical_points(p)
+    degenerate = tuple(cp for cp in cps if cp.degenerate)
+    collisions = []
+    for u in range(len(cps)):
+        for w in range(u + 1, len(cps)):
+            if cps[u].value == cps[w].value:
+                collisions.append((cps[u].location, cps[w].location, cps[u].value))
+    reasons = []
+    if degenerate:
+        reasons.append("degenerate_critical_point")
+    if collisions:
+        reasons.append("coinciding_critical_values")
+    return MorseReport(
+        morse=not reasons,
+        reasons=tuple(reasons),
+        critical_points=cps,
+        value_collisions=tuple(collisions),
+    )
