@@ -183,18 +183,17 @@ def _critical_point_json(cp: tropical.CriticalPoint) -> dict:
 
 
 def _svg_polyline(points, path, width=480, height=320):
-    """Best-effort SVG dump of a piecewise-linear graph."""
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    if not xs:
+    """Best-effort SVG dump of a piecewise-linear graph; each pixel is exact until printed."""
+    if not points:
         return
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    sx = (width - 40) / (x1 - x0) if x1 > x0 else 1.0
-    sy = (height - 40) / (y1 - y0) if y1 > y0 else 1.0
-    cmds = " ".join(
-        f"{20 + (x - x0) * sx:.2f},{height - 20 - (y - y0) * sy:.2f}" for x, y in zip(xs, ys)
-    )
+
+    def pixels(vs, size):  # 20 + (v - min) * (size - 40) / (max - min), or 20 where all v are equal
+        lo, hi = min(vs), max(vs)
+        return [20 + (v - lo) * (size - 40) / (hi - lo) if hi > lo else Fraction(20) for v in vs]
+
+    xs = pixels([rat(p[0]) for p in points], width)
+    ys = pixels([rat(p[1]) for p in points], height)
+    cmds = " ".join(f"{float(x):.2f},{float(height - y):.2f}" for x, y in zip(xs, ys))
     body = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         f'<polyline fill="none" stroke="black" points="{cmds}"/></svg>'

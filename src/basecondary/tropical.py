@@ -1,8 +1,13 @@
-"""Univariate max-plus polynomials: critical points, degeneracy, Morse tests."""
+"""Univariate max-plus polynomials: critical points, degeneracy, Morse tests.
+
+Verdicts are decided in integers by one scan of the envelope chain, and the
+sampler builds `Fraction`s only for the samples its report lists.
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,21 +72,41 @@ def _equal_pairs(values) -> list[tuple[int, int]]:
     return [(u, w) for u, w in itertools.combinations(range(len(values)), 2) if values[u] == values[w]]
 
 
+def _breakpoints(support, cs):
+    """(i, j, den, num, values) per envelope breakpoint of integer coefficients cs, ascending.
+
+    Chain pair (i, j) breaks at num / den, den = a_j - a_i > 0, num = cs_i - cs_j, where the term values
+    times den are values[k] = cs_k * den + a_k * num. The maximizers run from i, the first, to j, the last.
+    """
+    chain = upper_chain(support, cs)
+    for i, j in zip(chain, chain[1:]):
+        den, num = support[j] - support[i], cs[i] - cs[j]
+        yield i, j, den, num, [c * den + a * num for a, c in zip(support, cs)]
+
+
+def _reasons(support, cs) -> tuple[str, ...]:
+    """Why the envelope of integer coefficients cs is not Morse, () when it is; scaling cs keeps it.
+
+    A breakpoint is degenerate when its values hold two or more equal pairs, that is, at least two
+    more values than distinct ones. Critical values values[i] / den compare as gcd-reduced pairs.
+    """
+    degenerate, levels = False, []
+    for i, _, den, _, values in _breakpoints(support, cs):
+        degenerate = degenerate or len(values) - len(set(values)) >= 2
+        g = math.gcd(values[i], den)
+        levels.append((values[i] // g, den // g))
+    coinciding = len(set(levels)) < len(levels)
+    return ("degenerate_critical_point",) * degenerate + ("coinciding_critical_values",) * coinciding
+
+
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
     """All breakpoints of the upper envelope, ascending, with tie annotations.
 
-    Every test runs in integers cs = d * coefficients, d > 0, which keep the
-    chain. Chain pair (i, j) breaks at num / (d * den), den = a_j - a_i > 0,
-    num = cs_i - cs_j, where the term values times d * den are the integers
-    cs_k * den + a_k * num: same ties, same maximizers. The maximizers lie on
-    the envelope segment from i to j, so i is the first and j the last.
+    They are the `_breakpoints` of cs = d * coefficients, d > 0, with location and value divided by d.
     """
     support, (cs, d) = p.support, clear_denominators(p.coefficients)
-    chain = upper_chain(support, cs)
     out = []
-    for i, j in zip(chain, chain[1:]):
-        den, num = support[j] - support[i], cs[i] - cs[j]
-        values = [c * den + a * num for a, c in zip(support, cs)]
+    for i, j, den, num, values in _breakpoints(support, cs):
         ties = [(support[u], support[w]) for u, w in _equal_pairs(values)]
         out.append(
             CriticalPoint(
@@ -119,25 +144,22 @@ class MorseReport:
 
 
 def is_morse(p: TropicalPolynomial) -> MorseReport:
-    """Nondegenerate breakpoints with pairwise distinct critical values."""
+    """Nondegenerate breakpoints with pairwise distinct critical values; the sampler's `_reasons`."""
     cps = critical_points(p)
     pairs = _equal_pairs([cp.value for cp in cps])
-    collisions = [(cps[u].location, cps[w].location, cps[u].value) for u, w in pairs]
-    reasons = []
-    if any(cp.degenerate for cp in cps):
-        reasons.append("degenerate_critical_point")
-    if collisions:
-        reasons.append("coinciding_critical_values")
+    reasons = _reasons(p.support, clear_denominators(p.coefficients)[0])
     return MorseReport(
         morse=not reasons,
-        reasons=tuple(reasons),
+        reasons=reasons,
         critical_points=cps,
-        value_collisions=tuple(collisions),
+        value_collisions=tuple((cps[u].location, cps[w].location, cps[u].value) for u, w in pairs),
     )
 
 
 @dataclass(frozen=True)
 class MorseSampleReport:
+    """Of `samples` draws `morse_count` were Morse; `non_morse` lists the others' coefficients and reasons."""
+
     samples: int
     morse_count: int
     fraction: Fraction
@@ -147,23 +169,27 @@ class MorseSampleReport:
 def sample_morse_fraction(
     support, samples: int, seed: int, bound: Optional[int] = None
 ) -> MorseSampleReport:
-    """Fraction of seeded random coefficient vectors classified Morse."""
+    """Fraction of seeded random coefficient vectors classified Morse.
+
+    Each term, in support order, draws p in [-bound, bound] and then q in [1, bound] from
+    `random.Random(seed)`; its coefficient is p/q, reported reduced. Verdicts are decided in
+    integers, the p scaled by the lcm of the q; `Fraction`s are built only for listed samples.
+    """
     if samples < 1:
         raise InputError("need at least one sample")
     bound = DEFAULT_COEFF_BOUND if bound is None else as_int(bound, "coefficient bound")
     if bound < 1:
         raise InputError("coefficient bound must be positive")
     supp = tuple(as_int(a, "support entry") for a in as_list(support, "support"))
-    rng = random.Random(seed)
+    TropicalPolynomial(support=supp, coefficients=(0,) * len(supp))  # the support's checks, once
+    randint = random.Random(seed).randint
     bad = []
     for _ in range(samples):
-        coeffs = tuple(
-            Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            for _ in supp
-        )
-        report = is_morse(TropicalPolynomial(support=supp, coefficients=coeffs))
-        if not report.morse:
-            bad.append((coeffs, report.reasons))
+        draws = [(randint(-bound, bound), randint(1, bound)) for _ in supp]
+        d = math.lcm(*(q for _, q in draws))
+        reasons = _reasons(supp, [p * (d // q) for p, q in draws])
+        if reasons:
+            bad.append((tuple(Fraction(p, q) for p, q in draws), reasons))
     morse_count = samples - len(bad)
     return MorseSampleReport(
         samples=samples,

@@ -230,6 +230,30 @@ def test_trop_morse_fixture(capsys, tmp_path):
     assert svg.exists()
 
 
+@pytest.mark.parametrize(
+    "verb, doc, points",
+    [
+        (
+            "trop-morse",
+            {"support": [0, 1, 2], "coefficients": ["1e400", "0", "1e400"]},
+            "20.00,300.00 240.00,300.00 460.00,20.00",
+        ),
+        (
+            "subdivision",
+            {"n": 1, "A": [[1], [3], [6]], "gamma": ["1e400", "0", "1e400"]},
+            "20.00,20.00 196.00,300.00 460.00,20.00",
+        ),
+    ],
+    ids=["trop-morse", "subdivision"],
+)
+def test_svg_of_rationals_beyond_float_range(capsys, tmp_path, verb, doc, points):
+    path, svg = tmp_path / "big.json", tmp_path / "big.svg"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, verb, "--input", str(path), "--svg", str(svg))
+    assert code == 0 and json.loads(out)
+    assert f'points="{points}"' in svg.read_text()
+
+
 def test_trop_sample_requires_seed(capsys):
     code, out = run(capsys, "trop-sample", "--input", fixture("trop_012.json"))
     assert code == 2

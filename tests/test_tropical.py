@@ -237,13 +237,38 @@ def test_integer_kernel_matches_the_fraction_reference(monkeypatch):
     assert sum(g[2] for g in got) >= 500
 
 
-@pytest.mark.parametrize("support", [[0, 1, 2], [3, 9], [-2, -1, 1, 2], [0, 1, 3, 4, 6], [-3, 0, 1, 5, 6, 8]])
-def test_sample_reports_match_the_fraction_reference(monkeypatch, support):
-    bounds = (6, 6, None, None)  # tie-heavy coefficients, then the default draw
+SAMPLED_SUPPORTS = [[0, 1, 2], [3, 9], [-2, -1, 1, 2], [0, 1, 3, 4, 6], [-3, 0, 1, 5, 6, 8]]
+TIE_HEAVY_BOUNDS = (1, 2, 6)
 
-    def reports():
-        return [repr(sample_morse_fraction(support, 200, seed, b)) for seed, b in enumerate(bounds)]
 
-    got = reports()
-    monkeypatch.setattr(tropical, "critical_points", tropical_reference.critical_points)
-    assert got == reports()
+@pytest.mark.parametrize("support", SAMPLED_SUPPORTS)
+def test_sample_reports_match_the_fraction_reference(support):
+    for seed, bound in enumerate(TIE_HEAVY_BOUNDS + (None,)):  # then the default draw
+        got = sample_morse_fraction(support, 200, seed, bound)
+        assert repr(got) == repr(tropical_reference.sample_morse_fraction(support, 200, seed, bound))
+
+
+def test_tie_heavy_bounds_draw_both_reasons():
+    reasons = [
+        r
+        for support in SAMPLED_SUPPORTS
+        for seed, bound in enumerate(TIE_HEAVY_BOUNDS)
+        for _, rs in sample_morse_fraction(support, 200, seed, bound).non_morse
+        for r in rs
+    ]
+    assert reasons.count("degenerate_critical_point") >= 100
+    assert reasons.count("coinciding_critical_values") >= 100
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ([2, 1, 0], "support must be strictly increasing"),
+        ([0, 0, 1], "support must be strictly increasing"),
+        ([1], "need at least two terms"),
+    ],
+)
+def test_sampler_checks_the_support(support, message):
+    for sample in (sample_morse_fraction, tropical_reference.sample_morse_fraction):
+        with pytest.raises(InputError, match=message):
+            sample(support, 5, seed=1)

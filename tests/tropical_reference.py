@@ -8,13 +8,24 @@ each breakpoint as a Fraction, and every term value there as a Fraction.
 values at the envelope maximum, where the library now reads the tie pairs,
 and `is_morse` the double loop over critical points that found equal
 critical values, where the library shares one equal-value rule with the
-tie pairs.
+tie pairs. `sample_morse_fraction` is the sampler that built every draw's
+Fractions, polynomial and report, where the library decides each verdict in
+integers; here it reads the reasons off this module's `is_morse`.
 """
 
+import random
 from fractions import Fraction
+from typing import Optional
 
-from basecondary.exact_core import upper_chain
-from basecondary.tropical import CriticalPoint, MorseReport, TropicalPolynomial
+from basecondary.errors import InputError
+from basecondary.exact_core import as_int, as_list, upper_chain
+from basecondary.tropical import (
+    DEFAULT_COEFF_BOUND,
+    CriticalPoint,
+    MorseReport,
+    MorseSampleReport,
+    TropicalPolynomial,
+)
 
 
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
@@ -76,4 +87,33 @@ def is_morse(p: TropicalPolynomial) -> MorseReport:
         reasons=tuple(reasons),
         critical_points=cps,
         value_collisions=tuple(collisions),
+    )
+
+
+def sample_morse_fraction(
+    support, samples: int, seed: int, bound: Optional[int] = None
+) -> MorseSampleReport:
+    """Fraction of seeded random coefficient vectors classified Morse."""
+    if samples < 1:
+        raise InputError("need at least one sample")
+    bound = DEFAULT_COEFF_BOUND if bound is None else as_int(bound, "coefficient bound")
+    if bound < 1:
+        raise InputError("coefficient bound must be positive")
+    supp = tuple(as_int(a, "support entry") for a in as_list(support, "support"))
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(samples):
+        coeffs = tuple(
+            Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            for _ in supp
+        )
+        report = is_morse(TropicalPolynomial(support=supp, coefficients=coeffs))
+        if not report.morse:
+            bad.append((coeffs, report.reasons))
+    morse_count = samples - len(bad)
+    return MorseSampleReport(
+        samples=samples,
+        morse_count=morse_count,
+        fraction=Fraction(morse_count, samples),
+        non_morse=tuple(bad),
     )
