@@ -20,11 +20,11 @@ pivot of `_bareiss`, Bareiss's fraction-free elimination, whose exact
 divisions keep every entry a minor. `_echelon` runs `_bareiss` on a cleared
 rational matrix for ranks, circuits and `solve_linear`, and one shared
 integer back-substitution reads kernels and solves off its result. The
-n >= 2 lift clears denominators once per height vector and then needs only
-the signs of integer dot products with `integer_normal`. Tropical critical
-points and n >= 2 cone discovery test scaled integers the same way: a
-positive scale keeps every sign and every equality, so only reported values
-become Fractions.
+n >= 2 lift takes the coordinate volumes once per configuration
+(`PointConfig.lift_forms`) and reads each lifted height as an integer circuit
+form of the cleared heights. Tropical critical points and n >= 2 cone
+discovery test scaled integers the same way: a positive scale keeps every
+sign and every equality, so only reported values become Fractions.
 """
 
 from __future__ import annotations
@@ -214,7 +214,11 @@ class Jet:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Ground set {1..m} together with its image points in Q^n."""
+    """Ground set {1..m} together with its image points in Q^n.
+
+    `lift_forms`, the n >= 2 lift's integer kernel, is built on the first lift
+    and kept with the config; not being a field, it is ignored by ==, hash, repr.
+    """
 
     n: int
     points: tuple[Point, ...]
@@ -242,6 +246,35 @@ class PointConfig:
 
     def subset_points(self, labels: Iterable[int]) -> list[Point]:
         return [self.image(i) for i in labels]
+
+    @functools.cached_property
+    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple]:
+        """The n >= 2 lift's integer kernel (x, dx, bases): the coordinates cleared by their lcm dx.
+
+        Lift x_k to (x_k, z_k); V(S) is the integer volume of an (n+1)-subset
+        S of the x. For a base B with V(B) != 0 and a label l off it, the
+        height h_l = <N, P_l - P_b0> above the lifted base, N its normal with
+        N_z > 0, is the circuit form sum_i (-1)^i V(C - c_i) z_ci of the sorted
+        C = B + l (the determinant of the rows (1, x, z) of C expanded along
+        z; GKZ 1994, ch. 7), signed so that z_l has the coefficient |V(B)|.
+        `bases` holds each B with V(B) != 0, in `itertools.combinations`
+        order, with every label's form as (k, c_k) pairs, empty on B itself.
+        """
+        n, m = self.n, self.m
+        flat, dx = clear_denominators([c for p in self.points for c in p])
+        xs = tuple(tuple(flat[k * n:(k + 1) * n]) for k in range(m))
+        vol = {s: _int_det([[a - b for a, b in zip(xs[k], xs[s[0]])] for k in s[1:]])
+               for s in itertools.combinations(range(m), n + 1)}
+        forms = {s: [()] * m for s, v in vol.items() if v}
+        for c in itertools.combinations(range(m), n + 2):
+            faces = [c[:i] + c[i + 1:] for i in range(n + 2)]
+            coefficients = [(-1) ** i * vol[face] for i, face in enumerate(faces)]
+            form = tuple((l, a) for l, a in zip(c, coefficients) if a)
+            negated = tuple((l, -a) for l, a in form)
+            for l, face, a in zip(c, faces, coefficients):
+                if a:  # the base C - l has nonzero volume
+                    forms[face][l] = form if a > 0 else negated
+        return xs, dx, tuple((s, tuple(f)) for s, f in forms.items())
 
 
 def make_config(n: int, points) -> PointConfig:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,28 +98,19 @@ def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fractio
     )
 
 
-def _oriented_scan(config: PointConfig, gamma: Covector):
-    """Upper cells for n >= 2 by integer orientation tests on every (n+1)-subset.
+def _oriented_scan(config: PointConfig, zs: Sequence[int]):
+    """Upper cells for n >= 2 from the circuit forms of `PointConfig.lift_forms`.
 
-    Yields (cell, base index, normal N, heights h, dx, dz) once per cell and
-    builds no Fraction; `upper_cells` turns them into affine data.
+    Takes the heights cleared to integers zs, at any positive scale. Yields
+    (cell, base, heights h) once per cell and builds no Fraction; a base is
+    an upper face when no h is positive, and `upper_cells` turns it into
+    affine data.
     """
-    n, m = config.n, config.m
-    flat, dx = clear_denominators([c for p in config.points for c in p])
-    zs, dz = clear_denominators(gamma)
-    lifted = [flat[k * n:(k + 1) * n] + [zs[k]] for k in range(m)]
     seen = set()
-    for base in itertools.combinations(range(m), n + 1):
-        p0 = lifted[base[0]]
-        normal = integer_normal([[x - y for x, y in zip(lifted[k], p0)] for k in base[1:]])
-        if normal[n] == 0:  # the base is affinely dependent
-            continue
-        if normal[n] < 0:
-            normal = [-x for x in normal]
-        offset = sum(a * x for a, x in zip(normal, p0))
+    for base, forms in config.lift_forms[2]:
         heights = []
-        for p in lifted:
-            h = sum(a * x for a, x in zip(normal, p)) - offset
+        for form in forms:
+            h = sum([c * zs[k] for k, c in form])
             if h > 0:  # a point lies above: not an upper face
                 break
             heights.append(h)
@@ -126,7 +118,7 @@ def _oriented_scan(config: PointConfig, gamma: Covector):
             cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
             if cell not in seen:
                 seen.add(cell)
-                yield cell, base[0], normal, heights, dx, dz
+                yield cell, base, heights
 
 
 def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
@@ -146,18 +138,24 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
       (Fortune-Van Wyk 1996). Coordinates are scaled by the lcm dx of their
       denominators and heights by the lcm dz of theirs; both are positive,
       so the scaled lift has the same upper faces and the same coplanar
-      points. The integer normal N of a lifted base, its maximal minors
-      turned so that N_z > 0 (N_z = 0: the base is dependent), is an upper
-      face's when no lifted point P has h = <N, P - P0> > 0. The cell is the
-      points with h = 0, L = -dx N_x / (dz N_z), and gamma - L o A is its
-      maximum plus h / (dz N_z).
+      points. The coordinate minors do not depend on the heights, so
+      `PointConfig.lift_forms` takes them once per config: above each base
+      of nonzero volume, the height h = <N, P - P0> of every lifted point P,
+      N the base's integer normal turned so that N_z > 0, is a fixed integer
+      combination of the cleared heights. The base is an upper face's when
+      no h > 0, and its cell is the points with h = 0. Only then is N
+      computed, by `integer_normal`: L = -dx N_x / (dz N_z), and
+      gamma - L o A is its maximum plus h / (dz |N_z|).
     """
     gamma = covector(config, gamma)
     cells = {}
     if config.n >= 2:
-        for cell, b, normal, heights, dx, dz in _oriented_scan(config, gamma):
-            scale = dz * normal[-1]
-            linear = tuple(Fraction(-dx * c, scale) for c in normal[:-1])
+        xs, dx, _ = config.lift_forms
+        zs, dz = clear_denominators(gamma)
+        for cell, (b, *rest), heights in _oriented_scan(config, zs):
+            normal = integer_normal([[a - c for a, c in zip(xs[k] + (zs[k],), xs[b] + (zs[b],))] for k in rest])
+            scale = dz * abs(normal[-1])
+            linear = tuple(Fraction(-dx * c, dz * normal[-1]) for c in normal[:-1])
             top = gamma[b] - sum(x * a for x, a in zip(linear, config.points[b]))
             values = tuple(top + Fraction(h, scale) for h in heights)
             cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
@@ -188,13 +186,14 @@ def _generic_triangulation(config: PointConfig, gamma: Covector):
     """The cells of the lift of gamma when it passes `is_generic`, else None.
 
     For n >= 2 it reads the integer scan: a cell's values are its maximum plus
-    h / (dz N_z), dz N_z > 0, so they are distinct exactly where the h are.
+    h / (dz |N_z|), so they are distinct exactly where the h are. Heights
+    scaled by any positive factor, such as integers, give the same answer.
     """
     if config.n <= 1:
         cells = upper_cells(config, gamma)
         return tuple(c.cell for c in cells) if _is_generic_lift(config.n, cells) else None
     cells = []
-    for cell, _, _, heights, _, _ in _oriented_scan(config, gamma):
+    for cell, _, heights in _oriented_scan(config, clear_denominators(gamma)[0]):
         if len(cell) != config.n + 1 or len(set(heights)) != config.m - config.n:
             return None
         cells.append(cell)
@@ -426,7 +425,11 @@ def discover_cones_random(
 ) -> tuple[tuple[Subdivision, Covector], ...]:
     """Deduplicated (triangulation, generic witness) pairs from seeded heights.
 
-    For n >= 2 each sample is classified in integers (`_generic_triangulation`).
+    Each sample draws, label by label, p = randint(-bound, bound) and then
+    q = randint(1, bound), for the height p/q. It is classified by
+    `_generic_triangulation` on the integers p * lcm(q) / q: a positive scale
+    keeps every verdict. A witness is built as `Fraction`s only for a
+    triangulation not listed yet.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -434,11 +437,9 @@ def discover_cones_random(
     found: dict[tuple, tuple[Subdivision, Covector]] = {}
     bound = RANDOM_HEIGHT_BOUND
     for _ in range(samples):
-        gamma = tuple(
-            Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            for _ in range(config.m)
-        )
-        key = _generic_triangulation(config, gamma)
+        draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(config.m)]
+        d = math.lcm(*(q for _, q in draws))
+        key = _generic_triangulation(config, [p * (d // q) for p, q in draws])
         if key is not None and key not in found:
-            found[key] = (Subdivision(n=config.n, cells=key), gamma)
+            found[key] = (Subdivision(n=config.n, cells=key), tuple(Fraction(p, q) for p, q in draws))
     return tuple(found[key] for key in sorted(found))

@@ -8,17 +8,21 @@ over the refined subdivision, where it is now <GKZ vector, gamma>.
 it now reads `Polygon2.area`. `build_delta_bar` once emitted every base
 point (a,0,0) and every roof point (a,0,gamma(a)), where it now emits only
 the pyramid's hull vertices. `area_N` once took the hull of every base and
-roof point, where it now halves the secondary support. Each is kept
-verbatim here, the evaluator and the support on the kept `lattice_volume`,
-so results can be compared exactly.
+roof point, where it now halves the secondary support. The n >= 2 lift
+once took `integer_normal` of every lifted base and its dot products with
+every lifted point, per height vector, where it now reads each height off a
+circuit form built once per configuration. Each is kept verbatim here, the
+evaluator and the support on the kept `lattice_volume`, so results can be
+compared exactly.
 """
 
+import itertools
 from fractions import Fraction
 
 from basecondary.core import _check_f
 from basecondary.errors import InputError
-from basecondary.exact_core import Polygon2, convex_hull_2d
-from basecondary.secondary import _refine_cell, covector, upper_cells
+from basecondary.exact_core import PointConfig, Polygon2, clear_denominators, convex_hull_2d, integer_normal
+from basecondary.secondary import Covector, _refine_cell, covector, upper_cells
 from basecondary.setfun import evaluate_f
 
 
@@ -108,3 +112,35 @@ def area_N(config, gamma):
         pts.append((a, Fraction(0)))
         pts.append((a, gamma[i - 1]))
     return Polygon2.from_points(pts).area()
+
+
+def _oriented_scan(config: PointConfig, gamma: Covector):
+    """Upper cells for n >= 2 by integer orientation tests on every (n+1)-subset.
+
+    Yields (cell, base index, normal N, heights h, dx, dz) once per cell and
+    builds no Fraction; `upper_cells` turns them into affine data.
+    """
+    n, m = config.n, config.m
+    flat, dx = clear_denominators([c for p in config.points for c in p])
+    zs, dz = clear_denominators(gamma)
+    lifted = [flat[k * n:(k + 1) * n] + [zs[k]] for k in range(m)]
+    seen = set()
+    for base in itertools.combinations(range(m), n + 1):
+        p0 = lifted[base[0]]
+        normal = integer_normal([[x - y for x, y in zip(lifted[k], p0)] for k in base[1:]])
+        if normal[n] == 0:  # the base is affinely dependent
+            continue
+        if normal[n] < 0:
+            normal = [-x for x in normal]
+        offset = sum(a * x for a, x in zip(normal, p0))
+        heights = []
+        for p in lifted:
+            h = sum(a * x for a, x in zip(normal, p)) - offset
+            if h > 0:  # a point lies above: not an upper face
+                break
+            heights.append(h)
+        else:
+            cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
+            if cell not in seen:
+                seen.add(cell)
+                yield cell, base[0], normal, heights, dx, dz

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import quantity_reference as ref
 
 from basecondary.core import (
     CircuitalSupport,
@@ -21,7 +22,7 @@ from basecondary.core import (
 )
 from basecondary.secondary import Subdivision, _is_generic_lift, discover_cones_random
 from basecondary import exact_core, secondary
-from basecondary.exact_core import affine_rank, find_circuit, make_config, solve_linear
+from basecondary.exact_core import affine_rank, clear_denominators, find_circuit, make_config, solve_linear
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
 
 
@@ -236,3 +237,59 @@ def test_discovery_makes_no_lift_for_n_at_least_2(monkeypatch, n):
     assert discover_cones_random(config, 20, 1)
     is_generic(config, _heights(rng, config, "ties"))
     assert calls == []
+
+
+COPLANAR_3D = make_config(3, [[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 1, 0], [F(1, 2), 3, 0]])
+
+
+def _fixed_scan_cases(n):
+    """Non-spanning sets and, for n = 2, the pentagon, each at every height kind."""
+    configs = [COLLINEAR_TRIPLE, PENTAGON] if n == 2 else [COPLANAR_3D]
+    rng = random.Random(f"forms/fixed/{n}")
+    for config in configs:
+        for kind in KINDS:
+            yield config, _heights(rng, config, kind)
+
+
+@pytest.mark.parametrize("n, rational", CASES[2:])
+def test_circuit_forms_reproduce_the_normal_scan(n, rational):
+    """The same cells, first bases and integer heights, in the same order, as a normal per base.
+
+    The seeded configurations of `test_lift_matches_subset_scan`, with grid
+    or small-denominator points (coplanar runs) and generic, tie-heavy,
+    affine and discovery heights; plus non-spanning sets, which yield nothing.
+    """
+    cases = [
+        (config, _heights(rng, config, kind))
+        for m, kind, rep in itertools.product(SIZES[n], KINDS, range(REPEATS[n]))
+        for rng in [random.Random(f"lift/{n}{'/rational' * rational}/{m}/{kind}/{rep}")]
+        for config in [_config(rng, n, m, rational)]
+    ] + list(_fixed_scan_cases(n))
+    below = 0
+    for config, gamma in cases:
+        zs = clear_denominators(gamma)[0]
+        got = [(cell, base[0], heights) for cell, base, heights in secondary._oriented_scan(config, zs)]
+        want = [(cell, b, heights) for cell, b, _, heights, _, _ in ref._oriented_scan(config, gamma)]
+        assert got == want, (config, gamma)
+        below += sum(h < 0 for _, _, heights in got for h in heights)
+    assert below > 100  # the heights of points strictly below are compared, not only the zeros
+
+
+def test_lift_forms_are_built_once_per_config(monkeypatch):
+    dets = []
+    real = exact_core._int_det
+    monkeypatch.setattr(exact_core, "_int_det", lambda a: dets.append(a) or real(a))
+    counts = []
+    for samples in (20, 200):
+        dets.clear()
+        discover_cones_random(make_config(2, PENTAGON.points), samples, 41)
+        counts.append(len(dets))
+    assert counts[0] == counts[1] > 0  # one volume per base, none per sample
+    config, fresh = make_config(2, PENTAGON.points), make_config(2, PENTAGON.points)
+    dets.clear()
+    is_generic(config, (F(0), F(1), F(5), F(2), F(3)))
+    forms, built = config.lift_forms, len(dets)
+    is_generic(config, (F(1), F(1), F(1), F(1), F(1)))
+    assert built == counts[0] and len(dets) == built and config.lift_forms is forms
+    assert "lift_forms" in vars(config) and "lift_forms" not in vars(fresh)
+    assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
