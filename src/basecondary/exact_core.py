@@ -22,9 +22,11 @@ rational matrix for ranks, circuits and `solve_linear`, and one shared
 integer back-substitution reads kernels and solves off its result. The
 n >= 2 lift takes the coordinate volumes once per configuration
 (`PointConfig.lift_forms`) and reads each lifted height as an integer circuit
-form of the cleared heights. Tropical critical points and n >= 2 cone
-discovery test scaled integers the same way: a positive scale keeps every
-sign and every equality, so only reported values become Fractions.
+form of the cleared heights. Tropical critical points, n >= 2 cone discovery
+and fiber polygons run on scaled integers: a positive scale per coordinate
+keeps every sign, equality, hull and edge-angle order, so only reported
+values become Fractions. `fiber_polygon` cuts, hulls and sums its slices at
+one scale L with integer weights, and divides once.
 """
 
 from __future__ import annotations
@@ -539,11 +541,16 @@ def _chain(xs: Sequence, ys: Sequence, order: Iterable[int]) -> list[int]:
 
 
 def convex_hull_2d(points: Iterable[Point2]) -> tuple[Point2, ...]:
-    """Strict convex hull, CCW, starting at the lexicographic minimum: the lower, then the upper `_chain`.
+    """Strict convex hull, CCW, starting at the lexicographic minimum, of the points coerced by `rat`."""
+    return _hull((rat(p[0]), rat(p[1])) for p in points)
+
+
+def _hull(points: Iterable) -> tuple:
+    """`convex_hull_2d` of exact coordinates (ints, rationals, jets): the lower, then the upper `_chain`.
 
     Degenerate inputs collapse to a segment (two vertices) or a point.
     """
-    pts = sorted(set((rat(p[0]), rat(p[1])) for p in points))
+    pts = sorted(set(points))
     if len(pts) <= 2:
         return tuple(pts)
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
@@ -590,15 +597,6 @@ class Polygon2:
         edges = zip(vs, vs[1:] + vs[:1])
         return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges), Fraction(0)) / 2
 
-    def scaled(self, t) -> "Polygon2":
-        """t times the polygon; t > 0 keeps the canonical form, so no re-hull."""
-        t = rat(t)
-        if t < 0:
-            raise InputError("polygon scaling expects t >= 0")
-        if t == 0:
-            return Polygon2.from_points([(Fraction(0), Fraction(0))]) if self.vertices else self
-        return Polygon2(vertices=tuple((t * x, t * y) for x, y in self.vertices))
-
 
 def _angle_cmp(u, v) -> int:
     """-1, 0 or 1 as u's direction angle in [0, 2*pi) is below, at or above v's.
@@ -631,8 +629,9 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
     *Computational Geometry*, 2008, sec. 13.3). That walk is convex and in
     order, so it is canonicalised without a hull: the vertex between two
     parallel edges and the closing point are dropped, and the rest rotated
-    to start at the lexicographic minimum. No summands sum to the origin; an
-    empty summand gives the empty polygon.
+    to start at the lexicographic minimum. The walk's sums start at 0, so
+    ints stay ints. No summands sum to the origin; an empty summand gives the
+    empty polygon.
     """
     if any(p.is_empty for p in polygons):
         return Polygon2(vertices=())
@@ -642,7 +641,7 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
         if len(vs) > 1:
             edges += [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
     bottoms = [min(p.vertices, key=lambda v: (v[1], v[0])) for p in polygons]
-    cur = (sum((v[0] for v in bottoms), Fraction(0)), sum((v[1] for v in bottoms), Fraction(0)))
+    cur = (sum(v[0] for v in bottoms), sum(v[1] for v in bottoms))
     out = [cur]
     walk = sorted(((e, _values(e)) for e in edges), key=functools.cmp_to_key(_angle_cmp))
     for edge, after in zip(walk, walk[1:]):  # the last edge closes the walk
@@ -659,30 +658,46 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
 Point3 = tuple[Fraction, Fraction, Fraction]
 
 
-def fiber_slice(vertices: Sequence[Point3], xi) -> Polygon2:
-    """The (y, z) polygon {(y, z) : (xi, y, z) in conv(vertices)}.
+def _cleared(cs: Sequence) -> tuple[list, int]:
+    """`clear_denominators` of coordinates that may be jets, each jet's gradient entries with its value."""
+    parts = [(c.value, *c.terms.values()) if isinstance(c, Jet) else (c,) for c in cs]
+    ints, d = clear_denominators([q for p in parts for q in p])
+    it = iter(ints)
+    return [_jet(next(it), {k: next(it) for k in c.terms}, c.size) if isinstance(c, Jet) else next(it)
+            for c in cs], d
 
-    Computed as the hull of the vertices at xi and the cuts of the segments
-    [v_i, v_j] with x_i < xi < x_j; provably the true fiber of the hull. A
-    segment with an endpoint at xi would only cut that endpoint again. Empty
-    when xi is outside the first-coordinate range.
-    """
-    xi = rat(xi)
+
+def _integer_vertices(vertices: Sequence[Point3]) -> tuple[list, int, int, int]:
+    """The vertices `_cleared` by coordinate, and the scales dx, dy and dz."""
     vs = [point(v) for v in vertices]
     if any(len(v) != 3 for v in vs):
-        raise InputError("fiber_slice expects points of Q^3")
-    if not vs:
-        return Polygon2(vertices=())
-    xs = [v[0] for v in vs]
-    if xi < min(xs) or xi > max(xs):
-        return Polygon2(vertices=())
-    cuts: list[Point2] = [(v[1], v[2]) for v in vs if v[0] == xi]
-    left = [v for v in vs if v[0] < xi]
+        raise InputError("fiber vertices must be points of Q^3")
+    (xs, dx), (ys, dy), (zs, dz) = (_cleared([v[k] for v in vs]) for k in range(3))
+    return list(zip(xs, ys, zs)), dx, dy, dz
+
+
+def _slice(vs: list, xi: int, scale: int) -> tuple:
+    """`_hull` of scale times the fiber at xi of integer vertices, scale a multiple of every x gap across xi."""
+    cuts = [(scale * y, scale * z) for x, y, z in vs if x == xi]  # then each segment across xi adds its cut
     right = [v for v in vs if v[0] > xi]
-    for lo, hi in itertools.product(left, right):
-        t = (xi - lo[0]) / (hi[0] - lo[0])
-        cuts.append((lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])))
-    return Polygon2.from_points(cuts)
+    for xl, yl, zl in vs:
+        if xl < xi:
+            for xh, yh, zh in right:
+                q = scale // (xh - xl)
+                a, b = q * (xh - xi), q * (xi - xl)  # a + b = scale, and scale * cut = a * lo + b * hi
+                cuts.append((a * yl + b * yh, a * zl + b * zh))
+    return _hull(cuts)
+
+
+def fiber_slice(vertices: Sequence[Point3], xi) -> Polygon2:
+    """The (y, z) polygon {(y, z) : (xi, y, z) in conv(vertices)}; empty when xi is outside the x range.
+
+    The `_slice` of the vertices cleared with (xi, 0, 0) at L, the lcm of the x gaps across xi, over L dy, L dz.
+    """
+    (*vs, (xi, _, _)), _, dy, dz = _integer_vertices([*vertices, (xi, 0, 0)])
+    scale = math.lcm(*(hi[0] - lo[0] for lo in vs for hi in vs if lo[0] < xi < hi[0]))
+    sy, sz = Fraction(scale * dy), Fraction(scale * dz)
+    return Polygon2(vertices=tuple((y / sy, z / sz) for y, z in _slice(vs, xi, scale)))
 
 
 def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
@@ -694,12 +709,17 @@ def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
     + fiber(x_k)). Regrouped by breakpoint, the integral is one Minkowski
     sum of the slices fiber(x_k) weighted (x_{k+1} - x_{k-1})/2, the ends
     (x_1 - x_0)/2 and (x_K - x_{K-1})/2; a single breakpoint gives the origin.
+
+    In integers: the `_slice`s of the cleared vertices at one scale L (the lcm of the x gaps that span a
+    breakpoint), weighted by x_{k+1} - x_{k-1} in cleared x, summed, then divided once by 2 dx L dy, 2 dx L dz.
     """
-    vs = [point(v) for v in vertices]
+    vs, dx, dy, dz = _integer_vertices(vertices)
     if not vs:
         raise InputError("fiber_polygon needs vertices")
-    breaks = sorted(set(v[0] for v in vs))
+    breaks = sorted({v[0] for v in vs})
+    scale = math.lcm(*(hi - lo for k, lo in enumerate(breaks) for hi in breaks[k + 2:]))
     ends = [breaks[0], *breaks, breaks[-1]]
-    return minkowski_sum(
-        *(fiber_slice(vs, x).scaled((ends[k + 2] - ends[k]) / 2) for k, x in enumerate(breaks))
-    )
+    slices = [(hi - lo, _slice(vs, x, scale)) for lo, x, hi in zip(ends, breaks, ends[2:])]
+    total = minkowski_sum(*(Polygon2(tuple((w * y, w * z) for y, z in hull)) for w, hull in slices if w))
+    sy, sz = Fraction(2 * dx * scale * dy), Fraction(2 * dx * scale * dz)
+    return Polygon2(vertices=tuple((y / sy, z / sz) for y, z in total.vertices))

@@ -8,14 +8,20 @@ whose `_cross` and `_angle_cmp` take full jet cross products. `upper_chain`
 is the left-to-right loop that took the full cross product at every turn,
 where the library now runs its one hull chain from right to left. Swapping
 them in for the library's must change no result.
+
+`fiber_slice` and `fiber_polygon` are the `Fraction` route the library's
+integer kernel replaced: a `t = (xi - lo_x) / (hi_x - lo_x)` per cut, jets
+scaled by it, and each slice weighted by a rational `scaled`. The library
+must return the same polygons, vertex for vertex.
 """
 
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
-from basecondary.errors import InternalError
-from basecondary.exact_core import Polygon2, rat
+from basecondary.errors import InputError, InternalError
+from basecondary.exact_core import Polygon2, point, rat
 
 
 def _order(test):
@@ -164,3 +170,59 @@ def minkowski_sum(*polygons):
         cur = (cur[0] + dx, cur[1] + dy)
         out.append(cur)
     return Polygon2(vertices=convex_hull_2d(out))
+
+
+def scaled(polygon, t):
+    """t times the polygon; t > 0 keeps the canonical form, so no re-hull."""
+    t = rat(t)
+    if t < 0:
+        raise InputError("polygon scaling expects t >= 0")
+    if t == 0:
+        return Polygon2.from_points([(Fraction(0), Fraction(0))]) if polygon.vertices else polygon
+    return Polygon2(vertices=tuple((t * x, t * y) for x, y in polygon.vertices))
+
+
+def fiber_slice(vertices, xi):
+    """The (y, z) polygon {(y, z) : (xi, y, z) in conv(vertices)}.
+
+    Computed as the hull of the vertices at xi and the cuts of the segments
+    [v_i, v_j] with x_i < xi < x_j; provably the true fiber of the hull. A
+    segment with an endpoint at xi would only cut that endpoint again. Empty
+    when xi is outside the first-coordinate range.
+    """
+    xi = rat(xi)
+    vs = [point(v) for v in vertices]
+    if any(len(v) != 3 for v in vs):
+        raise InputError("fiber_slice expects points of Q^3")
+    if not vs:
+        return Polygon2(vertices=())
+    xs = [v[0] for v in vs]
+    if xi < min(xs) or xi > max(xs):
+        return Polygon2(vertices=())
+    cuts = [(v[1], v[2]) for v in vs if v[0] == xi]
+    left = [v for v in vs if v[0] < xi]
+    right = [v for v in vs if v[0] > xi]
+    for lo, hi in itertools.product(left, right):
+        t = (xi - lo[0]) / (hi[0] - lo[0])
+        cuts.append((lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])))
+    return Polygon2.from_points(cuts)
+
+
+def fiber_polygon(vertices):
+    """Minkowski integral of the first-axis fibers of conv(vertices).
+
+    Between consecutive breakpoints x_0 < ... < x_K, the distinct first
+    coordinates, the fiber varies Minkowski-linearly, so the cell
+    [x_{k-1}, x_k] contributes exactly ((x_k - x_{k-1})/2) * (fiber(x_{k-1})
+    + fiber(x_k)). Regrouped by breakpoint, the integral is one Minkowski
+    sum of the slices fiber(x_k) weighted (x_{k+1} - x_{k-1})/2, the ends
+    (x_1 - x_0)/2 and (x_K - x_{K-1})/2; a single breakpoint gives the origin.
+    """
+    vs = [point(v) for v in vertices]
+    if not vs:
+        raise InputError("fiber_polygon needs vertices")
+    breaks = sorted(set(v[0] for v in vs))
+    ends = [breaks[0], *breaks, breaks[-1]]
+    return minkowski_sum(
+        *(scaled(fiber_slice(vs, x), (ends[k + 2] - ends[k]) / 2) for k, x in enumerate(breaks))
+    )

@@ -14,6 +14,7 @@ from fractions import Fraction
 from basecondary.errors import InputError
 from basecondary.exact_core import fiber_slice, minkowski_sum, point
 from basecondary.secondary import covector, is_generic, regular_subdivision
+from jet_reference import scaled
 
 STEP_SEARCH_CAP = 64
 
@@ -115,7 +116,7 @@ def fiber_polygon_grid_area(vertices, cells):
     h = (hi - lo) / cells
     grid = [lo + h * k for k in range(cells + 1)]
     slices = [fiber_slice(vs, x) for x in grid]
-    total = minkowski_sum(*(s.scaled(h / 2) for cell in zip(slices, slices[1:]) for s in cell))
+    total = minkowski_sum(*(scaled(s, h / 2) for cell in zip(slices, slices[1:]) for s in cell))
     ys = [v[1] for v in vs]
     zs = [v[2] for v in vs]
     diameter = (max(ys) - min(ys)) + (max(zs) - min(zs))

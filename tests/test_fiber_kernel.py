@@ -1,0 +1,102 @@
+"""The integer fiber kernel against the `Fraction` route it replaced.
+
+`fiber_polygon` and `fiber_slice` clear the vertices' denominators once, cut,
+hull and sum in integers at one common scale, and divide once. They must
+return the polygons of `jet_reference`'s `Fraction` route vertex for vertex,
+values and gradients alike: on Morse pyramids at cone witnesses, wide and
+Laurent exponent sets included, on seeded rational point sets with coplanar
+and collinear runs and repeated points, and on small solids. A pin keeps
+the hulls in integers.
+"""
+
+import random
+from fractions import Fraction as F
+
+import jet_reference as ref
+import pytest
+from test_jet_reference import EXPONENTS, _key
+
+from basecondary import exact_core
+from basecondary.exact_core import Jet, fiber_polygon, fiber_slice
+from basecondary.fiber_morse import _shifted_witness, build_delta, build_delta_bar, morse_config
+from basecondary.secondary import cone_witness, enumerate_triangulations_1d
+
+WIDE = [[1, 97, 1000, 10007], [-9973, -30, 1, 7919, 104729]]
+
+CUBE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def _keys(polygon):
+    return [tuple(map(_key, v)) for v in polygon.vertices]
+
+
+def _pyramids(points, rng):
+    """Barred and roof-only pyramids, on jets and on rationals, at shifted cone witnesses moved as `_results` moves them."""
+    mc = morse_config(points)
+    pc = mc.config()
+    for t in enumerate_triangulations_1d(pc)[:4]:
+        w = tuple(x + F(rng.randint(0, 3), rng.randint(1, 3)) for x in _shifted_witness(pc, cone_witness(pc, t)))
+        for build in (build_delta_bar, build_delta):
+            yield build(mc, Jet.seed(w))
+            yield build(mc, w)
+
+
+def _point_set(rng):
+    """Points of Q^3 with non-integer x: a few on one plane, a few on one line, some repeated, z jets or rationals."""
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice((1, 2, 3, 6)))
+
+    pts = [(q(-6, 6), q(-4, 4), q(-4, 4)) for _ in range(rng.randint(1, 5))]
+    a, b, c = q(-2, 2), q(-2, 2), q(-3, 3)  # the plane z = a x + b y + c
+    pts += [(x, y, a * x + b * y + c) for x, y in ((q(-6, 6), q(-4, 4)) for _ in range(rng.randint(0, 4)))]
+    p, d = pts[0], (q(-2, 2), q(-2, 2), q(-2, 2))  # the line p + s d
+    pts += [tuple(pi + s * di for pi, di in zip(p, d)) for s in (q(-3, 3) for _ in range(rng.randint(0, 3)))]
+    pts += rng.sample(pts, min(len(pts), rng.randint(0, 2)))
+    if rng.random() < 0.5:
+        eps = [s - s.value for s in Jet.seed([0] * 3)]
+        pts = [(x, y, z + rng.randint(-1, 1) * rng.choice(eps)) for x, y, z in pts]
+    rng.shuffle(pts)
+    return pts
+
+
+def _check(vertices):
+    assert _keys(fiber_polygon(vertices)) == _keys(ref.fiber_polygon(vertices)), vertices
+    breaks = sorted({F(v[0]) for v in vertices})
+    probes = [*breaks, *((2 * lo + hi) / 3 for lo, hi in zip(breaks, breaks[1:])), breaks[0] - F(1, 7), breaks[-1] + 1]
+    for xi in probes:
+        assert _keys(fiber_slice(vertices, xi)) == _keys(ref.fiber_slice(vertices, xi)), (vertices, xi)
+    assert fiber_slice(vertices, probes[-1]).is_empty and fiber_slice(vertices, probes[-2]).is_empty
+
+
+@pytest.mark.parametrize("points", EXPONENTS + WIDE, ids=str)
+def test_fiber_polygon_matches_the_fraction_route_on_morse_pyramids(points):
+    rng = random.Random(f"fiber kernel/{points}")
+    for vertices in _pyramids(points, rng):
+        _check(vertices)
+
+
+def test_fiber_polygon_matches_the_fraction_route_on_rational_point_sets():
+    rng = random.Random("fiber kernel/point sets")
+    for _ in range(100):
+        _check(_point_set(rng))
+
+
+def test_fiber_polygon_matches_the_fraction_route_on_small_solids():
+    flat = [(0, 0, 0), (1, 2, 0), (3, 1, 0), (2, -1, 0)]
+    single = [(F(5, 2), 0, 0), (F(5, 2), 1, F(1, 3)), (F(5, 2), -1, 2)]
+    for vertices in (CUBE, flat, single, single[:1], [(1, 0, 0), (2, 0, 0), (0, 1, 0)]):
+        _check(vertices)
+    assert fiber_polygon(single).vertices == ((F(0), F(0)),)
+
+
+def test_fiber_polygon_hulls_integers(monkeypatch):
+    rng = random.Random("fiber kernel/integers")
+    mc = morse_config([-3, -1, 1, 2, 4])
+    pyramid = build_delta_bar(mc, Jet.seed([F(rng.randint(1, 12), rng.randint(1, 5)) for _ in range(mc.m)]))
+    seen = []
+    real = exact_core._chain
+    monkeypatch.setattr(exact_core, "_chain", lambda xs, ys, order: seen.extend((*xs, *ys)) or real(xs, ys, order))
+    fiber_polygon(pyramid)
+    parts = [p for c in seen for p in ((c.value, *c.terms.values()) if isinstance(c, Jet) else (c,))]
+    assert any(isinstance(c, Jet) for c in seen) and len(parts) > len(seen)
+    assert all(type(p) is int for p in parts)

@@ -73,10 +73,10 @@ def test_build_delta_bar_keeps_only_hull_vertices():
 
 
 def test_fiber_polygon_hulls_once_per_breakpoint(monkeypatch):
-    # one hull per slice and none for the Minkowski sum; scaling a slice keeps its canonical form
+    # one hull per slice and none for the Minkowski sum; weighting a slice keeps its canonical form
     calls = []
-    real = exact_core.convex_hull_2d
-    monkeypatch.setattr(exact_core, "convex_hull_2d", lambda pts: calls.append(pts) or real(pts))
+    real = exact_core._hull
+    monkeypatch.setattr(exact_core, "_hull", lambda pts: calls.append(pts) or real(pts))
     vertices = build_delta_bar(MC, (2, 4, 5, 3))
     assert len({v[0] for v in vertices}) == 5
     fiber_polygon(vertices)
@@ -88,8 +88,8 @@ def test_minkowski_sum_takes_no_hull(monkeypatch):
     vertices = build_delta_bar(MC, Jet.seed((2, 4, 5, 3)))
     slices = [exact_core.fiber_slice(vertices, x) for x in sorted({v[0] for v in vertices})]
     calls = []
-    real = exact_core.convex_hull_2d
-    monkeypatch.setattr(exact_core, "convex_hull_2d", lambda pts: calls.append(pts) or real(pts))
+    real = exact_core._hull
+    monkeypatch.setattr(exact_core, "_hull", lambda pts: calls.append(pts) or real(pts))
     assert len(exact_core.minkowski_sum(*slices).vertices) > 2
     assert calls == []
 

@@ -5,9 +5,10 @@ comparisons must give the same values, gradients, order and hash classes
 on both jets. `upper_chain` and `convex_hull_2d` must be `repr`-equal with
 the loops that multiplied jets at every turn, on ints, tie-heavy rationals
 and jets. `morse_polytope` and fiber-summand gradients must be `repr`-equal
-with the dense jet and the jet-multiplying hull, upper chain and Minkowski
-sum swapped in. A pin keeps both chains deciding on values: with no value
-cross product 0 they multiply no jet.
+with the dense jet, the jet-multiplying hull, upper chain and Minkowski sum,
+and the `Fraction` fiber route, which multiplies dense jets, swapped in. A
+pin keeps both chains deciding on values: with no value cross product 0
+they multiply no jet.
 """
 
 import itertools
@@ -126,9 +127,15 @@ def test_hull_chains_match_the_multiplying_loops():
 
 @pytest.fixture
 def dense(monkeypatch):
-    """The dense jet and the jet-multiplying hull, upper chain and Minkowski sum, for the library's."""
+    """The dense jet, the jet-multiplying hull, upper chain and Minkowski sum, and the Fraction fiber route.
+
+    The integer fiber kernel reads sparse jets, so the dense side runs the
+    reference route, which multiplies dense jets end to end.
+    """
     for module in (exact_core, fiber_morse):
         monkeypatch.setattr(module, "Jet", ref.Jet)
+        monkeypatch.setattr(module, "fiber_polygon", ref.fiber_polygon)
+    monkeypatch.setattr(exact_core, "fiber_slice", ref.fiber_slice)
     monkeypatch.setattr(exact_core, "convex_hull_2d", ref.convex_hull_2d)
     monkeypatch.setattr(exact_core, "minkowski_sum", ref.minkowski_sum)
     for module in (exact_core, secondary, fiber_morse, tropical):
