@@ -46,7 +46,6 @@ from .secondary import (
     is_generic,
     upper_cells,
     _is_generic_lift,
-    _values_under,
 )
 from .setfun import SetFunction, circuit_condition_check, circuit_value, evaluate_f, is_submodular_above
 
@@ -90,6 +89,14 @@ class PiecewiseLinearRep:
 
 # ---------------------------------------------------------------------------
 # supports and orderings
+
+
+def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fraction, ...]:
+    n = config.n
+    return tuple(
+        gamma[i - 1] - sum(linear[c] * config.points[i - 1][c] for c in range(n))
+        for i in range(1, config.m + 1)
+    )
 
 
 def _positive_orientation(config: PointConfig, labels: Sequence[int]) -> tuple[int, ...]:

@@ -17,15 +17,15 @@ All linear algebra runs in integers, on rows cleared of denominators by
 `clear_denominators`. Every determinant (oriented volumes, the minors of
 `integer_normal`) is one `_int_det`: closed forms up to 2 x 2, else the last
 pivot of `_bareiss`, Bareiss's fraction-free elimination, whose exact
-divisions keep every entry a minor. `_echelon` runs `_bareiss` on a cleared
-rational matrix for ranks, circuits and `solve_linear`, and one shared
-integer back-substitution reads kernels and solves off its result. The
-n >= 2 lift takes the coordinate volumes once per configuration
-(`PointConfig.lift_forms`) and reads each lifted height as an integer circuit
-form of the cleared heights. Tropical critical points, n >= 2 cone discovery
-and fiber polygons run on scaled integers: a positive scale per coordinate
-keeps every sign, equality, hull and edge-angle order, so only reported
-values become Fractions. `fiber_polygon` cuts, hulls and sums its slices at
+divisions keep every entry a minor. Ranks count the pivots of `_bareiss`.
+Every kernel is a vector of minors, with no back-substitution: a circuit is
+`integer_normal` of its points under a row of ones, and `solve_linear` reads
+x = N[:k] / N[k] off the minors N of [A | -b]. The lift, for every n, takes
+the coordinate volumes once per configuration (`PointConfig.lift_forms`) and
+reads each lifted height as an integer circuit form of the cleared heights.
+Tropical critical points, cone discovery and fiber polygons run on scaled
+integers: a positive scale per coordinate keeps every sign, equality, hull
+and edge-angle order, so only reported values become Fractions. `fiber_polygon` cuts, hulls and sums its slices at
 one scale L with integer weights, and divides once.
 """
 
@@ -218,8 +218,8 @@ class Jet:
 class PointConfig:
     """Ground set {1..m} together with its image points in Q^n.
 
-    `lift_forms`, the n >= 2 lift's integer kernel, is built on the first lift
-    and kept with the config; not being a field, it is ignored by ==, hash, repr.
+    `lift_forms`, the lift's integer kernel, is built on the first lift and
+    kept with the config; not being a field, it is ignored by ==, hash, repr.
     """
 
     n: int
@@ -251,7 +251,7 @@ class PointConfig:
 
     @functools.cached_property
     def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple]:
-        """The n >= 2 lift's integer kernel (x, dx, bases): the coordinates cleared by their lcm dx.
+        """The lift's integer kernel (x, dx, bases): the coordinates cleared by their lcm dx.
 
         Lift x_k to (x_k, z_k); V(S) is the integer volume of an (n+1)-subset
         S of the x. For a base B with V(B) != 0 and a label l off it, the
@@ -261,6 +261,8 @@ class PointConfig:
         z; GKZ 1994, ch. 7), signed so that z_l has the coefficient |V(B)|.
         `bases` holds each B with V(B) != 0, in `itertools.combinations`
         order, with every label's form as (k, c_k) pairs, empty on B itself.
+        For n = 0 every point has volume 1 and the forms are z_l - z_b; for
+        n = 1 they are the 3-point circuits.
         """
         n, m = self.n, self.m
         flat, dx = clear_denominators([c for p in self.points for c in p])
@@ -321,12 +323,6 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """The echelon rows and pivot columns of `_bareiss` on rows each scaled to integers."""
-    a = [clear_denominators(r)[0] for r in rows]
-    return a, _bareiss(a)[0]
-
-
 def _int_det(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: closed forms up to 2 x 2, else its last Bareiss pivot."""
     if not a:
@@ -335,6 +331,8 @@ def _int_det(a: Sequence[Sequence[int]]) -> int:
         return a[0][0]
     if len(a) == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if any(isinstance(x, Jet) for r in a for x in r):  # Bareiss divides exactly, which a jet cannot
+        raise InputError("jet heights are supported for n <= 2 only: they take minors up to 2 x 2")
     rows = [list(r) for r in a]
     pivots, sign = _bareiss(rows)
     return sign * rows[-1][-1] if len(pivots) == len(rows) else 0
@@ -346,27 +344,11 @@ def integer_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     N[j] is (-1)^j times the minor without column j, so <N, r> is the
     determinant of the matrix with r put on top (k = 2: the cross product).
     N is orthogonal to every row, and zero exactly when the rows are
-    dependent. Minors up to 2 x 2, all the n = 2 lift needs, are closed
-    forms; larger ones are the last pivot of `_bareiss`, O(k^3) each.
+    dependent. Minors up to 2 x 2, all the lift needs for n <= 2, are
+    closed forms, which multiply a jet only by ints; larger ones are the
+    last pivot of `_bareiss`, O(k^3) each.
     """
     return [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
-
-
-def _null_vector(a: list[list[int]], pivots: list[int], ncols: int) -> Optional[list[Fraction]]:
-    """The kernel vector with 1 in the first non-pivot column t, 0 after it.
-
-    None if every column is a pivot. Rows 0..t-1 pivot in columns 0..t-1;
-    with d the last such pivot, Cramer's rule makes each d * x[j] an integer,
-    so the back-substitution divides exactly and by d only at the end.
-    """
-    t = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
-    if t == ncols:
-        return None
-    d = a[t - 1][t - 1] if t else 1
-    y = [0] * t + [d]
-    for r in reversed(range(t)):
-        y[r] = -sum(a[r][j] * y[j] for j in range(r + 1, t + 1)) // a[r][r]
-    return [Fraction(v, d) for v in y] + [Fraction(0)] * (ncols - t - 1)
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -376,18 +358,19 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q: the number of pivots of the fraction-free echelon form."""
-    return len(_echelon(rows)[1])
+    """Rank over Q: the number of pivots of `_bareiss` on the rows each scaled to integers."""
+    return len(_bareiss([clear_denominators(r)[0] for r in rows])[0])
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
     """Solve a square system exactly; None when singular.
 
-    The solution is the kernel vector of [rows | -rhs] with last entry 1.
+    The minors N of [rows | -rhs], each row cleared, span its kernel, and
+    N[k] is +-det(rows): the solution is N[:k] / N[k], singular when N[k] = 0.
     """
     k = len(rows)
-    a, pivots = _echelon([list(r) + [-b] for r, b in zip(rows, rhs)])
-    return _null_vector(a, pivots, k + 1)[:k] if pivots == list(range(k)) else None
+    normal = integer_normal([clear_denominators([*r, -b])[0] for r, b in zip(rows, rhs)])
+    return [Fraction(v, normal[k]) for v in normal[:k]] if normal[k] else None
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +465,23 @@ def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None
         raise InputError(f"find_circuit needs exactly {n + 2} points in Q^{n}")
     if labels is None:
         labels = list(range(1, n + 3))
-    # one elimination of the (n+1) x (n+2) matrix with a row of ones atop the
-    # coordinates: rank n+1 says the points span, and its kernel is the relation
-    rows = [[1] * (n + 2)] + [[p[c] for p in points] for c in range(n)]
-    a, pivots = _echelon(rows)
-    if len(pivots) != n + 1:
+    # the minors of the (n+1) x (n+2) matrix with a row of ones atop the cleared
+    # coordinates are its kernel, the relation, and all zero when the points do not span
+    rows = [[1] * (n + 2)] + [clear_denominators([p[c] for p in points])[0] for c in range(n)]
+    alpha = integer_normal(rows)
+    if not any(alpha):
         raise InputError("points lie in a hyperplane; no unique circuit")
-    alpha = _null_vector(a, pivots, n + 2)
-    pos = [(labels[i], alpha[i]) for i in range(n + 2) if alpha[i] > 0]
-    neg = [(labels[i], -alpha[i]) for i in range(n + 2) if alpha[i] < 0]
-    zer = [labels[i] for i in range(n + 2) if alpha[i] == 0]
+    pos = [(labels[i], a) for i, a in enumerate(alpha) if a > 0]
+    neg = [(labels[i], -a) for i, a in enumerate(alpha) if a < 0]
+    zer = [labels[i] for i, a in enumerate(alpha) if a == 0]
     # positive side: fewer points, ties broken toward the smallest label
     if len(pos) > len(neg) or (
         len(pos) == len(neg) and min(i for i, _ in neg) < min(i for i, _ in pos)
     ):
         pos, neg = neg, pos
     scale = min(c for _, c in pos)
-    pos = tuple((i, c / scale) for i, c in sorted(pos))
-    neg = tuple((i, c / scale) for i, c in sorted(neg))
+    pos = tuple((i, Fraction(c, scale)) for i, c in sorted(pos))
+    neg = tuple((i, Fraction(c, scale)) for i, c in sorted(neg))
     return CircuitData(positive=pos, negative=neg, zeros=tuple(sorted(zer)))
 
 
@@ -660,6 +642,8 @@ Point3 = tuple[Fraction, Fraction, Fraction]
 
 def _cleared(cs: Sequence) -> tuple[list, int]:
     """`clear_denominators` of coordinates that may be jets, each jet's gradient entries with its value."""
+    if not any(isinstance(c, Jet) for c in cs):
+        return clear_denominators(cs)
     parts = [(c.value, *c.terms.values()) if isinstance(c, Jet) else (c,) for c in cs]
     ints, d = clear_denominators([q for p in parts for q in p])
     it = iter(ints)

@@ -11,6 +11,7 @@ P, the basecondary value h of F = -gcd and the secondary support S;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +55,11 @@ class MorseConfig:
         return len(self.points)
 
     def config(self) -> PointConfig:
+        """The exponents as points of Q^1, built once, so their lift forms are too."""
+        return self._point_config
+
+    @functools.cached_property
+    def _point_config(self) -> PointConfig:
         return make_config(1, [[a] for a in self.points])
 
     def gcd_function(self) -> SetFunction:

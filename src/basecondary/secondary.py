@@ -13,13 +13,13 @@ from .errors import InputError, InternalError
 from .exact_core import (
     CircuitData,
     PointConfig,
+    _cleared,
     clear_denominators,
     convex_hull_2d,
     find_circuit,
     integer_normal,
     lattice_volume,
     rat,
-    upper_chain,
 )
 
 Covector = tuple[Fraction, ...]
@@ -90,21 +90,13 @@ class CircuitalSupport:
     circuit: CircuitData
 
 
-def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fraction, ...]:
-    n = config.n
-    return tuple(
-        gamma[i - 1] - sum(linear[c] * config.points[i - 1][c] for c in range(n))
-        for i in range(1, config.m + 1)
-    )
+def _oriented_scan(config: PointConfig, zs: Sequence):
+    """Upper cells from the circuit forms of `PointConfig.lift_forms`, for every n.
 
-
-def _oriented_scan(config: PointConfig, zs: Sequence[int]):
-    """Upper cells for n >= 2 from the circuit forms of `PointConfig.lift_forms`.
-
-    Takes the heights cleared to integers zs, at any positive scale. Yields
-    (cell, base, heights h) once per cell and builds no Fraction; a base is
-    an upper face when no h is positive, and `upper_cells` turns it into
-    affine data.
+    Takes the heights cleared to integers zs (jets of integers pass), at any
+    positive scale. Yields (cell, base, heights h) once per cell and builds
+    no Fraction; a base is an upper face when no h is positive, and
+    `upper_cells` turns it into affine data.
     """
     seen = set()
     for base, forms in config.lift_forms[2]:
@@ -127,54 +119,36 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     Every cell is the maximizer set of gamma - L o A for the unique affine
     functional L through its points; points lifted strictly below are
     excluded. A configuration that does not affinely span Q^n has no
-    full-dimensional cell, so its result is empty. The cells come from one
-    pass per call:
+    full-dimensional cell, so its result is empty.
 
-    - n = 0: the constant max(gamma), whose cell is the argmax set;
-    - n = 1: the edges of one strict monotone-chain upper hull (Andrew 1979)
-      over the points sorted by coordinate; each cell holds every label on
-      its edge, collinear ones included. Heights may be jets here.
-    - n >= 2: an orientation test of every (n+1)-subset in integers
-      (Fortune-Van Wyk 1996). Coordinates are scaled by the lcm dx of their
-      denominators and heights by the lcm dz of theirs; both are positive,
-      so the scaled lift has the same upper faces and the same coplanar
-      points. The coordinate minors do not depend on the heights, so
-      `PointConfig.lift_forms` takes them once per config: above each base
-      of nonzero volume, the height h = <N, P - P0> of every lifted point P,
-      N the base's integer normal turned so that N_z > 0, is a fixed integer
-      combination of the cleared heights. The base is an upper face's when
-      no h > 0, and its cell is the points with h = 0. Only then is N
-      computed, by `integer_normal`: L = -dx N_x / (dz N_z), and
-      gamma - L o A is its maximum plus h / (dz |N_z|).
+    One pass for every n: an orientation test of every (n+1)-subset in
+    integers (Fortune-Van Wyk 1996). Coordinates are scaled by the lcm dx of
+    their denominators and heights by the lcm dz of theirs (`_cleared`,
+    which scales a jet's gradient entries with its value); both are
+    positive, so the scaled lift has the same upper faces and the same
+    coplanar points. The coordinate minors do not depend on the heights, so
+    `PointConfig.lift_forms` takes them once per config: above each base of
+    nonzero volume, the height h = <N, P - P0> of every lifted point P, N the
+    base's integer normal turned so that N_z > 0, is a fixed integer
+    combination of the cleared heights. The base is an upper face's when no
+    h > 0, and its cell is the points with h = 0: for n = 0 the argmax set,
+    for n = 1 an edge of the upper chain with its collinear labels. Only then
+    is N computed, by `integer_normal`: L = -dx N_x / (dz N_z), and
+    gamma - L o A is its maximum plus h / (dz |N_z|). N_z is an integer, and
+    for n <= 2 the other minors multiply a jet only by integers, so heights
+    may be jets there; for n >= 3 jets raise InputError.
     """
     gamma = covector(config, gamma)
+    xs, dx, _ = config.lift_forms
+    zs, dz = _cleared(gamma)
     cells = {}
-    if config.n >= 2:
-        xs, dx, _ = config.lift_forms
-        zs, dz = clear_denominators(gamma)
-        for cell, (b, *rest), heights in _oriented_scan(config, zs):
-            normal = integer_normal([[a - c for a, c in zip(xs[k] + (zs[k],), xs[b] + (zs[b],))] for k in rest])
-            scale = dz * abs(normal[-1])
-            linear = tuple(Fraction(-dx * c, dz * normal[-1]) for c in normal[:-1])
-            top = gamma[b] - sum(x * a for x, a in zip(linear, config.points[b]))
-            values = tuple(top + Fraction(h, scale) for h in heights)
-            cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
-    else:
-        if config.n == 0:
-            fits = [((), max(gamma))]
-        else:
-            order = _labels_by_coordinate(config)
-            xs = [config.image(i)[0] for i in order]
-            ys = [gamma[i - 1] for i in order]
-            chain = upper_chain(xs, ys)
-            fits = []
-            for a, b in zip(chain, chain[1:]):
-                slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
-                fits.append(((slope,), ys[a] - slope * xs[a]))
-        for linear, top in fits:  # the argmax and the strict chain put no point above
-            values = _values_under(config, gamma, linear)
-            cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
-            cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
+    for cell, (b, *rest), heights in _oriented_scan(config, zs):
+        normal = integer_normal([[a - c for a, c in zip(xs[k] + (zs[k],), xs[b] + (zs[b],))] for k in rest])
+        slope, unit = Fraction(-dx, dz * normal[-1]), Fraction(1, dz * abs(normal[-1]))
+        linear = tuple(slope * c for c in normal[:-1])
+        top = gamma[b] - sum(x * a for x, a in zip(linear, config.points[b]))
+        values = tuple(top + unit * h for h in heights)
+        cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
     return tuple(sorted(cells.values(), key=lambda c: c.cell))
 
 
@@ -185,15 +159,13 @@ def _is_generic_lift(n: int, cells: Sequence[UpperCell]) -> bool:
 def _generic_triangulation(config: PointConfig, gamma: Covector):
     """The cells of the lift of gamma when it passes `is_generic`, else None.
 
-    For n >= 2 it reads the integer scan: a cell's values are its maximum plus
-    h / (dz |N_z|), so they are distinct exactly where the h are. Heights
-    scaled by any positive factor, such as integers, give the same answer.
+    It reads the integer scan of `upper_cells`, for every n, and builds no
+    affine data: a cell's values are its maximum plus h / (dz |N_z|), so they
+    are distinct exactly where the h are. Heights scaled by any positive
+    factor, such as integers, give the same answer; jets pass.
     """
-    if config.n <= 1:
-        cells = upper_cells(config, gamma)
-        return tuple(c.cell for c in cells) if _is_generic_lift(config.n, cells) else None
     cells = []
-    for cell, _, heights in _oriented_scan(config, clear_denominators(gamma)[0]):
+    for cell, _, heights in _oriented_scan(config, _cleared(gamma)[0]):
         if len(cell) != config.n + 1 or len(set(heights)) != config.m - config.n:
             return None
         cells.append(cell)

@@ -1,13 +1,19 @@
 """Gaussian eliminations over `Fraction`: the reference for the Bareiss kernel.
 
-The library runs all of its exact linear algebra through one fraction-free
-integer elimination (`exact_core._bareiss`). These are the four textbook
-eliminations it replaced, kept verbatim so the kernel can be checked against
-them: a forward elimination for determinants, Gauss-Jordan for the rank and
-for square solves, and a reduced row echelon form for kernel vectors.
+The library runs all of its exact linear algebra in integers: Bareiss's
+fraction-free elimination (`exact_core._bareiss`) and kernels read off
+minors. These are the four textbook eliminations it replaced, kept verbatim
+so the kernel can be checked against them: a forward elimination for
+determinants, Gauss-Jordan for the rank and for square solves, and a reduced
+row echelon form for kernel vectors. `find_circuit` is the circuit as the
+library once took it, the echelon kernel vector of the points under a row
+of ones, here on the reduced row echelon form.
 """
 
 from fractions import Fraction
+
+from basecondary.errors import InputError
+from basecondary.exact_core import CircuitData
 
 
 def det(rows):
@@ -112,3 +118,26 @@ def kernel_vector(rows):
     for r, col in enumerate(pivots):
         vec[col] = -a[r][f]
     return vec
+
+
+def find_circuit(points, labels=None):
+    """Signed affine relation of n+2 points affinely spanning Q^n, from the kernel vector."""
+    n = len(points[0])
+    if labels is None:
+        labels = list(range(1, n + 3))
+    rows = [[Fraction(1)] * (n + 2)] + [[Fraction(p[c]) for p in points] for c in range(n)]
+    if matrix_rank(rows) != n + 1:
+        raise InputError("points lie in a hyperplane; no unique circuit")
+    alpha = kernel_vector(rows)
+    pos = [(labels[i], alpha[i]) for i in range(n + 2) if alpha[i] > 0]
+    neg = [(labels[i], -alpha[i]) for i in range(n + 2) if alpha[i] < 0]
+    zer = [labels[i] for i in range(n + 2) if alpha[i] == 0]
+    # positive side: fewer points, ties broken toward the smallest label
+    if len(pos) > len(neg) or (
+        len(pos) == len(neg) and min(i for i, _ in neg) < min(i for i, _ in pos)
+    ):
+        pos, neg = neg, pos
+    scale = min(c for _, c in pos)
+    pos = tuple((i, c / scale) for i, c in sorted(pos))
+    neg = tuple((i, c / scale) for i, c in sorted(neg))
+    return CircuitData(positive=pos, negative=neg, zeros=tuple(sorted(zer)))

@@ -11,18 +11,21 @@ the pyramid's hull vertices. `area_N` once took the hull of every base and
 roof point, where it now halves the secondary support. The n >= 2 lift
 once took `integer_normal` of every lifted base and its dot products with
 every lifted point, per height vector, where it now reads each height off a
-circuit form built once per configuration. Each is kept verbatim here, the
-evaluator and the support on the kept `lattice_volume`, so results can be
-compared exactly.
+circuit form built once per configuration. The n <= 1 lift once had routes
+of its own, the argmax for n = 0 and the upper chain with `_values_under` for
+n = 1 (`chain_upper_cells`), where it now runs the circuit-form scan of every
+n. Each is kept verbatim here, the evaluator and the support on the kept
+`lattice_volume`, so results can be compared exactly.
 """
 
 import itertools
 from fractions import Fraction
 
-from basecondary.core import _check_f
+from basecondary import exact_core
+from basecondary.core import _check_f, _values_under
 from basecondary.errors import InputError
 from basecondary.exact_core import PointConfig, Polygon2, clear_denominators, convex_hull_2d, integer_normal
-from basecondary.secondary import Covector, _refine_cell, covector, upper_cells
+from basecondary.secondary import Covector, UpperCell, _labels_by_coordinate, _refine_cell, covector, upper_cells
 from basecondary.setfun import evaluate_f
 
 
@@ -144,3 +147,30 @@ def _oriented_scan(config: PointConfig, gamma: Covector):
             if cell not in seen:
                 seen.add(cell)
                 yield cell, base[0], normal, heights, dx, dz
+
+
+def chain_upper_cells(config: PointConfig, gamma: Covector):
+    """`upper_cells` for n <= 1: the argmax for n = 0, the strict upper chain's edges for n = 1.
+
+    `exact_core.upper_chain` is looked up on each call, so a test may swap it.
+    """
+    if config.n > 1:
+        raise InputError("the chain lift covers n <= 1")
+    gamma = covector(config, gamma)
+    if config.n == 0:
+        fits = [((), max(gamma))]
+    else:
+        order = _labels_by_coordinate(config)
+        xs = [config.image(i)[0] for i in order]
+        ys = [gamma[i - 1] for i in order]
+        chain = exact_core.upper_chain(xs, ys)
+        fits = []
+        for a, b in zip(chain, chain[1:]):
+            slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
+            fits.append(((slope,), ys[a] - slope * xs[a]))
+    cells = {}
+    for linear, top in fits:  # the argmax and the strict chain put no point above
+        values = _values_under(config, gamma, linear)
+        cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
+        cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
+    return tuple(sorted(cells.values(), key=lambda c: c.cell))

@@ -1,17 +1,30 @@
 """The fraction-free elimination against the Fraction eliminations it replaced.
 
-`exact_core` computes determinants, ranks, square solves and kernel vectors
-from one Bareiss elimination. On seeded matrices of every shape the kernel
-uses (empty, square, singular, rank-deficient, wide and tall, small and huge
-denominators) each reader must return exactly what the textbook elimination
-in `linalg_reference` returns: the same value of the same type.
+`exact_core` computes determinants and ranks from one Bareiss elimination,
+and kernel vectors and square solves as vectors of minors. On seeded
+matrices of every shape the kernel uses (empty, square, singular,
+rank-deficient, wide and tall, small and huge denominators) each reader must
+return exactly what the textbook elimination in `linalg_reference` returns:
+the same value of the same type. The minors of a k x (k+1) matrix must be
+the reference kernel vector up to a nonzero scale, and zero below rank k,
+and circuits must be those of the reference's kernel vector.
 """
 
 import random
 from fractions import Fraction as F
 
 import linalg_reference as ref
-from basecondary.exact_core import _det, _echelon, _null_vector, matrix_rank, solve_linear
+import pytest
+
+from basecondary.errors import InputError
+from basecondary.exact_core import (
+    _det,
+    clear_denominators,
+    find_circuit,
+    integer_normal,
+    matrix_rank,
+    solve_linear,
+)
 
 MATRICES = 2400
 
@@ -65,20 +78,65 @@ def _same(a, b):
     return repr(a) == repr(b)
 
 
+def _kernel_of_minors(rows):
+    """Whether `integer_normal` of the cleared k x (k+1) rows is the reference kernel vector up to scale."""
+    normal = integer_normal([clear_denominators(r)[0] for r in rows])
+    if ref.matrix_rank(rows) < len(rows):
+        return not any(normal)
+    want = ref.kernel_vector(rows)
+    i = next(i for i, x in enumerate(want) if x)
+    scale = normal[i] / want[i]
+    return scale != 0 and normal == [scale * x for x in want]
+
+
 def test_kernel_matches_the_fraction_eliminations():
     rng = random.Random(20241104)
-    seen = dets = solves = 0
+    seen = dets = solves = kernels = 0
     for _ in range(MATRICES):
         for rows in _matrix(rng):
             seen += 1
             assert _same(matrix_rank(rows), ref.matrix_rank(rows)), rows
-            if rows:  # the back-substitution shared by solve_linear and find_circuit
-                a, pivots = _echelon(rows)
-                assert _same(_null_vector(a, pivots, len(rows[0])), ref.kernel_vector(rows)), rows
+            if rows and all(len(r) == len(rows) + 1 for r in rows):  # the shape of find_circuit's matrix
+                kernels += 1
+                assert _kernel_of_minors(rows), rows
             if all(len(r) == len(rows) for r in rows):
                 dets += 1
                 assert _same(_det(rows), ref.det(rows)), rows
                 rhs = [_entry(rng) for _ in rows]
                 solves += 1
                 assert _same(solve_linear(rows, rhs), ref.solve_linear(rows, rhs)), (rows, rhs)
-    assert seen >= 2000 and dets >= 1000 and solves >= 1000
+                if rows:  # the matrix [rows | -rhs] whose minors solve_linear reads
+                    kernels += 1
+                    assert _kernel_of_minors([[*r, -b] for r, b in zip(rows, rhs)]), (rows, rhs)
+    assert seen >= 2000 and dets >= 1000 and solves >= 1000 and kernels >= 1500
+
+
+def _circuit_points(rng, n):
+    """n + 2 distinct points of Q^n, often with a relation that skips a point, or not spanning."""
+    while True:
+        pts = [tuple(F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)) for _ in range(n + 2)]
+        if rng.random() < 0.3:  # the last point on the line through two others: a zero coefficient
+            a, b = rng.sample(pts[:-1], 2)
+            t = F(rng.randint(-2, 3), 2)
+            pts[-1] = tuple(x + t * (y - x) for x, y in zip(a, b))
+        if len(set(pts)) == n + 2:
+            return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_circuits_match_the_kernel_vector(n):
+    rng = random.Random(f"circuits/{n}")
+    flat = zeros = 0
+    for _ in range(1000):
+        pts = _circuit_points(rng, n)
+        labels = rng.sample(range(1, 20), n + 2)
+        try:
+            want = ref.find_circuit(pts, labels)
+        except InputError:
+            flat += 1
+            with pytest.raises(InputError):
+                find_circuit(pts, labels)
+            continue
+        zeros += bool(want.zeros)
+        assert _same(find_circuit(pts, labels), want), (pts, labels)
+    assert n == 1 or (flat and zeros > 50)  # three distinct points of Q^1 always span, each with a coefficient

@@ -388,14 +388,13 @@ def test_morse_polytope_at_a_witness_on_a_fiber_chamber_wall(tmp_path, variant):
 
 
 def test_maxwell_support_lifts_once(monkeypatch):
-    # the basecondary value and the secondary support read one lift of gamma
-    from basecondary import core, secondary
+    # the basecondary value and the secondary support read one lift of gamma:
+    # one integer scan, which each cone witness attempt also runs
+    from basecondary import secondary
 
     lifts = []
-    real = secondary.upper_cells
-    for module in (secondary, core, fiber_morse):
-        if getattr(module, "upper_cells", None) is real:
-            monkeypatch.setattr(module, "upper_cells", lambda *a: lifts.append(a) or real(*a))
+    real = secondary._oriented_scan
+    monkeypatch.setattr(secondary, "_oriented_scan", lambda *a: lifts.append(a) or real(*a))
     for gamma in ((1, 2, 3, 5), (-1, 0, 4, 2), Jet.seed((1, 2, 3, 5))):
         lifts.clear()
         maxwell_support(MC, gamma)

@@ -6,7 +6,8 @@ on both jets. `upper_chain` and `convex_hull_2d` must be `repr`-equal with
 the loops that multiplied jets at every turn, on ints, tie-heavy rationals
 and jets. `morse_polytope` and fiber-summand gradients must be `repr`-equal
 with the dense jet, the jet-multiplying hull, upper chain and Minkowski sum,
-and the `Fraction` fiber route, which multiplies dense jets, swapped in. A
+and the `Fraction` fiber route, which multiplies dense jets, swapped in,
+with the n <= 1 chain lift, since the circuit-form lift clears sparse jets. A
 pin keeps both chains deciding on values: with no value cross product 0
 they multiply no jet.
 """
@@ -18,8 +19,9 @@ from fractions import Fraction as F
 
 import jet_reference as ref
 import pytest
+import quantity_reference
 
-from basecondary import exact_core, fiber_morse, secondary, tropical
+from basecondary import core, exact_core, fiber_morse, secondary, tropical
 from basecondary.exact_core import Jet, convex_hull_2d, upper_chain
 from basecondary.fiber_morse import _shifted_witness, area_P_bar, morse_config, morse_polytope
 from basecondary.secondary import cone_witness, enumerate_triangulations_1d
@@ -129,8 +131,9 @@ def test_hull_chains_match_the_multiplying_loops():
 def dense(monkeypatch):
     """The dense jet, the jet-multiplying hull, upper chain and Minkowski sum, and the Fraction fiber route.
 
-    The integer fiber kernel reads sparse jets, so the dense side runs the
-    reference route, which multiplies dense jets end to end.
+    The integer fiber kernel and the circuit-form lift read sparse jets, so
+    the dense side runs the reference routes, the lift on the upper chain,
+    which multiply dense jets end to end.
     """
     for module in (exact_core, fiber_morse):
         monkeypatch.setattr(module, "Jet", ref.Jet)
@@ -138,8 +141,10 @@ def dense(monkeypatch):
     monkeypatch.setattr(exact_core, "fiber_slice", ref.fiber_slice)
     monkeypatch.setattr(exact_core, "convex_hull_2d", ref.convex_hull_2d)
     monkeypatch.setattr(exact_core, "minkowski_sum", ref.minkowski_sum)
-    for module in (exact_core, secondary, fiber_morse, tropical):
+    for module in (exact_core, fiber_morse, tropical):
         monkeypatch.setattr(module, "upper_chain", ref.upper_chain)
+    for module in (secondary, core, fiber_morse):
+        monkeypatch.setattr(module, "upper_cells", quantity_reference.chain_upper_cells)
 
 
 def _results(rng_seed):
