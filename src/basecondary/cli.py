@@ -7,6 +7,7 @@ payload), 3 internal invariant failure, 64 unknown verb.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -388,6 +389,26 @@ def _run(verb: str, args, doc: dict):
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument error raises `InputError` with argparse's message, so `main` prints it as JSON."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
+def _parser(verb: str) -> argparse.ArgumentParser:
+    parser = _ArgumentParser(prog=f"bck {verb}", add_help=True)
+    parser.add_argument("--input", required=True, help="path of the JSON problem file")
+    parser.add_argument("--output", default=None, help="output path (default stdout)")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--convexifier", default=None, help="rational multiple, e.g. 2 or 3/2")
+    parser.add_argument("--variant", choices=("morse", "maxwell"), default="morse")
+    parser.add_argument("--svg", default=None, help="best-effort SVG dump for 2D graphs")
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -397,19 +418,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if verb not in VERBS:
         sys.stderr.write(f"unknown verb: {verb}\n\n{USAGE}")
         return 64
-    parser = argparse.ArgumentParser(prog=f"bck {verb}", add_help=True)
-    parser.add_argument("--input", required=True, help="path of the JSON problem file")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--convexifier", default=None, help="rational multiple, e.g. 2 or 3/2")
-    parser.add_argument("--variant", choices=("morse", "maxwell"), default="morse")
-    parser.add_argument("--svg", default=None, help="best-effort SVG dump for 2D graphs")
     try:
-        args = parser.parse_args(argv[1:])
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parser(verb).parse_args(argv[1:])
         doc = _load_doc(args.input)
         result = _run(verb, args, doc)
         payload = json.dumps(result, sort_keys=True, indent=2) + "\n"
@@ -428,6 +438,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # an --output or --svg path that cannot be written
         sys.stdout.write(json.dumps({"error": f"output cannot be written: {exc.filename}"}) + "\n")
         return 2
+    except SystemExit as exc:  # a verb's --help, printed by argparse
+        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

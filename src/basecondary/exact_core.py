@@ -493,7 +493,7 @@ Point2 = tuple[Fraction, Fraction]
 
 def _values(cs: Sequence) -> Sequence:
     """The value parts of a sequence of coordinates; the sequence itself when it holds no jet."""
-    if any(isinstance(c, Jet) for c in cs):
+    if Jet in map(type, cs):
         return tuple(c.value if isinstance(c, Jet) else c for c in cs)
     return cs
 

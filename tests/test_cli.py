@@ -31,6 +31,24 @@ def test_unknown_verb(capsys):
 def test_help(capsys):
     assert main(["--help"]) == 0
     assert "verbs" in capsys.readouterr().out
+    assert main(["eval", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: bck eval")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trop-sample", "--input", fixture("trop_012.json"), "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["eval"], "the following arguments are required: --input"),
+        (["eval", "--input", fixture("a1367_gcd.json"), "--frob", "1"], "unrecognized arguments: --frob 1"),
+    ],
+)
+def test_argument_errors_exit_2_with_json(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"error": message}
+    assert captured.err == ""
 
 
 def test_missing_input_file(capsys):

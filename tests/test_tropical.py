@@ -239,11 +239,13 @@ def test_integer_kernel_matches_the_fraction_reference(monkeypatch):
 
 SAMPLED_SUPPORTS = [[0, 1, 2], [3, 9], [-2, -1, 1, 2], [0, 1, 3, 4, 6], [-3, 0, 1, 5, 6, 8]]
 TIE_HEAVY_BOUNDS = (1, 2, 6)
+# bit-length edges of the draw widths 2 * bound + 1 and bound; past 2**32 a draw spans several words
+EDGE_BOUNDS = (8, 2**15, 2**31, 2**40)
 
 
 @pytest.mark.parametrize("support", SAMPLED_SUPPORTS)
 def test_sample_reports_match_the_fraction_reference(support):
-    for seed, bound in enumerate(TIE_HEAVY_BOUNDS + (None,)):  # then the default draw
+    for seed, bound in enumerate(TIE_HEAVY_BOUNDS + EDGE_BOUNDS + (None,)):  # then the default draw
         got = sample_morse_fraction(support, 200, seed, bound)
         assert repr(got) == repr(tropical_reference.sample_morse_fraction(support, 200, seed, bound))
 

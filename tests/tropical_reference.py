@@ -10,7 +10,9 @@ and `is_morse` the double loop over critical points that found equal
 critical values, where the library shares one equal-value rule with the
 tie pairs. `sample_morse_fraction` is the sampler that built every draw's
 Fractions, polynomial and report, where the library decides each verdict in
-integers; here it reads the reasons off this module's `is_morse`.
+integers; here it reads the reasons off this module's `is_morse`. It draws
+with `random.randint`, so it also pins the library's draws, which read the
+same stream off `getrandbits`.
 """
 
 import random
