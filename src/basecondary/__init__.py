@@ -8,7 +8,6 @@ from .exact_core import (
     Polygon2,
     affine_rank,
     fiber_polygon,
-    fiber_slice,
     find_circuit,
     lattice_volume,
     make_config,
@@ -32,7 +31,6 @@ from .setfun import (
     neg_card_ratio_function,
     neg_gcd_function,
     neg_indicator_function,
-    submodular_polyhedron_contains,
     table_function,
 )
 from .secondary import (
@@ -70,7 +68,6 @@ from .core import (
 from .fiber_morse import (
     MorseConfig,
     area_P_bar,
-    build_delta,
     build_delta_bar,
     iterated_fiber_support,
     maxwell_support,
@@ -83,7 +80,6 @@ from .tropical import (
     MorseReport,
     TropicalPolynomial,
     critical_points,
-    has_degenerate_root,
     is_morse,
     sample_morse_fraction,
     tropical_polynomial,

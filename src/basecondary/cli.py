@@ -72,7 +72,7 @@ def _need(doc: dict, key: str):
 
 def _load_config(doc: dict) -> PointConfig:
     n = _need(doc, "n")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # a JSON true or false is a bool, an int subclass
         raise InputError("field 'n' must be a nonnegative integer")
     if "A" in doc:
         raw = doc["A"]

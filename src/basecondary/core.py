@@ -25,27 +25,27 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .exact_core import PointConfig, lattice_volume, oriented_volume, rat
+from .exact_core import Jet, PointConfig, lattice_volume, oriented_volume, rat
 
 # The supports and the genericity test live beside the lift in `secondary`;
-# they are re-exported here as part of this module's interface.
+# they are re-exported here as part of this module's interface. The expansion
+# reads its cells and tails off the genericity scan, `_generic_triangulation`.
 from .secondary import (
     CircuitalSupport,
     Covector,
     SimplicialSupport,
     Subdivision,
     Wall,
+    _generic_triangulation,
     cone_witness,
     covector,
     discover_cones_random,
     enumerate_circuital,
     enumerate_simplicial,
     enumerate_triangulations_1d,
-    enumerate_walls_1d,
     gkz_vector,
     is_generic,
     upper_cells,
-    _is_generic_lift,
 )
 from .setfun import SetFunction, circuit_condition_check, circuit_value, evaluate_f, is_submodular_above
 
@@ -214,16 +214,19 @@ def _expansion_summands(config: PointConfig, f: SetFunction, gamma: Covector):
     """(ordered simplex, F-difference) per nonzero summand at a generic height.
 
     The simplex is the cell's labels in positive base orientation followed
-    by one tail label; tails are taken in descending value order.
+    by one tail label; tails are taken by descending scan height, which is
+    descending value. Jet heights are refused for every n.
     """
-    cells = upper_cells(config, gamma)
-    if not _is_generic_lift(config.n, cells):
+    if any(isinstance(g, Jet) for g in gamma):
+        raise InputError("expansion takes no jets; for a gradient use eval_basecondary_general(Jet.seed(w)).grad")
+    cells = _generic_triangulation(config, gamma)
+    if cells is None:
         raise InputError("expansion needs a generic height vector; use the general evaluator")
-    for cell in cells:
-        head = _positive_orientation(config, cell.cell)
+    for cell, heights in cells.items():
+        head = _positive_orientation(config, cell)
         prefix = set(head)
         prev = evaluate_f(f, prefix)
-        for i in _descending_tail(config, head, cell.values):
+        for i in _descending_tail(config, head, heights):
             prefix.add(i)
             cur = evaluate_f(f, prefix)
             if prev != cur:

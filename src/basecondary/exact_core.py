@@ -367,6 +367,7 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
 
     The minors N of [rows | -rhs], each row cleared, span its kernel, and
     N[k] is +-det(rows): the solution is N[:k] / N[k], singular when N[k] = 0.
+    No library route calls it; it stays because the benchmark tracer binds it.
     """
     k = len(rows)
     normal = integer_normal([clear_denominators([*r, -b])[0] for r, b in zip(rows, rhs)])
@@ -671,17 +672,6 @@ def _slice(vs: list, xi: int, scale: int) -> tuple:
                 a, b = q * (xh - xi), q * (xi - xl)  # a + b = scale, and scale * cut = a * lo + b * hi
                 cuts.append((a * yl + b * yh, a * zl + b * zh))
     return _hull(cuts)
-
-
-def fiber_slice(vertices: Sequence[Point3], xi) -> Polygon2:
-    """The (y, z) polygon {(y, z) : (xi, y, z) in conv(vertices)}; empty when xi is outside the x range.
-
-    The `_slice` of the vertices cleared with (xi, 0, 0) at L, the lcm of the x gaps across xi, over L dy, L dz.
-    """
-    (*vs, (xi, _, _)), _, dy, dz = _integer_vertices([*vertices, (xi, 0, 0)])
-    scale = math.lcm(*(hi[0] - lo[0] for lo in vs for hi in vs if lo[0] < xi < hi[0]))
-    sy, sz = Fraction(scale * dy), Fraction(scale * dz)
-    return Polygon2(vertices=tuple((y / sy, z / sz) for y, z in _slice(vs, xi, scale)))
 
 
 def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:

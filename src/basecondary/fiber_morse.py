@@ -91,17 +91,6 @@ def build_delta_bar(config: MorseConfig, gamma) -> tuple[Point3, ...]:
     return tuple(verts)
 
 
-def build_delta(config: MorseConfig, gamma) -> tuple[Point3, ...]:
-    """Vertices of the roof-only pyramid: (a,0,gamma(a)) plus the apex, no base row."""
-    gamma = covector(config.config(), gamma)
-    _nonnegative(gamma)
-    verts: list[Point3] = [
-        (Fraction(a), Fraction(0), g) for a, g in zip(config.points, gamma)
-    ]
-    verts.append((Fraction(0), Fraction(1), Fraction(0)))
-    return tuple(verts)
-
-
 def area_P_bar(config: MorseConfig, gamma) -> Fraction:
     """Support value of the iterated fiber body at nonnegative heights.
 

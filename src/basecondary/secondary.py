@@ -152,24 +152,21 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     return tuple(sorted(cells.values(), key=lambda c: c.cell))
 
 
-def _is_generic_lift(n: int, cells: Sequence[UpperCell]) -> bool:
-    return all(len(c.cell) == n + 1 and c.distinct_tail for c in cells)
-
-
 def _generic_triangulation(config: PointConfig, gamma: Covector):
-    """The cells of the lift of gamma when it passes `is_generic`, else None.
+    """{cell: scan heights h by label - 1} of the lift of gamma when it passes `is_generic`, else None.
 
     It reads the integer scan of `upper_cells`, for every n, and builds no
     affine data: a cell's values are its maximum plus h / (dz |N_z|), so they
-    are distinct exactly where the h are. Heights scaled by any positive
-    factor, such as integers, give the same answer; jets pass.
+    are distinct, and descend, exactly where the h do. A configuration that
+    does not span is generic with no cells: {}, not None. Heights scaled by
+    any positive factor, such as integers, give the same answer; jets pass.
     """
-    cells = []
+    cells = {}
     for cell, _, heights in _oriented_scan(config, _cleared(gamma)[0]):
         if len(cell) != config.n + 1 or len(set(heights)) != config.m - config.n:
             return None
-        cells.append(cell)
-    return tuple(sorted(cells))
+        cells[cell] = heights
+    return dict(sorted(cells.items()))
 
 
 def is_generic(config: PointConfig, gamma) -> bool:
@@ -320,7 +317,7 @@ def area_N(config: PointConfig, gamma) -> Fraction:
 
 
 def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
-    """A deterministic generic height vector inducing the triangulation t; one lift per attempt.
+    """A deterministic generic height vector inducing the triangulation t; one integer scan per attempt.
 
     Vertices sit on a concave parabola, non-vertices at small negative
     values strictly below every chord. Attempt 0 is the bare parabola, which
@@ -348,7 +345,8 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
             amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1) * d2)
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
         gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
-        if _generic_triangulation(config, gamma) == t.cells:
+        cells = _generic_triangulation(config, gamma)
+        if cells is not None and tuple(cells) == t.cells:
             return gamma
     raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
 
@@ -411,7 +409,7 @@ def discover_cones_random(
     for _ in range(samples):
         draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(config.m)]
         d = math.lcm(*(q for _, q in draws))
-        key = _generic_triangulation(config, [p * (d // q) for p, q in draws])
-        if key is not None and key not in found:
+        cells = _generic_triangulation(config, [p * (d // q) for p, q in draws])
+        if cells is not None and (key := tuple(cells)) not in found:
             found[key] = (Subdivision(n=config.n, cells=key), tuple(Fraction(p, q) for p, q in draws))
     return tuple(found[key] for key in sorted(found))

@@ -248,16 +248,3 @@ def base_polytope(f: SetFunction) -> tuple[tuple[Fraction, ...], ...]:
     if not report.holds:
         raise InputError(f"not submodular; witness {report.witness}")
     return tuple(sorted({greedy_vertex(f, order) for order in itertools.permutations(range(1, f.m + 1))}))
-
-
-def submodular_polyhedron_contains(f: SetFunction, y) -> bool:
-    """Whether sum_{s in X} y_s <= F(X) for every subset X."""
-    if f.min_size != 0:
-        raise InputError("submodular polyhedron needs min_size 0")
-    vec = [rat(c) for c in as_list(y, "y")]
-    if len(vec) != f.m:
-        raise InputError(f"expected a vector of length {f.m}")
-    for x in _subsets_by_mask(f.m, 1):
-        if sum(vec[i - 1] for i in x) > evaluate_f(f, x):
-            return False
-    return True

@@ -122,16 +122,6 @@ def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
     return tuple(out)
 
 
-def has_degenerate_root(p: TropicalPolynomial) -> bool:
-    """Whether some point sees three or more terms at the envelope maximum.
-
-    Tie pairs list the smaller exponent first and each term has one value,
-    so a breakpoint's maximizers are max_pair[0] and every exponent tied
-    with it. Off the breakpoints one term alone attains the maximum.
-    """
-    return any(sum(a == cp.max_pair[0] for a, _ in cp.tie_pairs) >= 2 for cp in critical_points(p))
-
-
 @dataclass(frozen=True)
 class MorseReport:
     """A Morse verdict, its reasons, and the critical points and value collisions it is read off."""

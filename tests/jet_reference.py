@@ -12,7 +12,8 @@ them in for the library's must change no result.
 `fiber_slice` and `fiber_polygon` are the `Fraction` route the library's
 integer kernel replaced: a `t = (xi - lo_x) / (hi_x - lo_x)` per cut, jets
 scaled by it, and each slice weighted by a rational `scaled`. The library
-must return the same polygons, vertex for vertex.
+must return the same polygons, vertex for vertex. `fiber_slice` is also the
+slice that the grid oracle and the slice tests read.
 """
 
 import functools

@@ -6,15 +6,17 @@ same numbers from function values alone, by halving a step until the
 perturbed heights stay in the right cone and the quotient is stable, so they
 share no code with the closed forms beyond the evaluators and the lift.
 The grid oracle bounds the area of a fiber polygon from slices at uniform
-abscissae, with no knowledge of the true breakpoints.
+abscissae, with no knowledge of the true breakpoints. It cuts them with
+`jet_reference.fiber_slice`, so it shares no slice code with the library's
+integer kernel.
 """
 
 from fractions import Fraction
 
 from basecondary.errors import InputError
-from basecondary.exact_core import fiber_slice, minkowski_sum, point
+from basecondary.exact_core import minkowski_sum, point
 from basecondary.secondary import covector, is_generic, regular_subdivision
-from jet_reference import scaled
+from jet_reference import fiber_slice, scaled
 
 STEP_SEARCH_CAP = 64
 

@@ -14,8 +14,13 @@ every lifted point, per height vector, where it now reads each height off a
 circuit form built once per configuration. The n <= 1 lift once had routes
 of its own, the argmax for n = 0 and the upper chain with `_values_under` for
 n = 1 (`chain_upper_cells`), where it now runs the circuit-form scan of every
-n. Each is kept verbatim here, the evaluator and the support on the kept
-`lattice_volume`, so results can be compared exactly.
+n. The expansion once decided genericity a second time, on the `Fraction`
+cells of a full lift (`is_generic_lift`), where it now reads the integer scan
+that `is_generic` reads. Each is kept verbatim here, the evaluator and the
+support on the kept `lattice_volume`, so results can be compared exactly.
+
+`build_delta` is the roof-only pyramid, without the base row: its fiber
+polygon bounds the barred one's from below, with the same upper envelope.
 """
 
 import itertools
@@ -102,6 +107,16 @@ def build_delta_bar(config, gamma):
     return tuple(verts)
 
 
+def build_delta(config, gamma):
+    """Vertices of the roof-only pyramid: (a,0,gamma(a)) plus the apex, no base row."""
+    gamma = covector(config.config(), gamma)
+    if any(g < 0 for g in gamma):
+        raise InputError("heights must be nonnegative here")
+    verts = [(Fraction(a), Fraction(0), g) for a, g in zip(config.points, gamma)]
+    verts.append((Fraction(0), Fraction(1), Fraction(0)))
+    return tuple(verts)
+
+
 def area_N(config, gamma):
     """Euclidean area of conv({(a, 0)} union {(a, gamma(a))}) for gamma >= 0."""
     if config.n != 1:
@@ -174,3 +189,8 @@ def chain_upper_cells(config: PointConfig, gamma: Covector):
         cell = tuple(i for i in range(1, config.m + 1) if values[i - 1] == top)
         cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
     return tuple(sorted(cells.values(), key=lambda c: c.cell))
+
+
+def is_generic_lift(n, cells):
+    """Genericity read off the `UpperCell`s of a lift: every cell has n + 1 points and pairwise distinct tail values."""
+    return all(len(c.cell) == n + 1 and c.distinct_tail for c in cells)

@@ -352,6 +352,19 @@ def test_wrong_field_shapes_exit_2(capsys, tmp_path, verb, doc):
     assert "must be" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": True, "A": [[1], [3], [6], [7]], "F": {"kind": "neg_card_ratio"}, "gamma": [2, 4, 5, 3]},
+    {"n": False, "m": 3, "F": {"kind": "neg_card_ratio"}, "gamma": [1, 2, 3]},
+])
+def test_boolean_n_exits_2(capsys, tmp_path, doc):
+    # a JSON true or false is not read as n = 1 or n = 0
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "eval", "--input", str(path))
+    assert code == 2
+    assert "field 'n' must be a nonnegative integer" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("verb", ["subdivision", "simplicial", "secondary", "eval"])
 def test_non_spanning_configuration_exits_2(capsys, tmp_path, verb):
     # three collinear points in Q^2 have no full-dimensional cell

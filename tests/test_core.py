@@ -9,6 +9,7 @@ import pytest
 import witness_reference
 from numeric_oracle import second_difference
 
+from basecondary import core, secondary
 from basecondary.core import (
     cone_witnesses,
     convexity_certificate,
@@ -26,7 +27,7 @@ from basecondary.core import (
     wall_defect_numeric,
 )
 from basecondary.errors import InputError
-from basecondary.exact_core import make_config
+from basecondary.exact_core import Jet, make_config
 from basecondary.secondary import (
     cone_witness,
     enumerate_triangulations_1d,
@@ -209,6 +210,34 @@ def test_eval_generic_requires_generic():
     gcd = neg_gcd_function(A1367, min_size=1)
     with pytest.raises(InputError):
         eval_basecondary_generic(A1367, gcd, G3)
+
+
+SPATIAL = make_config(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2], [2, -1, 1]])
+
+
+@pytest.mark.parametrize("config, gamma", [(A1367, G1), (SPATIAL, (1, 2, 4, 3, 0, 1))])
+def test_expansion_routes_refuse_jets(config, gamma):
+    f = neg_indicator_function(config.m, min_size=config.n)
+    assert is_generic(config, gamma)
+    gradient_on_cone(config, f, gamma)  # the rational heights pass
+    for route in (expansion_terms, gradient_on_cone, eval_basecondary_generic):
+        with pytest.raises(InputError, match=r"eval_basecondary_general\(Jet.seed\(w\)\).grad"):
+            route(config, f, Jet.seed(gamma))
+
+
+def test_expansion_routes_make_no_upper_cells_call(monkeypatch):
+    # genericity, cells and tail orders all come from the integer scan of `_generic_triangulation`
+    calls = []
+    for module in (secondary, core):
+        real = module.upper_cells
+        monkeypatch.setattr(module, "upper_cells", lambda *a, _f=real: calls.append(a) or _f(*a))
+    pentagon = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
+    for config, gamma in ((A1367, G1), (pentagon, (1, 3, 2, 4, 0)), (make_config(0, [[], [], []]), (2, 1, 3))):
+        f = neg_indicator_function(config.m, min_size=config.n)
+        expansion_terms(config, f, gamma)
+        eval_basecondary_generic(config, f, gamma)
+        gradient_on_cone(config, f, gamma)
+    assert calls == []
 
 
 def test_eval_n0_lovasz_reduction():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import linalg_reference as ref
+from jet_reference import fiber_slice
 from numeric_oracle import fiber_polygon_grid_area
 from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import (
@@ -14,7 +15,6 @@ from basecondary.exact_core import (
     Polygon2,
     affine_rank,
     fiber_polygon,
-    fiber_slice,
     find_circuit,
     integer_normal,
     lattice_volume,

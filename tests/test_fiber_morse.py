@@ -10,6 +10,7 @@ import random
 import pytest
 import quantity_reference
 import witness_reference
+from jet_reference import fiber_slice
 from numeric_oracle import fiber_polygon_grid_area, numeric_gradient
 
 from basecondary import exact_core, fiber_morse
@@ -20,7 +21,6 @@ from basecondary.fiber_morse import (
     FIBER_SUPPORT_SCALE,
     _shifted_witness,
     area_P_bar,
-    build_delta,
     build_delta_bar,
     iterated_fiber_support,
     maxwell_support,
@@ -57,7 +57,7 @@ def test_build_delta_bar_examples():
     lifted = build_delta_bar(mc, (1, 1))
     assert len(lifted) == 5
     assert (0, 1, 0) in lifted
-    unb = build_delta(mc, (1, 1))
+    unb = quantity_reference.build_delta(mc, (1, 1))
     assert all(v[1] == 1 or v[2] != 0 or v[0] != 0 for v in unb)
     with pytest.raises(InputError):
         build_delta_bar(mc, (1, -1))
@@ -86,7 +86,7 @@ def test_fiber_polygon_hulls_once_per_breakpoint(monkeypatch):
 def test_minkowski_sum_takes_no_hull(monkeypatch):
     # the angle-sorted walk is convex and in order, so it is canonicalised without a hull
     vertices = build_delta_bar(MC, Jet.seed((2, 4, 5, 3)))
-    slices = [exact_core.fiber_slice(vertices, x) for x in sorted({v[0] for v in vertices})]
+    slices = [fiber_slice(vertices, x) for x in sorted({v[0] for v in vertices})]
     calls = []
     real = exact_core._hull
     monkeypatch.setattr(exact_core, "_hull", lambda pts: calls.append(pts) or real(pts))
@@ -257,7 +257,7 @@ def test_delta_comparison_invariant():
     for _ in range(6):
         gamma = random_nonneg(rng, 4, hi=9)
         barred = fiber_polygon(build_delta_bar(MC, gamma))
-        plain = fiber_polygon(build_delta(MC, gamma))
+        plain = fiber_polygon(quantity_reference.build_delta(MC, gamma))
         assert plain.area() <= barred.area()
         assert _upper_integral(plain) == _upper_integral(barred)
 

@@ -138,7 +138,6 @@ def dense(monkeypatch):
     for module in (exact_core, fiber_morse):
         monkeypatch.setattr(module, "Jet", ref.Jet)
         monkeypatch.setattr(module, "fiber_polygon", ref.fiber_polygon)
-    monkeypatch.setattr(exact_core, "fiber_slice", ref.fiber_slice)
     monkeypatch.setattr(exact_core, "convex_hull_2d", ref.convex_hull_2d)
     monkeypatch.setattr(exact_core, "minkowski_sum", ref.minkowski_sum)
     for module in (exact_core, fiber_morse, tropical):

@@ -20,7 +20,7 @@ from basecondary.core import (
     enumerate_simplicial,
     is_generic,
 )
-from basecondary.secondary import Subdivision, _is_generic_lift, discover_cones_random
+from basecondary.secondary import Subdivision, discover_cones_random
 from basecondary import exact_core, secondary
 from basecondary.exact_core import affine_rank, clear_denominators, find_circuit, make_config, solve_linear
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
@@ -194,7 +194,7 @@ def reference_discover(config, samples, seed):
         gamma = tuple(F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(config.m))
         cells = upper_cells(config, gamma)
         key = tuple(c.cell for c in cells)
-        if key not in found and _is_generic_lift(config.n, cells):
+        if key not in found and ref.is_generic_lift(config.n, cells):
             found[key] = (Subdivision(n=config.n, cells=key), gamma)
     return tuple(found[key] for key in sorted(found))
 
@@ -211,7 +211,7 @@ def test_integer_discovery_matches_the_lift(monkeypatch, n, rational):
         config = _config(rng, n, m, rational)
         for kind in KINDS:
             gamma = _heights(rng, config, kind)
-            assert is_generic(config, gamma) == _is_generic_lift(n, upper_cells(config, gamma)), (config, gamma)
+            assert is_generic(config, gamma) == ref.is_generic_lift(n, upper_cells(config, gamma)), (config, gamma)
         with monkeypatch.context() as patch:
             # heights from -3..3 over 1..3 tie often; the default bound almost never does
             patch.setattr(secondary, "RANDOM_HEIGHT_BOUND", 3)

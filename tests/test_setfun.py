@@ -22,7 +22,6 @@ from basecondary.setfun import (
     neg_card_ratio_function,
     neg_gcd_function,
     neg_indicator_function,
-    submodular_polyhedron_contains,
     table_function,
 )
 
@@ -242,6 +241,16 @@ def test_base_polytope_examples():
     assert base_polytope(zero) == ((F(0), F(0), F(0)),)
     with pytest.raises(InputError):
         base_polytope(neg_gcd_function([1, 2]))
+
+
+def submodular_polyhedron_contains(f, y):
+    """Whether sum_{s in X} y_s <= F(X) for every nonempty subset X: the oracle for `base_polytope`."""
+    ground = range(1, f.m + 1)
+    return all(
+        sum(y[i - 1] for i in x) <= evaluate_f(f, x)
+        for r in range(1, f.m + 1)
+        for x in itertools.combinations(ground, r)
+    )
 
 
 def test_submodular_polyhedron_examples():

@@ -5,8 +5,8 @@ breakpoint's ties and maximizers among integers. This is the evaluation it
 replaced, kept verbatim: the envelope chain on the rational coefficients,
 each breakpoint as a Fraction, and every term value there as a Fraction.
 `has_degenerate_root` is likewise the test that counted the Fraction term
-values at the envelope maximum, where the library now reads the tie pairs,
-and `is_morse` the double loop over critical points that found equal
+values at the envelope maximum; the library keeps no such test, and the
+tests check its tie pairs against this count. `is_morse` is the double loop over critical points that found equal
 critical values, where the library shares one equal-value rule with the
 tie pairs. `sample_morse_fraction` is the sampler that built every draw's
 Fractions, polynomial and report, where the library decides each verdict in

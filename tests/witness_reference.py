@@ -13,6 +13,8 @@ wall defects.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from quantity_reference import is_generic_lift
+
 from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import CircuitData, clear_denominators, find_circuit
 from basecondary.secondary import (
@@ -20,7 +22,6 @@ from basecondary.secondary import (
     Covector,
     Subdivision,
     _chain_cells,
-    _is_generic_lift,
     _labels_by_coordinate,
     enumerate_triangulations_1d,
     upper_cells,
@@ -73,7 +74,7 @@ def cone_witness(config, t, salt=0):
             for i in range(1, config.m + 1)
         )
         cells = upper_cells(config, gamma)
-        if tuple(c.cell for c in cells) == t.cells and _is_generic_lift(config.n, cells):
+        if tuple(c.cell for c in cells) == t.cells and is_generic_lift(config.n, cells):
             return gamma
     raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
 
