@@ -2,10 +2,11 @@
 
 The function attached to a point configuration A and a set function F is
 piecewise linear in the height vector; this module provides two independent
-evaluation routes (a threshold sum over subdivision cells and the
-simplicial-support expansion), the minimal convexifying multiple of the
-secondary support, and reconstruction of the per-cone gradient
-representation with an exact convexity certificate.
+evaluation routes, a threshold sum over subdivision cells and the
+simplicial-support expansion, both summed in integers off the lift's scan
+heights and F cleared to integers (Fortune-Van Wyk 1996); the minimal
+convexifying multiple of the secondary support; and reconstruction of the
+per-cone gradient representation with an exact convexity certificate.
 
 Gradients and wall defects are closed forms read off one lift, never
 difference quotients. At a generic witness the expansion is a fixed sum of
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .exact_core import Jet, PointConfig, lattice_volume, oriented_volume, rat
+from .exact_core import Jet, PointConfig, _cleared, lattice_volume, oriented_volume, rat
 
 # The supports and the genericity test live beside the lift in `secondary`;
 # they are re-exported here as part of this module's interface. The expansion
@@ -37,6 +38,7 @@ from .secondary import (
     Subdivision,
     Wall,
     _generic_triangulation,
+    _scan,
     cone_witness,
     covector,
     discover_cones_random,
@@ -45,9 +47,8 @@ from .secondary import (
     enumerate_triangulations_1d,
     gkz_vector,
     is_generic,
-    upper_cells,
 )
-from .setfun import SetFunction, circuit_condition_check, circuit_value, evaluate_f, is_submodular_above
+from .setfun import SetFunction, circuit_condition_check, circuit_value, is_submodular_above
 
 ORDER_CONE_CAP = 8
 
@@ -184,54 +185,68 @@ def eval_basecondary_general(config: PointConfig, f: SetFunction, gamma) -> Frac
     """Threshold-form evaluation, valid for arbitrary (also non-generic) heights.
 
     Per full-dimensional upper cell with offset heights v and maximum M:
-    volume(cell) * sum over values c < M of (c - M) * (F{v >= c} - F{v > c}).
-    The cell's distinct values are walked down from M, and F{v > c} is
-    F{v >= c'} for the value c' just above c, so a cell with k values below
-    M makes k + 1 calls of F, none when k = 0. The sets are chosen by value,
-    not by the tail order of the generic evaluator, which stays an
-    independent check. Only subsets with more than n elements are queried.
+    volume(cell) * sum over values c < M of (c - M) * (F{v >= c} - F{v > c}),
+    read off the lift's integer heights h = dz |V(B)| (v - M) (`_oriented_scan`)
+    and F in integers (`SetFunction.cleared`), with one Fraction per call.
+    Sorted by descending h, each {v >= c} is a prefix, so a cell with k levels
+    below M makes k + 1 queries of F, none when k = 0. The sets are chosen by
+    value, not by the tail order of the generic evaluator, which stays an
+    independent check; only sets of more than n labels are queried.
     """
     _check_f(config, f)
-    return _threshold_sum(config, f, upper_cells(config, covector(config, gamma)))
+    return _threshold_sum(config, f, *_scan(config, covector(config, gamma)))
 
 
-def _threshold_sum(config: PointConfig, f: SetFunction, cells) -> Fraction:
-    """`eval_basecondary_general` on the upper cells of its lift."""
-    total, labels = Fraction(0), range(1, config.m + 1)
-    for cell in cells:
-        vol = lattice_volume(config.subset_points(cell.cell))
-        v, top = cell.values, cell.max_value
-        levels = sorted(set(v), reverse=True)  # levels[0] is top
-        if len(levels) == 1:
-            continue
-        at_least = [evaluate_f(f, frozenset(i for i in labels if v[i - 1] >= c)) for c in levels]
-        for c, at, above in zip(levels[1:], at_least[1:], at_least):  # above = F{v > c}
-            total += vol * (c - top) * (at - above)
-    return total
+def _threshold_sum(config: PointConfig, f: SetFunction, scan, dz: int) -> Fraction:
+    """`eval_basecondary_general` on the scan of its lift, heights at scale dz.
+
+    By parts: F{h >= c} weighs c minus the next level down, and F of every
+    label the lowest. A simplex's volume |V(B)| / dx^n cancels the |V(B)| in
+    h; another cell scales by its volume over its base's.
+    """
+    (value, d), total = f.cleared, 0
+    for cell, base, heights in scan:
+        s, mask, level = 0, 0, 0
+        for k in sorted(range(config.m), key=heights.__getitem__, reverse=True):
+            if heights[k] != level:  # mask is {h >= level}
+                s += (level - heights[k]) * value(mask)
+                level = heights[k]
+            mask |= 1 << k
+        if level:  # else every label is on the top level: no term
+            s += level * value(mask)
+            if len(cell) > config.n + 1:
+                s *= lattice_volume(config.subset_points(cell)) / lattice_volume([config.points[j] for j in base])
+            total += s
+    return total * Fraction(1, d * dz * config.lift_forms[1] ** config.n)
 
 
 def _expansion_summands(config: PointConfig, f: SetFunction, gamma: Covector):
-    """(ordered simplex, F-difference) per nonzero summand at a generic height.
+    """([(ordered simplex, dF, -h)], d, dx^n dz) for the nonzero summands at a generic height.
 
-    The simplex is the cell's labels in positive base orientation followed
-    by one tail label; tails are taken by descending scan height, which is
-    descending value. Jet heights are refused for every n.
+    A summand is dF / d (`SetFunction.cleared`) times the lifted volume
+    -h / (dx^n dz). The simplex is the cell's labels in positive base
+    orientation and one tail label, by descending h. Jets are refused.
     """
+    _check_f(config, f)
     if any(isinstance(g, Jet) for g in gamma):
         raise InputError("expansion takes no jets; for a gradient use eval_basecondary_general(Jet.seed(w)).grad")
-    cells = _generic_triangulation(config, gamma)
+    zs, dz = _cleared(gamma)
+    cells = _generic_triangulation(config, zs)
     if cells is None:
         raise InputError("expansion needs a generic height vector; use the general evaluator")
+    value, d = f.cleared
+    terms = []
     for cell, heights in cells.items():
         head = _positive_orientation(config, cell)
-        prefix = set(head)
-        prev = evaluate_f(f, prefix)
+        mask = sum(1 << i - 1 for i in head)
+        prev = value(mask)
         for i in _descending_tail(config, head, heights):
-            prefix.add(i)
-            cur = evaluate_f(f, prefix)
+            mask |= 1 << i - 1
+            cur = value(mask)
             if prev != cur:
-                yield head + (i,), prev - cur
+                terms.append((head + (i,), prev - cur, -heights[i - 1]))
             prev = cur
+    return terms, d, config.lift_forms[1] ** config.n * dz
 
 
 def expansion_terms(
@@ -239,25 +254,18 @@ def expansion_terms(
 ) -> tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]:
     """Nonzero summands of the simplicial-support expansion at a generic height.
 
-    Each term is (ordered simplex tuple, F-difference, lifted volume); the
-    lifted volume is taken with maximizers first in positive base orientation
-    and is positive for every genuine tail point.
+    Each term is (ordered simplex tuple, F-difference, lifted volume). With
+    maximizers first in positive base orientation, the volume is -h / (dx^n dz),
+    positive for every genuine tail point, h the tail label's scan height.
     """
-    _check_f(config, f)
-    gamma = covector(config, gamma)
-    lifted = {i: config.image(i) + (gamma[i - 1],) for i in range(1, config.m + 1)}
-    return tuple(
-        (simplex, diff, -oriented_volume([lifted[i] for i in simplex]))
-        for simplex, diff in _expansion_summands(config, f, gamma)
-    )
+    terms, d, s = _expansion_summands(config, f, covector(config, gamma))
+    return tuple((simplex, Fraction(df, d), Fraction(v, s)) for simplex, df, v in terms)
 
 
 def eval_basecondary_generic(config: PointConfig, f: SetFunction, gamma) -> Fraction:
-    """Simplicial-expansion evaluation; requires a generic height vector."""
-    return sum(
-        (diff * volume for _, diff, volume in expansion_terms(config, f, gamma)),
-        Fraction(0),
-    )
+    """Simplicial-expansion evaluation; requires a generic height vector. Sums dF * (-h) in integers."""
+    terms, d, s = _expansion_summands(config, f, covector(config, gamma))
+    return Fraction(sum(df * v for _, df, v in terms), d * s)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +306,10 @@ def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Frac
     (-1)^(n+1+pos) times the volume of the simplex without k, at 0-based
     position pos. Non-generic witnesses are refused with InputError.
     """
-    witness = covector(config, witness)
-    _check_f(config, f)
     grad = [Fraction(0)] * config.m
-    for simplex, diff in _expansion_summands(config, f, witness):
+    terms, d, _ = _expansion_summands(config, f, covector(config, witness))
+    for simplex, df, _ in terms:
+        diff = Fraction(df, d)
         for pos, k in enumerate(simplex):
             facet = config.subset_points(simplex[:pos] + simplex[pos + 1:])
             grad[k - 1] -= diff * (-1) ** (config.n + 1 + pos) * oriented_volume(facet)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import InputError, InternalError
 from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses
 from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config, upper_chain
-from .secondary import Covector, _gkz_pairing, covector, upper_cells
+from .secondary import Covector, _gkz_pairing, _scan, covector
 from .setfun import SetFunction, neg_gcd_function
 
 VARIANTS = ("morse", "maxwell")
@@ -119,6 +119,13 @@ def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
     return area_P_bar(config, lifted) - shift * level
 
 
+def _one_scan(config: MorseConfig, gamma: Covector) -> tuple[Fraction, Fraction]:
+    """The basecondary value h of F = -gcd and the secondary support S, read off one integer scan."""
+    pc = config.config()
+    scan, dz = _scan(pc, gamma)
+    return _threshold_sum(pc, config.gcd_function(), scan, dz), _gkz_pairing(pc, [c for c, _, _ in scan], gamma)
+
+
 def morse_support(config: MorseConfig, gamma) -> Fraction:
     """Support of the Newton polytope of the Morse discriminant, up to a shift.
 
@@ -126,27 +133,17 @@ def morse_support(config: MorseConfig, gamma) -> Fraction:
     basecondary value h for F = -gcd, and -3 times the secondary support S
     (twice the Euclidean `area_N`), with h and S read off one lift.
     """
-    pc = config.config()
-    gamma = covector(pc, gamma)
+    gamma = covector(config.config(), gamma)
     _nonnegative(gamma)
-    cells = upper_cells(pc, gamma)
-    return (
-        area_P_bar(config, gamma)
-        + _threshold_sum(pc, config.gcd_function(), cells)
-        - 3 * _gkz_pairing(pc, cells, gamma)
-    )
+    h, s = _one_scan(config, gamma)
+    return area_P_bar(config, gamma) + h - 3 * s
 
 
 def maxwell_support(config: MorseConfig, gamma) -> Fraction:
-    """Support of the Newton polytope of the Maxwell stratum, up to a linear part."""
-    pc = config.config()
-    gamma = covector(pc, gamma)
-    cells = upper_cells(pc, gamma)  # one lift for the basecondary value and the secondary support
-    return (
-        iterated_fiber_support(config, gamma)
-        + _threshold_sum(pc, config.gcd_function(), cells)
-        - 4 * _gkz_pairing(pc, cells, gamma)
-    ) / 2
+    """Support of the Newton polytope of the Maxwell stratum, up to a linear part: (P + h - 4 S) / 2."""
+    gamma = covector(config.config(), gamma)
+    h, s = _one_scan(config, gamma)
+    return (iterated_fiber_support(config, gamma) + h - 4 * s) / 2
 
 
 def _shifted_witness(pc: PointConfig, witness: Covector) -> Covector:

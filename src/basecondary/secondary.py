@@ -152,6 +152,12 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     return tuple(sorted(cells.values(), key=lambda c: c.cell))
 
 
+def _scan(config: PointConfig, gamma: Covector) -> tuple[list, int]:
+    """The cells of the lift of gamma with no affine data: `_oriented_scan`'s triples, and the heights' scale dz."""
+    zs, dz = _cleared(gamma)
+    return list(_oriented_scan(config, zs)), dz
+
+
 def _generic_triangulation(config: PointConfig, gamma: Covector):
     """{cell: scan heights h by label - 1} of the lift of gamma when it passes `is_generic`, else None.
 
@@ -213,8 +219,7 @@ def enumerate_circuital(config: PointConfig, gamma) -> tuple[CircuitalSupport, .
 
 def regular_subdivision(config: PointConfig, gamma) -> Subdivision:
     """The regular subdivision induced by the heights gamma (upper convention)."""
-    cells = tuple(c.cell for c in upper_cells(config, covector(config, gamma)))
-    return Subdivision(n=config.n, cells=cells)
+    return Subdivision(n=config.n, cells=tuple(sorted(c for c, _, _ in _scan(config, covector(config, gamma))[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +297,12 @@ def secondary_support(config: PointConfig, gamma) -> Fraction:
     refinement because gamma is affine on each cell. Heights may be jets.
     """
     gamma = covector(config, gamma)
-    return _gkz_pairing(config, upper_cells(config, gamma), gamma)
+    return _gkz_pairing(config, [cell for cell, _, _ in _scan(config, gamma)[0]], gamma)
 
 
-def _gkz_pairing(config: PointConfig, cells: Sequence[UpperCell], gamma: Covector) -> Fraction:
-    """`secondary_support` on the upper cells of the lift of gamma."""
-    simplices = tuple(s for cell in cells for s in _refine_cell(config, cell.cell))
+def _gkz_pairing(config: PointConfig, cells: Sequence[tuple[int, ...]], gamma: Covector) -> Fraction:
+    """`secondary_support` on the cells, label tuples, of the lift of gamma."""
+    simplices = tuple(s for cell in cells for s in _refine_cell(config, cell))
     phi = gkz_vector(config, Subdivision(n=config.n, cells=simplices))
     return sum((p * g for p, g in zip(phi, gamma)), Fraction(0))
 

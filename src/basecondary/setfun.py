@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InputError, ResourceError
 from .exact_core import CircuitData, PointConfig, affine_rank, as_int, as_list, find_circuit, matrix_rank, rat
@@ -29,6 +30,8 @@ class SetFunction:
       neg_indicator_full -1 exactly on subsets containing the marked element
       matrix_rank        rank over Q of the selected columns
       neg_card_ratio     -|X|/m
+
+    `cleared` (F in integers, kept once built) is no field: ==, hash and repr ignore it.
     """
 
     kind: str
@@ -64,9 +67,26 @@ class SetFunction:
                 raise InputError("table kind needs a value map")
             if self.min_size == 0 and self.table.get(frozenset(), Fraction(0)) != 0:
                 raise InputError("F(empty set) must be 0 when min_size is 0")
+            ground = self.ground()
+            if (key := next((k for k in self.table if not k <= ground), None)) is not None:
+                raise InputError(f"table key {sorted(key)} not within 1..{self.m}")
 
     def ground(self) -> Subset:
         return frozenset(range(1, self.m + 1))
+
+    @functools.cached_property
+    def cleared(self) -> tuple[Callable[[int], int], int]:
+        """(value, d): value(mask) = d * F(X), X the labels of mask's bits (label i at bit i - 1).
+
+        d is the lcm of a table's denominators, default included, m for
+        neg_card_ratio and 1 else. Each set is read through `evaluate_f` on
+        its first query only: an evaluation reads few of the 2^m sets.
+        """
+        d = self.m if self.kind == "neg_card_ratio" else 1
+        if self.kind == "table":
+            d = math.lcm(self.default.denominator, *{v.denominator for v in self.table.values()})
+        labels = range(1, self.m + 1)
+        return functools.cache(lambda mask: int(d * evaluate_f(self, (i for i in labels if mask >> i - 1 & 1)))), d
 
 
 def table_function(m: int, values: dict, default=0, min_size: int = 0) -> SetFunction:

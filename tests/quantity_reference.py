@@ -1,7 +1,13 @@
 """Second routes to quantities the library now computes in one place.
 
 `eval_basecondary_general` once made two F calls per threshold, F{v >= c}
-and F{v > c}, where it now reads F{v > c} off the level above c.
+and F{v > c}, where it now reads F{v > c} off the level above c; it once
+read `Fraction` values off `upper_cells` and F through `evaluate_f`, where
+it now reads the lift's integer heights and F cleared to integers. The
+expansion once took each lifted volume as an `oriented_volume` of
+`Fraction` lifted points, where it now reads it off the same heights; the
+Morse and Maxwell supports took both their lift-read parts off
+`upper_cells`.
 `secondary_support` once summed volume(simplex) * (heights on the simplex)
 over the refined subdivision, where it is now <GKZ vector, gamma>.
 `lattice_volume` once took its own hull and shoelace sum in the plane, where
@@ -16,8 +22,10 @@ of its own, the argmax for n = 0 and the upper chain with `_values_under` for
 n = 1 (`chain_upper_cells`), where it now runs the circuit-form scan of every
 n. The expansion once decided genericity a second time, on the `Fraction`
 cells of a full lift (`is_generic_lift`), where it now reads the integer scan
-that `is_generic` reads. Each is kept verbatim here, the evaluator and the
-support on the kept `lattice_volume`, so results can be compared exactly.
+that `is_generic` reads. Each is kept here, the evaluator and the support
+on the kept `lattice_volume`, so results can be compared exactly. The
+references read `secondary.upper_cells` through the module, so a test may
+swap in `chain_upper_cells`, which takes dense jets.
 
 `build_delta` is the roof-only pyramid, without the base row: its fiber
 polygon bounds the barred one's from below, with the same upper envelope.
@@ -26,11 +34,19 @@ polygon bounds the barred one's from below, with the same upper envelope.
 import itertools
 from fractions import Fraction
 
-from basecondary import exact_core
-from basecondary.core import _check_f, _values_under
+from basecondary import exact_core, secondary
+from basecondary.core import _check_f, _descending_tail, _positive_orientation, _values_under
 from basecondary.errors import InputError
-from basecondary.exact_core import PointConfig, Polygon2, clear_denominators, convex_hull_2d, integer_normal
-from basecondary.secondary import Covector, UpperCell, _labels_by_coordinate, _refine_cell, covector, upper_cells
+from basecondary.exact_core import (
+    PointConfig,
+    Polygon2,
+    clear_denominators,
+    convex_hull_2d,
+    integer_normal,
+    oriented_volume,
+)
+from basecondary.fiber_morse import area_P_bar, iterated_fiber_support
+from basecondary.secondary import Covector, UpperCell, _labels_by_coordinate, _refine_cell, covector
 from basecondary.setfun import evaluate_f
 
 
@@ -67,7 +83,7 @@ def eval_basecondary_general(config, f, gamma):
     _check_f(config, f)
     gamma = covector(config, gamma)
     total = Fraction(0)
-    for cell in upper_cells(config, gamma):
+    for cell in secondary.upper_cells(config, gamma):
         vol = lattice_volume(config.subset_points(cell.cell))
         if vol == 0:
             continue
@@ -86,11 +102,61 @@ def secondary_support(config, gamma):
     """Sum over the refined subdivision of volume(simplex) * sum of its heights."""
     gamma = covector(config, gamma)
     total = Fraction(0)
-    for cell in upper_cells(config, gamma):
+    for cell in secondary.upper_cells(config, gamma):
         for simplex in _refine_cell(config, cell.cell):
             vol = lattice_volume(config.subset_points(simplex))
             total += vol * sum(gamma[i - 1] for i in simplex)
     return total
+
+
+def expansion_terms(config, f, gamma):
+    """The expansion's terms on the `Fraction` lift, each volume an `oriented_volume` of lifted points.
+
+    Cells, genericity and tail orders are read off `upper_cells`, and F
+    through `evaluate_f`.
+    """
+    _check_f(config, f)
+    gamma = covector(config, gamma)
+    cells = secondary.upper_cells(config, gamma)
+    if not is_generic_lift(config.n, cells):
+        raise InputError("expansion needs a generic height vector; use the general evaluator")
+    lifted = {i: config.image(i) + (gamma[i - 1],) for i in range(1, config.m + 1)}
+    terms = []
+    for cell in cells:
+        head = _positive_orientation(config, cell.cell)
+        prefix = set(head)
+        prev = evaluate_f(f, prefix)
+        for i in _descending_tail(config, head, cell.values):
+            prefix.add(i)
+            cur = evaluate_f(f, prefix)
+            if prev != cur:
+                simplex = head + (i,)
+                terms.append((simplex, prev - cur, -oriented_volume([lifted[j] for j in simplex])))
+            prev = cur
+    return tuple(terms)
+
+
+def eval_basecondary_generic(config, f, gamma):
+    """The sum of F-difference times lifted volume over the reference `expansion_terms`."""
+    return sum((diff * volume for _, diff, volume in expansion_terms(config, f, gamma)), Fraction(0))
+
+
+def morse_support(config, gamma):
+    """P + h - 3 S with h and S the references above, each on its own lift."""
+    pc = config.config()
+    gamma = covector(pc, gamma)
+    if any(g < 0 for g in gamma):
+        raise InputError("heights must be nonnegative here")
+    h = eval_basecondary_general(pc, config.gcd_function(), gamma)
+    return area_P_bar(config, gamma) + h - 3 * secondary_support(pc, gamma)
+
+
+def maxwell_support(config, gamma):
+    """(P + h - 4 S) / 2 with h and S the references above, each on its own lift."""
+    pc = config.config()
+    gamma = covector(pc, gamma)
+    h = eval_basecondary_general(pc, config.gcd_function(), gamma)
+    return (iterated_fiber_support(config, gamma) + h - 4 * secondary_support(pc, gamma)) / 2
 
 
 def build_delta_bar(config, gamma):

@@ -138,6 +138,20 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert "gamma" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("verb, doc, key", [
+    ("eval", {"n": 0, "m": 4, "gamma": [1, 2, 3, 4], "F": {"kind": "table", "values": {"1,9": "5", "1,2": "1"}}},
+     "[1, 9]"),
+    ("check-submodular", {"m": 3, "F": {"kind": "table", "values": {"1,4": "1"}}}, "[1, 4]"),
+    ("lovasz", {"m": 2, "x": [1, 2], "F": {"kind": "table", "values": {"0": "1"}}}, "[0]"),
+])
+def test_table_keys_outside_the_ground_set_exit_2(capsys, tmp_path, verb, doc, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, verb, "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == f"table key {key} not within 1..{doc['m']}"
+
+
 def test_convexify_and_polytope(capsys, tmp_path):
     doc = {"n": 1, "A": [[1], [3], [6], [7]], "F": {"kind": "neg_gcd"}}
     path = tmp_path / "p.json"

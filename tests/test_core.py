@@ -9,7 +9,7 @@ import pytest
 import witness_reference
 from numeric_oracle import second_difference
 
-from basecondary import core, secondary
+from basecondary import core, fiber_morse, secondary
 from basecondary.core import (
     cone_witnesses,
     convexity_certificate,
@@ -225,19 +225,46 @@ def test_expansion_routes_refuse_jets(config, gamma):
             route(config, f, Jet.seed(gamma))
 
 
+def _upper_cells_calls(monkeypatch):
+    """Every call of `upper_cells` through any binding of it in `secondary`, `core` and `fiber_morse`."""
+    calls = []
+    real = secondary.upper_cells
+    for module in (secondary, core, fiber_morse):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+PENTAGON = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
+
+
 def test_expansion_routes_make_no_upper_cells_call(monkeypatch):
     # genericity, cells and tail orders all come from the integer scan of `_generic_triangulation`
-    calls = []
-    for module in (secondary, core):
-        real = module.upper_cells
-        monkeypatch.setattr(module, "upper_cells", lambda *a, _f=real: calls.append(a) or _f(*a))
-    pentagon = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
-    for config, gamma in ((A1367, G1), (pentagon, (1, 3, 2, 4, 0)), (make_config(0, [[], [], []]), (2, 1, 3))):
+    calls = _upper_cells_calls(monkeypatch)
+    for config, gamma in ((A1367, G1), (PENTAGON, (1, 3, 2, 4, 0)), (make_config(0, [[], [], []]), (2, 1, 3))):
         f = neg_indicator_function(config.m, min_size=config.n)
         expansion_terms(config, f, gamma)
         eval_basecondary_generic(config, f, gamma)
         gradient_on_cone(config, f, gamma)
     assert calls == []
+
+
+def test_general_evaluator_and_supports_make_no_upper_cells_call(monkeypatch):
+    # they read cell labels and integer heights off the scan; `upper_cells` serves the affine-data verbs only
+    calls = _upper_cells_calls(monkeypatch)
+    mc = fiber_morse.morse_config([1, 3, 6, 7])
+    n0 = make_config(0, [[]] * 3)
+    for config, gamma in ((A1367, G2), (A1367, Jet.seed(G3)), (PENTAGON, (1, 1, 1, 1, 0)), (n0, (2, 2, 1))):
+        f = table_function(config.m, {(1, 2): 1, tuple(range(1, config.m + 1)): -1}, default=F(1, 2), min_size=config.n)
+        eval_basecondary_general(config, f, gamma)
+        secondary.secondary_support(config, gamma)
+        regular_subdivision(config, gamma)
+    fiber_morse.morse_support(mc, G2)
+    fiber_morse.maxwell_support(mc, Jet.seed(G1))
+    secondary.area_N(A1367, G1)
+    assert calls == []
+    assert enumerate_simplicial(A1367, G1) and len(calls) == 1  # the pin sees a call
 
 
 def test_eval_n0_lovasz_reduction():

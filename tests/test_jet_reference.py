@@ -6,8 +6,9 @@ on both jets. `upper_chain` and `convex_hull_2d` must be `repr`-equal with
 the loops that multiplied jets at every turn, on ints, tie-heavy rationals
 and jets. `morse_polytope` and fiber-summand gradients must be `repr`-equal
 with the dense jet, the jet-multiplying hull, upper chain and Minkowski sum,
-and the `Fraction` fiber route, which multiplies dense jets, swapped in,
-with the n <= 1 chain lift, since the circuit-form lift clears sparse jets. A
+the `Fraction` fiber route, which multiplies dense jets, and the `Fraction`
+Morse and Maxwell supports of `quantity_reference` on the n <= 1 chain lift
+swapped in, since the circuit-form lift clears sparse jets. A
 pin keeps both chains deciding on values: with no value cross product 0
 they multiply no jet.
 """
@@ -21,7 +22,7 @@ import jet_reference as ref
 import pytest
 import quantity_reference
 
-from basecondary import core, exact_core, fiber_morse, secondary, tropical
+from basecondary import exact_core, fiber_morse, secondary, tropical
 from basecondary.exact_core import Jet, convex_hull_2d, upper_chain
 from basecondary.fiber_morse import _shifted_witness, area_P_bar, morse_config, morse_polytope
 from basecondary.secondary import cone_witness, enumerate_triangulations_1d
@@ -129,11 +130,11 @@ def test_hull_chains_match_the_multiplying_loops():
 
 @pytest.fixture
 def dense(monkeypatch):
-    """The dense jet, the jet-multiplying hull, upper chain and Minkowski sum, and the Fraction fiber route.
+    """The dense jet, the jet-multiplying hull, upper chain and Minkowski sum, the Fraction fiber and supports.
 
     The integer fiber kernel and the circuit-form lift read sparse jets, so
-    the dense side runs the reference routes, the lift on the upper chain,
-    which multiply dense jets end to end.
+    the dense side runs the reference routes, the supports on the upper
+    chain's lift, which multiply dense jets end to end.
     """
     for module in (exact_core, fiber_morse):
         monkeypatch.setattr(module, "Jet", ref.Jet)
@@ -142,8 +143,9 @@ def dense(monkeypatch):
     monkeypatch.setattr(exact_core, "minkowski_sum", ref.minkowski_sum)
     for module in (exact_core, fiber_morse, tropical):
         monkeypatch.setattr(module, "upper_chain", ref.upper_chain)
-    for module in (secondary, core, fiber_morse):
-        monkeypatch.setattr(module, "upper_cells", quantity_reference.chain_upper_cells)
+    monkeypatch.setattr(secondary, "upper_cells", quantity_reference.chain_upper_cells)
+    monkeypatch.setattr(fiber_morse, "morse_support", quantity_reference.morse_support)
+    monkeypatch.setattr(fiber_morse, "maxwell_support", quantity_reference.maxwell_support)
 
 
 def _results(rng_seed):

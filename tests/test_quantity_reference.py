@@ -3,12 +3,16 @@
 The general evaluator, the secondary support and the planar lattice volume
 must return exactly what `quantity_reference` returns, type included, on
 seeded n = 0, 1 and 2 configurations with tie-heavy integer heights (and
-jets for n <= 1, as `maxwell_support` passes them). The fiber polygon of
-the pyramid's hull vertices must be that of all its base and roof points,
-and `area_N`, half the secondary support, the area of its own hull. Three
-pins keep the single routes single: an oriented volume runs no rational
-elimination, a cell with k values below its maximum costs the evaluator
-k + 1 F calls, and `area_N` takes no hull.
+jets for n <= 1, as `maxwell_support` passes them). The integer evaluators
+must be `repr`-equal with the `Fraction` routes, values, expansion terms
+and jets' gradients included, for every kind of F, on tie-heavy heights,
+generic ones with large denominators and jets at n <= 2; so must the Morse
+and Maxwell supports. The fiber polygon of the pyramid's hull vertices must
+be that of all its base and roof points, and `area_N`, half the secondary
+support, the area of its own hull. Three pins keep the single routes
+single: an oriented volume runs no rational elimination, a cell with k
+values below its maximum costs the evaluator k + 1 queries of F, and
+`area_N` takes no hull.
 """
 
 import itertools
@@ -19,12 +23,13 @@ import linalg_reference
 import pytest
 import quantity_reference as ref
 
-from basecondary import core, exact_core, secondary
-from basecondary.core import eval_basecondary_general
+from basecondary import exact_core, secondary
+from basecondary.core import eval_basecondary_general, eval_basecondary_generic, expansion_terms, is_generic
+from basecondary.errors import InputError
 from basecondary.exact_core import Jet, fiber_polygon, lattice_volume, make_config, oriented_volume
-from basecondary.fiber_morse import build_delta_bar, morse_config
+from basecondary.fiber_morse import build_delta_bar, maxwell_support, morse_config, morse_support
 from basecondary.secondary import area_N, secondary_support, upper_cells
-from basecondary.setfun import SetFunction, evaluate_f
+from basecondary.setfun import KINDS, SetFunction
 
 CONFIGS = 40
 
@@ -85,6 +90,86 @@ def test_evaluator_and_secondary_support_match_the_references(n):
     assert jets == (4 * CONFIGS if n <= 1 else 0)
 
 
+def _set_function(rng, config, kind):
+    """F of the kind with min_size n; a table lists about half its sets and has a rational default."""
+    m, n = config.m, config.n
+    if kind == "table":
+        values = {
+            frozenset(sub): F(rng.randint(-3, 3), rng.randint(1, 4))
+            for r in range(max(1, n), m + 1)
+            for sub in itertools.combinations(range(1, m + 1), r)
+            if rng.random() < 0.5
+        }
+        default = F(rng.randint(-3, 3), rng.randint(1, 5))
+        return SetFunction(kind="table", m=m, min_size=n, table=values, default=default)
+    if kind == "neg_gcd":
+        points = tuple(rng.choice([-6, -4, 2, 3, 9]) for _ in range(m))
+        return SetFunction(kind=kind, m=m, min_size=n, gcd_points=points)
+    if kind == "neg_indicator_full":
+        return SetFunction(kind=kind, m=m, min_size=n, point=rng.randint(1, m))
+    if kind == "matrix_rank":
+        columns = tuple(tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3)) for _ in range(m))
+        return SetFunction(kind=kind, m=m, min_size=n, columns=columns)
+    return SetFunction(kind=kind, m=m, min_size=n)
+
+
+def _wide_rationals(rng, m):
+    """Heights with denominators up to 10^9, so the scale dz is large; generic almost surely."""
+    return tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**9)) for _ in range(m))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_integer_evaluators_match_the_fraction_routes(n):
+    rng = random.Random(f"integer-evaluators/{n}")
+    wide = generic = 0
+    for rep in range(CONFIGS):
+        config = _config(rng, n, rng.randint(n + 2, {0: 7, 1: 8, 2: 7}[n]))
+        f = _set_function(rng, config, KINDS[rep % len(KINDS)])
+        ties, spread = _heights(rng, config), _wide_rationals(rng, config.m)
+        wide += any(len(c.cell) > n + 1 for c in upper_cells(config, ties))
+        for gamma in (ties, Jet.seed(ties), spread, Jet.seed(spread)):
+            want = ref.eval_basecondary_general(config, f, gamma)
+            assert _key(eval_basecondary_general(config, f, gamma)) == _key(want), (config, f, gamma)
+        if is_generic(config, spread):
+            generic += 1
+            assert repr(expansion_terms(config, f, spread)) == repr(ref.expansion_terms(config, f, spread))
+            want = ref.eval_basecondary_generic(config, f, spread)
+            assert repr(eval_basecondary_generic(config, f, spread)) == repr(want)
+    assert wide >= CONFIGS // 4  # cells that are not simplices
+    assert generic >= CONFIGS - 2
+
+
+@pytest.mark.parametrize("points", [[1, 3, 6, 7], [1, 2, 3, 5, 8], [-3, -1, 1, 2, 4], [-8, -6, -3, -1, 3, 8]])
+def test_morse_and_maxwell_supports_match_the_fraction_routes(points):
+    mc = morse_config(points)
+    rng = random.Random(f"supports/{points}")
+    for rep in range(9):
+        if rep % 3 == 0:
+            gamma = [F(rng.randint(0, 12), rng.randint(1, 3)) for _ in points]
+        elif rep % 3 == 1:  # tie-heavy
+            gamma = [F(rng.randint(0, 2)) for _ in points]
+        else:
+            gamma = [abs(g) for g in _wide_rationals(rng, len(points))]
+        for h in (gamma, Jet.seed(gamma)):
+            assert _key(morse_support(mc, h)) == _key(ref.morse_support(mc, h)), h
+            assert _key(maxwell_support(mc, h)) == _key(ref.maxwell_support(mc, h)), h
+        below = [g - 1 for g in gamma]  # the Maxwell support takes heights of any sign
+        assert _key(maxwell_support(mc, below)) == _key(ref.maxwell_support(mc, below))
+
+
+def test_general_evaluator_reads_simplex_volumes_off_the_scan_at_n3():
+    # a simplex cell needs no hull, so n = 3 evaluates where the subdivision is a triangulation
+    config = make_config(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2], [2, -1, 1]])
+    rng = random.Random("n3")
+    for kind in KINDS:
+        f = _set_function(rng, config, kind)
+        for _ in range(4):
+            gamma = _wide_rationals(rng, config.m)
+            assert repr(eval_basecondary_general(config, f, gamma)) == repr(eval_basecondary_generic(config, f, gamma))
+    with pytest.raises(InputError, match="ambient dimension <= 2"):  # a cell that is not a simplex takes its hull
+        eval_basecondary_general(config, f, (0, 0, 0, 0, 0, -1))
+
+
 def test_planar_lattice_volume_matches_its_own_hull():
     rng = random.Random("one-route/area")
     for _ in range(400):
@@ -111,10 +196,16 @@ def test_oriented_volume_runs_no_elimination(monkeypatch):
         assert set(calls) <= ({"_bareiss"} if k > 2 else set()), (k, calls)
 
 
-def test_each_threshold_set_costs_one_f_call(monkeypatch):
+def _counted(f, calls):
+    """f with its integer lookup (`SetFunction.cleared`) recording each queried set."""
+    value, d = f.cleared
+    f.__dict__["cleared"] = (lambda mask: calls.append(mask) or value(mask), d)
+    return f
+
+
+def test_each_threshold_set_costs_one_f_call():
     calls = []
-    monkeypatch.setattr(core, "evaluate_f", lambda f, s: calls.append(s) or evaluate_f(f, s))
-    f = SetFunction(kind="table", m=6, table={frozenset({1, 2, 3}): F(-1)}, default=F(1))
+    f = _counted(SetFunction(kind="table", m=6, table={frozenset({1, 2, 3}): F(-1)}, default=F(1)), calls)
     config = make_config(0, [[] for _ in range(6)])
     for gamma, k in (((5, 5, 2, 2, 2, 0), 2), ((4, 1, 1, 1, 1, 1), 1), ((3,) * 6, 0)):
         calls.clear()
@@ -127,7 +218,7 @@ def test_each_threshold_set_costs_one_f_call(monkeypatch):
         gamma = _heights(rng, config)
         levels = [len(set(c.values)) - 1 for c in upper_cells(config, gamma)]
         calls.clear()
-        eval_basecondary_general(config, _table(rng, config), gamma)
+        eval_basecondary_general(config, _counted(_table(rng, config), calls), gamma)
         assert len(calls) == sum(k + 1 for k in levels if k)
 
 

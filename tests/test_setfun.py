@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -86,6 +87,64 @@ def test_table_empty_set_invariant():
         SetFunction(kind="table", m=2, min_size=0, table={frozenset(): F(1)})
     f = table_function(2, {frozenset({1}): 1, frozenset({2}): 2, frozenset({1, 2}): 2})
     assert evaluate_f(f, set()) == 0
+
+
+def test_table_keys_outside_the_ground_set_are_refused():
+    for key in ({1, 9}, {0, 2}, {5}):
+        with pytest.raises(InputError, match=re.escape(f"table key {sorted(key)} not within 1..4")):
+            table_function(4, {frozenset(key): 1, frozenset({1, 2}): 2})
+    assert table_function(4, {frozenset({1, 4}): 1}).table == {frozenset({1, 4}): 1}
+
+
+def _every_kind(rng, m):
+    """One F of each kind on 1..m, min_size 1; the table lists about half the sets and has a default."""
+    table = {
+        frozenset(sub): F(rng.randint(-5, 5), rng.randint(1, 6))
+        for r in range(1, m + 1)
+        for sub in itertools.combinations(range(1, m + 1), r)
+        if rng.random() < 0.5
+    }
+    columns = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3)] for _ in range(m)]
+    return [
+        SetFunction(kind="table", m=m, min_size=1, table=table, default=F(rng.randint(-5, 5), rng.randint(1, 7))),
+        neg_gcd_function([rng.choice([-6, -4, -3, 2, 3, 9]) for _ in range(m)], min_size=1),
+        neg_indicator_function(m, point=rng.randint(1, m), min_size=1),
+        matrix_rank_function(columns, min_size=1),
+        neg_card_ratio_function(m, min_size=1),
+    ]
+
+
+def _subsets(m):
+    for mask in range(1, 1 << m):
+        yield mask, frozenset(i for i in range(1, m + 1) if mask >> i - 1 & 1)
+
+
+def test_cleared_values_are_evaluate_f_times_one_denominator():
+    rng = random.Random("cleared")
+    for m in range(1, 7):
+        for f in _every_kind(rng, m):
+            value, d = f.cleared
+            assert d >= 1 and all(value(mask) == d * evaluate_f(f, x) for mask, x in _subsets(m)), f
+            assert type(value((1 << m) - 1)) is int
+    table = SetFunction(kind="table", m=2, table={frozenset({1}): F(1, 6)}, default=F(3, 4))
+    assert table.cleared[1] == 12 and table.cleared[0](3) == 9
+
+
+def test_cleared_keeps_equality_and_repr_and_its_matrix_columns():
+    rng = random.Random("cleared/hygiene")
+    for m in range(1, 7):
+        for f in _every_kind(rng, m):
+            twin = SetFunction(**{k: getattr(f, k) for k in f.__dataclass_fields__})
+            before = repr(f)
+            f.cleared
+            assert f == twin and repr(f) == before == repr(twin)
+        f = matrix_rank_function([[rng.randint(-2, 2) for _ in range(4)] for _ in range(m)])
+        columns = f.columns
+        value, _ = f.cleared
+        for _ in range(3):  # each rank runs on copies: no query changes a later one
+            for mask, x in rng.sample(list(_subsets(m)), (1 << m) - 1):
+                assert value(mask) == evaluate_f(f, x), (f, x)
+        assert f.columns == columns
 
 
 def test_is_submodular_examples():
