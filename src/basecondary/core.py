@@ -10,10 +10,10 @@ per-cone gradient representation with an exact convexity certificate.
 
 Gradients and wall defects are closed forms read off one lift, never
 difference quotients. At a generic witness the expansion is a fixed sum of
-F-differences times lifted simplex volumes, and each volume is linear in the
-heights, so the gradient is the sum of the F-differences times the volumes'
-height cofactors. The secondary support's gradient there is the GKZ vector
-of the induced triangulation. At a point of a 1D wall where every tail is
+F-differences times lifted simplex volumes, each a circuit form linear in the
+heights, so the gradient is the sum of the F-differences times the tail
+labels' form coefficients. The secondary support's gradient there is the GKZ
+vector of the induced triangulation. At a point of a 1D wall where every tail is
 distinct, the wall defect is the lifted circuit volume times the circuit
 expression in F.
 """
@@ -300,20 +300,18 @@ def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Frac
     """Exact gradient of the basecondary function at a generic witness.
 
     Near a generic witness the expansion terms of `expansion_terms` keep
-    their simplices and F-differences, and each lifted volume is linear in
-    the heights, so the gradient is the sum over the terms of F-difference
-    times d(volume)/d(gamma_k), the height cofactor of the lifted simplex:
-    (-1)^(n+1+pos) times the volume of the simplex without k, at 0-based
-    position pos. Non-generic witnesses are refused with InputError.
+    their simplices and F-differences, and each lifted volume -h / (dx^n dz)
+    is linear in the heights: h is the circuit form of the tail label over
+    the cell's base (`PointConfig.lift_forms`), sum_k c_k dz gamma_k. So the
+    gradient is the sum over the terms of -dF * c_k, divided once by
+    d dx^n. Non-generic witnesses are refused with InputError.
     """
-    grad = [Fraction(0)] * config.m
     terms, d, _ = _expansion_summands(config, f, covector(config, witness))
+    grad, (_, dx, forms) = [0] * config.m, config.lift_forms
     for simplex, df, _ in terms:
-        diff = Fraction(df, d)
-        for pos, k in enumerate(simplex):
-            facet = config.subset_points(simplex[:pos] + simplex[pos + 1:])
-            grad[k - 1] -= diff * (-1) ** (config.n + 1 + pos) * oriented_volume(facet)
-    return tuple(grad)
+        for k, c in forms[tuple(sorted(i - 1 for i in simplex[:-1]))][simplex[-1] - 1]:
+            grad[k] -= df * c
+    return tuple(Fraction(g, d * dx ** config.n) for g in grad)
 
 
 def convexity_certificate(entries) -> tuple[bool, Optional[tuple]]:
@@ -388,7 +386,7 @@ def min_convexifier(
     The rule for every n <= 1: F must be submodular above size n + 1, or
     InputError carries the violating pair. For n = 1 the rows do not test
     that rule, and without it h + c * secondary at their c need not be
-    convex. The exhaustive check costs O(2^m m^2) evaluations of F.
+    convex. The exhaustive check evaluates F once per set.
     For n >= 2 the value is a lower bound, flagged not exact: the largest
     ratio over pairs of cones discovered from `samples` seeded heights,
     comparing closed-form gradients (`gradient_on_cone`) and GKZ vectors at

@@ -250,7 +250,7 @@ class PointConfig:
         return [self.image(i) for i in labels]
 
     @functools.cached_property
-    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple]:
+    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, dict]:
         """The lift's integer kernel (x, dx, bases): the coordinates cleared by their lcm dx.
 
         Lift x_k to (x_k, z_k); V(S) is the integer volume of an (n+1)-subset
@@ -259,8 +259,8 @@ class PointConfig:
         N_z > 0, is the circuit form sum_i (-1)^i V(C - c_i) z_ci of the sorted
         C = B + l (the determinant of the rows (1, x, z) of C expanded along
         z; GKZ 1994, ch. 7), signed so that z_l has the coefficient |V(B)|.
-        `bases` holds each B with V(B) != 0, in `itertools.combinations`
-        order, with every label's form as (k, c_k) pairs, empty on B itself.
+        `bases` maps each B with V(B) != 0, 0-based and in `itertools.combinations`
+        order, to every label's form as (k, c_k) pairs, empty on B itself.
         For n = 0 every point has volume 1 and the forms are z_l - z_b; for
         n = 1 they are the 3-point circuits.
         """
@@ -278,7 +278,7 @@ class PointConfig:
             for l, face, a in zip(c, faces, coefficients):
                 if a:  # the base C - l has nonzero volume
                     forms[face][l] = form if a > 0 else negated
-        return xs, dx, tuple((s, tuple(f)) for s, f in forms.items())
+        return xs, dx, {s: tuple(f) for s, f in forms.items()}
 
 
 def make_config(n: int, points) -> PointConfig:

@@ -63,6 +63,11 @@ class MorseConfig:
         return make_config(1, [[a] for a in self.points])
 
     def gcd_function(self) -> SetFunction:
+        """F = -gcd on sets of at least one exponent, built once, so its cleared lookup is too."""
+        return self._gcd_function
+
+    @functools.cached_property
+    def _gcd_function(self) -> SetFunction:
         return neg_gcd_function(self.points, min_size=1)
 
 

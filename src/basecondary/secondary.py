@@ -14,7 +14,6 @@ from .exact_core import (
     CircuitData,
     PointConfig,
     _cleared,
-    clear_denominators,
     convex_hull_2d,
     find_circuit,
     integer_normal,
@@ -99,7 +98,7 @@ def _oriented_scan(config: PointConfig, zs: Sequence):
     `upper_cells` turns it into affine data.
     """
     seen = set()
-    for base, forms in config.lift_forms[2]:
+    for base, forms in config.lift_forms[2].items():
         heights = []
         for form in forms:
             h = sum([c * zs[k] for k, c in form])
@@ -341,7 +340,7 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
     big = 1 + max(p[0] * p[0] for p in config.points)
     base = [big - p[0] * p[0] if i in verts else Fraction(i, config.m + 1) - 1
             for i, p in enumerate(config.points, 1)]
-    d2 = clear_denominators([p[0] for p in config.points])[1] ** 2
+    d2 = config.lift_forms[1] ** 2
     primes = (2, 3, 5, 7, 11, 13)
     for attempt in range(WITNESS_RETRY_CAP):
         jitter = {}

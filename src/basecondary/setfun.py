@@ -79,8 +79,9 @@ class SetFunction:
         """(value, d): value(mask) = d * F(X), X the labels of mask's bits (label i at bit i - 1).
 
         d is the lcm of a table's denominators, default included, m for
-        neg_card_ratio and 1 else. Each set is read through `evaluate_f` on
-        its first query only: an evaluation reads few of the 2^m sets.
+        neg_card_ratio and 1 else. Every reader of F in this package reads it,
+        and each set goes through `evaluate_f` on its first query only: an
+        evaluation reads few of the 2^m sets, a submodularity scan all of them.
         """
         d = self.m if self.kind == "neg_card_ratio" else 1
         if self.kind == "table":
@@ -152,24 +153,6 @@ class SubmodularityReport:
         return self.holds
 
 
-def _pair_violation(f: SetFunction, x: Subset, x1: int, x2: int) -> Optional[tuple]:
-    a = evaluate_f(f, x | {x1})
-    b = evaluate_f(f, x | {x2})
-    c = evaluate_f(f, x)
-    d = evaluate_f(f, x | {x1, x2})
-    if a + b < c + d:
-        return (tuple(sorted(x)), x1, x2, (a, b, c, d))
-    return None
-
-
-def _subsets_by_mask(m: int, min_size: int = 0):
-    ground = list(range(1, m + 1))
-    for mask in range(1 << m):
-        if mask.bit_count() < min_size:
-            continue
-        yield frozenset(ground[i] for i in range(m) if mask >> i & 1)
-
-
 def is_submodular(f: SetFunction) -> SubmodularityReport:
     """Exhaustive submodularity check; reports the first violation found."""
     if f.min_size != 0:
@@ -178,15 +161,17 @@ def is_submodular(f: SetFunction) -> SubmodularityReport:
 
 
 def is_submodular_above(f: SetFunction, n: int) -> SubmodularityReport:
-    """Element-pair submodularity restricted to base sets of size >= n."""
+    """Element-pair submodularity restricted to base sets of size >= n, read off `SetFunction.cleared`."""
     if f.m > SUBMODULAR_CHECK_CAP:
         raise ResourceError(f"exhaustive check capped at m = {SUBMODULAR_CHECK_CAP}")
-    for x in _subsets_by_mask(f.m, max(n, f.min_size)):
-        rest = sorted(f.ground() - x)
-        for x1, x2 in itertools.combinations(rest, 2):
-            hit = _pair_violation(f, x, x1, x2)
-            if hit is not None:
-                return SubmodularityReport(holds=False, witness=hit)
+    value, d = f.cleared
+    for mask in (s for s in range(1 << f.m) if s.bit_count() >= max(n, f.min_size)):
+        for i, j in itertools.combinations([k for k in range(f.m) if not mask >> k & 1], 2):
+            a, b, c, e = value(mask | 1 << i), value(mask | 1 << j), value(mask), value(mask | 1 << i | 1 << j)
+            if a + b < c + e:
+                x = tuple(k + 1 for k in range(f.m) if mask >> k & 1)
+                values = tuple(Fraction(v, d) for v in (a, b, c, e))
+                return SubmodularityReport(holds=False, witness=(x, i + 1, j + 1, values))
     return SubmodularityReport(holds=True)
 
 
@@ -202,11 +187,13 @@ def circuit_value(f: SetFunction, circuit: CircuitData) -> Fraction:
     With J the circuit's labels (`circuit.ordering`), J0 its support and N
     the ground set: sum_{k in J0} F(J \\ k) - (|J0| - 1) F(J) - F(N).
     """
-    labels = frozenset(circuit.ordering)
-    value = -(len(circuit.support) - 1) * evaluate_f(f, labels) - evaluate_f(f, f.ground())
+    if not set(circuit.ordering) <= f.ground():
+        raise InputError(f"subset {sorted(circuit.ordering)} not within 1..{f.m}")
+    (value, d), labels = f.cleared, sum(1 << i - 1 for i in circuit.ordering)
+    total = -(len(circuit.support) - 1) * value(labels) - value((1 << f.m) - 1)
     for k in circuit.support:
-        value += evaluate_f(f, labels - {k})
-    return value
+        total += value(labels & ~(1 << k - 1))
+    return Fraction(total, d)
 
 
 def circuit_condition_check(f: SetFunction, config: PointConfig) -> CircuitConditionReport:
@@ -249,13 +236,12 @@ def greedy_vertex(f: SetFunction, order) -> tuple[Fraction, ...]:
     perm = list(order)
     if sorted(perm) != list(range(1, f.m + 1)):
         raise InputError("order must be a permutation of 1..m")
-    y = [Fraction(0)] * f.m
-    prev = Fraction(0)
-    chain: set[int] = set()
+    (value, d), y = f.cleared, [Fraction(0)] * f.m
+    mask = prev = 0
     for i in perm:
-        chain.add(i)
-        cur = evaluate_f(f, chain)
-        y[i - 1] = cur - prev
+        mask |= 1 << i - 1
+        cur = value(mask)
+        y[i - 1] = Fraction(cur - prev, d)
         prev = cur
     return tuple(y)
 

@@ -22,7 +22,12 @@ of its own, the argmax for n = 0 and the upper chain with `_values_under` for
 n = 1 (`chain_upper_cells`), where it now runs the circuit-form scan of every
 n. The expansion once decided genericity a second time, on the `Fraction`
 cells of a full lift (`is_generic_lift`), where it now reads the integer scan
-that `is_generic` reads. Each is kept here, the evaluator and the support
+that `is_generic` reads. `gradient_on_cone` once took each term's gradient
+as n + 2 height cofactors, facet `oriented_volume`s with signs, where it now
+reads the coefficients of the tail label's circuit form. The submodularity
+scan, `circuit_value` and `greedy_vertex` once built a frozenset per query
+and read it through `evaluate_f`, where they now read bitmasks off
+`SetFunction.cleared`. Each is kept here, the evaluator and the support
 on the kept `lattice_volume`, so results can be compared exactly. The
 references read `secondary.upper_cells` through the module, so a test may
 swap in `chain_upper_cells`, which takes dense jets.
@@ -35,7 +40,7 @@ import itertools
 from fractions import Fraction
 
 from basecondary import exact_core, secondary
-from basecondary.core import _check_f, _descending_tail, _positive_orientation, _values_under
+from basecondary.core import _check_f, _descending_tail, _expansion_summands, _positive_orientation, _values_under
 from basecondary.errors import InputError
 from basecondary.exact_core import (
     PointConfig,
@@ -47,7 +52,7 @@ from basecondary.exact_core import (
 )
 from basecondary.fiber_morse import area_P_bar, iterated_fiber_support
 from basecondary.secondary import Covector, UpperCell, _labels_by_coordinate, _refine_cell, covector
-from basecondary.setfun import evaluate_f
+from basecondary.setfun import SubmodularityReport, evaluate_f
 
 
 def _shoelace_area(vertices):
@@ -260,3 +265,75 @@ def chain_upper_cells(config: PointConfig, gamma: Covector):
 def is_generic_lift(n, cells):
     """Genericity read off the `UpperCell`s of a lift: every cell has n + 1 points and pairwise distinct tail values."""
     return all(len(c.cell) == n + 1 and c.distinct_tail for c in cells)
+
+
+def gradient_on_cone(config, f, witness):
+    """The gradient as the sum over the expansion terms of F-difference times each lifted volume's height cofactor.
+
+    The cofactor of label k is (-1)^(n+1+pos) times the volume of the
+    simplex without k, at 0-based position pos.
+    """
+    grad = [Fraction(0)] * config.m
+    terms, d, _ = _expansion_summands(config, f, covector(config, witness))
+    for simplex, df, _ in terms:
+        diff = Fraction(df, d)
+        for pos, k in enumerate(simplex):
+            facet = config.subset_points(simplex[:pos] + simplex[pos + 1:])
+            grad[k - 1] -= diff * (-1) ** (config.n + 1 + pos) * oriented_volume(facet)
+    return tuple(grad)
+
+
+def _pair_violation(f, x, x1, x2):
+    a = evaluate_f(f, x | {x1})
+    b = evaluate_f(f, x | {x2})
+    c = evaluate_f(f, x)
+    d = evaluate_f(f, x | {x1, x2})
+    if a + b < c + d:
+        return (tuple(sorted(x)), x1, x2, (a, b, c, d))
+    return None
+
+
+def _subsets_by_mask(m, min_size=0):
+    ground = list(range(1, m + 1))
+    for mask in range(1 << m):
+        if mask.bit_count() < min_size:
+            continue
+        yield frozenset(ground[i] for i in range(m) if mask >> i & 1)
+
+
+def is_submodular_above(f, n):
+    """Element-pair submodularity above size n, four `evaluate_f` calls per (X, x1, x2)."""
+    for x in _subsets_by_mask(f.m, max(n, f.min_size)):
+        rest = sorted(f.ground() - x)
+        for x1, x2 in itertools.combinations(rest, 2):
+            hit = _pair_violation(f, x, x1, x2)
+            if hit is not None:
+                return SubmodularityReport(holds=False, witness=hit)
+    return SubmodularityReport(holds=True)
+
+
+def circuit_value(f, circuit):
+    """sum_{k in J0} F(J \\ k) - (|J0| - 1) F(J) - F(N) on frozensets."""
+    labels = frozenset(circuit.ordering)
+    value = -(len(circuit.support) - 1) * evaluate_f(f, labels) - evaluate_f(f, f.ground())
+    for k in circuit.support:
+        value += evaluate_f(f, labels - {k})
+    return value
+
+
+def greedy_vertex(f, order):
+    """Telescoping increments of F along the order, one growing set per step."""
+    if f.min_size != 0:
+        raise InputError("greedy construction needs min_size 0")
+    perm = list(order)
+    if sorted(perm) != list(range(1, f.m + 1)):
+        raise InputError("order must be a permutation of 1..m")
+    y = [Fraction(0)] * f.m
+    prev = Fraction(0)
+    chain = set()
+    for i in perm:
+        chain.add(i)
+        cur = evaluate_f(f, chain)
+        y[i - 1] = cur - prev
+        prev = cur
+    return tuple(y)

@@ -403,3 +403,23 @@ def test_maxwell_support_lifts_once(monkeypatch):
         lifts.clear()
         morse_polytope(MC, variant)
         assert len(lifts) == 8
+
+
+def test_morse_polytope_reads_each_gcd_set_once(monkeypatch):
+    # one F per config: its cleared lookup outlives each support evaluation
+    from basecondary import setfun
+
+    calls = []
+    real = setfun.evaluate_f
+
+    def counted(f, x):
+        x = frozenset(x)
+        calls.append(x)
+        return real(f, x)
+
+    monkeypatch.setattr(setfun, "evaluate_f", counted)
+    mc = morse_config([1, 2, 3, 5, 8])
+    assert mc.gcd_function() is mc.gcd_function()
+    for variant in ("morse", "maxwell"):
+        morse_polytope(mc, variant)
+    assert len(calls) == len(set(calls)) == 26

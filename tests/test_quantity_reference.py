@@ -12,7 +12,9 @@ be that of all its base and roof points, and `area_N`, half the secondary
 support, the area of its own hull. Three pins keep the single routes
 single: an oriented volume runs no rational elimination, a cell with k
 values below its maximum costs the evaluator k + 1 queries of F, and
-`area_N` takes no hull.
+`area_N` takes no hull. The gradient, read off the lift's circuit forms,
+must be `repr`-equal with the sum of height cofactors at n = 0..3, and take
+no oriented volume beyond the expansion's.
 """
 
 import itertools
@@ -23,13 +25,20 @@ import linalg_reference
 import pytest
 import quantity_reference as ref
 
-from basecondary import exact_core, secondary
-from basecondary.core import eval_basecondary_general, eval_basecondary_generic, expansion_terms, is_generic
+from basecondary import core, exact_core, secondary
+from basecondary.core import (
+    cone_witnesses,
+    eval_basecondary_general,
+    eval_basecondary_generic,
+    expansion_terms,
+    gradient_on_cone,
+    is_generic,
+)
 from basecondary.errors import InputError
 from basecondary.exact_core import Jet, fiber_polygon, lattice_volume, make_config, oriented_volume
 from basecondary.fiber_morse import build_delta_bar, maxwell_support, morse_config, morse_support
 from basecondary.secondary import area_N, secondary_support, upper_cells
-from basecondary.setfun import KINDS, SetFunction
+from basecondary.setfun import KINDS, SetFunction, neg_card_ratio_function, neg_gcd_function
 
 CONFIGS = 40
 
@@ -155,6 +164,55 @@ def test_morse_and_maxwell_supports_match_the_fraction_routes(points):
             assert _key(maxwell_support(mc, h)) == _key(ref.maxwell_support(mc, h)), h
         below = [g - 1 for g in gamma]  # the Maxwell support takes heights of any sign
         assert _key(maxwell_support(mc, below)) == _key(ref.maxwell_support(mc, below))
+
+
+SPATIAL = make_config(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2], [2, -1, 1]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_gradient_reads_the_circuit_forms_like_the_cofactors(n):
+    rng = random.Random(f"gradient/{n}")
+    generic = 0
+    for rep in range(CONFIGS):
+        config = SPATIAL if n == 3 else _config(rng, n, rng.randint(n + 2, {0: 7, 1: 8, 2: 7}[n]))
+        values = {
+            frozenset(sub): F(rng.randint(-10**6, 10**6), rng.randint(1, 10**9))
+            for r in range(max(1, n), config.m + 1)
+            for sub in itertools.combinations(range(1, config.m + 1), r)
+            if rng.random() < 0.5
+        }
+        wide = SetFunction(kind="table", m=config.m, min_size=n, table=values, default=F(rng.randint(-9, 9), 10**9 + 7))
+        zero = SetFunction(kind="table", m=config.m, min_size=n, table={})
+        gcd = neg_gcd_function([rng.choice([-6, -4, 2, 3, 9]) for _ in range(config.m)], min_size=n)
+        gamma = _wide_rationals(rng, config.m)
+        if not is_generic(config, gamma):
+            continue
+        generic += 1
+        for f in (_set_function(rng, config, KINDS[rep % len(KINDS)]), wide, zero, gcd):
+            assert repr(gradient_on_cone(config, f, gamma)) == repr(ref.gradient_on_cone(config, f, gamma)), (config, f)
+    assert generic >= CONFIGS - 2
+
+
+PENTAGON = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
+
+
+@pytest.mark.parametrize("config", [make_config(1, [[1], [3], [6], [7]]), PENTAGON])
+def test_gradient_takes_no_volume_beyond_the_expansion(config, monkeypatch):
+    calls = []
+    real = core.oriented_volume
+    for module in (core, ref):
+        monkeypatch.setattr(module, "oriented_volume", lambda pts: calls.append(pts) or real(pts))
+    f = neg_card_ratio_function(config.m, min_size=config.n)  # every tail label is a term
+    for t, w in cone_witnesses(config, samples=40, seed=1):
+        calls.clear()
+        expansion_terms(config, f, w)
+        want = len(calls)
+        calls.clear()
+        gradient_on_cone(config, f, w)
+        assert len(calls) == want == len(t.cells)  # one orientation per cell
+        calls.clear()
+        ref.gradient_on_cone(config, f, w)
+        assert len(calls) == want + (config.n + 2) * len(expansion_terms(config, f, w))
 
 
 def test_general_evaluator_reads_simplex_volumes_off_the_scan_at_n3():

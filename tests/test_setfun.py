@@ -1,19 +1,29 @@
-"""Set functions, submodularity, Lovász extensions, base polytopes."""
+"""Set functions, submodularity, Lovász extensions, base polytopes.
+
+The bitmask readers of `SetFunction.cleared` must be `repr`-equal with the
+frozenset routes of `quantity_reference` and query each set once.
+"""
 
 from fractions import Fraction as F
 
+import dataclasses
 import itertools
 import random
 import re
 
 import pytest
+import quantity_reference as ref
 
+from basecondary import core, setfun
+from basecondary.core import wall_defect_numeric
 from basecondary.errors import InputError, ResourceError
-from basecondary.exact_core import make_config
+from basecondary.exact_core import find_circuit, make_config
+from basecondary.secondary import enumerate_walls_1d
 from basecondary.setfun import (
     SetFunction,
     base_polytope,
     circuit_condition_check,
+    circuit_value,
     evaluate_f,
     greedy_vertex,
     is_submodular,
@@ -198,6 +208,13 @@ def test_circuit_condition_indicator():
     assert all(v == 1 for _, v in report.rows)
 
 
+def test_circuit_value_refuses_labels_off_the_ground_set():
+    for labels in ([1, 2, 5], [0, 1, 2]):
+        circuit = find_circuit(A1367.subset_points([1, 2, 3]), labels=labels)
+        with pytest.raises(InputError, match=re.escape(f"subset {labels} not within 1..4")):
+            circuit_value(neg_card_ratio_function(4), circuit)
+
+
 def test_circuit_condition_skips_hyperplane_subsets():
     square = make_config(2, [[0, 0], [2, 0], [0, 2], [2, 2], [4, 0]])
     f = table_function(5, {}, default=0, min_size=2)
@@ -331,3 +348,84 @@ def test_greedy_vertices_feasible_and_optimal():
             x = [F(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(m)]
             best = max(sum(a * b for a, b in zip(v, x)) for v in vertices)
             assert best == lovasz_extension(f, x)
+
+
+def _outcome(route, *args):
+    """repr of the route's result, or of the InputError it raises."""
+    try:
+        return repr(route(*args))
+    except InputError as e:
+        return repr(e)
+
+
+def _on_frozensets(monkeypatch, route, *args):
+    """`_outcome` with the submodularity scan, `circuit_value` and `greedy_vertex` read through frozensets."""
+    with monkeypatch.context() as mp:
+        for module, name in ((setfun, "is_submodular_above"), (setfun, "circuit_value"),
+                             (core, "circuit_value"), (setfun, "greedy_vertex")):
+            mp.setattr(module, name, getattr(ref, name))
+        return _outcome(route, *args)
+
+
+def _functions(rng, m, min_size):
+    """Every kind on 1..m at min_size; the tables are a coverage function (submodular) and a random one."""
+    coverage = coverage_function(rng, m)
+    tables = [
+        SetFunction(kind="table", m=m, min_size=min_size, table=dict(coverage.table)),
+        SetFunction(kind="table", m=m, min_size=min_size, table=random_table(rng, m).table,
+                    default=F(rng.randint(-5, 5), rng.randint(1, 7))),
+    ]
+    others = [dataclasses.replace(f, min_size=min_size) for f in _every_kind(rng, m)[1:]]
+    return tables + others
+
+
+@pytest.mark.parametrize("min_size", [0, 1, 2])
+def test_bitmask_readers_match_the_frozenset_routes(min_size, monkeypatch):
+    rng = random.Random(f"setfun-routes/{min_size}")
+    holds = fails = walls = 0
+    for _ in range(6):
+        m = rng.randint(max(3, min_size + 2), 6)
+        n = max(1, min_size)
+        config = make_config(n, sorted(set(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3 * m)))[:m])
+        for f in _functions(rng, config.m, min_size):
+            for above in range(config.m):
+                got = _outcome(is_submodular_above, f, above)
+                assert got == _on_frozensets(monkeypatch, is_submodular_above, f, above), (f, above)
+                holds, fails = (holds + 1, fails) if "holds=True" in got else (holds, fails + 1)
+            assert _outcome(circuit_condition_check, f, config) == _on_frozensets(
+                monkeypatch, circuit_condition_check, f, config)
+            for wall in enumerate_walls_1d(config) if n == 1 else ():
+                walls += 1
+                assert _outcome(wall_defect_numeric, config, f, wall) == _on_frozensets(
+                    monkeypatch, wall_defect_numeric, config, f, wall)
+            if min_size:
+                continue
+            for _ in range(4):
+                order = rng.sample(range(1, f.m + 1), f.m)
+                assert repr(greedy_vertex(f, order)) == repr(ref.greedy_vertex(f, order))
+                x = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(f.m)]
+                assert _outcome(lovasz_extension, f, x) == _on_frozensets(monkeypatch, lovasz_extension, f, x)
+            assert _outcome(base_polytope, f) == _on_frozensets(monkeypatch, base_polytope, f)
+    assert holds >= 100 and fails >= 10
+    assert walls >= (100 if min_size <= 1 else 0)
+
+
+def test_each_set_costs_one_f_call(monkeypatch):
+    calls = []
+    real = setfun.evaluate_f
+
+    def counted(f, x):
+        x = frozenset(x)
+        calls.append(x)
+        return real(f, x)
+
+    monkeypatch.setattr(setfun, "evaluate_f", counted)
+    monkeypatch.setattr(ref, "evaluate_f", counted)
+    assert is_submodular_above(neg_card_ratio_function(6), 0).holds
+    assert len(calls) == len(set(calls)) == 64
+    calls.clear()
+    base_polytope(neg_card_ratio_function(5))
+    assert len(calls) == len(set(calls)) == 32
+    calls.clear()
+    assert ref.is_submodular_above(neg_card_ratio_function(6), 0).holds
+    assert len(calls) == 960  # four frozenset queries per (X, x1, x2)
