@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalError, ResourceError
-from .exact_core import Jet, PointConfig, _cleared, lattice_volume, oriented_volume, rat
+from .errors import InputError, ResourceError
+from .exact_core import Jet, PointConfig, _cleared, rat
 
 # The supports and the genericity test live beside the lift in `secondary`;
 # they are re-exported here as part of this module's interface. The expansion
@@ -38,6 +38,7 @@ from .secondary import (
     Subdivision,
     Wall,
     _generic_triangulation,
+    _refine_cell,
     _scan,
     cone_witness,
     covector,
@@ -101,13 +102,11 @@ def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fractio
 
 
 def _positive_orientation(config: PointConfig, labels: Sequence[int]) -> tuple[int, ...]:
-    """Even-permutation representative with positive base orientation."""
+    """Even-permutation representative with positive base orientation, the sign of `PointConfig.volume`."""
     head = sorted(labels)
-    if config.n == 0:
-        return tuple(head)
-    vol = oriented_volume(config.subset_points(head))
-    if vol == 0:
-        raise InternalError("support maximizers must span affinely")
+    vol = config.volume(head)
+    if vol == 0:  # only a hand-built support can carry one
+        raise InputError("support maximizers must span affinely")
     if vol < 0:
         head[-1], head[-2] = head[-2], head[-1]
     return tuple(head)
@@ -161,7 +160,7 @@ def order_circuital(
     tail = _descending_tail(config, c.maximizers, values)
     circ = c.circuit
     head = list(circ.ordering)
-    if oriented_volume(config.subset_points(head[1:])) > 0:
+    if config.volume(head[1:]) > 0:
         sizes = (circ.p, circ.q, len(circ.zeros))
         for end, size in reversed(list(zip(itertools.accumulate(sizes), sizes))):
             if size >= 2:
@@ -202,7 +201,7 @@ def _threshold_sum(config: PointConfig, f: SetFunction, scan, dz: int) -> Fracti
 
     By parts: F{h >= c} weighs c minus the next level down, and F of every
     label the lowest. A simplex's volume |V(B)| / dx^n cancels the |V(B)| in
-    h; another cell scales by its volume over its base's.
+    h; another cell scales by the sum of |V| over `_refine_cell`, over |V(B)|.
     """
     (value, d), total = f.cleared, 0
     for cell, base, heights in scan:
@@ -215,7 +214,8 @@ def _threshold_sum(config: PointConfig, f: SetFunction, scan, dz: int) -> Fracti
         if level:  # else every label is on the top level: no term
             s += level * value(mask)
             if len(cell) > config.n + 1:
-                s *= lattice_volume(config.subset_points(cell)) / lattice_volume([config.points[j] for j in base])
+                s *= Fraction(sum(abs(config.volume(t)) for t in _refine_cell(config, cell)),
+                              abs(config.volume([j + 1 for j in base])))
             total += s
     return total * Fraction(1, d * dz * config.lift_forms[1] ** config.n)
 
@@ -278,7 +278,7 @@ def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Frac
     Computed by the circuit lemma: |vol(I lifted by wall.direction)| times
     `circuit_value` of the wall circuit, with I the circuit's labels. The
     direction is the unit vector at the moved label j, so that volume is,
-    up to sign, the volume of the circuit's points other than j.
+    up to sign, |`PointConfig.volume`| / dx^n of the circuit's labels but j.
     It is the jump at any wall point that meets the lemma's hypotheses:
     exactly one circuital cell, and every cell's values off the cell pairwise
     distinct. `tests/witness_reference.py` finds such points, and the numeric
@@ -289,7 +289,7 @@ def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Frac
     _check_f(config, f)
     circ = wall.circuit
     others = sorted(frozenset(circ.ordering) - {wall.moved})
-    return abs(oriented_volume(config.subset_points(others))) * circuit_value(f, circ)
+    return Fraction(abs(config.volume(others)), config.lift_forms[1] ** config.n) * circuit_value(f, circ)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Frac
     d dx^n. Non-generic witnesses are refused with InputError.
     """
     terms, d, _ = _expansion_summands(config, f, covector(config, witness))
-    grad, (_, dx, forms) = [0] * config.m, config.lift_forms
+    grad, (_, dx, forms, _) = [0] * config.m, config.lift_forms
     for simplex, df, _ in terms:
         for k, c in forms[tuple(sorted(i - 1 for i in simplex[:-1]))][simplex[-1] - 1]:
             grad[k] -= df * c
@@ -376,13 +376,14 @@ def min_convexifier(
     For n <= 1 this is the circuit condition, exact: one row
     (J, vol(J) * value(J), vol(J)) per spanning (n+2)-subset J, in
     lexicographic order, with value(J) its `circuit_value` and vol(J) its
-    lattice volume (1 for n = 0, the length of its span for n = 1); c is
-    max(0, -min value). For n = 1 every 3-subset J is the circuit of a
-    wall, whose basecondary defect is that row's second entry and whose
-    secondary defect, the GKZ jump at the middle label, is its third. For
-    n = 0, h + c * max(gamma) is the Lovász extension of F - F(N) + c on
-    nonempty sets, which is submodular exactly when F is submodular above
-    size 1 and c >= -value({a, b}) for every pair.
+    lattice volume, sum_j |V(J - j)| / (2 dx^n), as both triangulations of
+    the circuit cover conv J; c is max(0, -min value). For n = 1 every
+    3-subset J is the circuit of a wall, whose basecondary defect is that
+    row's second entry and whose secondary defect, the GKZ jump at the
+    middle label, is its third. For n = 0, h + c * max(gamma) is the
+    Lovász extension of F - F(N) + c on nonempty sets, which is submodular
+    exactly when F is submodular above size 1 and c >= -value({a, b}) for
+    every pair.
     The rule for every n <= 1: F must be submodular above size n + 1, or
     InputError carries the violating pair. For n = 1 the rows do not test
     that rule, and without it h + c * secondary at their c need not be
@@ -399,9 +400,9 @@ def min_convexifier(
             raise InputError(
                 f"no convexifier: F is not submodular above size {config.n + 1} ({report.witness})"
             )
-        rows = []
+        rows, scale = [], 2 * config.lift_forms[1] ** config.n
         for j, value in circuit_condition_check(f, config).rows:
-            vol = lattice_volume(config.subset_points(j))
+            vol = Fraction(sum(abs(config.volume(face)) for face in itertools.combinations(j, config.n + 1)), scale)
             rows.append((j, vol * value, vol))
         best = max([Fraction(0)] + [-d_f / vol for _, d_f, vol in rows])
         return MinConvexifier(value=best, exact=True, walls=tuple(rows))

@@ -22,7 +22,8 @@ Every kernel is a vector of minors, with no back-substitution: a circuit is
 `integer_normal` of its points under a row of ones, and `solve_linear` reads
 x = N[:k] / N[k] off the minors N of [A | -b]. The lift, for every n, takes
 the coordinate volumes once per configuration (`PointConfig.lift_forms`) and
-reads each lifted height as an integer circuit form of the cleared heights.
+reads each lifted height as an integer circuit form of the cleared heights;
+its minors are every simplex volume and orientation of A (`PointConfig.volume`).
 Tropical critical points, cone discovery and fiber polygons run on scaled
 integers: a positive scale per coordinate keeps every sign, equality, hull
 and edge-angle order, so only reported values become Fractions. `fiber_polygon` cuts, hulls and sums its slices at
@@ -218,8 +219,8 @@ class Jet:
 class PointConfig:
     """Ground set {1..m} together with its image points in Q^n.
 
-    `lift_forms`, the lift's integer kernel, is built on the first lift and
-    kept with the config; not being a field, it is ignored by ==, hash, repr.
+    `lift_forms`, the lift's integer kernel, is built on first use and kept
+    with the config; not being a field, it is ignored by ==, hash, repr.
     """
 
     n: int
@@ -249,9 +250,16 @@ class PointConfig:
     def subset_points(self, labels: Iterable[int]) -> list[Point]:
         return [self.image(i) for i in labels]
 
+    def volume(self, labels: Sequence[int]) -> int:
+        """dx^n times the oriented volume of n + 1 distinct 1-based labels in the order given: V times its parity."""
+        v = self.lift_forms[3].get(tuple(sorted(i - 1 for i in labels)))
+        if v is None:
+            raise InputError(f"a simplex of A needs {self.n + 1} distinct labels in 1..{self.m}, got {labels!r}")
+        return -v if sum(a > b for a, b in itertools.combinations(labels, 2)) % 2 else v
+
     @functools.cached_property
-    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, dict]:
-        """The lift's integer kernel (x, dx, bases): the coordinates cleared by their lcm dx.
+    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, dict, dict]:
+        """The lift's integer kernel (x, dx, bases, vol): the coordinates cleared by their lcm dx.
 
         Lift x_k to (x_k, z_k); V(S) is the integer volume of an (n+1)-subset
         S of the x. For a base B with V(B) != 0 and a label l off it, the
@@ -262,7 +270,7 @@ class PointConfig:
         `bases` maps each B with V(B) != 0, 0-based and in `itertools.combinations`
         order, to every label's form as (k, c_k) pairs, empty on B itself.
         For n = 0 every point has volume 1 and the forms are z_l - z_b; for
-        n = 1 they are the 3-point circuits.
+        n = 1 they are the 3-point circuits. `vol` maps every sorted S to V(S).
         """
         n, m = self.n, self.m
         flat, dx = clear_denominators([c for p in self.points for c in p])
@@ -278,7 +286,7 @@ class PointConfig:
             for l, face, a in zip(c, faces, coefficients):
                 if a:  # the base C - l has nonzero volume
                     forms[face][l] = form if a > 0 else negated
-        return xs, dx, {s: tuple(f) for s, f in forms.items()}
+        return xs, dx, {s: tuple(f) for s, f in forms.items()}, vol
 
 
 def make_config(n: int, points) -> PointConfig:

@@ -9,22 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, InternalError
-from .exact_core import (
-    CircuitData,
-    PointConfig,
-    _cleared,
-    convex_hull_2d,
-    find_circuit,
-    integer_normal,
-    lattice_volume,
-    rat,
-)
+from .errors import InputError, InternalError, ResourceError
+from .exact_core import CircuitData, PointConfig, _cleared, convex_hull_2d, find_circuit, integer_normal, rat
 
 Covector = tuple[Fraction, ...]
 
 RANDOM_HEIGHT_BOUND = 10**4
 WITNESS_RETRY_CAP = 64
+TRIANGULATION_1D_CAP = 16
 
 
 def covector(config: PointConfig, values) -> Covector:
@@ -138,7 +130,7 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     may be jets there; for n >= 3 jets raise InputError.
     """
     gamma = covector(config, gamma)
-    xs, dx, _ = config.lift_forms
+    xs, dx, _, _ = config.lift_forms
     zs, dz = _cleared(gamma)
     cells = {}
     for cell, (b, *rest), heights in _oriented_scan(config, zs):
@@ -237,8 +229,10 @@ def _chain_cells(ordered_vertices: Sequence[int]) -> tuple[tuple[int, ...], ...]
 
 
 def enumerate_triangulations_1d(config: PointConfig) -> tuple[Subdivision, ...]:
-    """All 2^(m-2) regular triangulations: vertex sets containing both extremes."""
+    """All 2^(m-2) regular triangulations: vertex sets containing both extremes; m is capped."""
     order = _labels_by_coordinate(config)
+    if config.m > TRIANGULATION_1D_CAP:
+        raise ResourceError(f"1D triangulation enumeration capped at m = {TRIANGULATION_1D_CAP}")
     first, last, interior = order[0], order[-1], order[1:-1]
     subs = []
     for r in range(len(interior) + 1):
@@ -249,15 +243,15 @@ def enumerate_triangulations_1d(config: PointConfig) -> tuple[Subdivision, ...]:
 
 
 def gkz_vector(config: PointConfig, t: Subdivision) -> tuple[Fraction, ...]:
-    """Per-point total volume of incident cells; zero on non-vertices."""
+    """Per-point total volume |V(cell)| / dx^n (`PointConfig.volume`) of incident cells; zero on non-vertices."""
     if not t.is_triangulation:
         raise InputError("GKZ vectors are defined for triangulations")
-    phi = [Fraction(0)] * config.m
+    phi = [0] * config.m
     for cell in t.cells:
-        vol = lattice_volume(config.subset_points(cell))
+        vol = abs(config.volume(cell))
         for i in cell:
             phi[i - 1] += vol
-    return tuple(phi)
+    return tuple(Fraction(v, config.lift_forms[1] ** config.n) for v in phi)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +279,7 @@ def _refine_cell(config: PointConfig, cell: Sequence[int]) -> list[tuple[int, ..
             tuple(sorted((ring[0], ring[k], ring[k + 1])))
             for k in range(1, len(ring) - 1)
         ]
-    raise InputError("cell refinement implemented for n <= 2")
+    raise InputError("cell refinement implemented for ambient dimension <= 2")
 
 
 def secondary_support(config: PointConfig, gamma) -> Fraction:

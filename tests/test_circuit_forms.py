@@ -1,12 +1,12 @@
 """The n <= 1 convexifier and the circuit ordering against the searches they replace.
 
 `min_convexifier` for n <= 1 reads one circuit value per (n+2)-subset, and
-`order_circuital` fixes its arrangement by one sign rule, one oriented
-volume per circuit; `convexifier_reference` keeps the wall, order-cone and
-permutation searches they replaced. Also
-here: an n = 0 convexifier beyond the order-cone range checked against the
-submodularity of the Lovász-extension set function it convexifies, and 1D
-configurations whose labels are not in coordinate order.
+`order_circuital` fixes its arrangement by one sign rule, the sign of one
+volume read off the lift's kernel; `convexifier_reference` keeps the wall,
+order-cone and permutation searches they replaced. Also here: an n = 0
+convexifier beyond the order-cone range checked against the submodularity
+of the Lovász-extension set function it convexifies, and 1D configurations
+whose labels are not in coordinate order.
 """
 
 from fractions import Fraction as F
@@ -17,7 +17,7 @@ import random
 import convexifier_reference as ref
 import pytest
 
-from basecondary import core
+from basecondary import exact_core
 from basecondary.core import (
     CircuitalSupport,
     enumerate_circuital,
@@ -94,10 +94,15 @@ def test_n1_convexifier_matches_the_wall_search(m):
     rng = random.Random(500 + m)
     configs = [make_config(1, [[x] for x in sorted(rng.sample(range(1, 25), m))])]
     configs.append(_shuffled_1d(rng, sorted(rng.sample(range(-12, 13), m)))[0])
+    xs = set()  # rational coordinates: the rows scale the kernel's volumes by 1 / dx
+    while len(xs) < m:
+        xs.add(F(rng.randint(-30, 30), rng.randint(2, 7)))
+    configs.append(_shuffled_1d(rng, sorted(xs))[0])
+    assert configs[-1].lift_forms[1] > 1
     for config in configs:
         fs = [random_table(rng, m, 1), coverage_table(rng, m, 1), criterion_5_table(rng, m)]
         fs += [neg_indicator_function(m, point=rng.randint(1, m), min_size=1)]
-        if all(p[0] != 0 for p in config.points):
+        if all(p[0] != 0 and p[0].denominator == 1 for p in config.points):
             fs.append(neg_gcd_function(config, min_size=1))
         for f in fs:
             if not is_submodular_above(f, 2).holds:
@@ -181,16 +186,18 @@ def test_circuit_ordering_sign_rule_matches_the_search():
     assert swapped >= 500 and with_zeros >= 200
 
 
-def test_circuit_ordering_takes_one_oriented_volume(monkeypatch):
+def test_circuit_ordering_takes_no_determinant(monkeypatch):
+    # the one orientation it reads is a minor the lift's kernel already holds
     calls = []
-    real = core.oriented_volume
-    monkeypatch.setattr(core, "oriented_volume", lambda pts: calls.append(pts) or real(pts))
+    real = exact_core._int_det
+    monkeypatch.setattr(exact_core, "_int_det", lambda a: calls.append(a) or real(a))
     rng = random.Random(701)
     for _ in range(200):
         config, gamma, c = _random_circuit(rng)
+        config.lift_forms
         calls.clear()
         order_circuital(config, gamma, c)
-        assert len(calls) == 1, (config, c)
+        assert calls == [], (config, c)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -185,6 +186,21 @@ def test_unsorted_1d_labels(capsys, tmp_path):
     code, out = run(capsys, "polytope", "--input", str(path), "--convexifier", json.loads(out)["value"])
     assert code == 0
     assert json.loads(out)["certified"] is True
+
+
+@pytest.mark.parametrize("verb, doc", [
+    ("polytope", {"n": 1, "A": [[x] for x in range(1, 31)], "F": {"kind": "neg_gcd"}}),
+    ("morse-polytope", {"A": list(range(1, 31))}),
+])
+def test_wide_1d_polytopes_are_refused_at_once(capsys, tmp_path, verb, doc):
+    # 30 points have 2^28 triangulations: the cap refuses them before listing any
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, verb, "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {"error": "1D triangulation enumeration capped at m = 16"}
 
 
 @pytest.mark.parametrize("xs, d", [([0, 1, 2, 3, 4], 1000), ([0, 1, 3, 4, 6, 7], 100000)])

@@ -83,12 +83,13 @@ def test_gradient_and_gkz_match_the_oracle(n, count):
 
 # [0, 1, 2, 4, 5, 7, 8] has wall witnesses whose circuital cell ties two
 # off-cell values unless every cell is required to be tail-distinct
+# and rational coordinates scale every volume of the kernel by 1 / dx
 WALL_CONFIGS = [[0, 1, 2, 4, 5, 7, 8]] + [
     sorted(random.Random(400 + m).sample(range(1, 25), m)) for m in (4, 5, 6, 7, 8)
-]
+] + [[F(-7, 3), F(-1, 2), 0, F(2, 3), F(3, 2), F(11, 4)]]
 
 
-@pytest.mark.parametrize("xs", WALL_CONFIGS, ids=lambda xs: f"m{len(xs)}")
+@pytest.mark.parametrize("xs", WALL_CONFIGS, ids=lambda xs: f"m{len(xs)}" + "_rational" * any(isinstance(x, F) for x in xs))
 def test_walls_meet_the_lemma_and_match_the_oracle(xs):
     config = make_config(1, [[x] for x in xs])
     rng = random.Random(len(xs))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from basecondary.exact_core import (
     find_circuit,
     integer_normal,
     lattice_volume,
+    make_config,
     minkowski_sum,
     oriented_volume,
     point,
@@ -62,6 +64,26 @@ def test_oriented_volume_antisymmetry_and_degeneracy():
         assert oriented_volume(swapped) == -vol
         if vol == 0:
             assert affine_rank(simplex) < k
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_config_volume_is_the_scaled_oriented_volume(n):
+    rng = random.Random(f"kernel-volume/{n}")
+    for _ in range(10):
+        m = n + 1 + rng.randint(1, 4)
+        coords = set()
+        while n and len(coords) < m:  # a small grid, so some simplices are flat
+            coords.add(tuple(F(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(n)))
+        config = make_config(n, rng.sample(sorted(coords), m) if n else [()] * m)
+        dx = math.lcm(*(c.denominator for p in config.points for c in p))
+        for _ in range(10):
+            labels = rng.sample(range(1, m + 1), n + 1)
+            vol = config.volume(labels)
+            assert type(vol) is int and vol == oriented_volume(config.subset_points(labels)) * dx**n, labels
+    short, repeated = list(range(1, n + 1)), [1] + list(range(1, n + 1))  # n labels; 1 twice when n > 0
+    for bad in [short, short + [0], short + [m + 1], list(range(1, n + 3))] + [repeated] * (n > 0):
+        with pytest.raises(InputError, match="distinct labels"):
+            config.volume(bad)
 
 
 def test_oriented_volume_dimension_mismatch():

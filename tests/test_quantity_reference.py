@@ -13,8 +13,10 @@ support, the area of its own hull. Three pins keep the single routes
 single: an oriented volume runs no rational elimination, a cell with k
 values below its maximum costs the evaluator k + 1 queries of F, and
 `area_N` takes no hull. The gradient, read off the lift's circuit forms,
-must be `repr`-equal with the sum of height cofactors at n = 0..3, and take
-no oriented volume beyond the expansion's.
+must be `repr`-equal with the sum of height cofactors at n = 0..3, and, like
+the expansion, take no determinant once the lift's kernel is built. At
+n = 3, where no planar hull exists, each GKZ vector must be the sum of the
+cells' determinants.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import linalg_reference
 import pytest
 import quantity_reference as ref
 
-from basecondary import core, exact_core, secondary
+from basecondary import exact_core, secondary
 from basecondary.core import (
     cone_witnesses,
     eval_basecondary_general,
@@ -37,7 +39,7 @@ from basecondary.core import (
 from basecondary.errors import InputError
 from basecondary.exact_core import Jet, fiber_polygon, lattice_volume, make_config, oriented_volume
 from basecondary.fiber_morse import build_delta_bar, maxwell_support, morse_config, morse_support
-from basecondary.secondary import area_N, secondary_support, upper_cells
+from basecondary.secondary import area_N, discover_cones_random, gkz_vector, secondary_support, upper_cells
 from basecondary.setfun import KINDS, SetFunction, neg_card_ratio_function, neg_gcd_function
 
 CONFIGS = 40
@@ -198,21 +200,18 @@ PENTAGON = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
 
 @pytest.mark.parametrize("config", [make_config(1, [[1], [3], [6], [7]]), PENTAGON])
 def test_gradient_takes_no_volume_beyond_the_expansion(config, monkeypatch):
+    # once the kernel is built, every orientation and volume is a minor it holds
     calls = []
-    real = core.oriented_volume
-    for module in (core, ref):
-        monkeypatch.setattr(module, "oriented_volume", lambda pts: calls.append(pts) or real(pts))
+    real = exact_core._int_det
+    monkeypatch.setattr(exact_core, "_int_det", lambda a: calls.append(a) or real(a))
     f = neg_card_ratio_function(config.m, min_size=config.n)  # every tail label is a term
     for t, w in cone_witnesses(config, samples=40, seed=1):
         calls.clear()
-        expansion_terms(config, f, w)
-        want = len(calls)
-        calls.clear()
+        terms = expansion_terms(config, f, w)
         gradient_on_cone(config, f, w)
-        assert len(calls) == want == len(t.cells)  # one orientation per cell
-        calls.clear()
-        ref.gradient_on_cone(config, f, w)
-        assert len(calls) == want + (config.n + 2) * len(expansion_terms(config, f, w))
+        assert calls == [] and len(terms) >= len(t.cells)
+        ref.gradient_on_cone(config, f, w)  # n + 2 facet determinants per term
+        assert len(calls) == (config.n + 2) * len(terms)
 
 
 def test_general_evaluator_reads_simplex_volumes_off_the_scan_at_n3():
@@ -226,6 +225,20 @@ def test_general_evaluator_reads_simplex_volumes_off_the_scan_at_n3():
             assert repr(eval_basecondary_general(config, f, gamma)) == repr(eval_basecondary_generic(config, f, gamma))
     with pytest.raises(InputError, match="ambient dimension <= 2"):  # a cell that is not a simplex takes its hull
         eval_basecondary_general(config, f, (0, 0, 0, 0, 0, -1))
+
+
+def test_gkz_vectors_at_n3_are_determinant_sums():
+    # gkz_vector once took a hull per cell, which exists only up to n = 2
+    triangulations = discover_cones_random(SPATIAL, 60, 3)
+    assert len(triangulations) >= 2
+    for t, _ in triangulations:
+        want = [F(0)] * SPATIAL.m
+        for cell in t.cells:
+            p0, *rest = SPATIAL.subset_points(cell)
+            vol = abs(linalg_reference.det([[a - b for a, b in zip(p, p0)] for p in rest]))
+            for i in cell:
+                want[i - 1] += vol
+        assert gkz_vector(SPATIAL, t) == tuple(want), t
 
 
 def test_planar_lattice_volume_matches_its_own_hull():

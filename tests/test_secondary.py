@@ -16,7 +16,7 @@ from basecondary.core import (
     enumerate_simplicial,
     is_generic,
 )
-from basecondary.errors import InputError
+from basecondary.errors import InputError, ResourceError
 from basecondary.exact_core import make_config
 from basecondary.secondary import (
     area_N,
@@ -65,6 +65,15 @@ def test_subdivision_cells_cover_volume():
             A1367.image(c[-1])[0] - A1367.image(c[0])[0] for c in sub.cells
         )
         assert total == 6
+
+
+def test_1d_triangulation_enumeration_is_capped():
+    # 2^(m - 2) triangulations: 16,384 at the cap, fewer than the 8! order cones of n = 0
+    assert len(enumerate_triangulations_1d(make_config(1, [[x] for x in range(16)]))) == 2**14
+    wide = make_config(1, [[x] for x in range(17)])
+    for enumerate_ in (enumerate_triangulations_1d, enumerate_walls_1d):
+        with pytest.raises(ResourceError, match="capped at m = 16"):
+            enumerate_(wide)
 
 
 def test_enumerate_triangulations_1d():
