@@ -51,7 +51,7 @@ from .secondary import (
 )
 from .setfun import SetFunction, circuit_condition_check, circuit_value, is_submodular_above
 
-ORDER_CONE_CAP = 8
+ORDER_CONE_CAP = 6
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ All linear algebra runs in integers, on rows cleared of denominators by
 pivot of `_bareiss`, Bareiss's fraction-free elimination, whose exact
 divisions keep every entry a minor. Ranks count the pivots of `_bareiss`.
 Every kernel is a vector of minors, with no back-substitution: a circuit is
-`integer_normal` of its points under a row of ones, and `solve_linear` reads
-x = N[:k] / N[k] off the minors N of [A | -b]. The lift, for every n, takes
-the coordinate volumes once per configuration (`PointConfig.lift_forms`) and
-reads each lifted height as an integer circuit form of the cleared heights;
-its minors are every simplex volume and orientation of A (`PointConfig.volume`).
+the signed maximal minors of its points under a row of ones, in `_circuit`'s
+normal form, and `solve_linear` reads x = N[:k] / N[k] off the minors N of [A | -b].
+The lift, for every n, takes the coordinate volumes once per configuration
+(`PointConfig.lift_forms`), reads each lifted height as an integer circuit form of the cleared
+heights, and its minors are every simplex volume, orientation and circuit of A (`volume`, `circuit`).
 Tropical critical points, cone discovery and fiber polygons run on scaled
 integers: a positive scale per coordinate keeps every sign, equality, hull
 and edge-angle order, so only reported values become Fractions. `fiber_polygon` cuts, hulls and sums its slices at
@@ -257,6 +257,14 @@ class PointConfig:
             raise InputError(f"a simplex of A needs {self.n + 1} distinct labels in 1..{self.m}, got {labels!r}")
         return -v if sum(a > b for a, b in itertools.combinations(labels, 2)) % 2 else v
 
+    def circuit(self, labels: Sequence[int]) -> Optional["CircuitData"]:
+        """The `_circuit` of the minors (-1)^k V(C - c_k) of n + 2 distinct sorted labels C; None unless C spans Q^n."""
+        c = sorted(i - 1 for i in labels)
+        if len(c) != self.n + 2 or len(set(c)) != len(c) or not 0 <= c[0] <= c[-1] < self.m:
+            raise InputError(f"a circuit of A needs {self.n + 2} distinct labels in 1..{self.m}, got {labels!r}")
+        vol = self.lift_forms[3]
+        return _circuit([(-1) ** k * vol[tuple(c[:k] + c[k + 1:])] for k in range(len(c))], [i + 1 for i in c])
+
     @functools.cached_property
     def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, dict, dict]:
         """The lift's integer kernel (x, dx, bases, vol): the coordinates cleared by their lcm dx.
@@ -269,8 +277,8 @@ class PointConfig:
         z; GKZ 1994, ch. 7), signed so that z_l has the coefficient |V(B)|.
         `bases` maps each B with V(B) != 0, 0-based and in `itertools.combinations`
         order, to every label's form as (k, c_k) pairs, empty on B itself.
-        For n = 0 every point has volume 1 and the forms are z_l - z_b; for
-        n = 1 they are the 3-point circuits. `vol` maps every sorted S to V(S).
+        For n = 0 every point has volume 1 and the forms are z_l - z_b; for n = 1 they are
+        the 3-point circuits. `vol` maps every sorted S to V(S): `volume` and `circuit` read it.
         """
         n, m = self.n, self.m
         flat, dx = clear_denominators([c for p in self.points for c in p])
@@ -465,33 +473,39 @@ class CircuitData:
         return tuple([i for i, _ in self.positive] + [i for i, _ in self.negative] + list(self.zeros))
 
 
+def _circuit(alpha: Sequence[int], labels: Sequence[int]) -> Optional[CircuitData]:
+    """The circuit of an affine relation alpha of the labels' points, None when alpha is 0.
+
+    Its one normal form, the same for any nonzero multiple of alpha: the positive side has fewer
+    points, a tie goes to the side holding the least label, and the least positive coefficient is 1.
+    """
+    pos = [(l, a) for l, a in zip(labels, alpha) if a > 0]
+    neg = [(l, -a) for l, a in zip(labels, alpha) if a < 0]
+    if not pos:  # the coefficients sum to 0, so a nonzero relation has both signs
+        return None
+    if (len(neg), min(neg)[0]) < (len(pos), min(pos)[0]):
+        pos, neg = neg, pos
+    scale = min(c for _, c in pos)
+    return CircuitData(positive=tuple((l, Fraction(c, scale)) for l, c in sorted(pos)),
+                       negative=tuple((l, Fraction(c, scale)) for l, c in sorted(neg)),
+                       zeros=tuple(sorted(l for l, a in zip(labels, alpha) if not a)))
+
+
 def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None) -> CircuitData:
-    """Signed affine relation of n+2 points affinely spanning Q^n."""
+    """Signed affine relation of n+2 points affinely spanning Q^n, labelled 1..n+2 unless given.
+
+    The `_circuit` of the `integer_normal` of the cleared coordinates under a row of ones;
+    labels of a configuration read theirs off the lift's kernel (`PointConfig.circuit`).
+    """
     if not points:
         raise InputError("find_circuit needs points")
     n = len(points[0])
     if len(points) != n + 2:
         raise InputError(f"find_circuit needs exactly {n + 2} points in Q^{n}")
-    if labels is None:
-        labels = list(range(1, n + 3))
-    # the minors of the (n+1) x (n+2) matrix with a row of ones atop the cleared
-    # coordinates are its kernel, the relation, and all zero when the points do not span
     rows = [[1] * (n + 2)] + [clear_denominators([p[c] for p in points])[0] for c in range(n)]
-    alpha = integer_normal(rows)
-    if not any(alpha):
+    if (circuit := _circuit(integer_normal(rows), list(range(1, n + 3)) if labels is None else labels)) is None:
         raise InputError("points lie in a hyperplane; no unique circuit")
-    pos = [(labels[i], a) for i, a in enumerate(alpha) if a > 0]
-    neg = [(labels[i], -a) for i, a in enumerate(alpha) if a < 0]
-    zer = [labels[i] for i, a in enumerate(alpha) if a == 0]
-    # positive side: fewer points, ties broken toward the smallest label
-    if len(pos) > len(neg) or (
-        len(pos) == len(neg) and min(i for i, _ in neg) < min(i for i, _ in pos)
-    ):
-        pos, neg = neg, pos
-    scale = min(c for _, c in pos)
-    pos = tuple((i, Fraction(c, scale)) for i, c in sorted(pos))
-    neg = tuple((i, Fraction(c, scale)) for i, c in sorted(neg))
-    return CircuitData(positive=pos, negative=neg, zeros=tuple(sorted(zer)))
+    return circuit
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .exact_core import CircuitData, PointConfig, _cleared, convex_hull_2d, find_circuit, integer_normal, rat
+from .exact_core import CircuitData, PointConfig, _cleared, _hull, integer_normal, rat
 
 Covector = tuple[Fraction, ...]
 
@@ -194,14 +194,14 @@ def enumerate_simplicial(config: PointConfig, gamma) -> tuple[SimplicialSupport,
 def enumerate_circuital(config: PointConfig, gamma) -> tuple[CircuitalSupport, ...]:
     """All affine supports maximized on exactly n+2 affinely spanning points.
 
-    These are the upper cells of size n+2.
+    These are the upper cells of size n+2, each with its `PointConfig.circuit`.
     """
     return tuple(
         CircuitalSupport(
             linear=c.linear,
             max_value=c.max_value,
             maximizers=c.cell,
-            circuit=find_circuit(config.subset_points(c.cell), labels=list(c.cell)),
+            circuit=config.circuit(c.cell),
         )
         for c in upper_cells(config, gamma)
         if len(c.cell) == config.n + 2
@@ -259,7 +259,7 @@ def gkz_vector(config: PointConfig, t: Subdivision) -> tuple[Fraction, ...]:
 
 
 def _refine_cell(config: PointConfig, cell: Sequence[int]) -> list[tuple[int, ...]]:
-    """Deterministic simplicial refinement of one subdivision cell."""
+    """Deterministic simplicial refinement of one cell; at n = 2 a fan over the `_hull` of its coordinates x * dx."""
     n = config.n
     cell = tuple(sorted(cell))
     if len(cell) == n + 1:
@@ -270,9 +270,9 @@ def _refine_cell(config: PointConfig, cell: Sequence[int]) -> list[tuple[int, ..
         order = sorted(cell, key=lambda i: config.image(i)[0])
         return [tuple(sorted(p)) for p in zip(order, order[1:])]
     if n == 2:
-        hull = convex_hull_2d(config.subset_points(cell))
-        by_point = {config.image(i): i for i in cell}
-        ring = [by_point[p] for p in hull]
+        xs = config.lift_forms[0]
+        by_point = {xs[i - 1]: i for i in cell}  # dx > 0 keeps the hull ring and its start
+        ring = [by_point[p] for p in _hull(by_point)]
         pivot = min(range(len(ring)), key=lambda k: ring[k])
         ring = ring[pivot:] + ring[:pivot]
         return [
@@ -383,7 +383,7 @@ def enumerate_walls_1d(config: PointConfig) -> tuple[Wall, ...]:
                 left=t,
                 right=Subdivision(n=1, cells=_chain_cells([i for i in verts if i != j])),
                 direction=tuple(Fraction(int(i == j)) for i in range(1, config.m + 1)),
-                circuit=find_circuit(config.subset_points((ln, j, rn)), labels=[ln, j, rn]),
+                circuit=config.circuit((ln, j, rn)),
             ))
     return tuple(sorted(walls, key=lambda w: (w.left.cells, w.moved)))
 

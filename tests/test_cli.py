@@ -203,6 +203,17 @@ def test_wide_1d_polytopes_are_refused_at_once(capsys, tmp_path, verb, doc):
     assert json.loads(out) == {"error": "1D triangulation enumeration capped at m = 16"}
 
 
+def test_wide_0d_polytopes_are_refused_at_once(capsys, tmp_path):
+    # the certificate compares every pair of the m! order-cone gradients: 11 s at m = 6, 49 times that at m = 7
+    path = tmp_path / "wide0.json"
+    path.write_text(json.dumps({"n": 0, "m": 7, "F": {"kind": "neg_card_ratio"}}))
+    start = time.perf_counter()
+    code, out = run(capsys, "polytope", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {"error": "order-cone enumeration capped at m = 6"}
+
+
 @pytest.mark.parametrize("xs, d", [([0, 1, 2, 3, 4], 1000), ([0, 1, 3, 4, 6, 7], 100000)])
 def test_closely_spaced_rational_coordinates(capsys, tmp_path, xs, d):
     # the cone witness jitter once broke concavity here, and polytope exited 3

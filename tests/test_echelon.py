@@ -7,9 +7,12 @@ rank-deficient, wide and tall, small and huge denominators) each reader must
 return exactly what the textbook elimination in `linalg_reference` returns:
 the same value of the same type. The minors of a k x (k+1) matrix must be
 the reference kernel vector up to a nonzero scale, and zero below rank k,
-and circuits must be those of the reference's kernel vector.
+and circuits must be those of the reference's kernel vector: the circuits
+of `find_circuit`, and those a configuration reads off its lift's kernel
+(`PointConfig.circuit`), which is None exactly where the reference refuses.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -22,6 +25,7 @@ from basecondary.exact_core import (
     clear_denominators,
     find_circuit,
     integer_normal,
+    make_config,
     matrix_rank,
     solve_linear,
 )
@@ -140,3 +144,47 @@ def test_circuits_match_the_kernel_vector(n):
         zeros += bool(want.zeros)
         assert _same(find_circuit(pts, labels), want), (pts, labels)
     assert n == 1 or (flat and zeros > 50)  # three distinct points of Q^1 always span, each with a coefficient
+
+
+def _config_with_flats(rng, n, m):
+    """m distinct points of Q^n, many on the hyperplane through the first n, some of them collinear."""
+    pts = []
+    while len(pts) < m:
+        p = tuple(F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n))
+        if n >= 2 and len(pts) >= n and rng.random() < 0.6:
+            w = [F(rng.randint(-2, 3), 2) for _ in range(n - 1)]
+            p = tuple(sum((c * q[k] for c, q in zip([*w, 1 - sum(w)], pts)), F(0)) for k in range(n))
+        if n == 0 or p not in pts:
+            pts.append(p)
+    return make_config(n, pts)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_config_circuits_match_the_kernel_vector(n):
+    rng = random.Random(f"config-circuits/{n}")
+    seen = flat = zeros = 0
+    for _ in range(30):
+        config = _config_with_flats(rng, n, rng.randint(n + 2, n + 5))
+        for labels in itertools.combinations(range(1, config.m + 1), n + 2):
+            labels = tuple(rng.sample(labels, n + 2))
+            seen += 1
+            try:
+                want = ref.find_circuit(config.subset_points(labels), labels=labels)
+            except InputError:
+                flat += 1
+                assert config.circuit(labels) is None, (config, labels)
+                continue
+            zeros += bool(want.zeros)
+            assert _same(config.circuit(labels), want), (config, labels)
+    assert seen >= 100 and (n < 2 or (flat > 20 and zeros > 20)), (seen, flat, zeros)
+
+
+@pytest.mark.parametrize("config, bad", [
+    (make_config(0, [[], [], []]), [(1,), (1, 2, 3), (1, 1), (0, 1), (1, 4)]),
+    (make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]]),
+     [(1, 2, 3), (1, 2, 3, 4, 5), (1, 2, 2, 3), (0, 1, 2, 3), (1, 2, 3, 6)]),
+])
+def test_config_circuit_refuses_bad_labels(config, bad):
+    for labels in bad:
+        with pytest.raises(InputError, match=f"needs {config.n + 2} distinct labels in 1..{config.m}"):
+            config.circuit(labels)

@@ -9,17 +9,20 @@ and jets' gradients included, for every kind of F, on tie-heavy heights,
 generic ones with large denominators and jets at n <= 2; so must the Morse
 and Maxwell supports. The fiber polygon of the pyramid's hull vertices must
 be that of all its base and roof points, and `area_N`, half the secondary
-support, the area of its own hull. Three pins keep the single routes
+support, the area of its own hull. Five pins keep the single routes
 single: an oriented volume runs no rational elimination, a cell with k
-values below its maximum costs the evaluator k + 1 queries of F, and
-`area_N` takes no hull. The gradient, read off the lift's circuit forms,
-must be `repr`-equal with the sum of height cofactors at n = 0..3, and, like
-the expansion, take no determinant once the lift's kernel is built. At
-n = 3, where no planar hull exists, each GKZ vector must be the sum of the
-cells' determinants.
+values below its maximum costs the evaluator k + 1 queries of F, `area_N`
+takes no hull, the circuit check and the 1D walls take no determinant once
+the lift's kernel is built, and a planar cell is refined by one hull of the
+kernel's integer coordinates, never by `convex_hull_2d`. The gradient, read
+off the lift's circuit forms, must be `repr`-equal with the sum of height
+cofactors at n = 0..3, and, like the expansion, take no determinant once the
+lift's kernel is built. At n = 3, where no planar hull exists, each GKZ
+vector must be the sum of the cells' determinants.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -39,8 +42,15 @@ from basecondary.core import (
 from basecondary.errors import InputError
 from basecondary.exact_core import Jet, fiber_polygon, lattice_volume, make_config, oriented_volume
 from basecondary.fiber_morse import build_delta_bar, maxwell_support, morse_config, morse_support
-from basecondary.secondary import area_N, discover_cones_random, gkz_vector, secondary_support, upper_cells
-from basecondary.setfun import KINDS, SetFunction, neg_card_ratio_function, neg_gcd_function
+from basecondary.secondary import (
+    area_N,
+    discover_cones_random,
+    enumerate_walls_1d,
+    gkz_vector,
+    secondary_support,
+    upper_cells,
+)
+from basecondary.setfun import KINDS, SetFunction, circuit_condition_check, neg_card_ratio_function, neg_gcd_function
 
 CONFIGS = 40
 
@@ -214,6 +224,41 @@ def test_gradient_takes_no_volume_beyond_the_expansion(config, monkeypatch):
         assert len(calls) == (config.n + 2) * len(terms)
 
 
+@pytest.mark.parametrize("config", [make_config(1, [[1], [3], [6], [7], [10]]), PENTAGON])
+def test_circuits_take_no_determinant_once_the_kernel_is_built(config, monkeypatch):
+    # every circuit of A is read off the kernel's minors, so neither the check nor the walls eliminate
+    config.lift_forms
+    calls = []
+    real = exact_core._int_det
+    monkeypatch.setattr(exact_core, "_int_det", lambda a: calls.append(a) or real(a))
+    report = circuit_condition_check(neg_card_ratio_function(config.m), config)
+    assert len(report.rows) == math.comb(config.m, config.n + 2)
+    if config.n == 1:
+        assert enumerate_walls_1d(config)
+    assert calls == []
+
+
+@pytest.mark.parametrize("points", [PENTAGON.points, [[0, 0], [2, 0], [2, 2], [0, 2], [1, 0], [1, 1]]])
+def test_refinement_hulls_the_kernel_coordinates(points, monkeypatch):
+    # an affine height lifts every point onto one plane: one cell, refined by one hull of integers
+    config = make_config(2, points)
+    gamma = tuple(x - 2 * y + 1 for x, y in config.points)
+    want = ref.secondary_support(config, gamma)  # refines by `_refine_cell` too
+    hulls, rational = [], []
+    real_hull, real_rational = exact_core._hull, exact_core.convex_hull_2d
+
+    def hull(pts):
+        hulls.append(pts := list(pts))
+        return real_hull(pts)
+
+    for module in (exact_core, secondary):
+        monkeypatch.setattr(module, "_hull", hull, raising=False)
+        monkeypatch.setattr(module, "convex_hull_2d", lambda pts: rational.append(pts) or real_rational(pts), raising=False)
+    assert repr(secondary_support(config, gamma)) == repr(want)
+    assert rational == [] and len(hulls) == 1
+    assert all(type(c) is int for p in hulls[0] for c in p)
+
+
 def test_general_evaluator_reads_simplex_volumes_off_the_scan_at_n3():
     # a simplex cell needs no hull, so n = 3 evaluates where the subdivision is a triangulation
     config = make_config(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2], [2, -1, 1]])
@@ -308,10 +353,10 @@ def test_pyramid_hull_vertices_give_the_fiber_of_all_points(points):
 
 
 def test_area_N_matches_its_own_hull(monkeypatch):
-    hulls = []
-    real = exact_core.convex_hull_2d
+    hulls = []  # every hull is one `_hull`, `convex_hull_2d`'s included
+    real = exact_core._hull
     for module in (exact_core, secondary):
-        monkeypatch.setattr(module, "convex_hull_2d", lambda pts: hulls.append(pts) or real(pts))
+        monkeypatch.setattr(module, "_hull", lambda pts: hulls.append(pts) or real(pts))
     rng = random.Random("one-route/area_N")
     for _ in range(CONFIGS):
         config = _config(rng, 1, rng.randint(2, 8))

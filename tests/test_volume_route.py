@@ -1,8 +1,10 @@
-"""Every simplex volume and orientation of A has one route: the lift kernel's minors.
+"""Every simplex volume, orientation and circuit of A has one route: the lift kernel's minors.
 
-`PointConfig.volume` reads them off `PointConfig.lift_forms`, and
-`exact_core` keeps `oriented_volume` and `lattice_volume` as public functions.
-No other library module may call those two or the determinant `_int_det`
+`PointConfig.volume` and `PointConfig.circuit` read them off
+`PointConfig.lift_forms`, and a cell's refinement hulls the kernel's integer
+coordinates. `exact_core` keeps `oriented_volume`, `lattice_volume`,
+`find_circuit` and `convex_hull_2d` as public functions of given points. No
+other library module may call those four or the determinant `_int_det`
 itself. The modules are read with `ast`, so none is imported.
 """
 
@@ -10,7 +12,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "basecondary"
-VOLUME_ROUTES = {"oriented_volume", "lattice_volume", "_int_det"}
+VOLUME_ROUTES = {"oriented_volume", "lattice_volume", "find_circuit", "convex_hull_2d", "_int_det"}
 
 
 def _called_names(tree):
