@@ -21,12 +21,13 @@ expression in F.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, ResourceError
-from .exact_core import Jet, PointConfig, _cleared, rat
+from .exact_core import Jet, PointConfig, _cleared, clear_denominators, rat
 
 # The supports and the genericity test live beside the lift in `secondary`;
 # they are re-exported here as part of this module's interface. The expansion
@@ -318,17 +319,19 @@ def convexity_certificate(entries) -> tuple[bool, Optional[tuple]]:
     """Pairwise support maximality of (witness, gradient) entries: <g_j, w_j> >= <g_k, w_j> for all pairs.
 
     Returns (True, None) or (False, (witness_j, j, k)) for the first failing
-    pair; with full cone coverage success certifies that the represented
-    function is the support function of the convex hull of the gradients.
+    pair, by j then k. With full cone coverage, success certifies that the
+    function is the support function of the gradients' convex hull. Decided
+    in integers: one scale for all gradients and one per witness, all > 0.
     """
     if not entries:
         raise InputError("certificate needs at least one entry")
-    for j, (wj, gj) in enumerate(entries):
-        own = sum(a * b for a, b in zip(gj, wj))
-        for k, (_, gk) in enumerate(entries):
-            if k == j:
-                continue
-            if sum(a * b for a, b in zip(gk, wj)) > own:
+    flat = iter(clear_denominators([c for _, g in entries for c in g])[0])
+    grads = [list(itertools.islice(flat, len(g))) for _, g in entries]
+    for j, (wj, _) in enumerate(entries):
+        w = clear_denominators(wj)[0]
+        own = sum(map(operator.mul, grads[j], w))
+        for k, gk in enumerate(grads):
+            if k != j and sum(map(operator.mul, gk, w)) > own:
                 return False, (wj, j, k)
     return True, None
 

@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -96,6 +97,28 @@ def rat_str(q: Fraction) -> str:
 
 def point(coords) -> Point:
     return tuple(rat(c) for c in coords)
+
+
+def rational_draws(seed, bound: int):
+    """`draws(k)`: the next k pairs (randint(-bound, bound), randint(1, bound)) of `random.Random(seed)`.
+
+    Read off `randint`'s rejection loop: a range of w integers draws its least plus the first
+    `getrandbits(w.bit_length())` below w. Both seeded samplers, tropical and cone discovery, draw here.
+    """
+    getrandbits, w_p, w_q = random.Random(seed).getrandbits, 2 * bound + 1, bound
+    k_p, k_q = w_p.bit_length(), w_q.bit_length()
+
+    def draws(k: int) -> list[tuple[int, int]]:
+        out = []
+        for _ in range(k):
+            while (p := getrandbits(k_p)) >= w_p:
+                pass
+            while (q := getrandbits(k_q)) >= w_q:
+                pass
+            out.append((p - bound, q + 1))
+        return out
+
+    return draws
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .exact_core import CircuitData, PointConfig, _cleared, _hull, integer_normal, rat
+from .exact_core import CircuitData, PointConfig, _cleared, _hull, integer_normal, rat, rational_draws
 
 Covector = tuple[Fraction, ...]
 
@@ -149,17 +148,17 @@ def _scan(config: PointConfig, gamma: Covector) -> tuple[list, int]:
     return list(_oriented_scan(config, zs)), dz
 
 
-def _generic_triangulation(config: PointConfig, gamma: Covector):
-    """{cell: scan heights h by label - 1} of the lift of gamma when it passes `is_generic`, else None.
+def _generic_triangulation(config: PointConfig, zs: Sequence):
+    """{cell: scan heights h by label - 1} of the lift of zs when it passes `is_generic`, else None.
 
-    It reads the integer scan of `upper_cells`, for every n, and builds no
-    affine data: a cell's values are its maximum plus h / (dz |N_z|), so they
-    are distinct, and descend, exactly where the h do. A configuration that
-    does not span is generic with no cells: {}, not None. Heights scaled by
-    any positive factor, such as integers, give the same answer; jets pass.
+    Takes heights cleared to integers at any positive scale (jets of integers
+    pass) and clears nothing. It reads the integer scan of `upper_cells`, for
+    every n, and builds no affine data: a cell's values are its maximum plus
+    h / (dz |N_z|), so they are distinct, and descend, exactly where the h
+    do. A configuration that does not span is generic with no cells: {}.
     """
     cells = {}
-    for cell, _, heights in _oriented_scan(config, _cleared(gamma)[0]):
+    for cell, _, heights in _oriented_scan(config, zs):
         if len(cell) != config.n + 1 or len(set(heights)) != config.m - config.n:
             return None
         cells[cell] = heights
@@ -174,7 +173,7 @@ def is_generic(config: PointConfig, gamma) -> bool:
     each cell, a simplicial support, the values of gamma - L o A off the cell
     are pairwise distinct.
     """
-    return _generic_triangulation(config, covector(config, gamma)) is not None
+    return _generic_triangulation(config, _cleared(covector(config, gamma))[0]) is not None
 
 
 def enumerate_simplicial(config: PointConfig, gamma) -> tuple[SimplicialSupport, ...]:
@@ -343,7 +342,7 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
             amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1) * d2)
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
         gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
-        cells = _generic_triangulation(config, gamma)
+        cells = _generic_triangulation(config, _cleared(gamma)[0])
         if cells is not None and tuple(cells) == t.cells:
             return gamma
     raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
@@ -394,18 +393,17 @@ def discover_cones_random(
     """Deduplicated (triangulation, generic witness) pairs from seeded heights.
 
     Each sample draws, label by label, p = randint(-bound, bound) and then
-    q = randint(1, bound), for the height p/q. It is classified by
-    `_generic_triangulation` on the integers p * lcm(q) / q: a positive scale
-    keeps every verdict. A witness is built as `Fraction`s only for a
-    triangulation not listed yet.
+    q = randint(1, bound) off `rational_draws`, as the tropical sampler does,
+    for the height p/q. `_generic_triangulation` classifies the integers
+    p * lcm(q) / q, which need no clearing: a positive scale keeps every
+    verdict. A witness is built as `Fraction`s only for a new triangulation.
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    rng = random.Random(seed)
+    draw = rational_draws(seed, RANDOM_HEIGHT_BOUND)
     found: dict[tuple, tuple[Subdivision, Covector]] = {}
-    bound = RANDOM_HEIGHT_BOUND
     for _ in range(samples):
-        draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(config.m)]
+        draws = draw(config.m)
         d = math.lcm(*(q for _, q in draws))
         cells = _generic_triangulation(config, [p * (d // q) for p, q in draws])
         if cells is not None and (key := tuple(cells)) not in found:

@@ -1,22 +1,21 @@
 """Univariate max-plus polynomials: critical points, degeneracy, Morse tests.
 
 Verdicts are decided in integers by one scan of the envelope chain. The sampler
-reads `randint`'s draws straight off their `getrandbits` rejection stream, as the
-`randint` sampler of `tests/tropical_reference.py` pins, and builds `Fraction`s
-only for the samples its report lists.
+takes `randint`'s draws off `exact_core.rational_draws`, as cone discovery does
+and as the `randint` sampler of `tests/tropical_reference.py` pins, and builds
+`Fraction`s only for the samples its report lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exact_core import as_int, as_list, clear_denominators, rat, upper_chain
+from .exact_core import as_int, as_list, clear_denominators, rat, rational_draws, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
 
@@ -164,10 +163,10 @@ def sample_morse_fraction(
     """Fraction of seeded random coefficient vectors classified Morse.
 
     Each term, in support order, draws p in [-bound, bound] and then q in [1, bound] from
-    `random.Random(seed)`; its coefficient is p/q, reported reduced. The draws are `randint`'s, read
-    off its rejection stream: a draw in a range of n integers is its least one plus the first
-    `getrandbits(n.bit_length())` below n, as `tests/tropical_reference.py` pins. Verdicts are decided
-    in integers, the p scaled by the lcm of the q; `Fraction`s are built only for listed samples.
+    `random.Random(seed)`; its coefficient is p/q, reported reduced. The draws are `randint`'s,
+    read off its rejection stream by `rational_draws`, as `tests/tropical_reference.py` pins. Verdicts
+    are decided in integers, the p scaled by the lcm of the q; `Fraction`s are built only for listed
+    samples.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -176,20 +175,9 @@ def sample_morse_fraction(
         raise InputError("coefficient bound must be positive")
     supp = tuple(as_int(a, "support entry") for a in as_list(support, "support"))
     TropicalPolynomial(support=supp, coefficients=(0,) * len(supp))  # the support's checks, once
-    getrandbits = random.Random(seed).getrandbits
-    n_p, n_q = 2 * bound + 1, bound  # the widths of [-bound, bound] and [1, bound]
-    k_p, k_q = n_p.bit_length(), n_q.bit_length()
-    bad = []
+    draw, bad = rational_draws(seed, bound), []
     for _ in range(samples):
-        draws = []
-        for _ in supp:
-            p = getrandbits(k_p)
-            while p >= n_p:
-                p = getrandbits(k_p)
-            q = getrandbits(k_q)
-            while q >= n_q:
-                q = getrandbits(k_q)
-            draws.append((p - bound, q + 1))
+        draws = draw(len(supp))
         d = math.lcm(*(q for _, q in draws))
         reasons = _reasons(supp, [p * (d // q) for p, q in draws])
         if reasons:

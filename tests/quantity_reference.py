@@ -27,7 +27,10 @@ as n + 2 height cofactors, facet `oriented_volume`s with signs, where it now
 reads the coefficients of the tail label's circuit form. The submodularity
 scan, `circuit_value` and `greedy_vertex` once built a frozenset per query
 and read it through `evaluate_f`, where they now read bitmasks off
-`SetFunction.cleared`. Each is kept here, the evaluator and the support
+`SetFunction.cleared`. `convexity_certificate` once took every pairwise
+support value as a `Fraction` dot product, where it now compares integers,
+the gradients cleared once to one scale and each witness to its own. Each is
+kept here, the evaluator and the support
 on the kept `lattice_volume`, so results can be compared exactly. The
 references read `secondary.upper_cells` through the module, so a test may
 swap in `chain_upper_cells`, which takes dense jets.
@@ -337,3 +340,17 @@ def greedy_vertex(f, order):
         y[i - 1] = cur - prev
         prev = cur
     return tuple(y)
+
+
+def convexity_certificate(entries):
+    """Pairwise support maximality in `Fraction` dot products, pair by pair: (True, None) or (False, (w_j, j, k))."""
+    if not entries:
+        raise InputError("certificate needs at least one entry")
+    for j, (wj, gj) in enumerate(entries):
+        own = sum(a * b for a, b in zip(gj, wj))
+        for k, (_, gk) in enumerate(entries):
+            if k == j:
+                continue
+            if sum(a * b for a, b in zip(gk, wj)) > own:
+                return False, (wj, j, k)
+    return True, None

@@ -1,4 +1,4 @@
-"""Exact geometry primitives: volumes, circuits, polygons, fiber slices."""
+"""Exact geometry primitives: volumes, circuits, polygons, fiber slices, seeded draws."""
 
 from fractions import Fraction as F
 
@@ -25,6 +25,7 @@ from basecondary.exact_core import (
     point,
     rat,
     rat_str,
+    rational_draws,
 )
 
 
@@ -370,3 +371,12 @@ def test_jet_products_and_quotients_raise():
     for op in (lambda: a * b, lambda: a / b, lambda: 1 / a, lambda: F(1) / a):
         with pytest.raises(InternalError, match="not linear in eps"):
             op()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 10**4, 2**31])
+def test_rational_draws_are_the_randint_stream(bound):
+    # both samplers draw here; consecutive calls continue one stream
+    for seed in (0, 1, 41, 2**40, "draws"):
+        rng, draws = random.Random(seed), rational_draws(seed, bound)
+        for k in (0, 1, 5, 2, 9):
+            assert draws(k) == [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(k)]

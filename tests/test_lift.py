@@ -18,12 +18,14 @@ from basecondary.core import (
     SimplicialSupport,
     enumerate_circuital,
     enumerate_simplicial,
+    eval_basecondary_generic,
     is_generic,
 )
 from basecondary.secondary import Subdivision, discover_cones_random
-from basecondary import exact_core, secondary
+from basecondary import core, exact_core, secondary
 from basecondary.exact_core import affine_rank, clear_denominators, find_circuit, make_config, solve_linear
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
+from basecondary.setfun import neg_card_ratio_function
 
 
 def _fit(config, gamma, labels):
@@ -217,6 +219,24 @@ def test_integer_discovery_matches_the_lift(monkeypatch, n, rational):
             patch.setattr(secondary, "RANDOM_HEIGHT_BOUND", 3)
             assert repr(discover_cones_random(config, 30, rep)) == repr(reference_discover(config, 30, rep))
         assert repr(discover_cones_random(config, 10, rep)) == repr(reference_discover(config, 10, rep))
+
+
+def test_the_genericity_scan_clears_no_height_twice(monkeypatch):
+    # the expansion clears a fresh height vector once; discovery draws integers and clears none
+    calls = []
+    for module in (core, secondary):
+        monkeypatch.setattr(module, "_cleared", lambda cs, _real=module._cleared: calls.append(cs) or _real(cs))
+    rng = random.Random("clear-once")
+    for n, m in ((0, 4), (1, 5), (2, 5)):
+        config = _config(rng, n, m, True)
+        f = neg_card_ratio_function(m, min_size=n)
+        gamma = tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**9)) for _ in range(m))
+        calls.clear()
+        eval_basecondary_generic(config, f, gamma)
+        assert len(calls) == 1, (config, gamma)
+    calls.clear()
+    discover_cones_random(PENTAGON, 200, 41)
+    assert calls == []
 
 
 def test_integer_discovery_on_the_pentagon_and_a_collinear_triple():

@@ -18,7 +18,9 @@ kernel's integer coordinates, never by `convex_hull_2d`. The gradient, read
 off the lift's circuit forms, must be `repr`-equal with the sum of height
 cofactors at n = 0..3, and, like the expansion, take no determinant once the
 lift's kernel is built. At n = 3, where no planar hull exists, each GKZ
-vector must be the sum of the cells' determinants.
+vector must be the sum of the cells' determinants. The integer convexity
+certificate must return what the pairwise `Fraction` products return, the
+first failing pair and the caller's own witness object included.
 """
 
 import itertools
@@ -33,11 +35,13 @@ import quantity_reference as ref
 from basecondary import exact_core, secondary
 from basecondary.core import (
     cone_witnesses,
+    convexity_certificate,
     eval_basecondary_general,
     eval_basecondary_generic,
     expansion_terms,
     gradient_on_cone,
     is_generic,
+    reconstruct_polytope,
 )
 from basecondary.errors import InputError
 from basecondary.exact_core import Jet, fiber_polygon, lattice_volume, make_config, oriented_volume
@@ -370,3 +374,43 @@ def test_area_N_matches_its_own_hull(monkeypatch):
                 got = area_N(config, h)
                 assert not hulls
                 assert _key(got) == _key(ref.area_N(config, h)), (config, h)
+
+
+def _certificate_entries(rng):
+    """Entries to certify: reconstructions at n = 0, 1 and 2, each also with one gradient negated or
+    perturbed; int-only entries; witnesses with negative entries and mixed denominators; single entries."""
+    for n, top in ((0, 4), (1, 6), (2, 6)):
+        for rep in range(12):
+            config = _config(rng, n, rng.randint(n + 2, top))
+            f = _set_function(rng, config, KINDS[rep % len(KINDS)])
+            c = rng.choice([0, 0, F(rng.randint(1, 40), rng.randint(1, 3))])
+            entries = list(reconstruct_polytope(config, f, c, samples=30, seed=rep).entries)
+            yield entries
+            j = rng.randrange(len(entries))
+            w, g = entries[j]
+            yield entries[:j] + [(w, tuple(-a for a in g))] + entries[j + 1:]
+            k = rng.randrange(len(g))
+            bumped = tuple(a + F(rng.randint(-5, 5), rng.randint(1, 9)) * (i == k) for i, a in enumerate(g))
+            yield entries[:j] + [(w, bumped)] + entries[j + 1:]
+            yield [entries[j]]
+    for _ in range(40):
+        m, size = rng.randint(2, 5), rng.randint(1, 6)
+        yield [(tuple(rng.randint(-4, 4) for _ in range(m)), tuple(rng.randint(-3, 3) for _ in range(m)))
+               for _ in range(size)]
+        yield [(tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(m)),
+                tuple(F(rng.randint(-5, 5), rng.choice([1, 2, 3, 7, 10**9])) for _ in range(m)))
+               for _ in range(size)]
+    yield [((1, 1), (2, 3))]
+
+
+def test_integer_certificate_matches_the_fraction_reference():
+    rng = random.Random("certificate")
+    verdicts = []
+    for entries in _certificate_entries(rng):
+        got = convexity_certificate(entries)
+        assert repr(got) == repr(ref.convexity_certificate(entries)), entries
+        ok, failure = got
+        if not ok:
+            assert failure[0] is entries[failure[1]][0]
+        verdicts.append(ok)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
