@@ -6,7 +6,8 @@ evaluation routes, a threshold sum over subdivision cells and the
 simplicial-support expansion, both summed in integers off the lift's scan
 heights and F cleared to integers (Fortune-Van Wyk 1996); the minimal
 convexifying multiple of the secondary support; and reconstruction of the
-per-cone gradient representation with an exact convexity certificate.
+per-cone gradient representation with an exact convexity certificate: at n = 0
+greedy vertices (Edmonds 1970) and the submodularity of one set function (Lovász 1983).
 
 Gradients and wall defects are closed forms read off one lift, never
 difference quotients. At a generic witness the expansion is a fixed sum of
@@ -50,9 +51,7 @@ from .secondary import (
     gkz_vector,
     is_generic,
 )
-from .setfun import SetFunction, circuit_condition_check, circuit_value, is_submodular_above
-
-ORDER_CONE_CAP = 6
+from .setfun import BASE_POLYTOPE_CAP, SetFunction, circuit_condition_check, circuit_value, greedy_vertex, is_submodular_above
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class OrderedSupport:
 
 @dataclass(frozen=True)
 class PiecewiseLinearRep:
-    """Per-cone (witness, gradient) pairs with an exact convexity certificate."""
+    """Per-cone (witness, gradient) pairs, certified convex: pairwise for n >= 1, at n = 0 by submodularity."""
 
     entries: tuple[tuple[Covector, tuple[Fraction, ...]], ...]
     certified: bool
@@ -342,12 +341,12 @@ def cone_witnesses(
     """(triangulation, generic witness) pairs covering the secondary cones (all of them for n <= 1).
 
     n = 0: one pair per strict order of the labels, the witness ranking them
-    m, m - 1, ..., 1 and the subdivision its top label alone; n = 1: every
+    m, m - 1, ..., 1 and the subdivision its top label alone, m <= `BASE_POLYTOPE_CAP`; n = 1: every
     triangulation with its `cone_witness`; n >= 2: `discover_cones_random`.
     """
     if config.n == 0:
-        if config.m > ORDER_CONE_CAP:
-            raise ResourceError(f"order-cone enumeration capped at m = {ORDER_CONE_CAP}")
+        if config.m > BASE_POLYTOPE_CAP:
+            raise ResourceError(f"full vertex enumeration capped at m = {BASE_POLYTOPE_CAP}")
         return tuple(
             (Subdivision(n=0, cells=((perm[0],),)),
              tuple(Fraction(config.m - perm.index(i)) for i in range(1, config.m + 1)))
@@ -383,10 +382,8 @@ def min_convexifier(
     the circuit cover conv J; c is max(0, -min value). For n = 1 every
     3-subset J is the circuit of a wall, whose basecondary defect is that
     row's second entry and whose secondary defect, the GKZ jump at the
-    middle label, is its third. For n = 0, h + c * max(gamma) is the
-    Lovász extension of F - F(N) + c on nonempty sets, which is submodular
-    exactly when F is submodular above size 1 and c >= -value({a, b}) for
-    every pair.
+    middle label, is its third. For n = 0 the rows are the pair conditions
+    of the submodularity that `_order_cone_rep` certifies.
     The rule for every n <= 1: F must be submodular above size n + 1, or
     InputError carries the violating pair. For n = 1 the rows do not test
     that rule, and without it h + c * secondary at their c need not be
@@ -433,11 +430,13 @@ def reconstruct_polytope(
 ) -> PiecewiseLinearRep:
     """Per-cone gradients of the (optionally convexified) function, certified.
 
-    Each gradient is gradient_on_cone plus c times the GKZ vector at the
-    cone witness; `PiecewiseLinearRep.certify` keeps one witness per gradient.
+    Each gradient is gradient_on_cone plus c times the GKZ vector at the cone witness, and
+    `PiecewiseLinearRep.certify` keeps one witness per gradient; n = 0 is `_order_cone_rep`.
     """
     _check_f(config, f)
     c = rat(convexifier)
+    if config.n == 0:
+        return _order_cone_rep(config, f, c)
     pairs = []
     for t, w in cone_witnesses(config, samples=samples, seed=seed):
         g = gradient_on_cone(config, f, w)
@@ -445,3 +444,29 @@ def reconstruct_polytope(
             g = tuple(a + c * b for a, b in zip(g, gkz_vector(config, t)))
         pairs.append((w, g))
     return PiecewiseLinearRep.certify(pairs)
+
+
+def _order_cone_rep(config: PointConfig, f: SetFunction, c: Fraction) -> PiecewiseLinearRep:
+    """n = 0: h + c max(gamma) is the Lovász extension of G = F - F(N) + c on nonempty sets, G(empty) = 0.
+
+    An order sigma's gradient is `greedy_vertex` plus c - F(N) at sigma[0]. It is convex iff G is
+    submodular: F above size 1, and c + v >= 0 on each pair row v of `circuit_condition_check`. At a
+    violation (X, i, j), sigma' = (X, j, i, rest) beats sigma = (X, i, j, rest) at sigma's witness w.
+    """
+    value, d = f.cleared
+    shift, by_order, first = c - Fraction(value((1 << config.m) - 1), d), {}, {}
+    for _, w in cone_witnesses(config):
+        order = tuple(i + 1 for i in sorted(range(config.m), key=w.__getitem__, reverse=True))
+        g = list(greedy_vertex(f, order))
+        g[order[0] - 1] += shift
+        by_order[order] = pair = (w, tuple(g))
+        first.setdefault(pair[1], pair)
+    report = is_submodular_above(f, 1)
+    pairs = (((), *j) for j, v in circuit_condition_check(f, config).rows if c + v < 0)
+    violation, failure = next(pairs, None) if report.holds else report.witness[:3], None
+    if violation is not None:
+        x, i, j = violation
+        rest = tuple(k for k in range(1, config.m + 1) if k not in (*x, i, j))
+        (w, g), (_, g2), index = by_order[(*x, i, j, *rest)], by_order[(*x, j, i, *rest)], list(first)
+        failure = (w, index.index(g), index.index(g2))
+    return PiecewiseLinearRep(entries=tuple(first.values()), certified=failure is None, failure_witness=failure)

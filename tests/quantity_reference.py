@@ -29,9 +29,12 @@ scan, `circuit_value` and `greedy_vertex` once built a frozenset per query
 and read it through `evaluate_f`, where they now read bitmasks off
 `SetFunction.cleared`. `convexity_certificate` once took every pairwise
 support value as a `Fraction` dot product, where it now compares integers,
-the gradients cleared once to one scale and each witness to its own. Each is
-kept here, the evaluator and the support
-on the kept `lattice_volume`, so results can be compared exactly. The
+the gradients cleared once to one scale and each witness to its own. The
+n = 0 reconstruction once took every order cone's expansion gradient and
+certified all (m!)^2 pairs (`order_cone_polytope`), where it now reads the
+greedy vertices and one submodularity scan. Each is kept here, the
+evaluator and the support on the kept `lattice_volume`, so results can be
+compared exactly. The
 references read `secondary.upper_cells` through the module, so a test may
 swap in `chain_upper_cells`, which takes dense jets.
 
@@ -42,7 +45,7 @@ polygon bounds the barred one's from below, with the same upper envelope.
 import itertools
 from fractions import Fraction
 
-from basecondary import exact_core, secondary
+from basecondary import core, exact_core, secondary
 from basecondary.core import _check_f, _descending_tail, _expansion_summands, _positive_orientation, _values_under
 from basecondary.errors import InputError
 from basecondary.exact_core import (
@@ -354,3 +357,14 @@ def convexity_certificate(entries):
             if sum(a * b for a, b in zip(gk, wj)) > own:
                 return False, (wj, j, k)
     return True, None
+
+
+def order_cone_polytope(config, f, c):
+    """n = 0 entries and certificate by search: each order cone's expansion gradient plus c times its GKZ vector,
+    the first witness of each distinct gradient, certified pair by pair."""
+    first = {}
+    for t, w in core.cone_witnesses(config):
+        g = tuple(a + c * b for a, b in zip(core.gradient_on_cone(config, f, w), secondary.gkz_vector(config, t)))
+        first.setdefault(g, (w, g))
+    entries = tuple(first.values())
+    return entries, convexity_certificate(entries)

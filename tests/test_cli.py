@@ -204,14 +204,14 @@ def test_wide_1d_polytopes_are_refused_at_once(capsys, tmp_path, verb, doc):
 
 
 def test_wide_0d_polytopes_are_refused_at_once(capsys, tmp_path):
-    # the certificate compares every pair of the m! order-cone gradients: 11 s at m = 6, 49 times that at m = 7
+    # one greedy vertex per order: m! of them, 40,320 at the cap and 9 times that beyond it
     path = tmp_path / "wide0.json"
-    path.write_text(json.dumps({"n": 0, "m": 7, "F": {"kind": "neg_card_ratio"}}))
+    path.write_text(json.dumps({"n": 0, "m": 9, "F": {"kind": "neg_card_ratio"}}))
     start = time.perf_counter()
     code, out = run(capsys, "polytope", "--input", str(path))
     assert time.perf_counter() - start < 1
     assert code == 2
-    assert json.loads(out) == {"error": "order-cone enumeration capped at m = 6"}
+    assert json.loads(out) == {"error": "full vertex enumeration capped at m = 8"}
 
 
 @pytest.mark.parametrize("xs, d", [([0, 1, 2, 3, 4], 1000), ([0, 1, 3, 4, 6, 7], 100000)])

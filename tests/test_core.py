@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import itertools
 import random
+import time
 
 import pytest
 import witness_reference
@@ -585,6 +586,17 @@ def test_reconstruct_n0_base_polytope_shift():
         restored = list(g)
         restored[top] += full
         assert tuple(restored) in vertices
+
+
+def test_reconstruct_n0_reads_5040_greedy_vertices_at_once():
+    # F(X) = -(sum of w over X)^2 for distinct primes w is submodular with every greedy vertex distinct
+    w, m = (3, 5, 7, 11, 13, 17, 19), 7
+    f = table_function(m, {sub: -sum(w[i - 1] for i in sub) ** 2
+                           for r in range(1, m + 1) for sub in itertools.combinations(range(1, m + 1), r)})
+    start = time.perf_counter()
+    rep = reconstruct_polytope(make_config(0, [[] for _ in range(m)]), f, 0)
+    assert time.perf_counter() - start < 2
+    assert rep.certified and len(rep.entries) == 5040
 
 
 def test_order_circuital_1d_wall():

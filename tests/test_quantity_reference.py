@@ -20,19 +20,24 @@ cofactors at n = 0..3, and, like the expansion, take no determinant once the
 lift's kernel is built. At n = 3, where no planar hull exists, each GKZ
 vector must be the sum of the cells' determinants. The integer convexity
 certificate must return what the pairwise `Fraction` products return, the
-first failing pair and the caller's own witness object included.
+first failing pair and the caller's own witness object included. At n = 0
+the reconstruction must return the order-cone search's entries and verdict,
+from greedy vertices and one submodularity scan, with a failing pair that
+fails at its witness.
 """
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
 import linalg_reference
 import pytest
 import quantity_reference as ref
+from test_circuit_forms import coverage_table, random_table
 
-from basecondary import exact_core, secondary
+from basecondary import core, exact_core, secondary
 from basecondary.core import (
     cone_witnesses,
     convexity_certificate,
@@ -41,6 +46,7 @@ from basecondary.core import (
     expansion_terms,
     gradient_on_cone,
     is_generic,
+    min_convexifier,
     reconstruct_polytope,
 )
 from basecondary.errors import InputError
@@ -54,7 +60,14 @@ from basecondary.secondary import (
     secondary_support,
     upper_cells,
 )
-from basecondary.setfun import KINDS, SetFunction, circuit_condition_check, neg_card_ratio_function, neg_gcd_function
+from basecondary.setfun import (
+    KINDS,
+    SetFunction,
+    circuit_condition_check,
+    evaluate_f,
+    neg_card_ratio_function,
+    neg_gcd_function,
+)
 
 CONFIGS = 40
 
@@ -414,3 +427,58 @@ def test_integer_certificate_matches_the_fraction_reference():
             assert failure[0] is entries[failure[1]][0]
         verdicts.append(ok)
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def _n0_table(rng, rep):
+    """A random table, a coverage table (submodular) or one with singletons lowered (submodular above size 1)."""
+    m = rng.randint(2, 5)
+    if rep % 3 == 0:
+        return random_table(rng, m)
+    return coverage_table(rng, m, lowered=rng.randint(1, m) if rep % 3 == 2 else 0)
+
+
+def test_n0_reconstruction_matches_the_order_cone_search():
+    # h + c max(gamma) is the Lovász extension of G = F - F(N) + c on nonempty sets
+    rng = random.Random("order cones")
+    verdicts = []
+    for rep in range(36):
+        f = _n0_table(rng, rep)
+        config = make_config(0, [[] for _ in range(f.m)])
+        try:
+            result = min_convexifier(config, f)
+        except InputError:  # not submodular above size 1: no c convexifies
+            least = None
+        else:  # the least c, also below 0, where min_convexifier answers 0
+            least = max(-d_f / vol for _, d_f, vol in result.walls)
+            assert result.value == max(0, least)
+        base = F(0) if least is None else least
+        for c in (F(-rng.randint(1, 8), 2), F(0), base, base - F(1, 2), F(100)):
+            got = reconstruct_polytope(config, f, c)
+            entries, (ok, _) = ref.order_cone_polytope(config, f, c)
+            assert repr(got.entries) == repr(entries), (f, c)
+            assert got.certified == ok == (least is not None and c >= least), (f, c)
+            if not ok:
+                w, j, k = got.failure_witness
+                order = sorted(range(1, f.m + 1), key=lambda i: -w[i - 1])
+                g = list(ref.greedy_vertex(f, order))
+                g[order[0] - 1] += c - evaluate_f(f, f.ground())
+                assert entries[j][1] == tuple(g)
+                assert sum(map(operator.mul, entries[k][1], w)) > sum(map(operator.mul, g, w))
+            verdicts.append(ok)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
+def test_n0_reconstruction_takes_one_scan_and_no_pairs(monkeypatch):
+    # no expansion per order cone and no pairwise certificate: the greedy vertices and one submodularity scan
+    calls = []
+    for name in ("convexity_certificate", "_expansion_summands", "is_submodular_above"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    rng = random.Random(27)
+    config = make_config(0, [[] for _ in range(5)])
+    verdicts = []
+    for f, c in ((coverage_table(rng, 5), 100), (coverage_table(rng, 5), -100), (random_table(rng, 5), 100)):
+        calls.clear()
+        verdicts.append(reconstruct_polytope(config, f, c).certified)
+        assert calls == ["is_submodular_above"]
+    assert verdicts == [True, False, False]
