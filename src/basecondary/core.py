@@ -449,8 +449,8 @@ def reconstruct_polytope(
 def _order_cone_rep(config: PointConfig, f: SetFunction, c: Fraction) -> PiecewiseLinearRep:
     """n = 0: h + c max(gamma) is the Lovász extension of G = F - F(N) + c on nonempty sets, G(empty) = 0.
 
-    An order sigma's gradient is `greedy_vertex` plus c - F(N) at sigma[0]. It is convex iff G is
-    submodular: F above size 1, and c + v >= 0 on each pair row v of `circuit_condition_check`. At a
+    An order sigma's gradient is `greedy_vertex` plus c - F(N) at sigma[0], and the sum is convex iff G
+    is submodular: F above size 1, and c + v >= 0 on each pair row v of `circuit_condition_check`. At a
     violation (X, i, j), sigma' = (X, j, i, rest) beats sigma = (X, i, j, rest) at sigma's witness w.
     """
     value, d = f.cleared

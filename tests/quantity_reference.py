@@ -34,9 +34,8 @@ n = 0 reconstruction once took every order cone's expansion gradient and
 certified all (m!)^2 pairs (`order_cone_polytope`), where it now reads the
 greedy vertices and one submodularity scan. Each is kept here, the
 evaluator and the support on the kept `lattice_volume`, so results can be
-compared exactly. The
-references read `secondary.upper_cells` through the module, so a test may
-swap in `chain_upper_cells`, which takes dense jets.
+compared exactly. The references read `secondary.upper_cells` through the
+module, so a test may swap in `chain_upper_cells`, which takes dense jets.
 
 `build_delta` is the roof-only pyramid, without the base row: its fiber
 polygon bounds the barred one's from below, with the same upper envelope.
@@ -360,8 +359,8 @@ def convexity_certificate(entries):
 
 
 def order_cone_polytope(config, f, c):
-    """n = 0 entries and certificate by search: each order cone's expansion gradient plus c times its GKZ vector,
-    the first witness of each distinct gradient, certified pair by pair."""
+    """n = 0 entries and certificate by search: each order cone's expansion gradient plus c times its GKZ
+    vector, the first witness of each distinct gradient, and every pair compared in `Fraction`s."""
     first = {}
     for t, w in core.cone_witnesses(config):
         g = tuple(a + c * b for a, b in zip(core.gradient_on_cone(config, f, w), secondary.gkz_vector(config, t)))
