@@ -160,12 +160,11 @@ def _circuit_json(circ) -> dict:
 
 
 def _rep_json(rep: core.PiecewiseLinearRep) -> dict:
+    vertices = [_vec(g) for g in rep.gradients]
     out = {
         "certified": rep.certified,
-        "vertices": [_vec(g) for g in rep.gradients],
-        "cones": [
-            {"witness": _vec(w), "gradient": _vec(g)} for w, g in rep.entries
-        ],
+        "vertices": vertices,
+        "cones": [{"witness": _vec(w), "gradient": g} for (w, _), g in zip(rep.entries, vertices)],
     }
     if rep.failure_witness is not None:
         witness, j, k = rep.failure_witness

@@ -6,8 +6,9 @@ evaluation routes, a threshold sum over subdivision cells and the
 simplicial-support expansion, both summed in integers off the lift's scan
 heights and F cleared to integers (Fortune-Van Wyk 1996); the minimal
 convexifying multiple of the secondary support; and reconstruction of the
-per-cone gradient representation with an exact convexity certificate: at n = 0
-greedy vertices (Edmonds 1970) and the submodularity of one set function (Lovász 1983).
+per-cone gradient representation with an exact convexity certificate: at n = 0 the
+cones are label orders, walked once for their greedy vertices (Edmonds 1970) and
+certified by the submodularity of one set function (Lovász 1983).
 
 Gradients and wall defects are closed forms read off one lift, never
 difference quotients. At a generic witness the expansion is a fixed sum of
@@ -64,7 +65,7 @@ class OrderedSupport:
 
 @dataclass(frozen=True)
 class PiecewiseLinearRep:
-    """Per-cone (witness, gradient) pairs, certified convex: pairwise for n >= 1, at n = 0 by submodularity."""
+    """Per-cone (witness, gradient) pairs, certified convex: pairwise for n >= 1; n = 0 cones are label orders."""
 
     entries: tuple[tuple[Covector, tuple[Fraction, ...]], ...]
     certified: bool
@@ -338,20 +339,12 @@ def convexity_certificate(entries) -> tuple[bool, Optional[tuple]]:
 def cone_witnesses(
     config: PointConfig, samples: Optional[int] = None, seed: Optional[int] = None
 ) -> tuple[tuple[Subdivision, Covector], ...]:
-    """(triangulation, generic witness) pairs covering the secondary cones (all of them for n <= 1).
+    """(triangulation, generic witness) pairs covering the secondary cones (all of them for n = 1).
 
-    n = 0: one pair per strict order of the labels, the witness ranking them
-    m, m - 1, ..., 1 and the subdivision its top label alone, m <= `BASE_POLYTOPE_CAP`; n = 1: every
-    triangulation with its `cone_witness`; n >= 2: `discover_cones_random`.
+    n = 1: every triangulation with its `cone_witness`; n >= 2: `discover_cones_random`; n = 0 is refused.
     """
     if config.n == 0:
-        if config.m > BASE_POLYTOPE_CAP:
-            raise ResourceError(f"full vertex enumeration capped at m = {BASE_POLYTOPE_CAP}")
-        return tuple(
-            (Subdivision(n=0, cells=((perm[0],),)),
-             tuple(Fraction(config.m - perm.index(i)) for i in range(1, config.m + 1)))
-            for perm in itertools.permutations(range(1, config.m + 1))
-        )
+        raise InputError("n = 0 cones are label orders; reconstruct_polytope reads them")
     if config.n == 1:
         return tuple((t, cone_witness(config, t)) for t in enumerate_triangulations_1d(config))
     if samples is None or seed is None:
@@ -449,24 +442,33 @@ def reconstruct_polytope(
 def _order_cone_rep(config: PointConfig, f: SetFunction, c: Fraction) -> PiecewiseLinearRep:
     """n = 0: h + c max(gamma) is the Lovász extension of G = F - F(N) + c on nonempty sets, G(empty) = 0.
 
-    An order sigma's gradient is `greedy_vertex` plus c - F(N) at sigma[0], and the sum is convex iff G
-    is submodular: F above size 1, and c + v >= 0 on each pair row v of `circuit_condition_check`. At a
-    violation (X, i, j), sigma' = (X, j, i, rest) beats sigma = (X, i, j, rest) at sigma's witness w.
+    One walk over the label orders (m <= `BASE_POLYTOPE_CAP`) keeps the first order sigma of each gradient,
+    `greedy_vertex` plus c - F(N) at sigma[0]; only kept and failing orders get witnesses, ranking m, ..., 1.
+    The sum is convex iff G is submodular: F above size 1, c + v >= 0 on each `circuit_condition_check` pair
+    row v. At a violation (X, i, j), sigma' = (X, j, i, rest) beats sigma = (X, i, j, rest) at sigma's witness.
     """
+    m, first = config.m, {}
+    if m > BASE_POLYTOPE_CAP:
+        raise ResourceError(f"full vertex enumeration capped at m = {BASE_POLYTOPE_CAP}")
     value, d = f.cleared
-    shift, by_order, first = c - Fraction(value((1 << config.m) - 1), d), {}, {}
-    for _, w in cone_witnesses(config):
-        order = tuple(i + 1 for i in sorted(range(config.m), key=w.__getitem__, reverse=True))
-        g = list(greedy_vertex(f, order))
-        g[order[0] - 1] += shift
-        by_order[order] = pair = (w, tuple(g))
-        first.setdefault(pair[1], pair)
+    shift = c - Fraction(value((1 << m) - 1), d)
+    ranks = [Fraction(k) for k in range(m + 1)]  # one Fraction per rank, shared by every witness
+
+    def gradient(order):
+        g, top = greedy_vertex(f, order), order[0] - 1
+        return g[:top] + (g[top] + shift,) + g[top + 1:]
+
+    def witness(order):
+        return tuple(ranks[m - order.index(i)] for i in range(1, m + 1))
+
+    for order in itertools.permutations(range(1, m + 1)):
+        first.setdefault(gradient(order), order)
     report = is_submodular_above(f, 1)
     pairs = (((), *j) for j, v in circuit_condition_check(f, config).rows if c + v < 0)
     violation, failure = next(pairs, None) if report.holds else report.witness[:3], None
     if violation is not None:
         x, i, j = violation
-        rest = tuple(k for k in range(1, config.m + 1) if k not in (*x, i, j))
-        (w, g), (_, g2), index = by_order[(*x, i, j, *rest)], by_order[(*x, j, i, *rest)], list(first)
-        failure = (w, index.index(g), index.index(g2))
-    return PiecewiseLinearRep(entries=tuple(first.values()), certified=failure is None, failure_witness=failure)
+        rest = tuple(k for k in range(1, m + 1) if k not in (*x, i, j))
+        sigma, index = (*x, i, j, *rest), list(first)
+        failure = (witness(sigma), index.index(gradient(sigma)), index.index(gradient((*x, j, i, *rest))))
+    return PiecewiseLinearRep(tuple((witness(order), g) for g, order in first.items()), failure is None, failure)

@@ -87,9 +87,8 @@ def as_list(x, what: str = "value") -> list:
     return list(x)
 
 
-def rat_str(q: Fraction) -> str:
-    """Serialize a rational in lowest terms: "p" for integers, else "p/q"."""
-    q = Fraction(q)
+def rat_str(q: Fraction | int) -> str:
+    """Serialize an int or a Fraction, both in lowest terms: "p" for integers, else "p/q"."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -18,7 +18,6 @@ from basecondary.core import (
     OrderedSupport,
     _descending_tail,
     _values_under,
-    cone_witnesses,
     covector,
     gradient_on_cone,
 )
@@ -64,7 +63,8 @@ def min_convexifier(config, f):
             best = max(best, -d_f / d_sec)
         return MinConvexifier(value=best, exact=True, walls=tuple(rows))
     assert config.n == 0
-    witnesses = [w for _, w in cone_witnesses(config)]
+    witnesses = [tuple(Fraction(config.m - perm.index(i)) for i in range(1, config.m + 1))
+                 for perm in itertools.permutations(range(1, config.m + 1))]
     report = is_submodular_above(f, 1)
     if not report.holds:
         raise InputError(f"no convexifier: F is not submodular above size 1 ({report.witness})")

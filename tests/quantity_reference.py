@@ -30,9 +30,10 @@ and read it through `evaluate_f`, where they now read bitmasks off
 `SetFunction.cleared`. `convexity_certificate` once took every pairwise
 support value as a `Fraction` dot product, where it now compares integers,
 the gradients cleared once to one scale and each witness to its own. The
-n = 0 reconstruction once took every order cone's expansion gradient and
-certified all (m!)^2 pairs (`order_cone_polytope`), where it now reads the
-greedy vertices and one submodularity scan. Each is kept here, the
+n = 0 reconstruction once took every order cone's expansion gradient at a
+witness of `cone_witnesses` and certified all (m!)^2 pairs
+(`order_cone_polytope` on `order_cone_witnesses`), where it now walks the
+label orders, reading greedy vertices, and makes one submodularity scan. Each is kept here, the
 evaluator and the support on the kept `lattice_volume`, so results can be
 compared exactly. The references read `secondary.upper_cells` through the
 module, so a test may swap in `chain_upper_cells`, which takes dense jets.
@@ -358,11 +359,19 @@ def convexity_certificate(entries):
     return True, None
 
 
+def order_cone_witnesses(config):
+    """n = 0: one (subdivision, witness) pair per strict order of the labels, the witness ranking them
+    m, m - 1, ..., 1 and the subdivision its top label alone."""
+    for perm in itertools.permutations(range(1, config.m + 1)):
+        yield (secondary.Subdivision(n=0, cells=((perm[0],),)),
+               tuple(Fraction(config.m - perm.index(i)) for i in range(1, config.m + 1)))
+
+
 def order_cone_polytope(config, f, c):
     """n = 0 entries and certificate by search: each order cone's expansion gradient plus c times its GKZ
     vector, the first witness of each distinct gradient, and every pair compared in `Fraction`s."""
     first = {}
-    for t, w in core.cone_witnesses(config):
+    for t, w in order_cone_witnesses(config):
         g = tuple(a + c * b for a, b in zip(core.gradient_on_cone(config, f, w), secondary.gkz_vector(config, t)))
         first.setdefault(g, (w, g))
     entries = tuple(first.values())

@@ -556,7 +556,6 @@ def test_cone_witnesses_carry_their_subdivisions():
     # reconstruction and the n >= 2 convexifier read the subdivision, never re-lift the witness
     pentagon = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
     cases = [
-        (make_config(0, [[], [], [], []]), {}),
         (A1367, {}),
         (pentagon, {"samples": 200, "seed": 20240811}),
     ]

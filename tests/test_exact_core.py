@@ -39,6 +39,8 @@ def test_rational_parsing_round_trip():
     assert rat(5) == 5
     assert rat_str(F(6, 4)) == "3/2"
     assert rat_str(F(-8, 2)) == "-4"
+    assert rat_str(5) == "5"
+    assert rat_str(F(-3, 6)) == "-1/2"
     with pytest.raises(InputError):
         rat("x")
     with pytest.raises(InputError):

@@ -23,7 +23,8 @@ certificate must return what the pairwise `Fraction` products return, the
 first failing pair and the caller's own witness object included. At n = 0
 the reconstruction must return the order-cone search's entries and verdict,
 from greedy vertices and one submodularity scan, with a failing pair that
-fails at its witness.
+fails at its witness, and without reading `cone_witnesses`, which refuses
+n = 0.
 """
 
 import itertools
@@ -482,3 +483,29 @@ def test_n0_reconstruction_takes_one_scan_and_no_pairs(monkeypatch):
         verdicts.append(reconstruct_polytope(config, f, c).certified)
         assert calls == ["is_submodular_above"]
     assert verdicts == [True, False, False]
+
+
+def test_n0_reconstruction_walks_the_orders_without_cone_witnesses(monkeypatch):
+    # one walk over the label orders: no (subdivision, witness) pair per order, a witness only per entry
+    def refuse(*args, **kwargs):
+        raise AssertionError("n = 0 reconstruction read cone_witnesses")
+
+    monkeypatch.setattr(core, "cone_witnesses", refuse)
+    rng = random.Random("order walk")
+    verdicts = []
+    for m in range(2, 6):
+        config = make_config(0, [[] for _ in range(m)])
+        for f in (random_table(rng, m), coverage_table(rng, m), coverage_table(rng, m, lowered=1)):
+            for c in (F(-3, 2), F(0), F(100)):
+                got = reconstruct_polytope(config, f, c)
+                entries, (ok, _) = ref.order_cone_polytope(config, f, c)
+                assert repr(got.entries) == repr(entries), (f, c)
+                assert got.certified == ok, (f, c)
+                verdicts.append(ok)
+    assert verdicts.count(True) >= 8 and verdicts.count(False) >= 8
+
+
+def test_n0_cone_witnesses_are_refused():
+    # n = 0 cones are label orders, which reconstruct_polytope walks; the n >= 2 sampling message would mislead
+    with pytest.raises(InputError, match="n = 0 cones are label orders"):
+        cone_witnesses(make_config(0, [[], [], []]))
