@@ -302,16 +302,17 @@ def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Frac
 
     Near a generic witness the expansion terms of `expansion_terms` keep
     their simplices and F-differences, and each lifted volume -h / (dx^n dz)
-    is linear in the heights: h is the circuit form of the tail label over
-    the cell's base (`PointConfig.lift_forms`), sum_k c_k dz gamma_k. So the
-    gradient is the sum over the terms of -dF * c_k, divided once by
-    d dx^n. Non-generic witnesses are refused with InputError.
+    is linear in the heights: h is the circuit form sum_k c_k dz gamma_k of the
+    cell's base and the tail label, through the label's signed ref over the base
+    (`PointConfig.lift_forms`). So the gradient is the sum over the terms of
+    -dF * c_k, negated with the ref, divided once by d dx^n. Non-generic witnesses are refused with InputError.
     """
     terms, d, _ = _expansion_summands(config, f, covector(config, witness))
-    grad, (_, dx, forms, _) = [0] * config.m, config.lift_forms
+    grad, (_, dx, circuits, bases, _) = [0] * config.m, config.lift_forms
     for simplex, df, _ in terms:
-        for k, c in forms[tuple(sorted(i - 1 for i in simplex[:-1]))][simplex[-1] - 1]:
-            grad[k] -= df * c
+        r = bases[tuple(sorted(i - 1 for i in simplex[:-1]))][simplex[-1] - 1]
+        for k, c in zip(*circuits[abs(r) - 1]):
+            grad[k] -= (df if r > 0 else -df) * c
     return tuple(Fraction(g, d * dx ** config.n) for g in grad)
 
 

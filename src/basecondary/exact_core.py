@@ -21,9 +21,10 @@ divisions keep every entry a minor. Ranks count the pivots of `_bareiss`.
 Every kernel is a vector of minors, with no back-substitution: a circuit is
 the signed maximal minors of its points under a row of ones, in `_circuit`'s
 normal form, and `solve_linear` reads x = N[:k] / N[k] off the minors N of [A | -b].
-The lift, for every n, takes the coordinate volumes once per configuration
-(`PointConfig.lift_forms`), reads each lifted height as an integer circuit form of the cleared
-heights, and its minors are every simplex volume, orientation and circuit of A (`volume`, `circuit`).
+The lift, for every n, takes the coordinate volumes and one integer form per circuit once per config
+(`PointConfig.lift_forms`), reads each lifted height as a signed circuit form of the cleared heights,
+summing each form at most once per lift; its minors are every simplex volume, orientation and circuit
+of A (`volume`, `circuit`).
 Tropical critical points, cone discovery and fiber polygons run on scaled
 integers: a positive scale per coordinate keeps every sign, equality, hull
 and edge-angle order, so only reported values become Fractions. `fiber_polygon` cuts, hulls and sums its slices at
@@ -274,7 +275,7 @@ class PointConfig:
 
     def volume(self, labels: Sequence[int]) -> int:
         """dx^n times the oriented volume of n + 1 distinct 1-based labels in the order given: V times its parity."""
-        v = self.lift_forms[3].get(tuple(sorted(i - 1 for i in labels)))
+        v = self.lift_forms[4].get(tuple(sorted(i - 1 for i in labels)))
         if v is None:
             raise InputError(f"a simplex of A needs {self.n + 1} distinct labels in 1..{self.m}, got {labels!r}")
         return -v if sum(a > b for a, b in itertools.combinations(labels, 2)) % 2 else v
@@ -284,12 +285,12 @@ class PointConfig:
         c = sorted(i - 1 for i in labels)
         if len(c) != self.n + 2 or len(set(c)) != len(c) or not 0 <= c[0] <= c[-1] < self.m:
             raise InputError(f"a circuit of A needs {self.n + 2} distinct labels in 1..{self.m}, got {labels!r}")
-        vol = self.lift_forms[3]
+        vol = self.lift_forms[4]
         return _circuit([(-1) ** k * vol[tuple(c[:k] + c[k + 1:])] for k in range(len(c))], [i + 1 for i in c])
 
     @functools.cached_property
-    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, dict, dict]:
-        """The lift's integer kernel (x, dx, bases, vol): the coordinates cleared by their lcm dx.
+    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple, dict, dict]:
+        """The lift's integer kernel (x, dx, circuits, bases, vol): the coordinates cleared by their lcm dx.
 
         Lift x_k to (x_k, z_k); V(S) is the integer volume of an (n+1)-subset
         S of the x. For a base B with V(B) != 0 and a label l off it, the
@@ -297,9 +298,11 @@ class PointConfig:
         N_z > 0, is the circuit form sum_i (-1)^i V(C - c_i) z_ci of the sorted
         C = B + l (the determinant of the rows (1, x, z) of C expanded along
         z; GKZ 1994, ch. 7), signed so that z_l has the coefficient |V(B)|.
-        `bases` maps each B with V(B) != 0, 0-based and in `itertools.combinations`
-        order, to every label's form as (k, c_k) pairs, empty on B itself.
-        For n = 0 every point has volume 1 and the forms are z_l - z_b; for n = 1 they are
+        `circuits` holds each (n+2)-subset C's form once, as its labels and nonzero
+        coefficients (ks, cs), shared by the up to n + 2 bases of C. `bases` maps
+        each B with V(B) != 0, 0-based, to a signed 1-based ref per label: +j or
+        -j when h_l is form j or its negative, 0 on B. Both follow `itertools.combinations`.
+        For n = 0 every point has volume 1 and the forms are z_a - z_b; for n = 1 they are
         the 3-point circuits. `vol` maps every sorted S to V(S): `volume` and `circuit` read it.
         """
         n, m = self.n, self.m
@@ -307,16 +310,16 @@ class PointConfig:
         xs = tuple(tuple(flat[k * n:(k + 1) * n]) for k in range(m))
         vol = {s: _int_det([[a - b for a, b in zip(xs[k], xs[s[0]])] for k in s[1:]])
                for s in itertools.combinations(range(m), n + 1)}
-        forms = {s: [()] * m for s, v in vol.items() if v}
-        for c in itertools.combinations(range(m), n + 2):
-            faces = [c[:i] + c[i + 1:] for i in range(n + 2)]
-            coefficients = [(-1) ** i * vol[face] for i, face in enumerate(faces)]
-            form = tuple((l, a) for l, a in zip(c, coefficients) if a)
-            negated = tuple((l, -a) for l, a in form)
-            for l, face, a in zip(c, faces, coefficients):
-                if a:  # the base C - l has nonzero volume
-                    forms[face][l] = form if a > 0 else negated
-        return xs, dx, {s: tuple(f) for s, f in forms.items()}, vol
+        refs, circuits, signs = {s: [0] * m for s, v in vol.items() if v}, [], [(-1) ** i for i in range(n + 2)]
+        for j, c in enumerate(itertools.combinations(range(m), n + 2), 1):
+            ks, cs = [], []
+            for i, l in enumerate(c):
+                if a := vol[face := c[:i] + c[i + 1:]]:  # the base C - l has nonzero volume
+                    ks.append(l)
+                    cs.append(a * signs[i])
+                    refs[face][l] = j if cs[-1] > 0 else -j
+            circuits.append((tuple(ks), tuple(cs)))
+        return xs, dx, tuple(circuits), {s: tuple(r) for s, r in refs.items()}, vol
 
 
 def make_config(n: int, points) -> PointConfig:

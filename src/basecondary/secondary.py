@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -86,17 +87,26 @@ def _oriented_scan(config: PointConfig, zs: Sequence):
     Takes the heights cleared to integers zs (jets of integers pass), at any
     positive scale. Yields (cell, base, heights h) once per cell and builds
     no Fraction; a base is an upper face when no h is positive, and
-    `upper_cells` turns it into affine data.
+    `upper_cells` turns it into affine data. Circuit form j is summed at most
+    once per call, when a base first reads ref +j or -j; `signed`, indexed by
+    ref, keeps both signs, and signed[0] = 0 for a label on the base. A base
+    stops at its first positive h and builds its heights only if it survives.
     """
-    seen = set()
-    for base, forms in config.lift_forms[2].items():
-        heights = []
-        for form in forms:
-            h = sum([c * zs[k] for k, c in form])
+    _, _, circuits, bases, _ = config.lift_forms
+    signed, z = [None] * (2 * len(circuits) + 1), zs.__getitem__
+    signed[0], seen = 0, set()
+    for base, refs in bases.items():
+        for r in refs:
+            if (h := signed[r]) is None:
+                ks, cs = circuits[abs(r) - 1]
+                h = sum(map(operator.mul, cs, map(z, ks)))
+                if r < 0:
+                    h = -h
+                signed[r], signed[-r] = h, -h
             if h > 0:  # a point lies above: not an upper face
                 break
-            heights.append(h)
         else:
+            heights = [signed[r] for r in refs]
             cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
             if cell not in seen:
                 seen.add(cell)
@@ -120,7 +130,8 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     `PointConfig.lift_forms` takes them once per config: above each base of
     nonzero volume, the height h = <N, P - P0> of every lifted point P, N the
     base's integer normal turned so that N_z > 0, is a fixed integer
-    combination of the cleared heights. The base is an upper face's when no
+    combination of the cleared heights, a circuit form up to sign, and
+    `_oriented_scan` sums each circuit's form at most once per lift. The base is an upper face's when no
     h > 0, and its cell is the points with h = 0: for n = 0 the argmax set,
     for n = 1 an edge of the upper chain with its collinear labels. Only then
     is N computed, by `integer_normal`: L = -dx N_x / (dz N_z), and
@@ -129,7 +140,7 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     may be jets there; for n >= 3 jets raise InputError.
     """
     gamma = covector(config, gamma)
-    xs, dx, _, _ = config.lift_forms
+    xs, dx = config.lift_forms[:2]
     zs, dz = _cleared(gamma)
     cells = {}
     for cell, (b, *rest), heights in _oriented_scan(config, zs):
@@ -137,7 +148,7 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
         slope, unit = Fraction(-dx, dz * normal[-1]), Fraction(1, dz * abs(normal[-1]))
         linear = tuple(slope * c for c in normal[:-1])
         top = gamma[b] - sum(x * a for x, a in zip(linear, config.points[b]))
-        values = tuple(top + unit * h for h in heights)
+        values = tuple(top + unit * h if h else top for h in heights)
         cells[cell] = UpperCell(cell=cell, linear=linear, max_value=top, values=values)
     return tuple(sorted(cells.values(), key=lambda c: c.cell))
 
@@ -157,9 +168,9 @@ def _generic_triangulation(config: PointConfig, zs: Sequence):
     h / (dz |N_z|), so they are distinct, and descend, exactly where the h
     do. A configuration that does not span is generic with no cells: {}.
     """
-    cells = {}
+    cells, size, free = {}, config.n + 1, config.m - config.n
     for cell, _, heights in _oriented_scan(config, zs):
-        if len(cell) != config.n + 1 or len(set(heights)) != config.m - config.n:
+        if len(cell) != size or len(set(heights)) != free:
             return None
         cells[cell] = heights
     return dict(sorted(cells.items()))

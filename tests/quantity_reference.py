@@ -17,7 +17,10 @@ the pyramid's hull vertices. `area_N` once took the hull of every base and
 roof point, where it now halves the secondary support. The n >= 2 lift
 once took `integer_normal` of every lifted base and its dot products with
 every lifted point, per height vector, where it now reads each height off a
-circuit form built once per configuration. The n <= 1 lift once had routes
+circuit form built once per configuration. That scan once summed a form of
+its own for every (base, label) pair it read (`form_scan`), where it now
+sums each circuit's form at most once per lift and shares it between the
+bases of the circuit. The n <= 1 lift once had routes
 of its own, the argmax for n = 0 and the upper chain with `_values_under` for
 n = 1 (`chain_upper_cells`), where it now runs the circuit-form scan of every
 n. The expansion once decided genericity a second time, on the `Fraction`
@@ -239,6 +242,42 @@ def _oriented_scan(config: PointConfig, gamma: Covector):
             if cell not in seen:
                 seen.add(cell)
                 yield cell, base[0], normal, heights, dx, dz
+
+
+def form_scan(config: PointConfig, zs) -> tuple[list, int]:
+    """`secondary._oriented_scan` over a per-(base, label) form table, and its number of non-empty form sums.
+
+    Every base B with V(B) != 0 maps each label to its circuit form over B
+    as (k, c_k) pairs, signed so that the label has a positive coefficient,
+    and empty on B; each (base, label) pair read sums its own form, the zero
+    height of a base label included. Returns the (cell, base, heights)
+    triples in scan order.
+    """
+    n, m, vol = config.n, config.m, config.lift_forms[4]
+    forms = {s: [()] * m for s, v in vol.items() if v}
+    for c in itertools.combinations(range(m), n + 2):
+        faces = [c[:i] + c[i + 1:] for i in range(n + 2)]
+        coefficients = [(-1) ** i * vol[face] for i, face in enumerate(faces)]
+        form = tuple((l, a) for l, a in zip(c, coefficients) if a)
+        negated = tuple((l, -a) for l, a in form)
+        for l, face, a in zip(c, faces, coefficients):
+            if a:  # the base C - l has nonzero volume
+                forms[face][l] = form if a > 0 else negated
+    out, seen, sums = [], set(), 0
+    for base, table in forms.items():
+        heights = []
+        for form in table:
+            h = sum([c * zs[k] for k, c in form])
+            sums += bool(form)
+            if h > 0:
+                break
+            heights.append(h)
+        else:
+            cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
+            if cell not in seen:
+                seen.add(cell)
+                out.append((cell, base, heights))
+    return out, sums
 
 
 def chain_upper_cells(config: PointConfig, gamma: Covector):

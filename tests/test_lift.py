@@ -7,6 +7,7 @@ genericity read off all three. Results must agree exactly, Fraction types includ
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,7 @@ from basecondary.core import (
 )
 from basecondary.secondary import Subdivision, discover_cones_random
 from basecondary import core, exact_core, secondary
-from basecondary.exact_core import affine_rank, clear_denominators, find_circuit, make_config, solve_linear
+from basecondary.exact_core import Jet, _cleared, affine_rank, clear_denominators, find_circuit, make_config, solve_linear
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
 from basecondary.setfun import neg_card_ratio_function
 
@@ -313,3 +314,66 @@ def test_lift_forms_are_built_once_per_config(monkeypatch):
     assert built == counts[0] and len(dets) == built and config.lift_forms is forms
     assert "lift_forms" in vars(config) and "lift_forms" not in vars(fresh)
     assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
+
+
+class _CountedTable(tuple):
+    """A circuit table that counts its reads: one per circuit form the scan sums."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+def _count_circuit_reads(config):
+    """Swap a counting table into the config's kernel and return it."""
+    xs, dx, circuits, bases, vol = config.lift_forms
+    table = _CountedTable(circuits)
+    vars(config)["lift_forms"] = (xs, dx, table, bases, vol)
+    return table
+
+
+def _scan_types(scan):
+    return [(cell, base, [type(h) for h in heights]) for cell, base, heights in scan]
+
+
+@pytest.mark.parametrize("n, rational", CASES)
+def test_each_circuit_form_is_summed_at_most_once_per_lift(n, rational):
+    """The scan against `form_scan` on the 660 seeded instances of `test_lift_matches_subset_scan`.
+
+    The same (cell, base, heights), in the same order and of the same types,
+    for integer heights and, for n <= 2, their `Jet.seed`; and each scan sums
+    at most C(m, n + 2) circuit forms, and no more than the form table did.
+    """
+    saved = 0
+    for m, kind, rep in itertools.product(SIZES[n], KINDS, range(REPEATS[n])):
+        rng = random.Random(f"lift/{n}{'/rational' * rational}/{m}/{kind}/{rep}")
+        config = _config(rng, n, m, rational)
+        gamma = _heights(rng, config, kind)
+        table = _count_circuit_reads(config)
+        for zs in [clear_denominators(gamma)[0]] + [_cleared(Jet.seed(gamma))[0]] * (n <= 2):
+            table.reads = 0
+            got = list(secondary._oriented_scan(config, zs))
+            want, sums = ref.form_scan(config, zs)
+            assert got == want and _scan_types(got) == _scan_types(want), (config, gamma)
+            assert table.reads <= min(math.comb(m, n + 2), sums), (config, gamma)
+            saved += sums - table.reads
+    assert saved > 0
+
+
+def test_a_pentagon_lift_sums_at_most_its_five_circuit_forms():
+    config = make_config(2, PENTAGON.points)
+    table = _count_circuit_reads(config)
+    draw = exact_core.rational_draws(41, RANDOM_HEIGHT_BOUND)
+    reads, sums = [], 0
+    for _ in range(200):
+        draws = draw(config.m)
+        d = math.lcm(*(q for _, q in draws))
+        zs = [p * (d // q) for p, q in draws]
+        want, form_sums = ref.form_scan(config, zs)
+        table.reads = 0
+        assert list(secondary._oriented_scan(config, zs)) == want
+        reads.append(table.reads)
+        sums += form_sums
+    assert max(reads) <= 5 and sums >= 2 * sum(reads), (sum(reads), sums)  # the form table sums about 15 per lift
