@@ -1,5 +1,10 @@
 """Command-line interface: JSON in, JSON out, deterministic output.
 
+Each verb returns library values as they are, and one rule, `_json`, prints
+them: a Fraction as its `rat_str` ("p" or "p/q"), a library record (a frozen
+dataclass) as an object of its fields, tuples as lists, keys sorted. A verb
+names keys itself only to print a tuple row or to add a derived field.
+
 Exit codes: 0 success, 2 input/domain error (machine-readable {"error": ...}
 payload), 3 internal invariant failure, 64 unknown verb.
 """
@@ -7,6 +12,7 @@ payload), 3 internal invariant failure, 64 unknown verb.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -45,8 +51,12 @@ verbs:
 """ + "".join(f"  {verb:<24} {text}\n" for verb, text in _VERB_HELP.items())
 
 
-def _vec(values) -> list[str]:
-    return [rat_str(rat(v)) for v in values]
+def _json(value):
+    """The one JSON rule beyond json's own: a Fraction prints as its `rat_str`, and a library
+    record (a frozen dataclass) as an object of its fields; anything else raises TypeError."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
 
 
 def _load_doc(path: str) -> dict:
@@ -141,45 +151,16 @@ def _load_gamma(doc: dict, config: PointConfig):
     return tuple(rat(v) for v in gamma)
 
 
-def _subdivision_json(sub: secondary.Subdivision) -> dict:
-    return {
-        "cells": [list(c) for c in sub.cells],
-        "triangulation": sub.is_triangulation,
-    }
-
-
-def _circuit_json(circ) -> dict:
-    return {
-        "support": list(circ.support),
-        "p": circ.p,
-        "q": circ.q,
-        "positive": [[i, rat_str(c)] for i, c in circ.positive],
-        "negative": [[i, rat_str(c)] for i, c in circ.negative],
-        "zeros": list(circ.zeros),
-    }
-
-
 def _rep_json(rep: core.PiecewiseLinearRep) -> dict:
-    vertices = [_vec(g) for g in rep.gradients]
+    vertices = [[rat_str(c) for c in g] for g in rep.gradients]  # each gradient printed once, shared by its cone
     out = {
         "certified": rep.certified,
         "vertices": vertices,
-        "cones": [{"witness": _vec(w), "gradient": g} for (w, _), g in zip(rep.entries, vertices)],
+        "cones": [{"witness": w, "gradient": g} for (w, _), g in zip(rep.entries, vertices)],
     }
     if rep.failure_witness is not None:
-        witness, j, k = rep.failure_witness
-        out["failure"] = {"witness": _vec(witness), "entry": j, "dominating_entry": k}
+        out["failure"] = dict(zip(("witness", "entry", "dominating_entry"), rep.failure_witness))
     return out
-
-
-def _critical_point_json(cp: tropical.CriticalPoint) -> dict:
-    return {
-        "location": rat_str(cp.location),
-        "value": rat_str(cp.value),
-        "max_pair": list(cp.max_pair),
-        "tie_pairs": [list(p) for p in cp.tie_pairs],
-        "degenerate": cp.degenerate,
-    }
 
 
 def _svg_polyline(points, path, width=480, height=320):
@@ -202,16 +183,12 @@ def _svg_polyline(points, path, width=480, height=320):
         fh.write(body)
 
 
-def _tropical_input(doc: dict) -> tropical.TropicalPolynomial:
-    return tropical.tropical_polynomial(_need(doc, "support"), _need(doc, "coefficients"))
-
-
 def _run(verb: str, args, doc: dict):
     if verb == "eval":
         config = _load_config(doc)
         f = _load_set_function(doc, config, min_size=config.n)
         value = core.eval_basecondary_general(config, f, _load_gamma(doc, config))
-        return {"value": rat_str(value)}
+        return {"value": value}
 
     if verb == "eval-terms":
         config = _load_config(doc)
@@ -219,40 +196,21 @@ def _run(verb: str, args, doc: dict):
         gamma = _load_gamma(doc, config)
         terms = core.expansion_terms(config, f, gamma)
         return {
-            "value": rat_str(sum((d * v for _, d, v in terms), Fraction(0))),
-            "terms": [
-                {"tuple": list(t), "f_difference": rat_str(d), "volume": rat_str(v)}
-                for t, d, v in terms
-            ],
+            "value": sum((d * v for _, d, v in terms), Fraction(0)),
+            "terms": [{"tuple": t, "f_difference": d, "volume": v} for t, d, v in terms],
         }
 
     if verb == "simplicial":
         config = _load_config(doc)
         gamma = _load_gamma(doc, config)
-        return {
-            "supports": [
-                {
-                    "linear": _vec(s.linear),
-                    "max_value": rat_str(s.max_value),
-                    "maximizers": list(s.maximizers),
-                    "generic": s.generic,
-                }
-                for s in core.enumerate_simplicial(config, gamma)
-            ],
-            "generic": core.is_generic(config, gamma),
-        }
+        return {"supports": core.enumerate_simplicial(config, gamma), "generic": core.is_generic(config, gamma)}
 
     if verb == "circuital":
         config = _load_config(doc)
         gamma = _load_gamma(doc, config)
         return {
             "supports": [
-                {
-                    "linear": _vec(s.linear),
-                    "max_value": rat_str(s.max_value),
-                    "maximizers": list(s.maximizers),
-                    "circuit": _circuit_json(s.circuit),
-                }
+                {**_json(s), "circuit": {**_json(c := s.circuit), "support": c.support, "p": c.p, "q": c.q}}
                 for s in core.enumerate_circuital(config, gamma)
             ]
         }
@@ -266,47 +224,35 @@ def _run(verb: str, args, doc: dict):
                 (config.image(i)[0], gamma[i - 1]) for i in range(1, config.m + 1)
             )
             _svg_polyline(pts, args.svg)
-        return _subdivision_json(sub)
+        return {"cells": sub.cells, "triangulation": sub.is_triangulation}
 
     if verb == "secondary":
         config = _load_config(doc)
         value = secondary.secondary_support(config, _load_gamma(doc, config))
-        return {"value": rat_str(value)}
+        return {"value": value}
 
     if verb == "base-polytope":
         f = _load_set_function(doc, None, min_size=0)
-        vertices = setfun.base_polytope(f)
-        return {"vertices": [_vec(v) for v in vertices]}
+        return {"vertices": setfun.base_polytope(f)}
 
     if verb == "lovasz":
         f = _load_set_function(doc, None, min_size=0)
         x = _need(doc, "x")
-        return {"value": rat_str(setfun.lovasz_extension(f, x))}
+        return {"value": setfun.lovasz_extension(f, x)}
 
     if verb == "check-submodular":
         f = _load_set_function(doc, None, min_size=0)
         report = setfun.is_submodular(f)
         out = {"holds": report.holds}
         if report.witness is not None:
-            x, x1, x2, values = report.witness
-            out["witness"] = {
-                "X": list(x),
-                "x1": x1,
-                "x2": x2,
-                "values": _vec(values),
-            }
+            out["witness"] = dict(zip(("X", "x1", "x2", "values"), report.witness))
         return out
 
     if verb == "check-circuit-condition":
         config = _load_config(doc)
         f = _load_set_function(doc, config, min_size=config.n)
         report = setfun.circuit_condition_check(f, config)
-        return {
-            "passed": report.passed,
-            "rows": [
-                {"J": list(j), "value": rat_str(v)} for j, v in report.rows
-            ],
-        }
+        return {**_json(report), "rows": [{"J": j, "value": v} for j, v in report.rows]}
 
     if verb == "convexify":
         config = _load_config(doc)
@@ -315,16 +261,8 @@ def _run(verb: str, args, doc: dict):
             config, f, samples=args.samples, seed=args.seed
         )
         return {
-            "value": rat_str(result.value),
-            "exact": result.exact,
-            "walls": [
-                {
-                    "circuit": list(circ),
-                    "defect": rat_str(d),
-                    "defect_secondary": rat_str(ds),
-                }
-                for circ, d, ds in result.walls
-            ],
+            **_json(result),
+            "walls": [{"circuit": c, "defect": d, "defect_secondary": ds} for c, d, ds in result.walls],
         }
 
     if verb == "polytope":
@@ -340,7 +278,7 @@ def _run(verb: str, args, doc: dict):
         mcfg = fiber_morse.morse_config(_need(doc, "A"))
         gamma = _load_gamma(doc, mcfg.config())
         fn = fiber_morse.morse_support if verb == "morse-support" else fiber_morse.maxwell_support
-        return {"value": rat_str(fn(mcfg, gamma))}
+        return {"value": fn(mcfg, gamma)}
 
     if verb == "morse-polytope":
         mcfg = fiber_morse.morse_config(_need(doc, "A"))
@@ -350,7 +288,7 @@ def _run(verb: str, args, doc: dict):
         return out
 
     if verb == "trop-morse":
-        poly = _tropical_input(doc)
+        poly = tropical.tropical_polynomial(_need(doc, "support"), _need(doc, "coefficients"))
         report = tropical.is_morse(poly)
         cps = report.critical_points
         if args.svg:
@@ -358,15 +296,7 @@ def _run(verb: str, args, doc: dict):
             hi = max(cp.location for cp in cps) + 1
             pts = [(lo, poly.value(lo))] + [(cp.location, cp.value) for cp in cps] + [(hi, poly.value(hi))]
             _svg_polyline(pts, args.svg)
-        return {
-            "morse": report.morse,
-            "reason": report.reasons[0] if report.reasons else None,
-            "reasons": list(report.reasons),
-            "critical_points": [_critical_point_json(cp) for cp in cps],
-            "value_collisions": [
-                [rat_str(a), rat_str(bq), rat_str(v)] for a, bq, v in report.value_collisions
-            ],
-        }
+        return {**_json(report), "reason": report.reasons[0] if report.reasons else None}
 
     # trop-sample, the last verb: main admits only VERBS
     if args.seed is None:
@@ -377,15 +307,7 @@ def _run(verb: str, args, doc: dict):
     report = tropical.sample_morse_fraction(
         _need(doc, "support"), as_int(samples, "field 'samples'"), args.seed, doc.get("bound")
     )
-    return {
-        "samples": report.samples,
-        "morse_count": report.morse_count,
-        "fraction": rat_str(report.fraction),
-        "non_morse": [
-            {"coefficients": _vec(c), "reasons": list(r)}
-            for c, r in report.non_morse
-        ],
-    }
+    return {**_json(report), "non_morse": [{"coefficients": c, "reasons": r} for c, r in report.non_morse]}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -421,7 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _parser(verb).parse_args(argv[1:])
         doc = _load_doc(args.input)
         result = _run(verb, args, doc)
-        payload = json.dumps(result, sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(result, sort_keys=True, indent=2, default=_json) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(payload)

@@ -149,9 +149,6 @@ class SubmodularityReport:
     holds: bool
     witness: Optional[tuple] = None  # (X, x1, x2, the four values)
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def is_submodular(f: SetFunction) -> SubmodularityReport:
     """Exhaustive submodularity check; reports the first violation found."""

@@ -130,9 +130,6 @@ class MorseReport:
     critical_points: tuple[CriticalPoint, ...] = ()
     value_collisions: tuple[tuple[Fraction, Fraction, Fraction], ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.morse
-
 
 def is_morse(p: TropicalPolynomial) -> MorseReport:
     """Nondegenerate breakpoints with pairwise distinct critical values; the sampler's `_reasons`."""

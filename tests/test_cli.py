@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from basecondary import tropical
+from basecondary import core, tropical
+from basecondary.errors import InternalError
 from basecondary.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -325,6 +326,42 @@ def test_trop_sample_requires_seed(capsys):
     parsed = json.loads(out)
     assert parsed["samples"] == 200
     assert parsed["morse_count"] >= 198
+
+
+def test_bare_numbers_read_as_1d_points(capsys, tmp_path):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"n": 1, "A": [1, 3, 6, 7], "F": {"kind": "neg_gcd"}, "gamma": [2, 4, 5, 3]}))
+    for verb in ("eval", "simplicial", "circuital", "polytope"):
+        assert run(capsys, verb, "--input", str(bare)) == run(capsys, verb, "--input", fixture("a1367_gcd.json"))
+
+
+_LINE = {"n": 1, "A": [[1], [3], [6], [7]], "gamma": [2, 4, 5, 3], "F": {"kind": "neg_gcd"}}
+
+
+def _internal_failure(*args):
+    raise InternalError("forced")
+
+
+@pytest.mark.parametrize(
+    "verb, doc, flags, code, message",
+    [
+        ("eval", [1, 2], (), 2, "input must be a JSON object"),
+        ("eval", {**_LINE, "A": []}, (), 2, "field 'A' must be a nonempty list of points"),
+        ("eval", {**_LINE, "n": 2, "A": [1, 2, 3]}, (), 2, "points of 'A' must be coordinate lists"),
+        ("eval", {**_LINE, "n": 2, "A": [[0, 0], [1], [0, 1], [1, 1]]}, (), 2, "points of 'A' must have 2 coordinates"),
+        ("eval", {**_LINE, "F": 5}, (), 2, "field 'F' must be an object with a 'kind'"),
+        ("eval", {**_LINE, "F": {"values": {}}}, (), 2, "field 'F' must be an object with a 'kind'"),
+        ("eval", {**_LINE, "F": {"kind": "frob"}}, (), 2, "unknown set-function kind 'frob'"),
+        ("trop-sample", {"support": [0, 1, 2]}, ("--seed", "1"), 2, "trop-sample needs --samples (or a 'samples' field)"),
+        ("eval", _LINE, (), 3, "internal invariant failure: forced"),
+    ],
+)
+def test_input_branches_exit_with_their_json_error(capsys, tmp_path, monkeypatch, verb, doc, flags, code, message):
+    if code == 3:
+        monkeypatch.setattr(core, "eval_basecondary_general", _internal_failure)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, verb, "--input", str(path), *flags) == (code, json.dumps({"error": message}) + "\n")
 
 
 def test_output_file_round_trip(capsys, tmp_path):
