@@ -152,11 +152,14 @@ def _load_gamma(doc: dict, config: PointConfig):
 
 
 def _rep_json(rep: core.PiecewiseLinearRep) -> dict:
-    vertices = [[rat_str(c) for c in g] for g in rep.gradients]  # each gradient printed once, shared by its cone
+    """The cones print as strings made here, not by `_json`: an n = 0 polytope has up to 8! of them,
+    and json's pure-Python encoder takes several times longer for a value it hands to its hook than
+    for a string. Each gradient is printed once, shared by "vertices" and its cone."""
+    vertices = [[rat_str(c) for c in g] for g in rep.gradients]
     out = {
         "certified": rep.certified,
         "vertices": vertices,
-        "cones": [{"witness": w, "gradient": g} for (w, _), g in zip(rep.entries, vertices)],
+        "cones": [{"witness": [rat_str(c) for c in w], "gradient": g} for (w, _), g in zip(rep.entries, vertices)],
     }
     if rep.failure_witness is not None:
         out["failure"] = dict(zip(("witness", "entry", "dominating_entry"), rep.failure_witness))
