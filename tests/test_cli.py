@@ -7,8 +7,8 @@ import time
 import pytest
 
 from basecondary import core, tropical
-from basecondary.errors import InternalError
 from basecondary.cli import main
+from basecondary.errors import InternalError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
