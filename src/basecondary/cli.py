@@ -112,12 +112,9 @@ def _load_set_function(doc: dict, config: Optional[PointConfig], min_size: int) 
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputError("field 'F' must be an object with a 'kind'")
     kind = spec["kind"]
-    if config is not None:
-        m = config.m
-    elif "m" in doc:
-        m = as_int(doc["m"], "field 'm'")
-    else:
-        raise InputError("set-function input needs 'm' or a configuration 'A'")
+    if config is None and "A" in doc:  # the verbs of F alone read m off a configuration too
+        config = _load_config(doc)
+    m = config.m if config is not None else as_int(_need(doc, "m"), "field 'm'")
     if kind == "table":
         raw = spec.get("values", {})
         if not isinstance(raw, dict):

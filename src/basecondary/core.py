@@ -392,7 +392,8 @@ def min_convexifier(
         report = is_submodular_above(f, config.n + 1)
         if not report.holds:
             raise InputError(
-                f"no convexifier: F is not submodular above size {config.n + 1} ({report.witness})"
+                f"no convexifier: F is not submodular above size {config.n + 1} "
+                f"({report.witness_str()})"
             )
         rows, scale = [], 2 * config.lift_forms[1] ** config.n
         for j, value in circuit_condition_check(f, config).rows:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InputError, ResourceError
-from .exact_core import CircuitData, PointConfig, as_int, as_list, matrix_rank, rat
+from .exact_core import CircuitData, PointConfig, as_int, as_list, matrix_rank, rat, rat_str
 
 SUBMODULAR_CHECK_CAP = 16
 BASE_POLYTOPE_CAP = 8
@@ -149,6 +149,11 @@ class SubmodularityReport:
     holds: bool
     witness: Optional[tuple] = None  # (X, x1, x2, the four values)
 
+    def witness_str(self) -> str:
+        """The witness for an error message, each value by `rat_str`."""
+        x, i, j, values = self.witness
+        return f"X = {list(x)}, pair ({i}, {j}), values {', '.join(map(rat_str, values))}"
+
 
 def is_submodular(f: SetFunction) -> SubmodularityReport:
     """Exhaustive submodularity check; reports the first violation found."""
@@ -247,5 +252,5 @@ def base_polytope(f: SetFunction) -> tuple[tuple[Fraction, ...], ...]:
         raise ResourceError(f"full vertex enumeration capped at m = {BASE_POLYTOPE_CAP}")
     report = is_submodular(f)
     if not report.holds:
-        raise InputError(f"not submodular; witness {report.witness}")
+        raise InputError(f"not submodular; witness {report.witness_str()}")
     return tuple(sorted({greedy_vertex(f, order) for order in itertools.permutations(range(1, f.m + 1))}))

@@ -9,6 +9,8 @@ import pytest
 from basecondary import core, tropical
 from basecondary.cli import main
 from basecondary.errors import InternalError
+from basecondary.exact_core import make_config, rat_str
+from basecondary.setfun import is_submodular, neg_gcd_function
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -248,6 +250,15 @@ def test_check_verbs(capsys, tmp_path):
     path2.write_text(json.dumps(doc2))
     code, out = run(capsys, "lovasz", "--input", str(path2))
     assert json.loads(out) == {"value": "-2"}
+
+
+def test_check_submodular_reads_m_off_the_configuration(capsys):
+    report = is_submodular(neg_gcd_function(make_config(1, [[1], [3], [6], [7]])))
+    x, x1, x2, values = report.witness
+    code, out = run(capsys, "check-submodular", "--input", fixture("a1367_gcd.json"))
+    assert code == 0 and not report.holds
+    witness = {"X": list(x), "x1": x1, "x2": x2, "values": list(map(rat_str, values))}
+    assert json.loads(out) == {"holds": False, "witness": witness}
 
 
 def test_base_polytope_verb(capsys, tmp_path):

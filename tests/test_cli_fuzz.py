@@ -4,8 +4,9 @@ Documents are n = 0..3 configurations with integer or "p/q" coordinates and
 labels in arbitrary order, every set-function kind (valid or not for the
 configuration) and seeded heights; each one runs through the verbs that read
 a configuration and F, so an n = 3 `secondary` exits 2. Ground sizes m
-(valid or not) with F of every kind and vectors x of the right or the wrong
-length run through the verbs that read F alone. Exponent lists (m <= 4,
+(valid or not), or one-dimensional configurations of m points, with F of
+every kind and vectors x of the right or the wrong length run through the
+verbs that read F alone. Exponent lists (m <= 4,
 valid or not) with heights run through the Morse verbs, and max-plus supports
 with coefficients through the tropical verbs.
 """
@@ -100,9 +101,11 @@ def test_verbs_exit_0_or_2_with_json(doc, extra):
 def set_function_documents(draw):
     m = draw(st.integers(1, 5))
     doc = {"F": _set_function_spec(draw, m)}
-    # the ground size as an integer or an integral string, invalid, or missing
-    ground = draw(st.sampled_from([m, m, str(m), 0, -1, "x", "3/2", 2.5, None]))
-    if ground is not None:
+    # the ground size as an integer or an integral string, invalid, missing, or read off m points of a line
+    ground = draw(st.sampled_from([m, m, str(m), 0, -1, "x", "3/2", 2.5, None, "A"]))
+    if ground == "A":
+        doc.update(n=1, A=[[a] for a in draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m, unique=True))])
+    elif ground is not None:
         doc["m"] = ground
     size = m if draw(st.integers(0, 2)) else draw(st.integers(0, 6))
     doc["x"] = draw(st.lists(rationals, min_size=size, max_size=size))

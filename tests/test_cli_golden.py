@@ -6,6 +6,10 @@ A change that must not move any answer keeps this test passing unchanged.
 Rewrite the file (only when an answer is meant to change) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which first prints how many runs change bytes, and how many change exit code
+or parsed JSON value. A rewrite for layout alone must change no parsed value.
+No answer may print a Python repr such as `Fraction(-4, 1)`.
 """
 
 import contextlib
@@ -46,14 +50,34 @@ def _matrix():
     return [_record(*run) for run in _runs()]
 
 
-def test_cli_matrix_is_byte_identical_to_the_golden_file():
+def _golden():
     with open(GOLDEN, encoding="utf-8") as fh:
-        golden = [json.loads(line) for line in fh]
-    assert _matrix() == golden
+        return [json.loads(line) for line in fh]
+
+
+def _answer(row):
+    """A run's exit code and its stdout as parsed JSON (`--help` prints text)."""
+    return row["exit"], row["stdout"] if row["verb"] == "--help" else json.loads(row["stdout"])
+
+
+def test_cli_matrix_is_byte_identical_to_the_golden_file():
+    assert _matrix() == _golden()
+
+
+def test_no_golden_answer_prints_a_python_repr():
+    assert not [row for row in _golden() if "Fraction(" in row["stdout"]]
 
 
 if __name__ == "__main__":
+    rows = _matrix()
+    old = {(r["verb"], r["fixture"], tuple(r["flags"])): r for r in (_golden() if os.path.exists(GOLDEN) else [])}
+    pairs = [(old.get((r["verb"], r["fixture"], tuple(r["flags"]))), r) for r in rows]
+    print(
+        f"{len(rows)} runs: {sum(o != r for o, r in pairs)} change bytes, "
+        f"{sum(o is not None and _answer(o) != _answer(r) for o, r in pairs)} change exit code or parsed value, "
+        f"{sum(o is None for o, _ in pairs)} are new"
+    )
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        for row in _matrix():
+        for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
