@@ -1,9 +1,11 @@
 """Command-line interface: JSON in, JSON out, deterministic output.
 
-Each verb returns library values as they are, and one rule, `_json`, prints
-them: a Fraction as its `rat_str` ("p" or "p/q"), a library record (a frozen
-dataclass) as an object of its fields, tuples as lists, keys sorted. A verb
-names keys itself only to print a tuple row or to add a derived field.
+Each verb returns library values as they are, and names keys itself only to
+print a tuple row or to add a derived field. One writer, `_write`, prints each
+answer and each error payload as one compact JSON line, keys sorted, so that
+CPython's C encoder runs, with one rule, `_json`, for the rest: a Fraction as
+its `rat_str` ("p" or "p/q"), a library record (a frozen dataclass) as an
+object of its fields. `python -m json.tool` indents a line for reading.
 
 Exit codes: 0 success, 2 input/domain error (machine-readable {"error": ...}
 payload), 3 internal invariant failure, 64 unknown verb.
@@ -12,6 +14,7 @@ payload), 3 internal invariant failure, 64 unknown verb.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -57,6 +60,12 @@ def _json(value):
     if isinstance(value, Fraction):
         return rat_str(value)
     return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
+def _write(payload, path: Optional[str] = None) -> None:
+    """Print `payload` as one compact JSON line, keys sorted, to `path` or stdout."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, default=_json) + "\n")
 
 
 def _load_doc(path: str) -> dict:
@@ -149,14 +158,10 @@ def _load_gamma(doc: dict, config: PointConfig):
 
 
 def _rep_json(rep: core.PiecewiseLinearRep) -> dict:
-    """The cones print as strings made here, not by `_json`: an n = 0 polytope has up to 8! of them,
-    and json's pure-Python encoder takes several times longer for a value it hands to its hook than
-    for a string. Each gradient is printed once, shared by "vertices" and its cone."""
-    vertices = [[rat_str(c) for c in g] for g in rep.gradients]
     out = {
         "certified": rep.certified,
-        "vertices": vertices,
-        "cones": [{"witness": [rat_str(c) for c in w], "gradient": g} for (w, _), g in zip(rep.entries, vertices)],
+        "vertices": rep.gradients,
+        "cones": [{"witness": w, "gradient": g} for w, g in rep.entries],
     }
     if rep.failure_witness is not None:
         out["failure"] = dict(zip(("witness", "entry", "dominating_entry"), rep.failure_witness))
@@ -283,9 +288,7 @@ def _run(verb: str, args, doc: dict):
     if verb == "morse-polytope":
         mcfg = fiber_morse.morse_config(_need(doc, "A"))
         rep = fiber_morse.morse_polytope(mcfg, args.variant)
-        out = _rep_json(rep)
-        out["variant"] = args.variant
-        return out
+        return {**_rep_json(rep), "variant": args.variant}
 
     if verb == "trop-morse":
         poly = tropical.tropical_polynomial(_need(doc, "support"), _need(doc, "coefficients"))
@@ -342,25 +345,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser(verb).parse_args(argv[1:])
         doc = _load_doc(args.input)
-        result = _run(verb, args, doc)
-        payload = json.dumps(result, sort_keys=True, indent=2, default=_json) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write(_run(verb, args, doc), args.output)
         return 0
     except InputError as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
+        error, code = str(exc), 2
     except InternalError as exc:
-        sys.stdout.write(json.dumps({"error": f"internal invariant failure: {exc}"}) + "\n")
-        return 3
+        error, code = f"internal invariant failure: {exc}", 3
     except OSError as exc:  # an --output or --svg path that cannot be written
-        sys.stdout.write(json.dumps({"error": f"output cannot be written: {exc.filename}"}) + "\n")
-        return 2
+        error, code = f"output cannot be written: {exc.filename}", 2
     except SystemExit as exc:  # a verb's --help, printed by argparse
         return int(exc.code or 0)
+    _write({"error": error})
+    return code
 
 
 if __name__ == "__main__":

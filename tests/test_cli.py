@@ -384,6 +384,22 @@ def test_output_file_round_trip(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == {"value": "-8"}
 
 
+@pytest.mark.parametrize(
+    "verb, name, flags",
+    [
+        ("eval-terms", "a1367_gcd.json", ()),
+        ("polytope", "n0_pair_row.json", ("--convexifier", "3")),
+        ("morse-polytope", "morse_1367.json", ("--variant", "maxwell")),
+        ("trop-sample", "trop_ties.json", ("--samples", "50", "--seed", "7")),
+    ],
+)
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, verb, name, flags):
+    code, out = run(capsys, verb, "--input", fixture(name), *flags)
+    out_path = tmp_path / "out.json"
+    assert run(capsys, verb, "--input", fixture(name), *flags, "--output", str(out_path)) == (code, "")
+    assert code == 0 and out_path.read_bytes() == out.encode() and out.count("\n") == 1
+
+
 def test_pentagon_polytope_needs_seed(capsys):
     code, out = run(capsys, "polytope", "--input", fixture("pentagon_indicator.json"))
     assert code == 2

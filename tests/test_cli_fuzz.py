@@ -1,4 +1,4 @@
-"""CLI contract under generated documents: exit 0 or 2, JSON on stdout, never a traceback.
+"""CLI contract under generated documents: exit 0 or 2, one JSON line on stdout, never a traceback.
 
 Documents are n = 0..3 configurations with integer or "p/q" coordinates and
 labels in arbitrary order, every set-function kind (valid or not for the
@@ -88,6 +88,7 @@ def _exits_0_or_2_with_json(verbs, doc, extra):
             with contextlib.redirect_stdout(out):
                 code = main([verb, "--input", path, *extra])
             assert code in (0, 2), (verb, doc, extra, out.getvalue())
+            assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n"), out.getvalue()
             json.loads(out.getvalue())
 
 
