@@ -103,7 +103,7 @@ def set_function_documents(draw):
     m = draw(st.integers(1, 5))
     doc = {"F": _set_function_spec(draw, m)}
     # the ground size as an integer or an integral string, invalid, missing, or read off m points of a line
-    ground = draw(st.sampled_from([m, m, str(m), 0, -1, "x", "3/2", 2.5, None, "A"]))
+    ground = draw(st.sampled_from([m, m, str(m), 0, -1, "x", "3/2", 2.5, None, "A", "A"]))
     if ground == "A":
         doc.update(n=1, A=[[a] for a in draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m, unique=True))])
     elif ground is not None:
