@@ -5,7 +5,7 @@ print a tuple row or to add a derived field. One writer, `_write`, prints each
 answer and each error payload as one compact JSON line, keys sorted, so that
 CPython's C encoder runs, with one rule, `_json`, for the rest: a Fraction as
 its `rat_str` ("p" or "p/q"), a library record (a frozen dataclass) as an
-object of its fields. `python -m json.tool` indents a line for reading.
+object of its fields. `python -m json.tool` pretty-prints a line for reading.
 
 Exit codes: 0 success, 2 input/domain error (machine-readable {"error": ...}
 payload), 3 internal invariant failure, 64 unknown verb.
