@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, ResourceError
-from .exact_core import Jet, PointConfig, _cleared, clear_denominators, rat
+from .exact_core import PointConfig, clear_denominators, rat
 
 # The supports and the genericity test live beside the lift in `secondary`;
 # they are re-exported here as part of this module's interface. The expansion
@@ -226,12 +226,10 @@ def _expansion_summands(config: PointConfig, f: SetFunction, gamma: Covector):
 
     A summand is dF / d (`SetFunction.cleared`) times the lifted volume
     -h / (dx^n dz). The simplex is the cell's labels in positive base
-    orientation and one tail label, by descending h. Jets are refused.
+    orientation and one tail label, by descending h.
     """
     _check_f(config, f)
-    if any(isinstance(g, Jet) for g in gamma):
-        raise InputError("expansion takes no jets; for a gradient use eval_basecondary_general(Jet.seed(w)).grad")
-    zs, dz = _cleared(gamma)
+    zs, dz = clear_denominators(gamma)
     cells = _generic_triangulation(config, zs)
     if cells is None:
         raise InputError("expansion needs a generic height vector; use the general evaluator")

@@ -4,14 +4,8 @@ Every result is an exact `fractions.Fraction` or integer; there is no
 floating point anywhere, so equality tests are meaningful and results are
 reproducible bit for bit.
 
-A `Jet` is a rational plus a linear term in infinitesimals, and evaluates a
-piecewise-linear function and its gradient in one pass (forward mode). The
-1D lift, the 1D cell volumes and the polygon code take jets wherever they
-take heights; the linear algebra below never does. A jet stores only its
-nonzero gradient entries. Every hull is one monotone `_chain`, whose turns,
-like the edge angles of `minkowski_sum`, decide on value parts, reading
-gradients only where a value cross product is 0. A Minkowski sum
-canonicalises its angle-sorted walk in one pass, without a hull.
+Every hull is one monotone `_chain`. A Minkowski sum canonicalises its
+angle-sorted walk in one pass, without a hull.
 
 All linear algebra runs in integers, on rows cleared of denominators by
 `clear_denominators`. Every determinant (oriented volumes, the minors of
@@ -36,13 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError
 
 Point = tuple[Fraction, ...]
 
@@ -52,8 +45,8 @@ Point = tuple[Fraction, ...]
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, Fraction, or "p/q"/"p" string to an exact Fraction; jets pass."""
-    if isinstance(x, (Fraction, Jet)):
+    """Coerce an int, Fraction, or "p/q"/"p" string to an exact Fraction."""
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise InputError(f"not a rational: {x!r}")
@@ -119,119 +112,6 @@ def rational_draws(seed, bound: int):
         return out
 
     return draws
-
-
-# ---------------------------------------------------------------------------
-# first-order jets
-
-
-def _order(test):
-    """A jet comparison: `test` on the values, or where they tie on the first differing gradient entries."""
-
-    def compare(self, other):
-        if isinstance(other, Jet):
-            value, terms = other.value, other.terms
-        elif isinstance(other, (int, Fraction)):
-            value, terms = other, {}
-        else:
-            return NotImplemented
-        if self.value != value:
-            return test(self.value, value)
-        ours = self.terms  # k = -1 when the gradients are equal: test(0, 0)
-        k = min((k for k in ours.keys() | terms.keys() if ours.get(k, 0) != terms.get(k, 0)), default=-1)
-        return test(ours.get(k, 0), terms.get(k, 0))
-
-    return compare
-
-
-def _jet(value, terms: dict, size: int) -> "Jet":
-    """The jet of `value` and the nonzero gradient entries `terms`, which it shares, never changes."""
-    jet = object.__new__(Jet)
-    jet.value, jet.terms, jet.size = value, terms, size
-    return jet
-
-
-class Jet:
-    """value + <grad, eps> for infinitesimals eps_1 >> eps_2 >> ... > 0.
-
-    A forward-mode derivative (Griewank-Walther 2008): sums and rational
-    multiples are exact, and a product or quotient of two jets, not linear
-    in eps, raises InternalError. Jets of one seed order lexicographically,
-    value first, then the gradient entries: a simulation of simplicity
-    (Edelsbrunner-Mücke 1990) that breaks every tie between seeded heights
-    one way. A rational is a jet with zero gradient, which equals, hashes
-    and compares like its value.
-
-    The gradient is stored sparsely, `terms` mapping the index of each
-    nonzero entry to it, `size` its length; `grad` is the dense tuple. Jets
-    of different lengths do not add.
-    """
-
-    __slots__ = ("value", "terms", "size")
-
-    def __init__(self, value, grad):
-        grad = tuple(grad)
-        self.value, self.size = value, len(grad)
-        self.terms = {k: g for k, g in enumerate(grad) if g}
-
-    @staticmethod
-    def seed(values) -> tuple["Jet", ...]:
-        """values[k] + eps_k for every coordinate k."""
-        return tuple(_jet(v, {k: Fraction(1)}, len(values)) for k, v in enumerate(values))
-
-    @property
-    def grad(self) -> tuple:
-        return tuple(self.terms.get(k, Fraction(0)) for k in range(self.size))
-
-    __eq__, __lt__, __le__ = _order(operator.eq), _order(operator.lt), _order(operator.le)
-    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
-
-    def __hash__(self):
-        return hash((self.value, frozenset(self.terms.items()))) if self.terms else hash(self.value)
-
-    def _combine(self, other, op):
-        """op(self, other) for op adding or subtracting, over the nonzero entries of a jet `other`."""
-        if isinstance(other, (int, Fraction)):
-            return _jet(op(self.value, other), self.terms, self.size)
-        if not isinstance(other, Jet):
-            return NotImplemented
-        if other.size != self.size:
-            raise ValueError(f"jets of lengths {self.size} and {other.size} do not add")
-        terms = dict(self.terms)
-        for k, g in other.terms.items():
-            if s := op(terms.pop(k, 0), g):
-                terms[k] = s
-        return _jet(op(self.value, other.value), terms, self.size)
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            raise InternalError("a product of two jets is not linear in eps")
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        terms = {k: g * other for k, g in self.terms.items()} if other else {}
-        return _jet(self.value * other, terms, self.size)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            raise InternalError("a quotient of two jets is not linear in eps")
-        return self * (1 / Fraction(other))
-
-    def __rtruediv__(self, other):
-        raise InternalError("a division by a jet is not linear in eps")
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +252,6 @@ def _int_det(a: Sequence[Sequence[int]]) -> int:
         return a[0][0]
     if len(a) == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if any(isinstance(x, Jet) for r in a for x in r):  # Bareiss divides exactly, which a jet cannot
-        raise InputError("jet heights are supported for n <= 2 only: they take minors up to 2 x 2")
     rows = [list(r) for r in a]
     pivots, sign = _bareiss(rows)
     return sign * rows[-1][-1] if len(pivots) == len(rows) else 0
@@ -385,8 +263,7 @@ def integer_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     N[j] is (-1)^j times the minor without column j, so <N, r> is the
     determinant of the matrix with r put on top (k = 2: the cross product).
     N is orthogonal to every row, and zero exactly when the rows are
-    dependent. Minors up to 2 x 2, all the lift needs for n <= 2, are
-    closed forms, which multiply a jet only by ints; larger ones are the
+    dependent. Minors up to 2 x 2 are closed forms; larger ones are the
     last pivot of `_bareiss`, O(k^3) each.
     """
     return [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
@@ -539,31 +416,15 @@ def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None
 Point2 = tuple[Fraction, Fraction]
 
 
-def _values(cs: Sequence) -> Sequence:
-    """The value parts of a sequence of coordinates; the sequence itself when it holds no jet."""
-    if Jet in map(type, cs):
-        return tuple(c.value if isinstance(c, Jet) else c for c in cs)
-    return cs
-
-
 def _chain(xs: Sequence, ys: Sequence, order: Iterable[int]) -> list[int]:
-    """Andrew's monotone chain (1979): the indices of `order` kept where each turn is strictly left.
-
-    Each turn is decided on the value parts, and on the jet coordinates,
-    multiplied out, only where the value cross product is 0.
-    """
-    vx, vy = _values(xs), _values(ys)
-    jets = vx is not xs or vy is not ys
+    """Andrew's monotone chain (1979): the indices of `order` kept where each turn is strictly left."""
     out: list[int] = []
     for k in order:
-        xk, yk = vx[k], vy[k]
+        xk, yk = xs[k], ys[k]
         while len(out) >= 2:
             i, j = out[-2], out[-1]
-            xi, yi = vx[i], vy[i]
-            cross = (vx[j] - xi) * (yk - yi) - (vy[j] - yi) * (xk - xi)
-            if not cross and jets:
-                cross = (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i])
-            if cross > 0:
+            xi, yi = xs[i], ys[i]
+            if (xs[j] - xi) * (yk - yi) - (ys[j] - yi) * (xk - xi) > 0:
                 break
             out.pop()
         out.append(k)
@@ -576,7 +437,7 @@ def convex_hull_2d(points: Iterable[Point2]) -> tuple[Point2, ...]:
 
 
 def _hull(points: Iterable) -> tuple:
-    """`convex_hull_2d` of exact coordinates (ints, rationals, jets): the lower, then the upper `_chain`.
+    """`convex_hull_2d` of exact coordinates (ints, rationals): the lower, then the upper `_chain`.
 
     Degenerate inputs collapse to a segment (two vertices) or a point.
     """
@@ -631,22 +492,17 @@ class Polygon2:
 def _angle_cmp(u, v) -> int:
     """-1, 0 or 1 as u's direction angle in [0, 2*pi) is below, at or above v's.
 
-    Exact, on (vector, value parts) pairs: the half-plane of each vector
-    first, then the sign of the cross product, which orders two directions
-    within one half-plane. The cross product is taken of the value parts,
-    and of the vectors only where that is 0 and one holds a jet.
+    Exact: the half-plane of each vector first, then the sign of the cross
+    product, which orders two directions within one half-plane.
     """
 
     def half(w):
         return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
 
-    (u, vu), (v, vv) = u, v
     hu, hv = half(u), half(v)
     if hu != hv:
         return hu - hv
-    cross = vu[0] * vv[1] - vu[1] * vv[0]
-    if not cross and (u is not vu or v is not vv):
-        cross = u[0] * v[1] - u[1] * v[0]
+    cross = u[0] * v[1] - u[1] * v[0]
     return (cross < 0) - (cross > 0)
 
 
@@ -673,9 +529,9 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
     bottoms = [min(p.vertices, key=lambda v: (v[1], v[0])) for p in polygons]
     cur = (sum(v[0] for v in bottoms), sum(v[1] for v in bottoms))
     out = [cur]
-    walk = sorted(((e, _values(e)) for e in edges), key=functools.cmp_to_key(_angle_cmp))
+    walk = sorted(edges, key=functools.cmp_to_key(_angle_cmp))
     for edge, after in zip(walk, walk[1:]):  # the last edge closes the walk
-        cur = (cur[0] + edge[0][0], cur[1] + edge[0][1])
+        cur = (cur[0] + edge[0], cur[1] + edge[1])
         if _angle_cmp(edge, after):
             out.append(cur)
     k = out.index(min(out))
@@ -688,23 +544,12 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
 Point3 = tuple[Fraction, Fraction, Fraction]
 
 
-def _cleared(cs: Sequence) -> tuple[list, int]:
-    """`clear_denominators` of coordinates that may be jets, each jet's gradient entries with its value."""
-    if not any(isinstance(c, Jet) for c in cs):
-        return clear_denominators(cs)
-    parts = [(c.value, *c.terms.values()) if isinstance(c, Jet) else (c,) for c in cs]
-    ints, d = clear_denominators([q for p in parts for q in p])
-    it = iter(ints)
-    return [_jet(next(it), {k: next(it) for k in c.terms}, c.size) if isinstance(c, Jet) else next(it)
-            for c in cs], d
-
-
 def _integer_vertices(vertices: Sequence[Point3]) -> tuple[list, int, int, int]:
-    """The vertices `_cleared` by coordinate, and the scales dx, dy and dz."""
+    """The vertices cleared of denominators by coordinate, and the scales dx, dy and dz."""
     vs = [point(v) for v in vertices]
     if any(len(v) != 3 for v in vs):
         raise InputError("fiber vertices must be points of Q^3")
-    (xs, dx), (ys, dy), (zs, dz) = (_cleared([v[k] for v in vs]) for k in range(3))
+    (xs, dx), (ys, dy), (zs, dz) = (clear_denominators([v[k] for v in vs]) for k in range(3))
     return list(zip(xs, ys, zs)), dx, dy, dz
 
 

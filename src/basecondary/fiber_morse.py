@@ -6,19 +6,22 @@ projection, which commutes with Minkowski integration. The Morse and
 Maxwell formulas are spelled once, over one lift, in `morse_support`
 (P + h - 3 S) and `maxwell_support` ((P + h - 4 S) / 2), for the fiber summand
 P, the basecondary value h of F = -gcd and the secondary support S;
-`morse_polytope` evaluates them on jets (`exact_core.Jet`) for gradients.
+`morse_polytope` reads each gradient off two integer evaluations (`_gradient`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
 from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses
-from .exact_core import Jet, PointConfig, Point3, as_int, as_list, fiber_polygon, make_config, upper_chain
+from .exact_core import (
+    PointConfig, Point3, as_int, as_list, clear_denominators, fiber_polygon, make_config, upper_chain,
+)
 from .secondary import Covector, _gkz_pairing, _scan, covector
 from .setfun import SetFunction, neg_gcd_function
 
@@ -111,14 +114,13 @@ def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
     On nonnegative heights this is area_P_bar; elsewhere it extends through
     the homogeneous-polytope identity h(gamma + c*1) = h(gamma) + c*h(1),
     with the level h(1) computed once as area_P_bar(1,...,1). The integer
-    c exceeds minus the lowest value part, so every shifted height, a jet
-    included, is positive.
+    c exceeds minus the lowest height, so every shifted height is positive.
     """
     gamma = covector(config.config(), gamma)
     low = min(gamma)
     if low >= 0:
         return area_P_bar(config, gamma)
-    shift = Fraction(math.floor(-(low.value if isinstance(low, Jet) else low)) + 1)
+    shift = Fraction(math.floor(-low) + 1)
     level = area_P_bar(config, (Fraction(1),) * config.m)
     lifted = tuple(g + shift for g in gamma)
     return area_P_bar(config, lifted) - shift * level
@@ -162,15 +164,71 @@ def _shifted_witness(pc: PointConfig, witness: Covector) -> Covector:
     return tuple(w + shift for w in witness)
 
 
+def _gradient(config: MorseConfig, support, w: Covector) -> tuple[Fraction, ...]:
+    """The gradient g of `support` at w + eps, w a positive witness, read off two integer evaluations.
+
+    Let R be the span and L the lcm of the pairwise gaps of A and 0. At integer
+    heights every fiber, Morse and Maxwell value lies in (1/D) Z, D = 2 L^2:
+    the fiber value is an integer over s^2 for the kernel's scale s | L, h one
+    over a gap, and Maxwell halves. With w cleared to integers z, evaluate at z
+    and at Z = N^m z + (N^(m-1), ..., N, 1), N a power of 2. Every comparison
+    the supports make is the sign of an integer linear form l in the heights,
+    and l(Z) = N^m l(z) + l(N^(m-1), ..., 1). Where l's coefficients are below
+    N, that is the sign of l(z), or where l(z) = 0 of l's first nonzero
+    coefficient: the order of z + eps, eps_1 >> eps_2 >> ... (simulation of
+    simplicity, Edelsbrunner-Mücke 1990). So at Z the support takes the
+    branches of z + eps, where it is the linear g, and
+    D (support(Z) - N^m support(z)) = sum_k D g_k N^(m-1-k) holds each D g_k
+    as a balanced base-N digit (Kronecker's substitution). The bounds, stage
+    by stage; only the pyramid's z coordinates carry heights:
+    - scan forms: gaps of three exponents, <= R; two over one base, which the
+      threshold sum compares, differ by <= 2R;
+    - the roof's upper chain: cross products with coefficients <= R;
+    - cuts: a z_l + b z_h with a, b >= 0 and a + b = s, and y in [0, s];
+    - the cuts' hull cross products: <= 2 s^2;
+    - slices weighted by gaps <= R: edges <= R s, angle cross products
+      <= 2 R^2 s^2; the Minkowski sum's vertices <= 2 R s (weights sum to 2R);
+    - shoelace: twice the sum's area has coefficients <= 16 R^2 s^2 (its y
+      span is <= 2 R s); over s^2, the fiber summand's |g_k| <= 16 R^2.
+      The basecondary summand's |g_k| <= 3 R^2 (-gcd moves by < R in all
+      along a tail, and a label is a vertex of at most two cells), the GKZ
+      vector's <= R.
+    So |g_k| <= 22 R^2 for either support, every comparison coefficient is at
+    most 2 R^2 L^2, and N > 2 * 22 R^2 D bounds both. InternalError when that
+    difference times D is no integer, a carry is left over, or
+    <g, w> != support(w), checked at z.
+    """
+    xs = sorted({0, *config.points})
+    lcm = math.lcm(*(b - a for a, b in itertools.combinations(xs, 2)))
+    d, m = 2 * lcm * lcm, config.m
+    base = 1 << (44 * (xs[-1] - xs[0]) ** 2 * d).bit_length()
+    z, _ = clear_denominators(w)
+    value = support(config, z)
+    top = base ** m
+    packed = d * (support(config, [top * c + base ** (m - 1 - k) for k, c in enumerate(z)]) - top * value)
+    if packed.denominator != 1:
+        raise InternalError("support at the Kronecker point is off the (1/D) Z grid")
+    rest, grad = packed.numerator, []
+    for _ in range(m):
+        digit = (rest + base // 2) % base - base // 2
+        grad.append(Fraction(digit, d))
+        rest = (rest - digit) // base
+    grad.reverse()
+    if rest:
+        raise InternalError("support gradient overflows its Kronecker digits")
+    if sum(g * c for g, c in zip(grad, z)) != value:
+        raise InternalError("support gradient fails the homogeneity identity at its witness")
+    return tuple(grad)
+
+
 def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLinearRep:
     """Per-secondary-cone gradient representation of the chosen support.
 
-    Each cone's gradient is read off one evaluation of `morse_support` or
-    `maxwell_support` at its positive witness w seeded as the jet w + eps:
-    the heights enter every predicate and area linearly, so the jet's
-    gradient is exact, and on a wall of the support's linearity chambers it
-    is that of the chamber toward eps_1 >> eps_2 >> ... The homogeneity
-    identity <g, w> = support(w) is checked as an invariant.
+    Each cone's gradient is `_gradient` of `morse_support` or
+    `maxwell_support` at its positive witness w: on a wall of the support's
+    linearity chambers it is that of the chamber toward
+    eps_1 >> eps_2 >> ... The homogeneity identity <g, w> = support(w) is
+    checked as an invariant.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
@@ -179,8 +237,5 @@ def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLine
     pairs = []
     for _, w in cone_witnesses(pc):
         w = _shifted_witness(pc, w)
-        jet = support(config, Jet.seed(w))
-        if sum(g * x for g, x in zip(jet.grad, w)) != jet.value:
-            raise InternalError("support gradient fails the homogeneity identity at its witness")
-        pairs.append((w, jet.grad))
+        pairs.append((w, _gradient(config, support, w)))
     return PiecewiseLinearRep.certify(pairs)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalError, ResourceError
-from .exact_core import CircuitData, PointConfig, _cleared, _hull, integer_normal, rat, rational_draws
+from .exact_core import CircuitData, PointConfig, _hull, clear_denominators, integer_normal, rat, rational_draws
 
 Covector = tuple[Fraction, ...]
 
@@ -84,10 +84,10 @@ class CircuitalSupport:
 def _oriented_scan(config: PointConfig, zs: Sequence):
     """Upper cells from the circuit forms of `PointConfig.lift_forms`, for every n.
 
-    Takes the heights cleared to integers zs (jets of integers pass), at any
-    positive scale. Yields (cell, base, heights h) once per cell and builds
-    no Fraction; a base is an upper face when no h is positive, and
-    `upper_cells` turns it into affine data. Circuit form j is summed at most
+    Takes the heights cleared to integers zs, at any positive scale. Yields
+    (cell, base, heights h) once per cell and builds no Fraction; a base is
+    an upper face when no h is positive, and `upper_cells` turns it into
+    affine data. Circuit form j is summed at most
     once per call, when a base first reads ref +j or -j; `signed`, indexed by
     ref, keeps both signs, and signed[0] = 0 for a label on the base. A base
     stops at its first positive h and builds its heights only if it survives.
@@ -123,8 +123,7 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
 
     One pass for every n: an orientation test of every (n+1)-subset in
     integers (Fortune-Van Wyk 1996). Coordinates are scaled by the lcm dx of
-    their denominators and heights by the lcm dz of theirs (`_cleared`,
-    which scales a jet's gradient entries with its value); both are
+    their denominators and heights by the lcm dz of theirs; both are
     positive, so the scaled lift has the same upper faces and the same
     coplanar points. The coordinate minors do not depend on the heights, so
     `PointConfig.lift_forms` takes them once per config: above each base of
@@ -135,13 +134,11 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     h > 0, and its cell is the points with h = 0: for n = 0 the argmax set,
     for n = 1 an edge of the upper chain with its collinear labels. Only then
     is N computed, by `integer_normal`: L = -dx N_x / (dz N_z), and
-    gamma - L o A is its maximum plus h / (dz |N_z|). N_z is an integer, and
-    for n <= 2 the other minors multiply a jet only by integers, so heights
-    may be jets there; for n >= 3 jets raise InputError.
+    gamma - L o A is its maximum plus h / (dz |N_z|).
     """
     gamma = covector(config, gamma)
     xs, dx = config.lift_forms[:2]
-    zs, dz = _cleared(gamma)
+    zs, dz = clear_denominators(gamma)
     cells = {}
     for cell, (b, *rest), heights in _oriented_scan(config, zs):
         normal = integer_normal([[a - c for a, c in zip(xs[k] + (zs[k],), xs[b] + (zs[b],))] for k in rest])
@@ -155,16 +152,16 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
 
 def _scan(config: PointConfig, gamma: Covector) -> tuple[list, int]:
     """The cells of the lift of gamma with no affine data: `_oriented_scan`'s triples, and the heights' scale dz."""
-    zs, dz = _cleared(gamma)
+    zs, dz = clear_denominators(gamma)
     return list(_oriented_scan(config, zs)), dz
 
 
 def _generic_triangulation(config: PointConfig, zs: Sequence):
     """{cell: scan heights h by label - 1} of the lift of zs when it passes `is_generic`, else None.
 
-    Takes heights cleared to integers at any positive scale (jets of integers
-    pass) and clears nothing. It reads the integer scan of `upper_cells`, for
-    every n, and builds no affine data: a cell's values are its maximum plus
+    Takes heights cleared to integers at any positive scale and clears
+    nothing. It reads the integer scan of `upper_cells`, for every n, and
+    builds no affine data: a cell's values are its maximum plus
     h / (dz |N_z|), so they are distinct, and descend, exactly where the h
     do. A configuration that does not span is generic with no cells: {}.
     """
@@ -184,7 +181,7 @@ def is_generic(config: PointConfig, gamma) -> bool:
     each cell, a simplicial support, the values of gamma - L o A off the cell
     are pairwise distinct.
     """
-    return _generic_triangulation(config, _cleared(covector(config, gamma))[0]) is not None
+    return _generic_triangulation(config, clear_denominators(covector(config, gamma))[0]) is not None
 
 
 def enumerate_simplicial(config: PointConfig, gamma) -> tuple[SimplicialSupport, ...]:
@@ -297,7 +294,7 @@ def secondary_support(config: PointConfig, gamma) -> Fraction:
 
     phi_T is the `gkz_vector` of T, the simplicial refinement of the induced
     subdivision by `_refine_cell`; the value does not depend on the
-    refinement because gamma is affine on each cell. Heights may be jets.
+    refinement because gamma is affine on each cell.
     """
     gamma = covector(config, gamma)
     return _gkz_pairing(config, [cell for cell, _, _ in _scan(config, gamma)[0]], gamma)
@@ -353,7 +350,7 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
             amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1) * d2)
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
         gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
-        cells = _generic_triangulation(config, _cleared(gamma)[0])
+        cells = _generic_triangulation(config, clear_denominators(gamma)[0])
         if cells is not None and tuple(cells) == t.cells:
             return gamma
     raise InternalError(f"no generic witness found for {t.cells} within the retry budget")

@@ -1,13 +1,15 @@
-"""The dense `Jet` and the polygon code that multiplied jets out at every predicate.
+"""The dense `Jet`, the polygon code that multiplied jets out at every predicate, and the jet loop of
+`fiber_morse.morse_polytope`.
 
-`exact_core.Jet` now stores only its nonzero gradient entries, and the hull
-and Minkowski predicates decide on value parts, reading gradients only
-where the value part is 0. This is what they replaced, kept as it was: a jet
-holding its whole gradient tuple, and `convex_hull_2d` and `minkowski_sum`
-whose `_cross` and `_angle_cmp` take full jet cross products. `upper_chain`
-is the left-to-right loop that took the full cross product at every turn,
-where the library now runs its one hull chain from right to left. Swapping
-them in for the library's must change no result.
+A jet here holds its whole gradient tuple, and `convex_hull_2d`,
+`minkowski_sum` and `upper_chain` take full jet cross products at every
+turn. The library takes no jets: it reads each Morse and Maxwell gradient off
+two integer evaluations (`fiber_morse._gradient`). `morse_polytope` is the
+loop it replaced, one support evaluation at the dense jet w + eps per cone
+witness w, on test-side routes only: `rat`, `point` and `covector` let jets
+pass, the fiber summand is the `Fraction` route below on every base and roof
+point, and h and S are read off the edges of the lift's `upper_chain`. Its
+answers must be the library's.
 
 `fiber_slice` and `fiber_polygon` are the `Fraction` route the library's
 integer kernel replaced: a `t = (xi - lo_x) / (hi_x - lo_x)` per cut, jets
@@ -21,8 +23,14 @@ import itertools
 import operator
 from fractions import Fraction
 
+from quantity_reference import _shoelace_area
+
+from basecondary import exact_core
+from basecondary.core import PiecewiseLinearRep, cone_witnesses
 from basecondary.errors import InputError, InternalError
-from basecondary.exact_core import Polygon2, point, rat
+from basecondary.exact_core import Polygon2
+from basecondary.fiber_morse import FIBER_SUPPORT_SCALE, _shifted_witness
+from basecondary.setfun import evaluate_f
 
 
 def _order(test):
@@ -96,6 +104,23 @@ class Jet:
 
     def __rtruediv__(self, other):
         raise InternalError("a division by a jet is not linear in eps")
+
+
+def rat(x):
+    """`exact_core.rat`, with jets passing as they are."""
+    return x if isinstance(x, Jet) else exact_core.rat(x)
+
+
+def point(coords):
+    return tuple(rat(c) for c in coords)
+
+
+def covector(config, values):
+    """The heights as a tuple of rationals and jets, one per label."""
+    vec = tuple(rat(v) for v in values)
+    if len(vec) != config.m:
+        raise InputError(f"covector length {len(vec)} does not match m = {config.m}")
+    return vec
 
 
 def _cross(o, a, b):
@@ -206,7 +231,7 @@ def fiber_slice(vertices, xi):
     for lo, hi in itertools.product(left, right):
         t = (xi - lo[0]) / (hi[0] - lo[0])
         cuts.append((lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])))
-    return Polygon2.from_points(cuts)
+    return Polygon2(vertices=convex_hull_2d(cuts))
 
 
 def fiber_polygon(vertices):
@@ -227,3 +252,62 @@ def fiber_polygon(vertices):
     return minkowski_sum(
         *(scaled(fiber_slice(vs, x), (ends[k + 2] - ends[k]) / 2) for k, x in enumerate(breaks))
     )
+
+
+def area_P_bar(config, gamma):
+    """The fiber summand at nonnegative heights: the area of the `fiber_polygon` of every base and roof point."""
+    gamma = covector(config.config(), gamma)
+    if any(g < 0 for g in gamma):
+        raise InputError("heights must be nonnegative here")
+    zero = Fraction(0)
+    points = [(Fraction(a), zero, z) for a, g in zip(config.points, gamma) for z in (zero, g)]
+    return FIBER_SUPPORT_SCALE * _shoelace_area(fiber_polygon(points + [(zero, Fraction(1), zero)]).vertices)
+
+
+def _chain_parts(config, gamma):
+    """The basecondary value h of F = -gcd and the secondary support S, off the edges of the lift's upper chain.
+
+    An edge (a, b) is a cell of volume x_b - x_a: h adds volume * (c - M) * (F{v >= c} - F{v > c}) for each
+    value c < M of v = gamma - slope * x, M its value at a and b, and S adds volume * (gamma_a + gamma_b).
+    """
+    xs, f, labels = [Fraction(a) for a in config.points], config.gcd_function(), range(1, config.m + 1)
+    chain = upper_chain(xs, gamma)
+    h = s = Fraction(0)
+    for a, b in zip(chain, chain[1:]):
+        vol = xs[b] - xs[a]
+        slope = (gamma[b] - gamma[a]) / vol
+        v = [g - slope * x for g, x in zip(gamma, xs)]
+        for c in sorted(set(v)):
+            if c < v[a]:
+                ge = frozenset(i for i in labels if v[i - 1] >= c)
+                gt = frozenset(i for i in labels if v[i - 1] > c)
+                h += vol * (c - v[a]) * (evaluate_f(f, ge) - evaluate_f(f, gt))
+        s += vol * (gamma[a] + gamma[b])
+    return h, s
+
+
+def morse_support(config, gamma):
+    """P + h - 3 S at nonnegative heights."""
+    h, s = _chain_parts(config, covector(config.config(), gamma))
+    return area_P_bar(config, gamma) + h - 3 * s
+
+
+def maxwell_support(config, gamma):
+    """(P + h - 4 S) / 2 at nonnegative heights."""
+    h, s = _chain_parts(config, covector(config.config(), gamma))
+    return (area_P_bar(config, gamma) + h - 4 * s) / 2
+
+
+def morse_polytope(config, variant="morse"):
+    """The jet loop of `fiber_morse.morse_polytope`: each cone's gradient is that of the support at the
+    dense jet w + eps of its shifted witness w, whose homogeneity identity <g, w> = support(w) is checked."""
+    support = morse_support if variant == "morse" else maxwell_support
+    pc = config.config()
+    pairs = []
+    for _, w in cone_witnesses(pc):
+        w = _shifted_witness(pc, w)
+        jet = support(config, Jet.seed(w))
+        if sum(g * x for g, x in zip(jet.grad, w)) != jet.value:
+            raise InternalError("support gradient fails the homogeneity identity at its witness")
+        pairs.append((w, jet.grad))
+    return PiecewiseLinearRep.certify(pairs)

@@ -38,8 +38,7 @@ witness of `cone_witnesses` and certified all (m!)^2 pairs
 (`order_cone_polytope` on `order_cone_witnesses`), where it now walks the
 label orders, reading greedy vertices, and makes one submodularity scan. Each is kept here, the
 evaluator and the support on the kept `lattice_volume`, so results can be
-compared exactly. The references read `secondary.upper_cells` through the
-module, so a test may swap in `chain_upper_cells`, which takes dense jets.
+compared exactly.
 
 `build_delta` is the roof-only pyramid, without the base row: its fiber
 polygon bounds the barred one's from below, with the same upper envelope.
@@ -281,10 +280,7 @@ def form_scan(config: PointConfig, zs) -> tuple[list, int]:
 
 
 def chain_upper_cells(config: PointConfig, gamma: Covector):
-    """`upper_cells` for n <= 1: the argmax for n = 0, the strict upper chain's edges for n = 1.
-
-    `exact_core.upper_chain` is looked up on each call, so a test may swap it.
-    """
+    """`upper_cells` for n <= 1: the argmax for n = 0, the strict upper chain's edges for n = 1."""
     if config.n > 1:
         raise InputError("the chain lift covers n <= 1")
     gamma = covector(config, gamma)

@@ -1,7 +1,8 @@
 """Closed-form gradients and wall defects against the step-halving oracle.
 
-Seeded instances: basecondary gradients (cofactor sums) for n = 0/1/2, GKZ
-vectors against the secondary support's gradient, circuit-lemma wall
+Seeded instances: basecondary gradients (cofactor sums) for n = 0/1/2 and
+at the pentagon's discovered cones, GKZ vectors against the secondary
+support's gradient, circuit-lemma wall
 defects and min_convexifier rows for 1D configurations with m = 4..8, and
 morse_polytope against the oracle gradient of the whole Morse/Maxwell
 support. Every comparison is exact equality of Fractions.
@@ -28,6 +29,7 @@ from basecondary.fiber_morse import (
 )
 from basecondary.secondary import (
     cone_witness,
+    discover_cones_random,
     enumerate_triangulations_1d,
     enumerate_walls_1d,
     gkz_vector,
@@ -36,7 +38,9 @@ from basecondary.secondary import (
     secondary_support,
     upper_cells,
 )
-from basecondary.setfun import SetFunction, is_submodular_above, neg_gcd_function, neg_indicator_function
+from basecondary.setfun import (
+    SetFunction, is_submodular_above, neg_gcd_function, neg_indicator_function, table_function,
+)
 
 
 def random_table(rng, m):
@@ -79,6 +83,24 @@ def test_gradient_and_gkz_match_the_oracle(n, count):
         )
         gkz = gkz_vector(config, regular_subdivision(config, w))
         assert gkz == numeric_gradient(config, lambda g: secondary_support(config, g), w)
+
+
+PENTAGON = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
+
+
+@pytest.mark.parametrize("f", [
+    neg_indicator_function(5, min_size=2),
+    table_function(5, {(1, 2, 3): -1, (2, 4): 3, (1, 3, 5): F(1, 2), (1, 2, 3, 4, 5): 2}, min_size=2),
+], ids=["neg-indicator", "table"])
+def test_gradients_at_the_pentagon_cone_witnesses(f):
+    cones = discover_cones_random(PENTAGON, 200, 41)
+    assert len(cones) == 5
+    for t, w in cones:
+        assert gradient_on_cone(PENTAGON, f, w) == numeric_gradient(
+            PENTAGON, lambda g: eval_basecondary_general(PENTAGON, f, g), w
+        )
+        gkz = gkz_vector(PENTAGON, t)
+        assert gkz == numeric_gradient(PENTAGON, lambda g: secondary_support(PENTAGON, g), w)
 
 
 # [0, 1, 2, 4, 5, 7, 8] has wall witnesses whose circuital cell ties two

@@ -28,7 +28,7 @@ from basecondary.core import (
     wall_defect_numeric,
 )
 from basecondary.errors import InputError
-from basecondary.exact_core import Jet, make_config
+from basecondary.exact_core import make_config
 from basecondary.secondary import (
     cone_witness,
     enumerate_triangulations_1d,
@@ -216,16 +216,6 @@ def test_eval_generic_requires_generic():
 SPATIAL = make_config(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2], [2, -1, 1]])
 
 
-@pytest.mark.parametrize("config, gamma", [(A1367, G1), (SPATIAL, (1, 2, 4, 3, 0, 1))])
-def test_expansion_routes_refuse_jets(config, gamma):
-    f = neg_indicator_function(config.m, min_size=config.n)
-    assert is_generic(config, gamma)
-    gradient_on_cone(config, f, gamma)  # the rational heights pass
-    for route in (expansion_terms, gradient_on_cone, eval_basecondary_generic):
-        with pytest.raises(InputError, match=r"eval_basecondary_general\(Jet.seed\(w\)\).grad"):
-            route(config, f, Jet.seed(gamma))
-
-
 def _upper_cells_calls(monkeypatch):
     """Every call of `upper_cells` through any binding of it in `secondary`, `core` and `fiber_morse`."""
     calls = []
@@ -243,8 +233,10 @@ PENTAGON = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
 def test_expansion_routes_make_no_upper_cells_call(monkeypatch):
     # genericity, cells and tail orders all come from the integer scan of `_generic_triangulation`
     calls = _upper_cells_calls(monkeypatch)
-    for config, gamma in ((A1367, G1), (PENTAGON, (1, 3, 2, 4, 0)), (make_config(0, [[], [], []]), (2, 1, 3))):
+    for config, gamma in ((A1367, G1), (PENTAGON, (1, 3, 2, 4, 0)), (make_config(0, [[], [], []]), (2, 1, 3)),
+                          (SPATIAL, (1, 2, 4, 3, 0, 1))):
         f = neg_indicator_function(config.m, min_size=config.n)
+        assert is_generic(config, gamma)
         expansion_terms(config, f, gamma)
         eval_basecondary_generic(config, f, gamma)
         gradient_on_cone(config, f, gamma)
@@ -256,13 +248,13 @@ def test_general_evaluator_and_supports_make_no_upper_cells_call(monkeypatch):
     calls = _upper_cells_calls(monkeypatch)
     mc = fiber_morse.morse_config([1, 3, 6, 7])
     n0 = make_config(0, [[]] * 3)
-    for config, gamma in ((A1367, G2), (A1367, Jet.seed(G3)), (PENTAGON, (1, 1, 1, 1, 0)), (n0, (2, 2, 1))):
+    for config, gamma in ((A1367, G2), (A1367, G3), (PENTAGON, (1, 1, 1, 1, 0)), (n0, (2, 2, 1))):
         f = table_function(config.m, {(1, 2): 1, tuple(range(1, config.m + 1)): -1}, default=F(1, 2), min_size=config.n)
         eval_basecondary_general(config, f, gamma)
         secondary.secondary_support(config, gamma)
         regular_subdivision(config, gamma)
     fiber_morse.morse_support(mc, G2)
-    fiber_morse.maxwell_support(mc, Jet.seed(G1))
+    fiber_morse.maxwell_support(mc, G1)
     secondary.area_N(A1367, G1)
     assert calls == []
     assert enumerate_simplicial(A1367, G1) and len(calls) == 1  # the pin sees a call

@@ -1,4 +1,8 @@
-"""Exact geometry primitives: volumes, circuits, polygons, fiber slices, seeded draws."""
+"""Exact geometry primitives: volumes, circuits, polygons, fiber slices, seeded draws, and the reference jet.
+
+The dense `jet_reference.Jet`, which the Morse reference loop runs, must order, hash and refuse
+nonlinear products as a first-order jet does.
+"""
 
 from fractions import Fraction as F
 
@@ -8,11 +12,11 @@ import random
 import pytest
 
 import linalg_reference as ref
-from jet_reference import fiber_slice
+import jet_reference
+from jet_reference import Jet, fiber_slice
 from numeric_oracle import fiber_polygon_grid_area
 from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import (
-    Jet,
     Polygon2,
     affine_rank,
     fiber_polygon,
@@ -196,7 +200,11 @@ def test_minkowski_commutes_and_superadditive_area():
         assert ab.vertices == oracle.vertices
 
 
-def _summand(rng, jets):
+# the Kronecker scale: at (x, K y + s) with small digits s, y decides every comparison it does not tie
+K = 2**64
+
+
+def _summand(rng, kronecker):
     """A point, a segment, or a polygon on a coarse grid, so that edges of summands run parallel."""
     kind = rng.randrange(3)
     if kind == 0:
@@ -206,13 +214,13 @@ def _summand(rng, jets):
         raw = [(x + t * dx, y + t * dy) for t in range(rng.randint(2, 3))]
     else:
         raw = [(rng.randint(-2, 2), F(rng.randint(-4, 4), 2)) for _ in range(rng.randint(3, 5))]
-    if jets:  # the second coordinate a jet, as fiber slices of jet heights have it
-        raw = [(x, Jet(F(y), (F(rng.randint(-1, 1)), F(rng.randint(-1, 1))))) for x, y in raw]
+    if kronecker:  # the second coordinate K y plus small digits, as fiber slices at a Kronecker point have it
+        raw = [(x, K * y + K // 2**32 * rng.randint(-1, 1) + rng.randint(-1, 1)) for x, y in raw]
     return Polygon2.from_points(raw)
 
 
-@pytest.mark.parametrize("jets", [False, True], ids=["rational", "jet"])
-def test_minkowski_sum_of_many_summands_is_the_hull_of_vertex_sums(jets):
+@pytest.mark.parametrize("kronecker", [False, True], ids=["rational", "kronecker"])
+def test_minkowski_sum_of_many_summands_is_the_hull_of_vertex_sums(kronecker):
     def check(*summands):
         sums = {(F(0), F(0))}
         for p in summands:
@@ -221,14 +229,14 @@ def test_minkowski_sum_of_many_summands_is_the_hull_of_vertex_sums(jets):
         assert vertices == Polygon2.from_points(sums).vertices
         return vertices
 
-    def poly(*raw):  # with jets, sheared by (x, y) -> (x, y + x * eps_1): parallel edges stay parallel
-        if jets:
-            raw = [(x, Jet(F(y), (F(x), F(0)))) for x, y in raw]
+    def poly(*raw):  # at the Kronecker scale, sheared by (x, y) -> (x, K y + x): parallel edges stay parallel
+        if kronecker:
+            raw = [(x, K * y + x) for x, y in raw]
         return Polygon2.from_points(raw)
 
-    rng = random.Random(f"minkowski/{jets}")
+    rng = random.Random(f"minkowski/{kronecker}")
     for _ in range(120):
-        check(*(_summand(rng, jets) for _ in range(rng.randint(3, 4))))
+        check(*(_summand(rng, kronecker) for _ in range(rng.randint(3, 4))))
     # every summand a segment along one line: the sum is a segment
     assert len(check(poly((0, 0), (1, 2)), poly((3, 1), (1, -3)), poly((2, 2), (4, 6)))) == 2
     # runs of three and four parallel edges
@@ -237,8 +245,8 @@ def test_minkowski_sum_of_many_summands_is_the_hull_of_vertex_sums(jets):
     assert len(check(poly((0, 0), (2, 1)), poly((0, 0), (2, 1)), poly((4, 2), (6, 3)), square)) == 6
     # a lone point among segments
     assert len(check(poly((0, 1)), poly((0, 0), (1, 0)), poly((2, 2)), poly((0, 0), (0, 3)))) == 4
-    if jets:  # value parts along one line, gradients not: the sum is a polygon of infinitesimal area
-        lean = [Polygon2.from_points([(0, F(0)), (x, Jet(F(x), g))]) for x, g in ((1, (1, 0)), (2, (0, 1)), (1, (0, 0)))]
+    if kronecker:  # along one line at scale K, off it in the small digits: a polygon of small area
+        lean = [Polygon2.from_points([(0, 0), (x, K * x + s)]) for x, s in ((1, K // 2**32), (2, 1), (1, 0))]
         assert len(check(*lean)) > 2
     square = Polygon2.from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert minkowski_sum().vertices == ((F(0), F(0)),)
@@ -365,7 +373,7 @@ def test_jets_with_zero_gradient_equal_and_hash_like_their_value():
     assert flat == F(3, 2) and F(3, 2) == flat and hash(flat) == hash(F(3, 2))
     assert len({flat, F(3, 2), a, b, a + 0, Jet(F(3, 2), (1, 0))}) == 3
     assert a != b and a != F(3, 2) and a != "3/2"
-    assert rat(a) is a and point((a, 1)) == (a, F(1))
+    assert jet_reference.rat(a) is a and jet_reference.point((a, 1)) == (a, F(1))
 
 
 def test_jet_products_and_quotients_raise():

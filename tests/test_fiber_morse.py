@@ -16,9 +16,10 @@ from numeric_oracle import fiber_polygon_grid_area, numeric_gradient
 from basecondary import exact_core, fiber_morse
 from basecondary.cli import main
 from basecondary.errors import InputError
-from basecondary.exact_core import Jet, fiber_polygon
+from basecondary.exact_core import fiber_polygon
 from basecondary.fiber_morse import (
     FIBER_SUPPORT_SCALE,
+    _gradient,
     _shifted_witness,
     area_P_bar,
     build_delta_bar,
@@ -85,7 +86,7 @@ def test_fiber_polygon_hulls_once_per_breakpoint(monkeypatch):
 
 def test_minkowski_sum_takes_no_hull(monkeypatch):
     # the angle-sorted walk is convex and in order, so it is canonicalised without a hull
-    vertices = build_delta_bar(MC, Jet.seed((2, 4, 5, 3)))
+    vertices = build_delta_bar(MC, (2, 4, 5, 3))
     slices = [fiber_slice(vertices, x) for x in sorted({v[0] for v in vertices})]
     calls = []
     real = exact_core._hull
@@ -134,17 +135,6 @@ def test_iterated_fiber_homogeneity():
         c = F(rng.randint(-6, 6), rng.randint(1, 2))
         lhs = iterated_fiber_support(MC, tuple(g + c for g in gamma))
         assert lhs == iterated_fiber_support(MC, gamma) + c * level
-
-
-def test_negative_heights_take_jets():
-    # the homogeneity shift is read off the value part, and must lift a jet
-    # at an integral low value with a negative gradient above zero too
-    w = (-1, 2, 3, 4)
-    jet = maxwell_support(MC, Jet.seed(w))
-    assert jet.value == maxwell_support(MC, w)
-    assert jet.grad == numeric_gradient(PC, lambda x: maxwell_support(MC, x), w)
-    falling = tuple(-j for j in Jet.seed([-g for g in w]))
-    assert iterated_fiber_support(MC, falling).value == iterated_fiber_support(MC, w)
 
 
 def test_morse_support_assembly():
@@ -352,20 +342,24 @@ def test_fiber_summand_additive_on_same_sign_cones():
     + [[1, 3, 6, 7], [1, 2, 4, 5, 7], [-3, -1, 2, 5]],
 )
 def test_fiber_jet_gradient_matches_the_oracle(pts):
+    # the gradients at the jet w + eps, which `_gradient` reads off two integer
+    # evaluations; at a generic witness they are the difference quotients'.
+    # Maxwell at heights of both signs, w - min(w) - 1, has the gradient at w.
     mc = morse_config(pts)
     pc = mc.config()
     for t in enumerate_triangulations_1d(pc):
         w = _shifted_witness(pc, cone_witness(pc, t))
-        jet = area_P_bar(mc, Jet.seed(w))
-        assert jet.value == area_P_bar(mc, w)
-        assert jet.grad == numeric_gradient(pc, lambda x: area_P_bar(mc, x), w)
+        for fn in (area_P_bar, morse_support, maxwell_support):
+            assert _gradient(mc, fn, w) == numeric_gradient(pc, lambda x: fn(mc, x), w), fn
+        below = tuple(x - min(w) - 1 for x in w)
+        assert _gradient(mc, maxwell_support, w) == numeric_gradient(pc, lambda x: maxwell_support(mc, x), below)
 
 
 @pytest.mark.parametrize("variant", ["morse", "maxwell"])
 def test_morse_polytope_at_a_witness_on_a_fiber_chamber_wall(tmp_path, variant):
     # A cone witness of these exponents lies on a wall between linearity
     # chambers of the fiber summand, where coordinate difference quotients
-    # mix two chambers; the jet takes the gradient of the chamber toward
+    # mix two chambers; `_gradient` takes the gradient of the chamber toward
     # eps_1 >> eps_2 >> ..., which the lexicographic line w + s (1, d, d^2, ...)
     # stays in for small s.
     exponents = [-8, -6, -3, -1, 3, 8]
@@ -395,14 +389,14 @@ def test_maxwell_support_lifts_once(monkeypatch):
     lifts = []
     real = secondary._oriented_scan
     monkeypatch.setattr(secondary, "_oriented_scan", lambda *a: lifts.append(a) or real(*a))
-    for gamma in ((1, 2, 3, 5), (-1, 0, 4, 2), Jet.seed((1, 2, 3, 5))):
+    for gamma in ((1, 2, 3, 5), (-1, 0, 4, 2)):
         lifts.clear()
         maxwell_support(MC, gamma)
         assert len(lifts) == 1
-    for variant in ("morse", "maxwell"):  # 4 cone witnesses and 4 evaluations
+    for variant in ("morse", "maxwell"):  # 4 cone witnesses and 8 evaluations, two per gradient
         lifts.clear()
         morse_polytope(MC, variant)
-        assert len(lifts) == 8
+        assert len(lifts) == 12
 
 
 def test_morse_polytope_reads_each_gcd_set_once(monkeypatch):

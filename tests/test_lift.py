@@ -24,7 +24,7 @@ from basecondary.core import (
 )
 from basecondary.secondary import Subdivision, discover_cones_random
 from basecondary import core, exact_core, secondary
-from basecondary.exact_core import Jet, _cleared, affine_rank, clear_denominators, find_circuit, make_config, solve_linear
+from basecondary.exact_core import affine_rank, clear_denominators, find_circuit, make_config, solve_linear
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
 from basecondary.setfun import neg_card_ratio_function
 
@@ -226,7 +226,8 @@ def test_the_genericity_scan_clears_no_height_twice(monkeypatch):
     # the expansion clears a fresh height vector once; discovery draws integers and clears none
     calls = []
     for module in (core, secondary):
-        monkeypatch.setattr(module, "_cleared", lambda cs, _real=module._cleared: calls.append(cs) or _real(cs))
+        real = module.clear_denominators
+        monkeypatch.setattr(module, "clear_denominators", lambda cs, _real=real: calls.append(cs) or _real(cs))
     rng = random.Random("clear-once")
     for n, m in ((0, 4), (1, 5), (2, 5)):
         config = _config(rng, n, m, True)
@@ -343,7 +344,7 @@ def test_each_circuit_form_is_summed_at_most_once_per_lift(n, rational):
     """The scan against `form_scan` on the 660 seeded instances of `test_lift_matches_subset_scan`.
 
     The same (cell, base, heights), in the same order and of the same types,
-    for integer heights and, for n <= 2, their `Jet.seed`; and each scan sums
+    for the heights cleared to integers; and each scan sums
     at most C(m, n + 2) circuit forms, and no more than the form table did.
     """
     saved = 0
@@ -352,13 +353,13 @@ def test_each_circuit_form_is_summed_at_most_once_per_lift(n, rational):
         config = _config(rng, n, m, rational)
         gamma = _heights(rng, config, kind)
         table = _count_circuit_reads(config)
-        for zs in [clear_denominators(gamma)[0]] + [_cleared(Jet.seed(gamma))[0]] * (n <= 2):
-            table.reads = 0
-            got = list(secondary._oriented_scan(config, zs))
-            want, sums = ref.form_scan(config, zs)
-            assert got == want and _scan_types(got) == _scan_types(want), (config, gamma)
-            assert table.reads <= min(math.comb(m, n + 2), sums), (config, gamma)
-            saved += sums - table.reads
+        zs = clear_denominators(gamma)[0]
+        table.reads = 0
+        got = list(secondary._oriented_scan(config, zs))
+        want, sums = ref.form_scan(config, zs)
+        assert got == want and _scan_types(got) == _scan_types(want), (config, gamma)
+        assert table.reads <= min(math.comb(m, n + 2), sums), (config, gamma)
+        saved += sums - table.reads
     assert saved > 0
 
 
