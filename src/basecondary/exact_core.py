@@ -21,8 +21,8 @@ summing each form at most once per lift; its minors are every simplex volume, or
 of A (`volume`, `circuit`).
 Tropical critical points, cone discovery and fiber polygons run on scaled
 integers: a positive scale per coordinate keeps every sign, equality, hull
-and edge-angle order, so only reported values become Fractions. `fiber_polygon` cuts, hulls and sums its slices at
-one scale L with integer weights, and divides once.
+and edge-angle order, so only reported values become Fractions. `_fiber_sum` is the one fiber route: it cuts, hulls
+and sums integer slices at one scale L with integer weights; `fiber_polygon` and `fiber_morse.area_P_bar` divide once.
 """
 
 from __future__ import annotations
@@ -481,12 +481,12 @@ class Polygon2:
         return not self.vertices
 
     def area(self) -> Fraction:
-        """Euclidean area by the shoelace formula; 0 below three vertices."""
+        """Euclidean area by the shoelace formula, one `Fraction` for integer vertices; 0 below three vertices."""
         vs = self.vertices
         if len(vs) < 3:
             return Fraction(0)
         edges = zip(vs, vs[1:] + vs[:1])
-        return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges), Fraction(0)) / 2
+        return Fraction(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges), 2)
 
 
 def _angle_cmp(u, v) -> int:
@@ -544,15 +544,6 @@ def minkowski_sum(*polygons: Polygon2) -> Polygon2:
 Point3 = tuple[Fraction, Fraction, Fraction]
 
 
-def _integer_vertices(vertices: Sequence[Point3]) -> tuple[list, int, int, int]:
-    """The vertices cleared of denominators by coordinate, and the scales dx, dy and dz."""
-    vs = [point(v) for v in vertices]
-    if any(len(v) != 3 for v in vs):
-        raise InputError("fiber vertices must be points of Q^3")
-    (xs, dx), (ys, dy), (zs, dz) = (clear_denominators([v[k] for v in vs]) for k in range(3))
-    return list(zip(xs, ys, zs)), dx, dy, dz
-
-
 def _slice(vs: list, xi: int, scale: int) -> tuple:
     """`_hull` of scale times the fiber at xi of integer vertices, scale a multiple of every x gap across xi."""
     cuts = [(scale * y, scale * z) for x, y, z in vs if x == xi]  # then each segment across xi adds its cut
@@ -566,6 +557,15 @@ def _slice(vs: list, xi: int, scale: int) -> tuple:
     return _hull(cuts)
 
 
+def _fiber_sum(vs: list) -> tuple[Polygon2, int]:
+    """2L times `fiber_polygon` of integer vertices, and L: its `_slice`s at L weighted x_{k+1} - x_{k-1}, summed."""
+    breaks = sorted({v[0] for v in vs})
+    scale = math.lcm(*(hi - lo for k, lo in enumerate(breaks) for hi in breaks[k + 2:]))
+    ends = [breaks[0], *breaks, breaks[-1]]
+    slices = [(hi - lo, _slice(vs, x, scale)) for lo, x, hi in zip(ends, breaks, ends[2:])]
+    return minkowski_sum(*(Polygon2(tuple((w * y, w * z) for y, z in hull)) for w, hull in slices if w)), scale
+
+
 def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
     """Minkowski integral of the first-axis fibers of conv(vertices).
 
@@ -576,16 +576,15 @@ def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
     sum of the slices fiber(x_k) weighted (x_{k+1} - x_{k-1})/2, the ends
     (x_1 - x_0)/2 and (x_K - x_{K-1})/2; a single breakpoint gives the origin.
 
-    In integers: the `_slice`s of the cleared vertices at one scale L (the lcm of the x gaps that span a
-    breakpoint), weighted by x_{k+1} - x_{k-1} in cleared x, summed, then divided once by 2 dx L dy, 2 dx L dz.
+    In integers: `_fiber_sum` of the vertices cleared by coordinate (scales dx, dy, dz), L the lcm of the x gaps
+    that span a breakpoint, divided once by 2 dx L dy and 2 dx L dz.
     """
-    vs, dx, dy, dz = _integer_vertices(vertices)
+    vs = [point(v) for v in vertices]
+    if any(len(v) != 3 for v in vs):
+        raise InputError("fiber vertices must be points of Q^3")
     if not vs:
         raise InputError("fiber_polygon needs vertices")
-    breaks = sorted({v[0] for v in vs})
-    scale = math.lcm(*(hi - lo for k, lo in enumerate(breaks) for hi in breaks[k + 2:]))
-    ends = [breaks[0], *breaks, breaks[-1]]
-    slices = [(hi - lo, _slice(vs, x, scale)) for lo, x, hi in zip(ends, breaks, ends[2:])]
-    total = minkowski_sum(*(Polygon2(tuple((w * y, w * z) for y, z in hull)) for w, hull in slices if w))
-    sy, sz = Fraction(2 * dx * scale * dy), Fraction(2 * dx * scale * dz)
-    return Polygon2(vertices=tuple((y / sy, z / sz) for y, z in total.vertices))
+    (xs, dx), (ys, dy), (zs, dz) = (clear_denominators([v[k] for v in vs]) for k in range(3))
+    total, scale = _fiber_sum(list(zip(xs, ys, zs)))
+    sy, sz = 2 * dx * scale * dy, 2 * dx * scale * dz
+    return Polygon2(vertices=tuple((Fraction(y, sy), Fraction(z, sz)) for y, z in total.vertices))

@@ -5,8 +5,9 @@ polytope: all its support values are obtained by slicing the 3D pyramid
 projection, which commutes with Minkowski integration. The Morse and
 Maxwell formulas are spelled once, over one lift, in `morse_support`
 (P + h - 3 S) and `maxwell_support` ((P + h - 4 S) / 2), for the fiber summand
-P, the basecondary value h of F = -gcd and the secondary support S;
-`morse_polytope` reads each gradient off two integer evaluations (`_gradient`).
+P, read off `exact_core._fiber_sum` (the one fiber route) with one division, the
+basecondary value h of F = -gcd and the secondary support S; `morse_polytope`
+reads each gradient off two integer evaluations (`_gradient`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .errors import InputError, InternalError
 from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses
 from .exact_core import (
-    PointConfig, Point3, as_int, as_list, clear_denominators, fiber_polygon, make_config, upper_chain,
+    PointConfig, Point3, _fiber_sum, as_int, as_list, clear_denominators, make_config, upper_chain,
 )
 from .secondary import Covector, _gkz_pairing, _scan, covector
 from .setfun import SetFunction, neg_gcd_function
@@ -78,11 +79,6 @@ def morse_config(points) -> MorseConfig:
     return MorseConfig(points=tuple(as_int(a, "exponent") for a in as_list(points, "exponents")))
 
 
-def _nonnegative(gamma: Covector):
-    if any(g < 0 for g in gamma):
-        raise InputError("heights must be nonnegative here")
-
-
 def build_delta_bar(config: MorseConfig, gamma) -> tuple[Point3, ...]:
     """Hull vertices of the pyramid over base row (a,0,0) and roof (a,0,gamma(a)) to apex (0,1,0).
 
@@ -91,21 +87,23 @@ def build_delta_bar(config: MorseConfig, gamma) -> tuple[Point3, ...]:
     in the hull, so the fiber is the same.
     """
     gamma = covector(config.config(), gamma)
-    _nonnegative(gamma)
-    xs = [Fraction(a) for a in config.points]
-    zero = Fraction(0)
-    roof = [(xs[k], zero, gamma[k]) for k in upper_chain(xs, gamma) if gamma[k] != 0]
-    verts = [(xs[0], zero, zero), (xs[-1], zero, zero), *roof, (zero, Fraction(1), zero)]
-    return tuple(verts)
+    if any(g < 0 for g in gamma):
+        raise InputError("heights must be nonnegative here")
+    xs = config.points
+    roof = [(xs[k], 0, gamma[k]) for k in upper_chain(xs, gamma) if gamma[k] != 0]
+    return ((xs[0], 0, 0), (xs[-1], 0, 0), *roof, (0, 1, 0))
 
 
 def area_P_bar(config: MorseConfig, gamma) -> Fraction:
     """Support value of the iterated fiber body at nonnegative heights.
 
-    Equals FIBER_SUPPORT_SCALE times the raw Euclidean area of the raw
-    fiber polygon of the barred pyramid.
+    FIBER_SUPPORT_SCALE times the raw Euclidean area of the raw fiber polygon of the barred pyramid, whose
+    x and y are integers: with its heights cleared by dz, its `_fiber_sum` is that polygon scaled 2L in y, 2L dz in z.
     """
-    return FIBER_SUPPORT_SCALE * fiber_polygon(build_delta_bar(config, gamma)).area()
+    pyramid = build_delta_bar(config, gamma)
+    zs, dz = clear_denominators([v[2] for v in pyramid])
+    total, scale = _fiber_sum([(x, y, z) for (x, y, _), z in zip(pyramid, zs)])
+    return FIBER_SUPPORT_SCALE * total.area() / (4 * scale * scale * dz)
 
 
 def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
@@ -120,10 +118,9 @@ def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
     low = min(gamma)
     if low >= 0:
         return area_P_bar(config, gamma)
-    shift = Fraction(math.floor(-low) + 1)
-    level = area_P_bar(config, (Fraction(1),) * config.m)
-    lifted = tuple(g + shift for g in gamma)
-    return area_P_bar(config, lifted) - shift * level
+    shift = math.floor(-low) + 1
+    level = area_P_bar(config, (1,) * config.m)
+    return area_P_bar(config, [g + shift for g in gamma]) - shift * level
 
 
 def _one_scan(config: MorseConfig, gamma: Covector) -> tuple[Fraction, Fraction]:
@@ -141,9 +138,9 @@ def morse_support(config: MorseConfig, gamma) -> Fraction:
     (twice the Euclidean `area_N`), with h and S read off one lift.
     """
     gamma = covector(config.config(), gamma)
-    _nonnegative(gamma)
+    p = area_P_bar(config, gamma)  # refuses negative heights
     h, s = _one_scan(config, gamma)
-    return area_P_bar(config, gamma) + h - 3 * s
+    return p + h - 3 * s
 
 
 def maxwell_support(config: MorseConfig, gamma) -> Fraction:
@@ -196,7 +193,10 @@ def _gradient(config: MorseConfig, support, w: Covector) -> tuple[Fraction, ...]
     So |g_k| <= 22 R^2 for either support, every comparison coefficient is at
     most 2 R^2 L^2, and N > 2 * 22 R^2 D bounds both. InternalError when that
     difference times D is no integer, a carry is left over, or
-    <g, w> != support(w), checked at z.
+    <g, w> != support(w), checked at z. support(z) is evaluated, not read off
+    the digits of D support(Z) above g's: read off, <g, z> = support(z) would
+    hold by construction, and the check could not catch a Kronecker point
+    that left the chambers at z.
     """
     xs = sorted({0, *config.points})
     lcm = math.lcm(*(b - a for a, b in itertools.combinations(xs, 2)))

@@ -23,8 +23,6 @@ import itertools
 import operator
 from fractions import Fraction
 
-from quantity_reference import _shoelace_area
-
 from basecondary import exact_core
 from basecondary.core import PiecewiseLinearRep, cone_witnesses
 from basecondary.errors import InputError, InternalError
@@ -121,6 +119,16 @@ def covector(config, values):
     if len(vec) != config.m:
         raise InputError(f"covector length {len(vec)} does not match m = {config.m}")
     return vec
+
+
+def _shoelace_area(vertices):
+    s = Fraction(0)
+    k = len(vertices)
+    for i in range(k):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % k]
+        s += x0 * y1 - x1 * y0
+    return s / 2
 
 
 def _cross(o, a, b):

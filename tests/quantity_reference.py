@@ -40,12 +40,20 @@ label orders, reading greedy vertices, and makes one submodularity scan. Each is
 evaluator and the support on the kept `lattice_volume`, so results can be
 compared exactly.
 
+The Morse and Maxwell supports take P off `jet_reference.area_P_bar`, the
+`Fraction` fiber route on every base and roof point, where the library reads
+the integer `exact_core._fiber_sum` of the barred pyramid's hull vertices.
+
 `build_delta` is the roof-only pyramid, without the base row: its fiber
 polygon bounds the barred one's from below, with the same upper envelope.
 """
 
 import itertools
+import math
 from fractions import Fraction
+
+import jet_reference
+from jet_reference import _shoelace_area
 
 from basecondary import core, exact_core, secondary
 from basecondary.core import _check_f, _descending_tail, _expansion_summands, _positive_orientation, _values_under
@@ -58,19 +66,8 @@ from basecondary.exact_core import (
     integer_normal,
     oriented_volume,
 )
-from basecondary.fiber_morse import area_P_bar, iterated_fiber_support
 from basecondary.secondary import Covector, UpperCell, _labels_by_coordinate, _refine_cell, covector
 from basecondary.setfun import SubmodularityReport, evaluate_f
-
-
-def _shoelace_area(vertices):
-    s = Fraction(0)
-    k = len(vertices)
-    for i in range(k):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % k]
-        s += x0 * y1 - x1 * y0
-    return s / 2
 
 
 def lattice_volume(points):
@@ -154,22 +151,35 @@ def eval_basecondary_generic(config, f, gamma):
     return sum((diff * volume for _, diff, volume in expansion_terms(config, f, gamma)), Fraction(0))
 
 
+def fiber_summand(config, gamma):
+    """P off `jet_reference.area_P_bar` at heights of any sign.
+
+    Below 0 through h(gamma + c*1) = h(gamma) + c*h(1), with c = ceil(-min gamma), so the lowest shifted height is 0
+    (the library shifts one further).
+    """
+    c = max(0, math.ceil(-min(gamma)))
+    if not c:
+        return jet_reference.area_P_bar(config, gamma)
+    level = jet_reference.area_P_bar(config, [1] * config.m)
+    return jet_reference.area_P_bar(config, [g + c for g in gamma]) - c * level
+
+
 def morse_support(config, gamma):
-    """P + h - 3 S with h and S the references above, each on its own lift."""
+    """P + h - 3 S with P, h and S the references above, each on its own route."""
     pc = config.config()
     gamma = covector(pc, gamma)
     if any(g < 0 for g in gamma):
         raise InputError("heights must be nonnegative here")
     h = eval_basecondary_general(pc, config.gcd_function(), gamma)
-    return area_P_bar(config, gamma) + h - 3 * secondary_support(pc, gamma)
+    return fiber_summand(config, gamma) + h - 3 * secondary_support(pc, gamma)
 
 
 def maxwell_support(config, gamma):
-    """(P + h - 4 S) / 2 with h and S the references above, each on its own lift."""
+    """(P + h - 4 S) / 2 with P, h and S the references above, each on its own route."""
     pc = config.config()
     gamma = covector(pc, gamma)
     h = eval_basecondary_general(pc, config.gcd_function(), gamma)
-    return (iterated_fiber_support(config, gamma) + h - 4 * secondary_support(pc, gamma)) / 2
+    return (fiber_summand(config, gamma) + h - 4 * secondary_support(pc, gamma)) / 2
 
 
 def build_delta_bar(config, gamma):

@@ -6,7 +6,8 @@ must return the polygons of `jet_reference`'s `Fraction` route vertex for vertex
 `repr`-equal: on Morse pyramids at cone witnesses, wide and
 Laurent exponent sets included, on seeded rational point sets with coplanar
 and collinear runs and repeated points, and on small solids. A pin keeps
-the hulls in integers.
+the hulls, sums and shoelaces of `fiber_polygon` and of the support routes,
+which read `_fiber_sum` itself, in integers.
 """
 
 import random
@@ -17,9 +18,9 @@ import pytest
 from quantity_reference import build_delta
 from test_jet_reference import EXPONENTS
 
-from basecondary import exact_core
+from basecondary import exact_core, fiber_morse
 from basecondary.exact_core import fiber_polygon
-from basecondary.fiber_morse import _shifted_witness, build_delta_bar, morse_config
+from basecondary.fiber_morse import _shifted_witness, area_P_bar, build_delta_bar, maxwell_support, morse_config
 from basecondary.secondary import cone_witness, enumerate_triangulations_1d
 
 WIDE = [[1, 97, 1000, 10007], [-9973, -30, 1, 7919, 104729]]
@@ -78,11 +79,40 @@ def test_fiber_polygon_matches_the_fraction_route_on_small_solids():
 
 
 def test_fiber_polygon_hulls_integers(monkeypatch):
+    """`fiber_polygon`, `area_P_bar` and `maxwell_support` below 0 hull, sum and shoelace ints only.
+
+    The support routes read `_fiber_sum` and never call `fiber_polygon`.
+    """
     rng = random.Random("fiber kernel/integers")
     mc = morse_config([-3, -1, 1, 2, 4])
-    pyramid = build_delta_bar(mc, [F(rng.randint(1, 12), rng.randint(1, 5)) for _ in range(mc.m)])
+    gamma = [F(rng.randint(1, 12), rng.randint(1, 5)) for _ in range(mc.m)]
+    pyramid = build_delta_bar(mc, gamma)
+    hull, msum, area = exact_core._hull, exact_core.minkowski_sum, exact_core.Polygon2.area
     seen = []
-    real = exact_core._chain
-    monkeypatch.setattr(exact_core, "_chain", lambda xs, ys, order: seen.extend((*xs, *ys)) or real(xs, ys, order))
+
+    def record(points):
+        seen.extend(c for p in points for c in p)
+        return points
+
+    def sum_spy(*summands):
+        record([v for p in summands for v in p.vertices])
+        return msum(*summands)
+
+    def area_spy(polygon):
+        record(polygon.vertices)
+        return area(polygon)
+
+    def no_fiber_polygon(vertices):
+        raise AssertionError("a support route called fiber_polygon")
+
+    monkeypatch.setattr(exact_core, "_hull", lambda points: hull(record(list(points))))
+    monkeypatch.setattr(exact_core, "minkowski_sum", sum_spy)
+    monkeypatch.setattr(exact_core.Polygon2, "area", area_spy)
     fiber_polygon(pyramid)
     assert seen and all(type(c) is int for c in seen)
+    monkeypatch.setattr(exact_core, "fiber_polygon", no_fiber_polygon)
+    monkeypatch.setattr(fiber_morse, "fiber_polygon", no_fiber_polygon, raising=False)
+    for run in (lambda: area_P_bar(mc, gamma), lambda: maxwell_support(mc, [g - 7 for g in gamma])):
+        seen.clear()
+        run()
+        assert seen and all(type(c) is int for c in seen)
