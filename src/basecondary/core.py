@@ -4,7 +4,8 @@ The function attached to a point configuration A and a set function F is
 piecewise linear in the height vector; this module provides two independent
 evaluation routes, a threshold sum over subdivision cells and the
 simplicial-support expansion, both summed in integers off the lift's scan
-heights and F cleared to integers (Fortune-Van Wyk 1996); the minimal
+heights and F cleared to integers (Fortune-Van Wyk 1996), and at one gamma
+reading one lift, which the configuration keeps (`secondary._lift`); the minimal
 convexifying multiple of the secondary support; and reconstruction of the
 per-cone gradient representation with an exact convexity certificate: at n = 0 the
 cones are label orders, walked once for their greedy vertices (Edmonds 1970) and
@@ -41,8 +42,8 @@ from .secondary import (
     Subdivision,
     Wall,
     _generic_triangulation,
+    _lift,
     _refine_cell,
-    _scan,
     cone_witness,
     covector,
     discover_cones_random,
@@ -186,26 +187,21 @@ def eval_basecondary_general(config: PointConfig, f: SetFunction, gamma) -> Frac
 
     Per full-dimensional upper cell with offset heights v and maximum M:
     volume(cell) * sum over values c < M of (c - M) * (F{v >= c} - F{v > c}),
-    read off the lift's integer heights h = dz |V(B)| (v - M) (`_oriented_scan`)
+    read off the lift's integer heights h = dz |V(B)| (v - M) (`_lift`)
     and F in integers (`SetFunction.cleared`), with one Fraction per call.
     Sorted by descending h, each {v >= c} is a prefix, so a cell with k levels
     below M makes k + 1 queries of F, none when k = 0. The sets are chosen by
     value, not by the tail order of the generic evaluator, which stays an
     independent check; only sets of more than n labels are queried.
-    """
-    _check_f(config, f)
-    return _threshold_sum(config, f, *_scan(config, covector(config, gamma)))
-
-
-def _threshold_sum(config: PointConfig, f: SetFunction, scan, dz: int) -> Fraction:
-    """`eval_basecondary_general` on the scan of its lift, heights at scale dz.
 
     By parts: F{h >= c} weighs c minus the next level down, and F of every
     label the lowest. A simplex's volume |V(B)| / dx^n cancels the |V(B)| in
     h; another cell scales by the sum of |V| over `_refine_cell`, over |V(B)|.
     """
+    _check_f(config, f)
+    zs, dz = clear_denominators(covector(config, gamma))
     (value, d), total = f.cleared, 0
-    for cell, base, heights in scan:
+    for cell, base, heights in _lift(config, zs):
         s, mask, level = 0, 0, 0
         for k in sorted(range(config.m), key=heights.__getitem__, reverse=True):
             if heights[k] != level:  # mask is {h >= level}
@@ -230,7 +226,7 @@ def _expansion_summands(config: PointConfig, f: SetFunction, gamma: Covector):
     """
     _check_f(config, f)
     zs, dz = clear_denominators(gamma)
-    cells = _generic_triangulation(config, zs)
+    cells = _generic_triangulation(config, _lift(config, zs))
     if cells is None:
         raise InputError("expansion needs a generic height vector; use the general evaluator")
     value, d = f.cleared

@@ -122,8 +122,9 @@ def rational_draws(seed, bound: int):
 class PointConfig:
     """Ground set {1..m} together with its image points in Q^n.
 
-    `lift_forms`, the lift's integer kernel, is built on first use and kept
-    with the config; not being a field, it is ignored by ==, hash, repr.
+    Kept with the config, no fields, so ignored by ==, hash and repr: `lift_forms`, the lift's integer kernel,
+    built on first use, and the last lift (`secondary._lift`), the scan rows of the last integer heights lifted,
+    keyed by them. The routes that share a lift run back to back, so one entry serves them and keeps one alive.
     """
 
     n: int
@@ -276,7 +277,9 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q: the number of pivots of `_bareiss` on the rows each scaled to integers."""
+    """Rank over Q: the `_bareiss` pivots of the rows each scaled to integers, transposed if tall (rank M^T = rank M)."""
+    if rows and len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
     return len(_bareiss([clear_denominators(r)[0] for r in rows])[0])
 
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .core import PiecewiseLinearRep, _threshold_sum, cone_witnesses
+from .core import PiecewiseLinearRep, cone_witnesses, eval_basecondary_general
 from .exact_core import (
     PointConfig, Point3, _fiber_sum, as_int, as_list, clear_denominators, make_config, upper_chain,
 )
-from .secondary import Covector, _gkz_pairing, _scan, covector
+from .secondary import Covector, covector, secondary_support
 from .setfun import SetFunction, neg_gcd_function
 
 VARIANTS = ("morse", "maxwell")
@@ -123,30 +123,24 @@ def iterated_fiber_support(config: MorseConfig, gamma) -> Fraction:
     return area_P_bar(config, [g + shift for g in gamma]) - shift * level
 
 
-def _one_scan(config: MorseConfig, gamma: Covector) -> tuple[Fraction, Fraction]:
-    """The basecondary value h of F = -gcd and the secondary support S, read off one integer scan."""
-    pc = config.config()
-    scan, dz = _scan(pc, gamma)
-    return _threshold_sum(pc, config.gcd_function(), scan, dz), _gkz_pairing(pc, [c for c, _, _ in scan], gamma)
-
-
 def morse_support(config: MorseConfig, gamma) -> Fraction:
     """Support of the Newton polytope of the Morse discriminant, up to a shift.
 
     P + h - 3 S on nonnegative heights: the iterated-fiber summand P, the
     basecondary value h for F = -gcd, and -3 times the secondary support S
-    (twice the Euclidean `area_N`), with h and S read off one lift.
+    (twice the Euclidean `area_N`), with h and S read off one lift: S reads
+    the lift of gamma that h's evaluation left on the configuration.
     """
-    gamma = covector(config.config(), gamma)
+    gamma = covector(pc := config.config(), gamma)
     p = area_P_bar(config, gamma)  # refuses negative heights
-    h, s = _one_scan(config, gamma)
+    h, s = eval_basecondary_general(pc, config.gcd_function(), gamma), secondary_support(pc, gamma)
     return p + h - 3 * s
 
 
 def maxwell_support(config: MorseConfig, gamma) -> Fraction:
     """Support of the Newton polytope of the Maxwell stratum, up to a linear part: (P + h - 4 S) / 2."""
-    gamma = covector(config.config(), gamma)
-    h, s = _one_scan(config, gamma)
+    gamma = covector(pc := config.config(), gamma)
+    h, s = eval_basecondary_general(pc, config.gcd_function(), gamma), secondary_support(pc, gamma)
     return (iterated_fiber_support(config, gamma) + h - 4 * s) / 2
 
 

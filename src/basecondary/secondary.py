@@ -1,4 +1,8 @@
-"""Regular subdivisions, 1D triangulations and walls, GKZ vectors, secondary support."""
+"""Regular subdivisions, 1D triangulations and walls, GKZ vectors, secondary support.
+
+Cells, supports and genericity at given heights, and both evaluators of `core`, read one lift per height
+vector (GKZ 1994, ch. 7): `_lift`, kept on the configuration. The seeded samplers stream `_oriented_scan`.
+"""
 
 from __future__ import annotations
 
@@ -82,7 +86,7 @@ class CircuitalSupport:
 
 
 def _oriented_scan(config: PointConfig, zs: Sequence):
-    """Upper cells from the circuit forms of `PointConfig.lift_forms`, for every n.
+    """Upper cells from the circuit forms of `PointConfig.lift_forms`, for every n: the one lift.
 
     Takes the heights cleared to integers zs, at any positive scale. Yields
     (cell, base, heights h) once per cell and builds no Fraction; a base is
@@ -91,6 +95,7 @@ def _oriented_scan(config: PointConfig, zs: Sequence):
     once per call, when a base first reads ref +j or -j; `signed`, indexed by
     ref, keeps both signs, and signed[0] = 0 for a label on the base. A base
     stops at its first positive h and builds its heights only if it survives.
+    `_lift` keeps its triples for given heights; the seeded samplers stop at the first non-generic cell.
     """
     _, _, circuits, bases, _ = config.lift_forms
     signed, z = [None] * (2 * len(circuits) + 1), zs.__getitem__
@@ -111,6 +116,15 @@ def _oriented_scan(config: PointConfig, zs: Sequence):
             if cell not in seen:
                 seen.add(cell)
                 yield cell, base, heights
+
+
+def _lift(config: PointConfig, zs: Sequence[int]) -> list:
+    """`_oriented_scan`'s triples of zs, kept as the config's one last lift (`PointConfig`); callers never mutate a row."""
+    key, kept = tuple(zs), vars(config)
+    last = kept.get("last_lift")
+    if last is None or last[0] != key:
+        last = kept["last_lift"] = key, list(_oriented_scan(config, key))
+    return last[1]
 
 
 def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
@@ -140,7 +154,7 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     xs, dx = config.lift_forms[:2]
     zs, dz = clear_denominators(gamma)
     cells = {}
-    for cell, (b, *rest), heights in _oriented_scan(config, zs):
+    for cell, (b, *rest), heights in _lift(config, zs):
         normal = integer_normal([[a - c for a, c in zip(xs[k] + (zs[k],), xs[b] + (zs[b],))] for k in rest])
         slope, unit = Fraction(-dx, dz * normal[-1]), Fraction(1, dz * abs(normal[-1]))
         linear = tuple(slope * c for c in normal[:-1])
@@ -150,23 +164,17 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     return tuple(sorted(cells.values(), key=lambda c: c.cell))
 
 
-def _scan(config: PointConfig, gamma: Covector) -> tuple[list, int]:
-    """The cells of the lift of gamma with no affine data: `_oriented_scan`'s triples, and the heights' scale dz."""
-    zs, dz = clear_denominators(gamma)
-    return list(_oriented_scan(config, zs)), dz
+def _generic_triangulation(config: PointConfig, scan):
+    """{cell: scan heights h by label - 1} of a lift's scan when it passes `is_generic`, else None.
 
-
-def _generic_triangulation(config: PointConfig, zs: Sequence):
-    """{cell: scan heights h by label - 1} of the lift of zs when it passes `is_generic`, else None.
-
-    Takes heights cleared to integers at any positive scale and clears
-    nothing. It reads the integer scan of `upper_cells`, for every n, and
-    builds no affine data: a cell's values are its maximum plus
+    Takes `_oriented_scan`'s triples, of heights cleared to integers at any
+    positive scale: a kept `_lift`, or the stream itself, which stops at the
+    first failing cell. It builds no affine data: a cell's values are its maximum plus
     h / (dz |N_z|), so they are distinct, and descend, exactly where the h
     do. A configuration that does not span is generic with no cells: {}.
     """
     cells, size, free = {}, config.n + 1, config.m - config.n
-    for cell, _, heights in _oriented_scan(config, zs):
+    for cell, _, heights in scan:
         if len(cell) != size or len(set(heights)) != free:
             return None
         cells[cell] = heights
@@ -181,7 +189,7 @@ def is_generic(config: PointConfig, gamma) -> bool:
     each cell, a simplicial support, the values of gamma - L o A off the cell
     are pairwise distinct.
     """
-    return _generic_triangulation(config, clear_denominators(covector(config, gamma))[0]) is not None
+    return _generic_triangulation(config, _lift(config, clear_denominators(covector(config, gamma))[0])) is not None
 
 
 def enumerate_simplicial(config: PointConfig, gamma) -> tuple[SimplicialSupport, ...]:
@@ -217,7 +225,8 @@ def enumerate_circuital(config: PointConfig, gamma) -> tuple[CircuitalSupport, .
 
 def regular_subdivision(config: PointConfig, gamma) -> Subdivision:
     """The regular subdivision induced by the heights gamma (upper convention)."""
-    return Subdivision(n=config.n, cells=tuple(sorted(c for c, _, _ in _scan(config, covector(config, gamma))[0])))
+    zs = clear_denominators(covector(config, gamma))[0]
+    return Subdivision(n=config.n, cells=tuple(sorted(c for c, _, _ in _lift(config, zs))))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +306,8 @@ def secondary_support(config: PointConfig, gamma) -> Fraction:
     refinement because gamma is affine on each cell.
     """
     gamma = covector(config, gamma)
-    return _gkz_pairing(config, [cell for cell, _, _ in _scan(config, gamma)[0]], gamma)
-
-
-def _gkz_pairing(config: PointConfig, cells: Sequence[tuple[int, ...]], gamma: Covector) -> Fraction:
-    """`secondary_support` on the cells, label tuples, of the lift of gamma."""
-    simplices = tuple(s for cell in cells for s in _refine_cell(config, cell))
+    cells = _lift(config, clear_denominators(gamma)[0])
+    simplices = tuple(s for cell, _, _ in cells for s in _refine_cell(config, cell))
     phi = gkz_vector(config, Subdivision(n=config.n, cells=simplices))
     return sum((p * g for p, g in zip(phi, gamma)), Fraction(0))
 
@@ -350,7 +355,7 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
             amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1) * d2)
             jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
         gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
-        cells = _generic_triangulation(config, clear_denominators(gamma)[0])
+        cells = _generic_triangulation(config, _oriented_scan(config, clear_denominators(gamma)[0]))
         if cells is not None and tuple(cells) == t.cells:
             return gamma
     raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
@@ -413,7 +418,7 @@ def discover_cones_random(
     for _ in range(samples):
         draws = draw(config.m)
         d = math.lcm(*(q for _, q in draws))
-        cells = _generic_triangulation(config, [p * (d // q) for p, q in draws])
+        cells = _generic_triangulation(config, _oriented_scan(config, [p * (d // q) for p, q in draws]))
         if cells is not None and (key := tuple(cells)) not in found:
             found[key] = (Subdivision(n=config.n, cells=key), tuple(Fraction(p, q) for p, q in draws))
     return tuple(found[key] for key in sorted(found))

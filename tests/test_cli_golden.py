@@ -10,12 +10,19 @@ Rewrite the file (only when an answer is meant to change) with
 which first prints how many runs change bytes, and how many change exit code
 or parsed JSON value. A rewrite for layout alone must change no parsed value.
 No answer may print a Python repr such as `Fraction(-4, 1)`.
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
+prints the same counts, rewrites nothing and exits 1 when any run differs
+from the file. It needs no pytest, so it checks any Python the package
+supports (`requires-python` in pyproject.toml).
 """
 
 import contextlib
 import io
 import json
 import os
+import sys
 
 from basecondary.cli import VERBS, main
 
@@ -77,6 +84,8 @@ if __name__ == "__main__":
         f"{sum(o is not None and _answer(o) != _answer(r) for o, r in pairs)} change exit code or parsed value, "
         f"{sum(o is None for o, _ in pairs)} are new"
     )
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(0 if os.path.exists(GOLDEN) and rows == _golden() else 1)
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         for row in rows:

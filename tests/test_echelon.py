@@ -19,6 +19,7 @@ from fractions import Fraction as F
 import linalg_reference as ref
 import pytest
 
+from basecondary import exact_core
 from basecondary.errors import InputError
 from basecondary.exact_core import (
     _det,
@@ -113,6 +114,27 @@ def test_kernel_matches_the_fraction_eliminations():
                     kernels += 1
                     assert _kernel_of_minors([[*r, -b] for r, b in zip(rows, rhs)]), (rows, rhs)
     assert seen >= 2000 and dets >= 1000 and solves >= 1000 and kernels >= 1500
+
+
+def test_rank_eliminates_the_shorter_side(monkeypatch):
+    # rank M^T = rank M: a matrix_rank F's k columns of length 3 are eliminated as 3 rows of length k
+    shapes = []
+    real = exact_core._bareiss
+    monkeypatch.setattr(exact_core, "_bareiss", lambda a: shapes.append((len(a), len(a[0]) if a else 0)) or real(a))
+    rng = random.Random("rank/shorter-side")
+    deficient = 0
+    for _ in range(200):
+        short, long = rng.randint(1, 4), rng.randint(5, 14)
+        rank = rng.randint(0, short - 1)
+        tall, low = _random(rng, long, short), _low_rank(rng, long, short, rank)
+        for rows in (tall, low, [list(c) for c in zip(*tall)], [list(c) for c in zip(*low)]):
+            shapes.clear()
+            got = matrix_rank(rows)
+            assert _same(got, ref.matrix_rank(rows)), rows
+            assert shapes == [(short, long)], rows
+            deficient += got < short
+    assert deficient >= 400
+    assert matrix_rank([[]] * 3) == matrix_rank([]) == 0
 
 
 def _circuit_points(rng, n):

@@ -383,19 +383,21 @@ def test_morse_polytope_at_a_witness_on_a_fiber_chamber_wall(tmp_path, variant):
 
 def test_maxwell_support_lifts_once(monkeypatch):
     # the basecondary value and the secondary support read one lift of gamma:
-    # one integer scan, which each cone witness attempt also runs
+    # one real integer scan (the second call reads the config's kept lift),
+    # which each cone witness attempt also runs; a fresh config keeps no lift yet
     from basecondary import secondary
 
     lifts = []
     real = secondary._oriented_scan
     monkeypatch.setattr(secondary, "_oriented_scan", lambda *a: lifts.append(a) or real(*a))
+    mc = morse_config(MC.points)
     for gamma in ((1, 2, 3, 5), (-1, 0, 4, 2)):
         lifts.clear()
-        maxwell_support(MC, gamma)
+        maxwell_support(mc, gamma)
         assert len(lifts) == 1
     for variant in ("morse", "maxwell"):  # 4 cone witnesses and 8 evaluations, two per gradient
         lifts.clear()
-        morse_polytope(MC, variant)
+        morse_polytope(mc, variant)
         assert len(lifts) == 12
 
 

@@ -6,8 +6,12 @@ upper cells, the simplicial supports and the circuital supports, with
 genericity read off all three. Results must agree exactly, Fraction types included.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -24,6 +28,8 @@ from basecondary.core import (
 )
 from basecondary.secondary import Subdivision, discover_cones_random
 from basecondary import core, exact_core, secondary
+from basecondary.cli import main
+from basecondary.fiber_morse import maxwell_support, morse_config, morse_support
 from basecondary.exact_core import affine_rank, clear_denominators, find_circuit, make_config, solve_linear
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
 from basecondary.setfun import neg_card_ratio_function
@@ -378,3 +384,117 @@ def test_a_pentagon_lift_sums_at_most_its_five_circuit_forms():
         reads.append(table.reads)
         sums += form_sums
     assert max(reads) <= 5 and sums >= 2 * sum(reads), (sum(reads), sums)  # the form table sums about 15 per lift
+
+
+# ---------------------------------------------------------------------------
+# the kept lift: each configuration keeps the scan of its last height vector
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
+
+
+def _count_scans(monkeypatch):
+    """The integer vectors of the real scans from here on: `_lift` calls `_oriented_scan` only on a miss."""
+    scans = []
+    real = secondary._oriented_scan
+    monkeypatch.setattr(secondary, "_oriented_scan", lambda config, zs: scans.append(tuple(zs)) or real(config, zs))
+    return scans
+
+
+def _every_lift_route(config, f, gamma):
+    """Each route that evaluates at the heights it is given, in turn; the expansion's only where they are generic."""
+    core.eval_basecondary_general(config, f, gamma)
+    if is_generic(config, gamma):
+        eval_basecondary_generic(config, f, gamma)
+        core.expansion_terms(config, f, gamma)
+        core.gradient_on_cone(config, f, gamma)
+    upper_cells(config, gamma)
+    enumerate_simplicial(config, gamma)
+    enumerate_circuital(config, gamma)
+    secondary.regular_subdivision(config, gamma)
+    secondary.secondary_support(config, gamma)
+
+
+def test_general_then_generic_evaluation_scans_once(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    rng = random.Random("kept-lift/evaluators")
+    for n, m in ((0, 5), (1, 7), (2, 6)):
+        config = _config(rng, n, m, rational=True)
+        f = neg_card_ratio_function(m, min_size=n)
+        gamma = _heights(rng, config, "random")
+        assert is_generic(make_config(n, config.points), gamma)  # an equal config: its own lift
+        scans.clear()
+        assert core.eval_basecondary_general(config, f, gamma) == eval_basecondary_generic(config, f, gamma)
+        assert scans == [tuple(clear_denominators(gamma)[0])]
+        _every_lift_route(config, f, gamma)
+        assert len(scans) == 1
+
+
+def test_bck_simplicial_scans_once(monkeypatch):
+    # enumerate_simplicial and is_generic read one lift of the document's gamma
+    scans = _count_scans(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["simplicial", "--input", os.path.join(FIXTURES, "a1367_gcd.json")]) == 0
+    assert json.loads(out.getvalue())["generic"] is True
+    assert scans == [(2, 4, 5, 3)]
+
+
+def test_morse_and_maxwell_supports_share_one_scan(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    mc = morse_config([1, 3, 6, 7])
+    morse_support(mc, (1, 2, 3, 5))
+    assert len(scans) == 1  # the basecondary value scans, the secondary support reads its lift
+    maxwell_support(mc, (1, 2, 3, 5))
+    assert len(scans) == 1
+    maxwell_support(mc, (1, 2, 3, 6))
+    assert len(scans) == 2
+
+
+def test_new_heights_or_an_equal_config_scan_again(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    config, twin = make_config(1, [[1], [3], [6], [7]]), make_config(1, [[1], [3], [6], [7]])
+    calls = (
+        (config, (2, 4, 5, 3), 1),
+        (config, (2, 4, 5, 3), 1),  # the kept lift
+        (config, (1, 2, F(5, 2), F(3, 2)), 1),  # clears to the same integers: the same lift
+        (twin, (2, 4, 5, 3), 2),  # equal, but a config of its own
+        (config, (2, 4, 5, 4), 3),
+        (config, (2, 4, 5, 3), 4),  # one entry: the lift before last is gone
+        (config, (4, 8, 10, 6), 5),  # other integers, though the same cells
+    )
+    for c, gamma, count in calls:
+        is_generic(c, gamma)
+        assert len(scans) == count, gamma
+    assert config == twin and hash(config) == hash(twin) and repr(config) == repr(twin)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_the_kept_lift_is_the_streaming_scan(monkeypatch, n):
+    """After every lift route ran at seeded heights (ties and affine heights included), one scan, unmutated."""
+    scans = _count_scans(monkeypatch)
+    rng = random.Random(f"kept-lift/{n}")
+    generic = 0
+    for m, kind in itertools.product(SIZES[n], KINDS):
+        config = _config(rng, n, m, rational=n == 2)
+        gamma = _heights(rng, config, kind)
+        zs = tuple(clear_denominators(gamma)[0])
+        scans.clear()
+        _every_lift_route(config, neg_card_ratio_function(m, min_size=n), gamma)
+        kept = vars(config)["last_lift"]
+        assert scans == [zs] and kept == (zs, list(secondary._oriented_scan(config, zs))), (config, gamma)
+        assert _scan_types(kept[1]) == _scan_types(secondary._oriented_scan(config, zs))
+        generic += is_generic(config, gamma)
+    assert 0 < generic < len(SIZES[n]) * len(KINDS)
+
+
+def test_the_samplers_never_read_the_kept_lift(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a seeded sampler read the kept lift")
+
+    monkeypatch.setattr(secondary, "_lift", refuse)
+    pentagon = make_config(2, PENTAGON.points)
+    assert len(discover_cones_random(pentagon, 200, 41)) == 5
+    config = make_config(1, [[1], [3], [6], [7]])
+    for t in secondary.enumerate_triangulations_1d(config):
+        secondary.cone_witness(config, t)
+    assert "last_lift" not in vars(pentagon) and "last_lift" not in vars(config)
