@@ -31,7 +31,11 @@ class SetFunction:
       matrix_rank        rank over Q of the selected columns
       neg_card_ratio     -|X|/m
 
-    `cleared` (F in integers, kept once built) is no field: ==, hash and repr ignore it.
+    A table's keys must be frozensets within 1..m and its values and default
+    ints or Fractions; the one pass that checks them takes `scale`, the lcm
+    of their denominators (m for neg_card_ratio, 1 else). `scale` and
+    `cleared` (F in integers, kept once built) are no fields: ==, hash and
+    repr ignore them.
     """
 
     kind: str
@@ -62,14 +66,24 @@ class SetFunction:
                 raise InputError("matrix_rank columns must be equally long")
         if self.kind == "neg_indicator_full" and not 1 <= self.point <= self.m:
             raise InputError("marked element out of range")
+        scale = self.m if self.kind == "neg_card_ratio" else 1
         if self.kind == "table":
             if self.table is None:
                 raise InputError("table kind needs a value map")
-            if self.min_size == 0 and self.table.get(frozenset(), Fraction(0)) != 0:
+            ground, denominators = self.ground(), {_rational(self.default, "default").denominator}
+            for key, q in self.table.items():
+                if not isinstance(key, frozenset):
+                    raise InputError(f"table key {key!r} is not a frozenset")
+                if not key <= ground:
+                    shown = sorted(key) if all(isinstance(i, int) for i in key) else set(key)
+                    raise InputError(f"table key {shown} not within 1..{self.m}")
+                if type(q) is not Fraction and type(q) is not int:  # exact types skip the full check
+                    _rational(q, "value")
+                denominators.add(q.denominator)
+            if self.min_size == 0 and self.table.get(frozenset(), 0) != 0:
                 raise InputError("F(empty set) must be 0 when min_size is 0")
-            ground = self.ground()
-            if (key := next((k for k in self.table if not k <= ground), None)) is not None:
-                raise InputError(f"table key {sorted(key)} not within 1..{self.m}")
+            scale = math.lcm(*denominators)
+        vars(self)["scale"] = scale
 
     def ground(self) -> Subset:
         return frozenset(range(1, self.m + 1))
@@ -78,16 +92,26 @@ class SetFunction:
     def cleared(self) -> tuple[Callable[[int], int], int]:
         """(value, d): value(mask) = d * F(X), X the labels of mask's bits (label i at bit i - 1).
 
-        d is the lcm of a table's denominators, default included, m for
-        neg_card_ratio and 1 else. Every reader of F in this package reads it,
-        and each set goes through `evaluate_f` on its first query only: an
-        evaluation reads few of the 2^m sets, a submodularity scan all of them.
+        d is `scale`, taken at construction, so no query scans a table. Every
+        reader of F in this package reads it, and each set goes through
+        `evaluate_f` on its first query only, made an integer without a
+        Fraction product: an evaluation reads few of the 2^m sets, a
+        submodularity scan all of them.
         """
-        d = self.m if self.kind == "neg_card_ratio" else 1
-        if self.kind == "table":
-            d = math.lcm(self.default.denominator, *{v.denominator for v in self.table.values()})
-        labels = range(1, self.m + 1)
-        return functools.cache(lambda mask: int(d * evaluate_f(self, (i for i in labels if mask >> i - 1 & 1)))), d
+        d, labels = self.scale, range(1, self.m + 1)
+
+        def value(mask: int) -> int:
+            q = evaluate_f(self, (i for i in labels if mask >> i - 1 & 1))
+            return q.numerator * (d // q.denominator)
+
+        return functools.cache(value), d
+
+
+def _rational(q, what: str):
+    """q itself; a table value or default that is no int or Fraction (a bool included) is an InputError."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise InputError(f"table {what} {q!r} is not an int or Fraction")
+    return q
 
 
 def table_function(m: int, values: dict, default=0, min_size: int = 0) -> SetFunction:

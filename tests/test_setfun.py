@@ -106,6 +106,68 @@ def test_table_keys_outside_the_ground_set_are_refused():
     assert table_function(4, {frozenset({1, 4}): 1}).table == {frozenset({1, 4}): 1}
 
 
+@pytest.mark.parametrize("table, default, message", [
+    ({(1, 2): F(1)}, F(0), "table key (1, 2) is not a frozenset"),
+    ({3: F(1)}, F(0), "table key 3 is not a frozenset"),
+    ({frozenset({1, "a"}): F(1)}, F(0), "not within 1..4"),
+    ({frozenset({1}): 0.5}, F(0), "table value 0.5 is not an int or Fraction"),
+    ({frozenset({1}): "1/2"}, F(0), "table value '1/2' is not an int or Fraction"),
+    ({frozenset({1}): None}, F(0), "table value None is not an int or Fraction"),
+    ({frozenset({1}): True}, F(0), "table value True is not an int or Fraction"),
+    ({frozenset({1}): F(1)}, 0.25, "table default 0.25 is not an int or Fraction"),
+], ids=["tuple-key", "int-key", "str-label", "float", "str", "None", "bool", "float-default"])
+def test_table_refuses_bad_keys_and_values_at_construction(table, default, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        SetFunction(kind="table", m=4, min_size=1, table=table, default=default)
+
+
+def test_table_scale_is_taken_at_construction():
+    f = SetFunction(kind="table", m=3, table={frozenset({1}): F(1, 6), frozenset({2, 3}): 4}, default=F(3, 4))
+    assert vars(f)["scale"] == 12 and "cleared" not in vars(f)
+    assert f.cleared[1] == 12 and f.cleared[0](0b110) == 48
+    assert "scale" not in repr(f) and f == SetFunction(kind="table", m=3, table=dict(f.table), default=F(3, 4))
+
+
+class _CountedTable(dict):
+    """A table that counts the calls that scan it; `get` is not counted."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scans = []
+
+    def items(self):
+        self.scans.append("items")
+        return super().items()
+
+    def values(self):
+        self.scans.append("values")
+        return super().values()
+
+    def __iter__(self):
+        self.scans.append("__iter__")
+        return super().__iter__()
+
+
+def test_no_reader_scans_the_table():
+    rng = random.Random("unscanned table")
+    values = {frozenset(sub): F(rng.randint(-5, 5), rng.randint(1, 6))
+              for r in range(1, 5) for sub in itertools.combinations(range(1, 5), r)}
+    circuit = find_circuit(A1367.subset_points([1, 2, 3]), labels=[1, 2, 3])
+    readers = [
+        lambda f: core.eval_basecondary_general(A1367, f, (2, 4, 5, 3)),
+        lambda f: core.eval_basecondary_generic(A1367, f, (2, 4, 5, 3)),
+        lambda f: circuit_value(f, circuit),
+        lambda f: greedy_vertex(f, (3, 1, 4, 2)),
+    ]
+    for read in readers:
+        table = _CountedTable(values)
+        f = SetFunction(kind="table", m=4, table=table, default=F(1, 7))
+        table.scans.clear()
+        got = read(f)
+        assert table.scans == []
+        assert repr(got) == repr(read(SetFunction(kind="table", m=4, table=dict(values), default=F(1, 7))))
+
+
 def _every_kind(rng, m):
     """One F of each kind on 1..m, min_size 1; the table lists about half the sets and has a default."""
     table = {
