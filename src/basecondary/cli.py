@@ -38,10 +38,10 @@ _VERB_HELP = {
     "check-submodular": "exhaustive submodularity check",
     "check-circuit-condition": "circuit inequality over all spanning (n+2)-subsets",
     "convexify": "minimal convexifying multiple of the secondary support",
-    "polytope": "per-cone gradients with convexity certificate",
+    "polytope": "per-cone gradients with convexity certificate; n = 1 witnesses print as integers",
     "morse-support": "Morse-discriminant Newton-polytope support at gamma",
     "maxwell-support": "Maxwell-stratum Newton-polytope support at gamma",
-    "morse-polytope": "certified gradient representation (--variant)",
+    "morse-polytope": "certified gradient representation (--variant); witnesses print as integers",
     "trop-morse": "tropical Morse classification of a max-plus polynomial",
     "trop-sample": "seeded Morse-fraction sampling over coefficients",
 }

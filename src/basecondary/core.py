@@ -336,7 +336,8 @@ def cone_witnesses(
 ) -> tuple[tuple[Subdivision, Covector], ...]:
     """(triangulation, generic witness) pairs covering the secondary cones (all of them for n = 1).
 
-    n = 1: every triangulation with its `cone_witness`; n >= 2: `discover_cones_random`; n = 0 is refused.
+    n = 1: every triangulation with its `cone_witness`, a positive integer vector by construction;
+    n >= 2: `discover_cones_random`; n = 0 is refused.
     """
     if config.n == 0:
         raise InputError("n = 0 cones are label orders; reconstruct_polytope reads them")

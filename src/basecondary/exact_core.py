@@ -23,6 +23,7 @@ Tropical critical points, cone discovery and fiber polygons run on scaled
 integers: a positive scale per coordinate keeps every sign, equality, hull
 and edge-angle order, so only reported values become Fractions. `_fiber_sum` is the one fiber route: it cuts, hulls
 and sums integer slices at one scale L with integer weights; `fiber_polygon` and `fiber_morse.area_P_bar` divide once.
+`kronecker_point` is the one symbolic perturbation: cone witnesses and Morse gradients read z + eps off it.
 """
 
 from __future__ import annotations
@@ -215,6 +216,18 @@ def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """The integers d * x for d the lcm of the denominators of xs, and d > 0."""
     d = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def kronecker_point(z: Sequence[int], base: int) -> list[int]:
+    """Z = base^m z + (base^(m-1), ..., base, 1) for integers z of length m: z + eps, eps_1 >> ... >> eps_m.
+
+    For an integer linear form l with every |l_k| < base, l(Z) = base^m l(z) + sum_k l_k base^(m-1-k) has
+    the sign of l(z), or where l(z) = 0 that of l's first nonzero coefficient, and is 0 only for l = 0
+    (simulation of simplicity, Edelsbrunner-Mücke 1990).
+    """
+    m = len(z)
+    top = base**m
+    return [top * c + base ** (m - 1 - k) for k, c in enumerate(z)]
 
 
 def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InputError, InternalError
 from .core import PiecewiseLinearRep, cone_witnesses, eval_basecondary_general
 from .exact_core import (
-    PointConfig, Point3, _fiber_sum, as_int, as_list, clear_denominators, make_config, upper_chain,
+    PointConfig, Point3, _fiber_sum, as_int, as_list, clear_denominators, kronecker_point, make_config, upper_chain,
 )
 from .secondary import Covector, covector, secondary_support
 from .setfun import SetFunction, neg_gcd_function
@@ -144,17 +144,6 @@ def maxwell_support(config: MorseConfig, gamma) -> Fraction:
     return (iterated_fiber_support(config, gamma) + h - 4 * s) / 2
 
 
-def _shifted_witness(pc: PointConfig, witness: Covector) -> Covector:
-    """Push a witness into the strictly positive orthant by a constant.
-
-    Constants are affine on the configuration, so the secondary cone and
-    genericity are preserved.
-    """
-    low = min(witness)
-    shift = Fraction(0) if low >= 1 else 1 - low
-    return tuple(w + shift for w in witness)
-
-
 def _gradient(config: MorseConfig, support, w: Covector) -> tuple[Fraction, ...]:
     """The gradient g of `support` at w + eps, w a positive witness, read off two integer evaluations.
 
@@ -162,7 +151,8 @@ def _gradient(config: MorseConfig, support, w: Covector) -> tuple[Fraction, ...]
     heights every fiber, Morse and Maxwell value lies in (1/D) Z, D = 2 L^2:
     the fiber value is an integer over s^2 for the kernel's scale s | L, h one
     over a gap, and Maxwell halves. With w cleared to integers z, evaluate at z
-    and at Z = N^m z + (N^(m-1), ..., N, 1), N a power of 2. Every comparison
+    and at Z = N^m z + (N^(m-1), ..., N, 1), N a power of 2: the shared
+    `exact_core.kronecker_point`, which `cone_witness` also builds. Every comparison
     the supports make is the sign of an integer linear form l in the heights,
     and l(Z) = N^m l(z) + l(N^(m-1), ..., 1). Where l's coefficients are below
     N, that is the sign of l(z), or where l(z) = 0 of l's first nonzero
@@ -198,8 +188,7 @@ def _gradient(config: MorseConfig, support, w: Covector) -> tuple[Fraction, ...]
     base = 1 << (44 * (xs[-1] - xs[0]) ** 2 * d).bit_length()
     z, _ = clear_denominators(w)
     value = support(config, z)
-    top = base ** m
-    packed = d * (support(config, [top * c + base ** (m - 1 - k) for k, c in enumerate(z)]) - top * value)
+    packed = d * (support(config, kronecker_point(z, base)) - base**m * value)
     if packed.denominator != 1:
         raise InternalError("support at the Kronecker point is off the (1/D) Z grid")
     rest, grad = packed.numerator, []
@@ -219,7 +208,8 @@ def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLine
     """Per-secondary-cone gradient representation of the chosen support.
 
     Each cone's gradient is `_gradient` of `morse_support` or
-    `maxwell_support` at its positive witness w: on a wall of the support's
+    `maxwell_support` at its witness w, positive by construction
+    (`secondary.cone_witness`), as the supports need: on a wall of the support's
     linearity chambers it is that of the chamber toward
     eps_1 >> eps_2 >> ... The homogeneity identity <g, w> = support(w) is
     checked as an invariant.
@@ -227,9 +217,4 @@ def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLine
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
     support = morse_support if variant == "morse" else maxwell_support
-    pc = config.config()
-    pairs = []
-    for _, w in cone_witnesses(pc):
-        w = _shifted_witness(pc, w)
-        pairs.append((w, _gradient(config, support, w)))
-    return PiecewiseLinearRep.certify(pairs)
+    return PiecewiseLinearRep.certify([(w, _gradient(config, support, w)) for _, w in cone_witnesses(config.config())])

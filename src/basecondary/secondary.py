@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, InternalError, ResourceError
-from .exact_core import CircuitData, PointConfig, _hull, clear_denominators, integer_normal, rat, rational_draws
+from .errors import InputError, ResourceError
+from .exact_core import (
+    CircuitData, PointConfig, _hull, clear_denominators, integer_normal, kronecker_point, rat, rational_draws,
+)
 
 Covector = tuple[Fraction, ...]
 
 RANDOM_HEIGHT_BOUND = 10**4
-WITNESS_RETRY_CAP = 64
 TRIANGULATION_1D_CAP = 16
 
 
@@ -327,38 +328,31 @@ def area_N(config: PointConfig, gamma) -> Fraction:
 
 
 def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
-    """A deterministic generic height vector inducing the triangulation t; one integer scan per attempt.
+    """A positive generic integer height vector inducing the triangulation t, with no scan and no retry.
 
-    Vertices sit on a concave parabola, non-vertices at small negative
-    values strictly below every chord. Attempt 0 is the bare parabola, which
-    ties two tail values whenever two vertex pairs share their coordinate
-    sum; later attempts add a geometric jitter (prime ratio, shrinking
-    amplitude <= 1/(2 d^2), d the lcm of the coordinates' denominators) to
-    the vertices, up to `WITNESS_RETRY_CAP` attempts. The parabola lies
-    (x_v - x_u)(x_w - x_v) >= 1/d^2 above the chord of a vertex's neighbours
-    u, w, so every attempt induces t and only genericity is retried.
+    The heights big + 1 - x^2 on t's vertices (big = 1 + max x^2, so each is at least 2) and i / (m + 1)
+    on each other label i, cleared to integers z, induce t: the vertices lie on a strictly concave parabola,
+    and a non-vertex lies below every line through two vertices, which is at least 2 over the vertices' span.
+    So over each cell of t every other lifted height h < 0, and over every other base some h > 0.
+    The witness is `kronecker_point(z, N)`, z + eps, with N the power of 2 above 2 (x_max - x_min), x
+    the cleared coordinates of `PointConfig.lift_forms`. Why that N suffices: at n = 1 a circuit form's
+    coefficients are +-V of two of its three points, gaps between two x, so at most the span. The scan
+    (`_oriented_scan`, `_generic_triangulation`) only compares a height h, a circuit form, with 0 and two
+    heights h_a - h_b over one base, whose coefficients are then at most 2 (x_max - x_min) < N. Neither form
+    is 0: h_l has the coefficient |V(B)| != 0 on z_l, and h_a - h_b has it on z_a. So at Z every h keeps its
+    sign at z, where none is 0 off its base, and no h or h_a - h_b is 0: Z induces t, every cell has two
+    points and its tail heights are distinct, so Z is generic.
     """
-    if not t.is_triangulation:
-        raise InputError("cone witnesses are built for triangulations")
+    order = _labels_by_coordinate(config)
     verts = set(t.vertex_set())
-    if config.n != 1:
-        raise InputError("deterministic witnesses implemented for n = 1")
+    chain = [i for i in order if i in verts]
+    if chain[:1] + chain[-1:] != [order[0], order[-1]] or _chain_cells(chain) != t.cells:
+        raise InputError(f"{t.cells} is not a triangulation of the configuration")
     big = 1 + max(p[0] * p[0] for p in config.points)
-    base = [big - p[0] * p[0] if i in verts else Fraction(i, config.m + 1) - 1
-            for i, p in enumerate(config.points, 1)]
-    d2 = config.lift_forms[1] ** 2
-    primes = (2, 3, 5, 7, 11, 13)
-    for attempt in range(WITNESS_RETRY_CAP):
-        jitter = {}
-        if attempt:
-            r = primes[(attempt - 1) % len(primes)]
-            amp = Fraction(1, 2 ** ((attempt - 1) // len(primes) + 1) * d2)
-            jitter = {i: amp * Fraction(r**i, r**config.m) for i in verts}
-        gamma = tuple(b + jitter.get(i, 0) for i, b in enumerate(base, 1))
-        cells = _generic_triangulation(config, _oriented_scan(config, clear_denominators(gamma)[0]))
-        if cells is not None and tuple(cells) == t.cells:
-            return gamma
-    raise InternalError(f"no generic witness found for {t.cells} within the retry budget")
+    z = clear_denominators([big + 1 - p[0] * p[0] if i in verts else Fraction(i, config.m + 1)
+                            for i, p in enumerate(config.points, 1)])[0]
+    xs = [x for x, in config.lift_forms[0]]
+    return tuple(map(Fraction, kronecker_point(z, 1 << (2 * (max(xs) - min(xs))).bit_length())))
 
 
 @dataclass(frozen=True)

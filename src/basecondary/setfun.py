@@ -149,9 +149,8 @@ def evaluate_f(f: SetFunction, subset) -> Fraction:
     if len(x) < f.min_size and not (len(x) == 0 and f.min_size == 0):
         raise InputError(f"F is only defined on subsets of size >= {f.min_size}")
     if f.kind == "table":
-        if not x:
-            return f.table.get(x, Fraction(0))
-        return f.table.get(x, f.default)
+        v = f.table.get(x, f.default if x else 0)
+        return v if type(v) is Fraction else Fraction(v)
     if f.kind == "neg_gcd":
         if not x:
             return Fraction(0)

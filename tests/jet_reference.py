@@ -27,7 +27,7 @@ from basecondary import exact_core
 from basecondary.core import PiecewiseLinearRep, cone_witnesses
 from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import Polygon2
-from basecondary.fiber_morse import FIBER_SUPPORT_SCALE, _shifted_witness
+from basecondary.fiber_morse import FIBER_SUPPORT_SCALE
 from basecondary.setfun import evaluate_f
 
 
@@ -304,6 +304,14 @@ def maxwell_support(config, gamma):
     """(P + h - 4 S) / 2 at nonnegative heights."""
     h, s = _chain_parts(config, covector(config.config(), gamma))
     return (area_P_bar(config, gamma) + h - 4 * s) / 2
+
+
+def _shifted_witness(pc, witness):
+    """Push a witness into the strictly positive orthant by a constant, which is affine on the
+    configuration, so the secondary cone and genericity are preserved."""
+    low = min(witness)
+    shift = Fraction(0) if low >= 1 else 1 - low
+    return tuple(w + shift for w in witness)
 
 
 def morse_polytope(config, variant="morse"):

@@ -21,7 +21,6 @@ from basecondary.core import eval_basecondary_general, gradient_on_cone, min_con
 from basecondary.errors import InputError
 from basecondary.exact_core import affine_rank, make_config
 from basecondary.fiber_morse import (
-    _shifted_witness,
     maxwell_support,
     morse_config,
     morse_polytope,
@@ -161,7 +160,7 @@ def test_morse_polytope_matches_the_oracle(points, variant):
     fn = morse_support if variant == "morse" else maxwell_support
     expected = []
     for t in enumerate_triangulations_1d(pc):
-        w = _shifted_witness(pc, cone_witness(pc, t))
+        w = cone_witness(pc, t)
         g = numeric_gradient(pc, lambda x: fn(mc, x), w)
         if g not in [e[1] for e in expected]:
             expected.append((w, g))

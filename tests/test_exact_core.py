@@ -22,6 +22,7 @@ from basecondary.exact_core import (
     fiber_polygon,
     find_circuit,
     integer_normal,
+    kronecker_point,
     lattice_volume,
     make_config,
     minkowski_sum,
@@ -252,6 +253,19 @@ def test_minkowski_sum_of_many_summands_is_the_hull_of_vertex_sums(kronecker):
     assert minkowski_sum().vertices == ((F(0), F(0)),)
     assert minkowski_sum(square, square, square).vertices == tuple((3 * x, 3 * y) for x, y in square.vertices)
     assert minkowski_sum(square, Polygon2(vertices=()), square).is_empty
+
+
+def test_kronecker_point_signs_are_those_of_z_plus_eps():
+    # a form with coefficients below the base reads the sign of l(z), and on l(z) = 0 of its first nonzero coefficient
+    rng = random.Random("kronecker")
+    for _ in range(300):
+        m, base = rng.randint(1, 5), 1 << rng.randint(1, 4)
+        z = [rng.randint(-2, 2) for _ in range(m)]
+        form = [rng.randint(1 - base, base - 1) for _ in range(m)]
+        at_z = sum(a * b for a, b in zip(form, z))
+        expected = at_z or next((c for c in form if c), 0)
+        at_kronecker = sum(a * b for a, b in zip(form, kronecker_point(z, base)))
+        assert (at_kronecker > 0) - (at_kronecker < 0) == (expected > 0) - (expected < 0), (z, form, base)
 
 
 def test_integer_normal_against_reference_minors():

@@ -20,7 +20,7 @@ from test_jet_reference import EXPONENTS
 
 from basecondary import exact_core, fiber_morse
 from basecondary.exact_core import fiber_polygon
-from basecondary.fiber_morse import _shifted_witness, area_P_bar, build_delta_bar, maxwell_support, morse_config
+from basecondary.fiber_morse import area_P_bar, build_delta_bar, maxwell_support, morse_config
 from basecondary.secondary import cone_witness, enumerate_triangulations_1d
 
 WIDE = [[1, 97, 1000, 10007], [-9973, -30, 1, 7919, 104729]]
@@ -33,7 +33,7 @@ def _pyramids(points, rng):
     mc = morse_config(points)
     pc = mc.config()
     for t in enumerate_triangulations_1d(pc)[:4]:
-        w = tuple(x + F(rng.randint(0, 3), rng.randint(1, 3)) for x in _shifted_witness(pc, cone_witness(pc, t)))
+        w = tuple(x + F(rng.randint(0, 3), rng.randint(1, 3)) for x in cone_witness(pc, t))
         for build in (build_delta_bar, build_delta):
             yield build(mc, w)
 

@@ -20,7 +20,6 @@ from basecondary.exact_core import fiber_polygon
 from basecondary.fiber_morse import (
     FIBER_SUPPORT_SCALE,
     _gradient,
-    _shifted_witness,
     area_P_bar,
     build_delta_bar,
     iterated_fiber_support,
@@ -348,7 +347,7 @@ def test_fiber_jet_gradient_matches_the_oracle(pts):
     mc = morse_config(pts)
     pc = mc.config()
     for t in enumerate_triangulations_1d(pc):
-        w = _shifted_witness(pc, cone_witness(pc, t))
+        w = cone_witness(pc, t)
         for fn in (area_P_bar, morse_support, maxwell_support):
             assert _gradient(mc, fn, w) == numeric_gradient(pc, lambda x: fn(mc, x), w), fn
         below = tuple(x - min(w) - 1 for x in w)
@@ -381,10 +380,24 @@ def test_morse_polytope_at_a_witness_on_a_fiber_chamber_wall(tmp_path, variant):
         assert fn(mc, moved) == value + sum(a * b for a, b in zip(g, step))
 
 
+@pytest.mark.parametrize("points", [[1, 2, 3, 4], [1, 3, 6, 7], [1, 2, 4, 5, 7], [-3, -1, 1, 2, 4], [1, 2, 3, 5, 8]])
+def test_reflection_moves_each_support_by_a_linear_function(points):
+    # x -> 1/x keeps every critical value, so the supports of A and -A (labels reversed) differ by a linear part
+    mc, mirror = morse_config(points), morse_config([-a for a in reversed(points)])
+    rng = random.Random(f"reflection/{points}")
+    for support in (morse_support, maxwell_support):
+        def d(gamma):
+            return support(mirror, gamma[::-1]) - support(mc, gamma)
+
+        for _ in range(10):
+            g1, g2 = ([rng.randint(0, 6) for _ in points] for _ in range(2))
+            assert d([a + b for a, b in zip(g1, g2)]) == d(g1) + d(g2), (support.__name__, g1, g2)
+
+
 def test_maxwell_support_lifts_once(monkeypatch):
     # the basecondary value and the secondary support read one lift of gamma:
-    # one real integer scan (the second call reads the config's kept lift),
-    # which each cone witness attempt also runs; a fresh config keeps no lift yet
+    # one real integer scan (the second call reads the config's kept lift);
+    # a cone witness runs none, and a fresh config keeps no lift yet
     from basecondary import secondary
 
     lifts = []
@@ -395,10 +408,10 @@ def test_maxwell_support_lifts_once(monkeypatch):
         lifts.clear()
         maxwell_support(mc, gamma)
         assert len(lifts) == 1
-    for variant in ("morse", "maxwell"):  # 4 cone witnesses and 8 evaluations, two per gradient
+    for variant in ("morse", "maxwell"):  # 4 cones and 8 evaluations, two per gradient
         lifts.clear()
         morse_polytope(mc, variant)
-        assert len(lifts) == 12
+        assert len(lifts) == 8
 
 
 def test_morse_polytope_reads_each_gcd_set_once(monkeypatch):

@@ -16,7 +16,7 @@ import jet_reference as ref
 import pytest
 
 from basecondary.exact_core import convex_hull_2d, upper_chain
-from basecondary.fiber_morse import _gradient, _shifted_witness, area_P_bar, morse_config, morse_polytope
+from basecondary.fiber_morse import _gradient, area_P_bar, morse_config, morse_polytope
 from basecondary.errors import InputError
 from basecondary.secondary import cone_witness, enumerate_triangulations_1d
 
@@ -83,6 +83,6 @@ def test_morse_polytope_and_fiber_gradients_match_the_dense_reference():
     for mc in exponents:  # the fiber summand at seeded offsets of the cone witnesses
         pc = mc.config()
         for t in enumerate_triangulations_1d(pc)[:4]:
-            w = tuple(x + F(rng.randint(0, 3), rng.randint(1, 3)) for x in _shifted_witness(pc, cone_witness(pc, t)))
+            w = tuple(x + F(rng.randint(0, 3), rng.randint(1, 3)) for x in cone_witness(pc, t))
             jet = ref.area_P_bar(mc, ref.Jet.seed(w))
             assert repr((area_P_bar(mc, w), _gradient(mc, area_P_bar, w))) == repr((jet.value, jet.grad)), (mc, w)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import itertools
 import random
 
 import pytest
@@ -9,16 +10,18 @@ import quantity_reference
 import witness_reference
 from numeric_oracle import second_difference
 
-from basecondary import secondary
+from basecondary import fiber_morse, secondary
 
 from basecondary.core import (
     enumerate_circuital,
     enumerate_simplicial,
+    gradient_on_cone,
     is_generic,
 )
 from basecondary.errors import InputError, ResourceError
 from basecondary.exact_core import make_config
 from basecondary.secondary import (
+    Subdivision,
     area_N,
     cone_witness,
     discover_cones_random,
@@ -28,6 +31,7 @@ from basecondary.secondary import (
     regular_subdivision,
     secondary_support,
 )
+from basecondary.setfun import table_function
 
 A1367 = make_config(1, [[1], [3], [6], [7]])
 G1 = (2, 4, 5, 3)
@@ -155,6 +159,50 @@ def test_cone_witness_arithmetic_progression():
             assert is_generic(cfg, w)
 
 
+def _witness_configs():
+    """Seeded n = 1 sets with m = 3..10, integer and rational coordinates, and two tie-heavy progressions."""
+    rng = random.Random("kronecker witnesses")
+    configs = [make_config(1, [[x] for x in range(10)]), make_config(1, [[F(x, 1000)] for x in range(10)])]
+    for m in range(3, 11):
+        for denominators in ((1,), (1, 2, 3, 7)):
+            pts = set()
+            while len(pts) < m:
+                pts.add(F(rng.randint(-20, 20), rng.choice(denominators)))
+            configs.append(make_config(1, [[a] for a in rng.sample(sorted(pts), m)]))
+    return configs
+
+
+def test_cone_witness_is_a_positive_generic_witness_of_its_triangulation():
+    for config in _witness_configs():
+        for t in enumerate_triangulations_1d(config):
+            w = cone_witness(config, t)
+            assert min(w) > 0
+            cells = secondary._generic_triangulation(config, secondary._oriented_scan(config, [int(c) for c in w]))
+            assert cells is not None and tuple(cells) == t.cells, (config, t)
+
+
+def test_cone_witness_makes_no_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cone_witness scanned a lift")
+
+    monkeypatch.setattr(secondary, "_oriented_scan", refuse)
+    for config in (A1367, make_config(1, [[x] for x in range(6)])):
+        assert len({cone_witness(config, t) for t in enumerate_triangulations_1d(config)}) == 2 ** (config.m - 2)
+
+
+def test_cone_witness_refuses_a_subdivision_of_another_configuration():
+    for cells in (((1, 2), (2, 3)), ((1, 3), (2, 4)), ((1, 2, 3), (3, 4)), ()):
+        with pytest.raises(InputError, match="not a triangulation"):
+            cone_witness(A1367, Subdivision(n=1, cells=cells))
+    with pytest.raises(InputError, match="one-dimensional"):
+        cone_witness(make_config(0, [[], []]), Subdivision(n=0, cells=((1,),)))
+
+
+def test_every_kronecker_point_is_built_by_one_helper():
+    assert "kronecker_point" in secondary.cone_witness.__code__.co_names
+    assert "kronecker_point" in fiber_morse._gradient.__code__.co_names
+
+
 def test_walls_1367():
     walls = enumerate_walls_1d(A1367)
     points = witness_reference.walls_by_side(A1367)
@@ -195,14 +243,23 @@ def _wall_configs():
 
 
 def test_walls_and_witnesses_match_the_salt_loop():
+    rng, bare = random.Random("salt loop"), 0
     for config in _wall_configs():
+        labels = range(1, config.m + 1)
+        f = table_function(config.m, {s: rng.randint(-9, 9) for r in labels for s in itertools.combinations(labels, r)})
         for t in enumerate_triangulations_1d(config):
-            assert repr(cone_witness(config, t)) == repr(witness_reference.cone_witness(config, t))
+            ours, ref = cone_witness(config, t), witness_reference.cone_witness(config, t)
+            assert regular_subdivision(config, ours) == regular_subdivision(config, ref) == t
+            assert is_generic(config, ours)
+            if ref == witness_reference.parabola(config, t):  # generic at z, so z + eps is in z's chamber
+                bare += 1
+                assert gradient_on_cone(config, f, ours) == gradient_on_cone(config, f, ref)
         # the reference's walls carry a witness point too; compare the rest
         ours, ref = enumerate_walls_1d(config), witness_reference.enumerate_walls_1d(config)
         assert repr([(w.left, w.right, w.direction, w.circuit) for w in ours]) == repr(
             [(w.left, w.right, w.direction, w.circuit) for w in ref]
         )
+    assert bare > 0
 
 
 def test_walls_are_read_off_the_triangulations(monkeypatch):

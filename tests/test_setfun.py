@@ -99,6 +99,13 @@ def test_table_empty_set_invariant():
     assert evaluate_f(f, set()) == 0
 
 
+def test_evaluate_f_returns_fractions_for_int_table_values():
+    f = SetFunction(kind="table", m=2, table={frozenset({1}): 3}, default=2)
+    for x, value in (({1}, 3), ({2}, 2), ({1, 2}, 2), ((), 0)):
+        got = evaluate_f(f, x)
+        assert type(got) is F and got == value
+
+
 def test_table_keys_outside_the_ground_set_are_refused():
     for key in ({1, 9}, {0, 2}, {5}):
         with pytest.raises(InputError, match=re.escape(f"table key {sorted(key)} not within 1..4")):

@@ -1,7 +1,7 @@
 """Cone witnesses and 1D wall points by nested retries: the reference for the library's reads.
 
-The library takes each 1D triangulation's cone witness from one jitter loop
-and reads its walls off the triangulation, with no lift. These helpers find
+The library builds each 1D triangulation's cone witness as one Kronecker
+point, with no lift, and reads its walls off the triangulation. These helpers find
 the same cones and walls the long way, as the library once did: a cone
 witness restarts its jitter loop at an offset `salt`, and each wall retries
 cone witnesses at salts 0, 1, 2, ... until one still meets the circuit
@@ -18,7 +18,6 @@ from quantity_reference import is_generic_lift
 from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import CircuitData, clear_denominators, find_circuit
 from basecondary.secondary import (
-    WITNESS_RETRY_CAP,
     Covector,
     Subdivision,
     _chain_cells,
@@ -26,6 +25,8 @@ from basecondary.secondary import (
     enumerate_triangulations_1d,
     upper_cells,
 )
+
+WITNESS_RETRY_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,9 @@ class WallWitness:
         return next(i + 1 for i, d in enumerate(self.direction) if d != 0)
 
 
-def cone_witness(config, t, salt=0):
-    """Parabola heights on t's vertices, jittered from attempt `salt` on until generic."""
-    if not t.is_triangulation:
-        raise InputError("cone witnesses are built for triangulations")
+def parabola(config, t):
+    """Attempt 0: a concave parabola on t's vertices, small negative heights below every chord elsewhere."""
     verts = set(t.vertex_set())
-    if config.n != 1:
-        raise InputError("deterministic witnesses implemented for n = 1")
     big = 1 + max(p[0] * p[0] for p in config.points)
     base = []
     for i in range(1, config.m + 1):
@@ -58,6 +55,17 @@ def cone_witness(config, t, salt=0):
             base.append(big - a * a)
         else:
             base.append(Fraction(i, config.m + 1) - 1)
+    return tuple(base)
+
+
+def cone_witness(config, t, salt=0):
+    """Parabola heights on t's vertices, jittered from attempt `salt` on until generic."""
+    if not t.is_triangulation:
+        raise InputError("cone witnesses are built for triangulations")
+    verts = set(t.vertex_set())
+    if config.n != 1:
+        raise InputError("deterministic witnesses implemented for n = 1")
+    base = parabola(config, t)
     # the parabola clears each chord by >= 1/d^2; the jitter stays below half that
     d = clear_denominators([p[0] for p in config.points])[1]
     primes = (2, 3, 5, 7, 11, 13)
