@@ -294,11 +294,10 @@ def _run(verb: str, args, doc: dict):
         poly = tropical.tropical_polynomial(_need(doc, "support"), _need(doc, "coefficients"))
         report = tropical.is_morse(poly)
         cps = report.critical_points
-        if args.svg:
-            lo = min(cp.location for cp in cps) - 1
-            hi = max(cp.location for cp in cps) + 1
-            pts = [(lo, poly.value(lo))] + [(cp.location, cp.value) for cp in cps] + [(hi, poly.value(hi))]
-            _svg_polyline(pts, args.svg)
+        if args.svg:  # the envelope of the nonzero exponents, whose breakpoints are the critical points
+            xs = [cp.location for cp in cps] or [Fraction(0)]  # none: one nonzero exponent, a line
+            terms = [(a, c) for a, c in zip(poly.support, poly.coefficients) if a]
+            _svg_polyline([(x, max(c + a * x for a, c in terms)) for x in (xs[0] - 1, *xs, xs[-1] + 1)], args.svg)
         return {**_json(report), "reason": report.reasons[0] if report.reasons else None}
 
     # trop-sample, the last verb: main admits only VERBS
@@ -322,7 +321,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser(verb: str) -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog=f"bck {verb}", add_help=True)
+    note = tropical.CRITICAL_POINTS if verb.startswith("trop-") else None  # which envelope decides a verdict
+    parser = _ArgumentParser(prog=f"bck {verb}", description=note)
     parser.add_argument("--input", required=True, help="path of the JSON problem file")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None)

@@ -95,21 +95,10 @@ class PiecewiseLinearRep:
 # supports and orderings
 
 
-def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fraction, ...]:
-    n = config.n
-    return tuple(
-        gamma[i - 1] - sum(linear[c] * config.points[i - 1][c] for c in range(n))
-        for i in range(1, config.m + 1)
-    )
-
-
 def _positive_orientation(config: PointConfig, labels: Sequence[int]) -> tuple[int, ...]:
-    """Even-permutation representative with positive base orientation, the sign of `PointConfig.volume`."""
+    """Even-permutation representative with positive base orientation: `PointConfig.volume` > 0 (!= 0 on a cell)."""
     head = sorted(labels)
-    vol = config.volume(head)
-    if vol == 0:  # only a hand-built support can carry one
-        raise InputError("support maximizers must span affinely")
-    if vol < 0:
+    if config.volume(head) < 0:
         head[-1], head[-2] = head[-2], head[-1]
     return tuple(head)
 
@@ -124,21 +113,30 @@ def _descending_tail(config: PointConfig, head, values) -> tuple[int, ...]:
     )
 
 
-def order_simplicial(
-    config: PointConfig, gamma, s: SimplicialSupport
-) -> OrderedSupport:
-    """Maximizers in positive orientation, then the tail strictly descending."""
-    if not s.generic:
-        raise InputError("ordering needs a generic simplicial support")
-    gamma = covector(config, gamma)
-    values = _values_under(config, gamma, s.linear)
+def _cell_heights(config: PointConfig, gamma, maximizers, tie: str) -> list[int]:
+    """The kept lift's scan heights (`secondary._lift`) of the upper cell `maximizers` at gamma, by label - 1.
+
+    On a cell, h is gamma - L o A less its maximum times a positive scale, so it orders and ties the tail alike.
+    Maximizers that are no upper cell at gamma are refused, and tail heights that tie (`_generic_triangulation`).
+    """
+    cell = tuple(sorted(maximizers))
+    zs = clear_denominators(covector(config, gamma))[0]
+    heights = next((h for c, _, h in _lift(config, zs) if c == cell), None)
+    if heights is None:
+        raise InputError(f"support maximizers {list(cell)} are not an upper cell at gamma")
+    if len(set(heights)) != config.m - len(cell) + 1:
+        raise InputError(tie)
+    return heights
+
+
+def order_simplicial(config: PointConfig, gamma, s: SimplicialSupport) -> OrderedSupport:
+    """Maximizers in positive orientation, then the tail strictly descending, read off the lift at gamma."""
+    heights = _cell_heights(config, gamma, s.maximizers, "ordering needs a generic simplicial support")
     head = _positive_orientation(config, s.maximizers)
-    return OrderedSupport(tuple=head + _descending_tail(config, head, values), head=config.n + 1)
+    return OrderedSupport(tuple=head + _descending_tail(config, head, heights), head=config.n + 1)
 
 
-def order_circuital(
-    config: PointConfig, gamma, c: CircuitalSupport
-) -> OrderedSupport:
+def order_circuital(config: PointConfig, gamma, c: CircuitalSupport) -> OrderedSupport:
     """The lexicographically smallest arrangement satisfying the double alternating sum.
 
     The head holds the positive side, the negative side, then the
@@ -149,17 +147,14 @@ def order_circuital(
     label has negative volume. Then the answer is the circuit ordering, each
     side sorted by label; else it swaps the last two labels of the last
     block of two or more members (a circuit of distinct points has one),
-    which turns the sign of lam. An n = 0 circuit, two points of Q^0, has
-    no orientation, and is refused.
+    which turns the sign of lam. The tail descends by the lift's heights at
+    gamma, as `order_simplicial`'s does. An n = 0 circuit, two points of
+    Q^0, has no orientation, and is refused.
     """
     if config.n == 0:
         raise InputError("circuit orderings need n >= 1; an n = 0 circuit has no orientation")
-    gamma = covector(config, gamma)
-    values = _values_under(config, gamma, c.linear)
-    off = [values[i - 1] for i in range(1, config.m + 1) if i not in c.maximizers]
-    if len(off) != len(set(off)):
-        raise InputError("tail values must be pairwise distinct to order a circuit")
-    tail = _descending_tail(config, c.maximizers, values)
+    heights = _cell_heights(config, gamma, c.maximizers, "tail values must be pairwise distinct to order a circuit")
+    tail = _descending_tail(config, c.maximizers, heights)
     circ = c.circuit
     head = list(circ.ordering)
     if config.volume(head[1:]) > 0:

@@ -1,4 +1,7 @@
-"""Set functions on 2^{1..m}: submodularity, Lovász extensions, base polytopes."""
+"""Set functions on 2^{1..m}: submodularity, Lovász extensions, base polytopes.
+
+F is read on bitmasks, in integers, by `_mask_value`, once per set (`SetFunction.cleared`).
+"""
 
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ class SetFunction:
         if self.kind == "table":
             if self.table is None:
                 raise InputError("table kind needs a value map")
-            ground, denominators = self.ground(), {_rational(self.default, "default").denominator}
+            ground, denominators = frozenset(range(1, self.m + 1)), {_rational(self.default, "default").denominator}
             for key, q in self.table.items():
                 if not isinstance(key, frozenset):
                     raise InputError(f"table key {key!r} is not a frozenset")
@@ -93,18 +96,11 @@ class SetFunction:
         """(value, d): value(mask) = d * F(X), X the labels of mask's bits (label i at bit i - 1).
 
         d is `scale`, taken at construction, so no query scans a table. Every
-        reader of F in this package reads it, and each set goes through
-        `evaluate_f` on its first query only, made an integer without a
-        Fraction product: an evaluation reads few of the 2^m sets, a
-        submodularity scan all of them.
+        reader of F in this package reads it, and each set costs one call of
+        the module's `_mask_value`, on its first query only: an evaluation
+        reads few of the 2^m sets, a submodularity scan all of them.
         """
-        d, labels = self.scale, range(1, self.m + 1)
-
-        def value(mask: int) -> int:
-            q = evaluate_f(self, (i for i in labels if mask >> i - 1 & 1))
-            return q.numerator * (d // q.denominator)
-
-        return functools.cache(value), d
+        return functools.cache(lambda mask: _mask_value(self, mask)), self.scale
 
 
 def _rational(q, what: str):
@@ -141,30 +137,35 @@ def neg_card_ratio_function(m: int, min_size: int = 0) -> SetFunction:
     return SetFunction(kind="neg_card_ratio", m=m, min_size=min_size)
 
 
-def evaluate_f(f: SetFunction, subset) -> Fraction:
-    """Value of F on a subset of the ground set."""
-    x = frozenset(subset)
-    if not x <= f.ground():
-        raise InputError(f"subset {sorted(x)} not within 1..{f.m}")
-    if len(x) < f.min_size and not (len(x) == 0 and f.min_size == 0):
+def _mask_value(f: SetFunction, mask: int) -> int:
+    """f.scale * F(X), X the labels of mask's bits; a set below min_size is an InputError."""
+    if mask.bit_count() < f.min_size:
         raise InputError(f"F is only defined on subsets of size >= {f.min_size}")
-    if f.kind == "table":
-        v = f.table.get(x, f.default if x else 0)
-        return v if type(v) is Fraction else Fraction(v)
-    if f.kind == "neg_gcd":
-        if not x:
-            return Fraction(0)
-        return Fraction(-math.gcd(*(abs(f.gcd_points[i - 1]) for i in x)))
     if f.kind == "neg_indicator_full":
-        return Fraction(-1) if f.point in x else Fraction(0)
-    if f.kind == "matrix_rank":
-        if not x:
-            return Fraction(0)
-        cols = [f.columns[i - 1] for i in sorted(x)]
-        return Fraction(matrix_rank(cols))
+        return -(mask >> f.point - 1 & 1)
     if f.kind == "neg_card_ratio":
-        return Fraction(-len(x), f.m)
-    raise InputError(f"unknown kind {f.kind!r}")
+        return -mask.bit_count()  # -|X| / m at the scale m
+    labels = [i for i, bit in enumerate(bin(mask)[:1:-1], 1) if bit == "1"]
+    if f.kind == "table":
+        q = f.table.get(frozenset(labels), f.default if mask else 0)
+        return q.numerator * (f.scale // q.denominator)
+    if f.kind == "neg_gcd":
+        return -math.gcd(*(f.gcd_points[i - 1] for i in labels))
+    return matrix_rank([f.columns[i - 1] for i in labels])
+
+
+def _mask(f: SetFunction, subset) -> int:
+    """The bitmask of a subset of 1..m; a label out of range is an InputError."""
+    x, ground = frozenset(subset), range(1, f.m + 1)
+    if not all(i in ground for i in x):
+        raise InputError(f"subset {sorted(x)} not within 1..{f.m}")
+    return sum(1 << i - 1 for i in x)
+
+
+def evaluate_f(f: SetFunction, subset) -> Fraction:
+    """Value of F on a subset of the ground set: its `SetFunction.cleared` read, divided once."""
+    value, d = f.cleared
+    return Fraction(value(_mask(f, subset)), d)
 
 
 @dataclass(frozen=True)
@@ -212,9 +213,7 @@ def circuit_value(f: SetFunction, circuit: CircuitData) -> Fraction:
     With J the circuit's labels (`circuit.ordering`), J0 its support and N
     the ground set: sum_{k in J0} F(J \\ k) - (|J0| - 1) F(J) - F(N).
     """
-    if not set(circuit.ordering) <= f.ground():
-        raise InputError(f"subset {sorted(circuit.ordering)} not within 1..{f.m}")
-    (value, d), labels = f.cleared, sum(1 << i - 1 for i in circuit.ordering)
+    (value, d), labels = f.cleared, _mask(f, circuit.ordering)
     total = -(len(circuit.support) - 1) * value(labels) - value((1 << f.m) - 1)
     for k in circuit.support:
         total += value(labels & ~(1 << k - 1))

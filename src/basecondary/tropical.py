@@ -1,5 +1,6 @@
 """Univariate max-plus polynomials: critical points, degeneracy, Morse tests.
 
+Critical points are read off the envelope of the nonzero exponents (`CRITICAL_POINTS`).
 Verdicts are decided in integers by one scan of the envelope chain. The sampler
 takes `randint`'s draws off `exact_core.rational_draws`, as cone discovery does
 and as the `randint` sampler of `tests/tropical_reference.py` pins, and builds
@@ -18,6 +19,8 @@ from .errors import InputError
 from .exact_core import as_int, as_list, clear_denominators, rat, rational_draws, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
+CRITICAL_POINTS = ("Critical points are the roots of x f', the breakpoints of the envelope over the nonzero exponents: "
+                   "the constant term decides no verdict, and a support with one nonzero exponent is Morse.")
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,6 @@ class TropicalPolynomial:
             raise InputError("support must be strictly increasing")
         if not all(isinstance(c, (int, Fraction)) for c in self.coefficients):
             raise InputError("coefficients must be rationals")
-
-    def value(self, x) -> Fraction:
-        return max(self.term_values(x))
 
     def term_values(self, x) -> tuple[Fraction, ...]:
         x = rat(x)
@@ -74,11 +74,13 @@ def _equal_pairs(values) -> list[tuple[int, int]]:
 
 
 def _breakpoints(support, cs):
-    """(i, j, den, num, values) per envelope breakpoint of integer coefficients cs, ascending.
+    """(i, j, den, num, values) per breakpoint of the envelope of integer cs over the nonzero exponents, ascending.
 
-    Chain pair (i, j) breaks at num / den, den = a_j - a_i > 0, num = cs_i - cs_j, where the term values
-    times den are values[k] = cs_k * den + a_k * num. The maximizers run from i, the first, to j, the last.
+    Indices count the terms left once exponent 0 is dropped. Chain pair (i, j) breaks at num / den, den = a_j - a_i
+    > 0, num = cs_i - cs_j, where the term values times den are values[k] = cs_k * den + a_k * num. The maximizers
+    run from i, the first, to j, the last.
     """
+    support, cs = zip(*[(a, c) for a, c in zip(support, cs) if a])
     chain = upper_chain(support, cs)
     for i, j in zip(chain, chain[1:]):
         den, num = support[j] - support[i], cs[i] - cs[j]
@@ -101,13 +103,13 @@ def _reasons(support, cs) -> tuple[str, ...]:
 
 
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
-    """All breakpoints of the upper envelope, ascending, with tie annotations.
+    """All critical points, the breakpoints of the envelope over the nonzero exponents, ascending, with tie annotations.
 
     They are the `_breakpoints` of cs = d * coefficients, d > 0, with location and value divided by d.
     """
-    support, (cs, d) = p.support, clear_denominators(p.coefficients)
+    support, (cs, d) = [a for a in p.support if a], clear_denominators(p.coefficients)
     out = []
-    for i, j, den, num, values in _breakpoints(support, cs):
+    for i, j, den, num, values in _breakpoints(p.support, cs):
         ties = [(support[u], support[w]) for u, w in _equal_pairs(values)]
         out.append(
             CriticalPoint(
@@ -132,10 +134,11 @@ class MorseReport:
 
 
 def is_morse(p: TropicalPolynomial) -> MorseReport:
-    """Nondegenerate breakpoints with pairwise distinct critical values; the sampler's `_reasons`."""
+    """Nondegenerate critical points with distinct values: the sampler's `_reasons`, read off `critical_points`."""
     cps = critical_points(p)
     pairs = _equal_pairs([cp.value for cp in cps])
-    reasons = _reasons(p.support, clear_denominators(p.coefficients)[0])
+    degenerate = any(cp.degenerate for cp in cps)
+    reasons = ("degenerate_critical_point",) * degenerate + ("coinciding_critical_values",) * bool(pairs)
     return MorseReport(
         morse=not reasons,
         reasons=reasons,

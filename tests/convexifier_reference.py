@@ -13,18 +13,19 @@ import functools
 import itertools
 from fractions import Fraction
 
+from quantity_reference import _values_under, evaluate_f
+
 from basecondary.core import (
     MinConvexifier,
     OrderedSupport,
     _descending_tail,
-    _values_under,
     covector,
     gradient_on_cone,
 )
 from basecondary.errors import InputError
 from basecondary.exact_core import oriented_volume
 from basecondary.secondary import enumerate_walls_1d, gkz_vector, regular_subdivision
-from basecondary.setfun import evaluate_f, is_submodular_above
+from basecondary.setfun import is_submodular_above
 
 
 # one wall enumeration per configuration, shared by every F tested on it

@@ -30,8 +30,15 @@ as n + 2 height cofactors, facet `oriented_volume`s with signs, where it now
 reads the coefficients of the tail label's circuit form. The submodularity
 scan, `circuit_value` and `greedy_vertex` once built a frozenset per query
 and read it through `evaluate_f`, where they now read bitmasks off
-`SetFunction.cleared`. `convexity_certificate` once took every pairwise
-support value as a `Fraction` dot product, where it now compares integers,
+`SetFunction.cleared`. Every first read of F once went through `evaluate_f`,
+a `frozenset`, the m-element ground set and a `Fraction` per set, where
+`SetFunction.cleared` now reads each kind on the bitmask itself
+(`setfun._mask_value`); this module's `evaluate_f` is the reader it
+replaced, and every reference here reads F through it. `order_simplicial`
+and `order_circuital` once sorted their tails by the `Fraction` values
+gamma - L o A of the support's own functional (`_values_under`), where they
+now read the kept lift's scan heights of their cell.
+`convexity_certificate` once took every pairwise support value as a `Fraction` dot product, where it now compares integers,
 the gradients cleared once to one scale and each witness to its own. The
 n = 0 reconstruction once took every order cone's expansion gradient at a
 witness of `cone_witnesses` and certified all (m!)^2 pairs
@@ -56,7 +63,7 @@ import jet_reference
 from jet_reference import _shoelace_area
 
 from basecondary import core, exact_core, secondary
-from basecondary.core import _check_f, _descending_tail, _expansion_summands, _positive_orientation, _values_under
+from basecondary.core import OrderedSupport, _check_f, _descending_tail, _expansion_summands, _positive_orientation
 from basecondary.errors import InputError
 from basecondary.exact_core import (
     PointConfig,
@@ -64,10 +71,55 @@ from basecondary.exact_core import (
     clear_denominators,
     convex_hull_2d,
     integer_normal,
+    matrix_rank,
     oriented_volume,
 )
 from basecondary.secondary import Covector, UpperCell, _labels_by_coordinate, _refine_cell, covector
-from basecondary.setfun import SubmodularityReport, evaluate_f
+from basecondary.setfun import SetFunction, SubmodularityReport
+
+
+def evaluate_f(f: SetFunction, subset) -> Fraction:
+    """Value of F on a subset of the ground set."""
+    x = frozenset(subset)
+    if not x <= f.ground():
+        raise InputError(f"subset {sorted(x)} not within 1..{f.m}")
+    if len(x) < f.min_size and not (len(x) == 0 and f.min_size == 0):
+        raise InputError(f"F is only defined on subsets of size >= {f.min_size}")
+    if f.kind == "table":
+        v = f.table.get(x, f.default if x else 0)
+        return v if type(v) is Fraction else Fraction(v)
+    if f.kind == "neg_gcd":
+        if not x:
+            return Fraction(0)
+        return Fraction(-math.gcd(*(abs(f.gcd_points[i - 1]) for i in x)))
+    if f.kind == "neg_indicator_full":
+        return Fraction(-1) if f.point in x else Fraction(0)
+    if f.kind == "matrix_rank":
+        if not x:
+            return Fraction(0)
+        cols = [f.columns[i - 1] for i in sorted(x)]
+        return Fraction(matrix_rank(cols))
+    if f.kind == "neg_card_ratio":
+        return Fraction(-len(x), f.m)
+    raise InputError(f"unknown kind {f.kind!r}")
+
+
+def _values_under(config: PointConfig, gamma: Covector, linear) -> tuple[Fraction, ...]:
+    n = config.n
+    return tuple(
+        gamma[i - 1] - sum(linear[c] * config.points[i - 1][c] for c in range(n))
+        for i in range(1, config.m + 1)
+    )
+
+
+def order_simplicial(config, gamma, s):
+    """Maximizers in positive orientation, then the tail by the support's own values gamma - L o A."""
+    if not s.generic:
+        raise InputError("ordering needs a generic simplicial support")
+    gamma = covector(config, gamma)
+    values = _values_under(config, gamma, s.linear)
+    head = _positive_orientation(config, s.maximizers)
+    return OrderedSupport(tuple=head + _descending_tail(config, head, values), head=config.n + 1)
 
 
 def lattice_volume(points):

@@ -307,7 +307,7 @@ def test_trop_morse_fixture(capsys, tmp_path):
         (
             "trop-morse",
             {"support": [0, 1, 2], "coefficients": ["1e400", "0", "1e400"]},
-            "20.00,300.00 240.00,300.00 460.00,20.00",
+            "20.00,300.00 240.00,206.67 460.00,20.00",
         ),
         (
             "subdivision",
@@ -323,6 +323,15 @@ def test_svg_of_rationals_beyond_float_range(capsys, tmp_path, verb, doc, points
     code, out = run(capsys, verb, "--input", str(path), "--svg", str(svg))
     assert code == 0 and json.loads(out)
     assert f'points="{points}"' in svg.read_text()
+
+
+def test_trop_morse_svg_of_a_support_without_critical_points(capsys, tmp_path):
+    # one nonzero exponent: x f' has no root, and the plot is that term's line
+    path, svg = tmp_path / "line.json", tmp_path / "line.svg"
+    path.write_text(json.dumps({"support": [0, 1], "coefficients": [3, 1]}))
+    code, out = run(capsys, "trop-morse", "--input", str(path), "--svg", str(svg))
+    assert code == 0 and json.loads(out)["critical_points"] == [] and json.loads(out)["morse"] is True
+    assert 'points="20.00,300.00 240.00,160.00 460.00,20.00"' in svg.read_text()
 
 
 def test_trop_sample_requires_seed(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -87,6 +88,18 @@ def test_simplicial_orderings_worked_example():
     assert order_simplicial(A1367, G1, supports[F(1)]).tuple == (1, 2, 3, 4)
     assert order_simplicial(A1367, G1, supports[F(1, 3)]).tuple == (2, 3, 1, 4)
     assert order_simplicial(A1367, G1, supports[F(-2)]).tuple == (3, 4, 2, 1)
+
+
+def test_orderings_refuse_a_support_taken_at_other_heights():
+    # at (5, 0, 0, 5) labels 1 and 2 share no maximum: the only upper cell is (1, 4)
+    other = (5, 0, 0, 5)
+    s = next(s for s in enumerate_simplicial(A1367, (0, 2, 3, 1)) if s.maximizers == (1, 2))
+    assert order_simplicial(A1367, (0, 2, 3, 1), s).tuple == (1, 2, 3, 4)
+    with pytest.raises(InputError, match=re.escape("support maximizers [1, 2] are not an upper cell at gamma")):
+        order_simplicial(A1367, other, s)
+    (c,) = enumerate_circuital(A1367, G3)
+    with pytest.raises(InputError, match=re.escape("support maximizers [1, 2, 3] are not an upper cell at gamma")):
+        order_circuital(A1367, other, c)
 
 
 def test_nongeneric_and_circuital_examples():

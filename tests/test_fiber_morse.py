@@ -419,14 +419,8 @@ def test_morse_polytope_reads_each_gcd_set_once(monkeypatch):
     from basecondary import setfun
 
     calls = []
-    real = setfun.evaluate_f
-
-    def counted(f, x):
-        x = frozenset(x)
-        calls.append(x)
-        return real(f, x)
-
-    monkeypatch.setattr(setfun, "evaluate_f", counted)
+    real = setfun._mask_value
+    monkeypatch.setattr(setfun, "_mask_value", lambda f, mask: calls.append(mask) or real(f, mask))
     mc = morse_config([1, 2, 3, 5, 8])
     assert mc.gcd_function() is mc.gcd_function()
     for variant in ("morse", "maxwell"):

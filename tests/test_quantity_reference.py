@@ -37,7 +37,7 @@ import pytest
 import quantity_reference as ref
 from test_circuit_forms import coverage_table, random_table
 
-from basecondary import core, exact_core, secondary
+from basecondary import core, exact_core, secondary, setfun
 from basecondary.core import (
     cone_witnesses,
     convexity_certificate,
@@ -47,6 +47,7 @@ from basecondary.core import (
     gradient_on_cone,
     is_generic,
     min_convexifier,
+    order_simplicial,
     reconstruct_polytope,
 )
 from basecondary.errors import InputError
@@ -55,6 +56,7 @@ from basecondary.fiber_morse import build_delta_bar, maxwell_support, morse_conf
 from basecondary.secondary import (
     area_N,
     discover_cones_random,
+    enumerate_simplicial,
     enumerate_walls_1d,
     gkz_vector,
     secondary_support,
@@ -320,18 +322,37 @@ def test_oriented_volume_runs_no_elimination(monkeypatch):
         assert set(calls) <= ({"_bareiss"} if k > 2 else set()), (k, calls)
 
 
-def _counted(f, calls):
-    """f with its integer lookup (`SetFunction.cleared`) recording each queried set."""
-    value, d = f.cleared
-    f.__dict__["cleared"] = (lambda mask: calls.append(mask) or value(mask), d)
-    return f
+def test_simplicial_orderings_read_the_lift_as_the_support_values_did():
+    rng = random.Random("orderings/lift")
+    answers = []
+    for n in (0, 1, 2):
+        for _ in range(CONFIGS):
+            config = _config(rng, n, rng.randint(n + 2, 7))
+            gamma = _heights(rng, config) if rng.random() < 0.5 else tuple(
+                F(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(config.m))
+            for s in enumerate_simplicial(config, gamma):
+                got, want = (_ordering(route, config, gamma, s) for route in (order_simplicial, ref.order_simplicial))
+                assert got == want, (config, gamma, s)
+                answers.append(got)
+    assert sum(isinstance(a, tuple) for a in answers) >= 150 and sum(isinstance(a, str) for a in answers) >= 25
 
 
-def test_each_threshold_set_costs_one_f_call():
+def _ordering(route, config, gamma, s):
+    """The ordered tuple, or the message of the InputError that refuses it."""
+    try:
+        return route(config, gamma, s).tuple
+    except InputError as e:
+        return str(e)
+
+
+def test_each_threshold_set_costs_one_f_call(monkeypatch):
+    # a fresh F per evaluation: each set's first read is one call of the integer reader
     calls = []
-    f = _counted(SetFunction(kind="table", m=6, table={frozenset({1, 2, 3}): F(-1)}, default=F(1)), calls)
+    real = setfun._mask_value
+    monkeypatch.setattr(setfun, "_mask_value", lambda f, mask: calls.append(mask) or real(f, mask))
     config = make_config(0, [[] for _ in range(6)])
     for gamma, k in (((5, 5, 2, 2, 2, 0), 2), ((4, 1, 1, 1, 1, 1), 1), ((3,) * 6, 0)):
+        f = SetFunction(kind="table", m=6, table={frozenset({1, 2, 3}): F(-1)}, default=F(1))
         calls.clear()
         assert eval_basecondary_general(config, f, gamma) == ref.eval_basecondary_general(config, f, gamma)
         assert len(calls) == (k + 1 if k else 0)  # the reference queries 2k sets
@@ -340,10 +361,13 @@ def test_each_threshold_set_costs_one_f_call():
     for _ in range(CONFIGS):
         config = _config(rng, 1, rng.randint(3, 8))
         gamma = _heights(rng, config)
-        levels = [len(set(c.values)) - 1 for c in upper_cells(config, gamma)]
+        sets = set()  # {v >= c} for every level c of every cell with more than one level
+        for c in upper_cells(config, gamma):
+            if len(levels := set(c.values)) > 1:
+                sets |= {sum(1 << i for i, v in enumerate(c.values) if v >= top) for top in levels}
         calls.clear()
-        eval_basecondary_general(config, _counted(_table(rng, config), calls), gamma)
-        assert len(calls) == sum(k + 1 for k in levels if k)
+        eval_basecondary_general(config, _table(rng, config), gamma)
+        assert sorted(calls) == sorted(sets)  # the cells share the set of every label
 
 
 @pytest.mark.parametrize("points", [[1, 3, 6, 7], [1, 2, 3, 5, 8], [-3, -1, 1, 2, 4], [-8, -6, -3, -1, 3, 8]])

@@ -20,6 +20,7 @@ from basecondary.errors import InputError, ResourceError
 from basecondary.exact_core import find_circuit, make_config
 from basecondary.secondary import enumerate_walls_1d
 from basecondary.setfun import (
+    KINDS,
     SetFunction,
     base_polytope,
     circuit_condition_check,
@@ -203,10 +204,25 @@ def test_cleared_values_are_evaluate_f_times_one_denominator():
     for m in range(1, 7):
         for f in _every_kind(rng, m):
             value, d = f.cleared
-            assert d >= 1 and all(value(mask) == d * evaluate_f(f, x) for mask, x in _subsets(m)), f
+            assert d >= 1 and all(value(mask) == d * ref.evaluate_f(f, x) for mask, x in _subsets(m)), f
             assert type(value((1 << m) - 1)) is int
     table = SetFunction(kind="table", m=2, table={frozenset({1}): F(1, 6)}, default=F(3, 4))
     assert table.cleared[1] == 12 and table.cleared[0](3) == 9
+
+
+def test_evaluate_f_matches_the_per_kind_reference():
+    # the bitmask reader against the frozenset one it replaced, refusals and their messages included
+    rng = random.Random("evaluate_f/reference")
+    kinds = set()
+    for m in range(1, 7):
+        for f in _every_kind(rng, m):
+            kinds.add(f.kind)
+            for min_size in range(m + 1):
+                g = dataclasses.replace(f, min_size=min_size)
+                for x in [()] + [x for _, x in _subsets(m)] + [{0}, {m + 1}, {-1, 1}, {1, m + 1}]:
+                    got, want = _outcome(evaluate_f, g, x), _outcome(ref.evaluate_f, g, x)
+                    assert got == want, (g, x)
+    assert kinds == set(KINDS)
 
 
 def test_cleared_keeps_equality_and_repr_and_its_matrix_columns():
@@ -481,15 +497,9 @@ def test_bitmask_readers_match_the_frozenset_routes(min_size, monkeypatch):
 
 def test_each_set_costs_one_f_call(monkeypatch):
     calls = []
-    real = setfun.evaluate_f
-
-    def counted(f, x):
-        x = frozenset(x)
-        calls.append(x)
-        return real(f, x)
-
-    monkeypatch.setattr(setfun, "evaluate_f", counted)
-    monkeypatch.setattr(ref, "evaluate_f", counted)
+    real, real_ref = setfun._mask_value, ref.evaluate_f
+    monkeypatch.setattr(setfun, "_mask_value", lambda f, mask: calls.append(mask) or real(f, mask))
+    monkeypatch.setattr(ref, "evaluate_f", lambda f, x: calls.append(frozenset(x)) or real_ref(f, x))
     assert is_submodular_above(neg_card_ratio_function(6), 0).holds
     assert len(calls) == len(set(calls)) == 64
     calls.clear()

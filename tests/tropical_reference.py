@@ -13,6 +13,10 @@ Fractions, polynomial and report, where the library decides each verdict in
 integers; here it reads the reasons off this module's `is_morse`. It draws
 with `random.randint`, so it also pins the library's draws, which read the
 same stream off `getrandbits`.
+
+Like the library, every route here reads the critical points off the terms
+of nonzero exponent (`nonconstant`): they are the roots of x f', so the
+constant term moves every critical value alike and decides no verdict.
 """
 
 import random
@@ -30,8 +34,19 @@ from basecondary.tropical import (
 )
 
 
+def nonconstant(p: TropicalPolynomial) -> Optional[TropicalPolynomial]:
+    """p without its exponent-0 term, or None when one term is left: that term has no breakpoint."""
+    kept = [(a, c) for a, c in zip(p.support, p.coefficients) if a != 0]
+    if len(kept) < 2:
+        return None
+    return TropicalPolynomial(support=tuple(a for a, _ in kept), coefficients=tuple(c for _, c in kept))
+
+
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
-    """All breakpoints of the upper envelope, ascending, with tie annotations."""
+    """All breakpoints of the upper envelope over the nonzero exponents, ascending, with tie annotations."""
+    p = nonconstant(p)
+    if p is None:
+        return ()
     chain = upper_chain(p.support, p.coefficients)
     out = []
     for i, j in zip(chain, chain[1:]):
@@ -63,9 +78,10 @@ def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
 
 
 def has_degenerate_root(p: TropicalPolynomial) -> bool:
-    """Whether some point sees three or more terms at the envelope maximum."""
+    """Whether some critical point sees three or more nonconstant terms at the envelope maximum."""
+    q = nonconstant(p)
     for cp in critical_points(p):
-        if sum(1 for v in p.term_values(cp.location) if v == cp.value) >= 3:
+        if sum(1 for v in q.term_values(cp.location) if v == cp.value) >= 3:
             return True
     return False
 
