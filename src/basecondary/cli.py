@@ -46,6 +46,8 @@ _VERB_HELP = {
     "trop-sample": "seeded Morse-fraction sampling over coefficients",
 }
 VERBS = tuple(_VERB_HELP)
+CONE_DISCOVERY = ("For n >= 2 the cones are found at --samples seeded heights (--seed); a configuration spanning Q^2 "
+                  "with m <= 5 reads every cone off its secondary polygon, and accepts and ignores both flags.")
 
 USAGE = """usage: bck VERB --input PATH [--output PATH] [--seed N] [--samples N]
            [--convexifier Q] [--variant morse|maxwell] [--svg PATH]
@@ -321,7 +323,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser(verb: str) -> argparse.ArgumentParser:
-    note = tropical.CRITICAL_POINTS if verb.startswith("trop-") else None  # which envelope decides a verdict
+    note = (tropical.CRITICAL_POINTS if verb.startswith("trop-")  # which envelope decides a verdict
+            else CONE_DISCOVERY if verb in ("convexify", "polytope") else None)  # which cones are sampled
     parser = _ArgumentParser(prog=f"bck {verb}", description=note)
     parser.add_argument("--input", required=True, help="path of the JSON problem file")
     parser.add_argument("--output", default=None, help="output path (default stdout)")

@@ -52,6 +52,7 @@ from .secondary import (
     enumerate_triangulations_1d,
     gkz_vector,
     is_generic,
+    polygon_cones,
 )
 from .setfun import BASE_POLYTOPE_CAP, SetFunction, circuit_condition_check, circuit_value, greedy_vertex, is_submodular_above
 
@@ -329,15 +330,18 @@ def convexity_certificate(entries) -> tuple[bool, Optional[tuple]]:
 def cone_witnesses(
     config: PointConfig, samples: Optional[int] = None, seed: Optional[int] = None
 ) -> tuple[tuple[Subdivision, Covector], ...]:
-    """(triangulation, generic witness) pairs covering the secondary cones (all of them for n = 1).
+    """(triangulation, generic witness) pairs covering the secondary cones (all of them for n = 1 and planar m <= 5).
 
     n = 1: every triangulation with its `cone_witness`, a positive integer vector by construction;
-    n >= 2: `discover_cones_random`; n = 0 is refused.
+    n = 2 spanning Q^2 with m <= 5: every triangulation, read off the secondary polygon's `polygon_cones`,
+    which accepts and ignores samples and seed; other n >= 2: `discover_cones_random`; n = 0 is refused.
     """
     if config.n == 0:
         raise InputError("n = 0 cones are label orders; reconstruct_polytope reads them")
     if config.n == 1:
         return tuple((t, cone_witness(config, t)) for t in enumerate_triangulations_1d(config))
+    if config.n == 2 and config.m <= 5 and config.lift_forms[3]:
+        return polygon_cones(config)
     if samples is None or seed is None:
         raise InputError("cone discovery for n >= 2 needs samples and a seed")
     return discover_cones_random(config, samples, seed)
@@ -373,9 +377,11 @@ def min_convexifier(
     that rule, and without it h + c * secondary at their c need not be
     convex. The exhaustive check evaluates F once per set.
     For n >= 2 the value is a lower bound, flagged not exact: the largest
-    ratio over pairs of cones discovered from `samples` seeded heights,
-    comparing closed-form gradients (`gradient_on_cone`) and GKZ vectors at
-    their witnesses.
+    ratio over pairs of `cone_witnesses`, comparing closed-form gradients
+    (`gradient_on_cone`) and GKZ vectors at their witnesses. The cones are
+    discovered from `samples` seeded heights, except on a configuration
+    spanning Q^2 with m <= 5, which reads every cone and ignores samples
+    and seed.
     """
     _check_f(config, f)
     if config.n <= 1:
@@ -417,6 +423,8 @@ def reconstruct_polytope(
 
     Each gradient is gradient_on_cone plus c times the GKZ vector at the cone witness, and
     `PiecewiseLinearRep.certify` keeps one witness per gradient; n = 0 is `_order_cone_rep`.
+    The cones are `cone_witnesses`: every cone for n = 1 and for a configuration spanning Q^2 with
+    m <= 5, which accepts and ignores samples and seed; else those found at `samples` seeded heights.
     """
     _check_f(config, f)
     c = rat(convexifier)

@@ -24,6 +24,7 @@ integers: a positive scale per coordinate keeps every sign, equality, hull
 and edge-angle order, so only reported values become Fractions. `_fiber_sum` is the one fiber route: it cuts, hulls
 and sums integer slices at one scale L with integer weights; `fiber_polygon` and `fiber_morse.area_P_bar` divide once.
 `kronecker_point` is the one symbolic perturbation: cone witnesses and Morse gradients read z + eps off it.
+`probe_polygon` reads a polytope of dimension <= 2 off a support oracle and a vertex oracle, with no hull.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 Point = tuple[Fraction, ...]
 
@@ -503,6 +504,41 @@ class Polygon2:
             return Fraction(0)
         edges = zip(vs, vs[1:] + vs[:1])
         return Fraction(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges), 2)
+
+
+def probe_polygon(value, vertex, d: int) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, int], int]]]:
+    """The vertex ring and confirmed edges of an integer polytope spanning Z^d, d <= 2, read off two oracles.
+
+    `value(nu)` is the support, max <p, nu> over the polytope, and `vertex(nu)` a vertex attaining it, both at
+    integer nu of length d. The seeds are vertex calls at -e_1 and e_1, or one call at () when d = 0; they
+    differ, as the span is Z^d, and at d <= 1 they are the answer, with no edges. Then each edge (a, b) of the
+    CCW ring gets one value call at its primitive outer normal nu: a value equal to <nu, a> confirms it, and a
+    larger one costs a vertex call, whose answer goes between a and b, as the vertices beyond the edge's line
+    lie between its ends (Dobkin-Edelsbrunner-Yap, *Probing convex polytopes*, 1986). So a polygon of V
+    vertices costs V vertex and 2V - 2 value calls. A value below <nu, a>, or a vertex off its value, is no
+    support of the vertices found: `InternalError`.
+    Returns the ring, and (nu, value) per confirmed edge in ring order.
+    """
+    if d == 0:
+        return [vertex(())], []
+    ring, edges, k = [vertex((sign,) + (0,) * (d - 1)) for sign in (-1, 1)], [], 0
+    while d == 2 and k < len(ring):  # ring[k] -> ring[k + 1] is the first unconfirmed edge
+        a, b = ring[k], ring[(k + 1) % len(ring)]
+        g = math.gcd(b[1] - a[1], b[0] - a[0])
+        nu = ((b[1] - a[1]) // g, (a[0] - b[0]) // g)
+        top, edge = value(nu), nu[0] * a[0] + nu[1] * a[1]
+        if top < edge:
+            raise InternalError(f"the polygon's support is convex: value({nu}) = {top} is below {edge}, "
+                                f"the value of its vertices {a} and {b}")
+        if top == edge:
+            edges.append((nu, top))
+            k += 1
+            continue
+        c = vertex(nu)
+        if nu[0] * c[0] + nu[1] * c[1] != top:
+            raise InternalError(f"a vertex call attains its value: <{nu}, {c}> is not value({nu}) = {top}")
+        ring.insert(k + 1, c)
+    return ring, edges
 
 
 def _angle_cmp(u, v) -> int:

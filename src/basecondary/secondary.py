@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .errors import InputError, ResourceError
 from .exact_core import (
-    CircuitData, PointConfig, _hull, clear_denominators, integer_normal, kronecker_point, rat, rational_draws,
+    CircuitData, PointConfig, _hull, clear_denominators, integer_normal, kronecker_point, probe_polygon, rat,
+    rational_draws,
 )
 
 Covector = tuple[Fraction, ...]
@@ -259,16 +260,21 @@ def enumerate_triangulations_1d(config: PointConfig) -> tuple[Subdivision, ...]:
     return tuple(sorted(subs, key=lambda s: (len(s.vertex_set()), s.vertex_set())))
 
 
-def gkz_vector(config: PointConfig, t: Subdivision) -> tuple[Fraction, ...]:
-    """Per-point total volume |V(cell)| / dx^n (`PointConfig.volume`) of incident cells; zero on non-vertices."""
-    if not t.is_triangulation:
-        raise InputError("GKZ vectors are defined for triangulations")
+def _gkz_ints(config: PointConfig, simplices) -> list[int]:
+    """dx^n times the GKZ vector: per point, the total |V(simplex)| (`PointConfig.volume`) of incident simplices."""
     phi = [0] * config.m
-    for cell in t.cells:
+    for cell in simplices:
         vol = abs(config.volume(cell))
         for i in cell:
             phi[i - 1] += vol
-    return tuple(Fraction(v, config.lift_forms[1] ** config.n) for v in phi)
+    return phi
+
+
+def gkz_vector(config: PointConfig, t: Subdivision) -> tuple[Fraction, ...]:
+    """Per-point total volume |V(cell)| / dx^n of incident cells (`_gkz_ints`); zero on non-vertices."""
+    if not t.is_triangulation:
+        raise InputError("GKZ vectors are defined for triangulations")
+    return tuple(Fraction(v, config.lift_forms[1] ** config.n) for v in _gkz_ints(config, t.cells))
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +305,22 @@ def _refine_cell(config: PointConfig, cell: Sequence[int]) -> list[tuple[int, ..
     raise InputError("cell refinement implemented for ambient dimension <= 2")
 
 
+def _pairing(config: PointConfig, zs: Sequence[int]) -> int:
+    """dx^n <phi_T, zs> at integer heights: the `_gkz_ints` of T, the `_refine_cell` simplices of their `_lift`."""
+    phi = _gkz_ints(config, (s for cell, _, _ in _lift(config, zs) for s in _refine_cell(config, cell)))
+    return sum(map(operator.mul, phi, zs))
+
+
 def secondary_support(config: PointConfig, gamma) -> Fraction:
     """Support value of the secondary polytope at gamma: <phi_T, gamma> (GKZ 1994).
 
     phi_T is the `gkz_vector` of T, the simplicial refinement of the induced
     subdivision by `_refine_cell`; the value does not depend on the
-    refinement because gamma is affine on each cell.
+    refinement because gamma is affine on each cell. In integers: the
+    `_pairing` of gamma cleared by dz, over dx^n dz.
     """
-    gamma = covector(config, gamma)
-    cells = _lift(config, clear_denominators(gamma)[0])
-    simplices = tuple(s for cell, _, _ in cells for s in _refine_cell(config, cell))
-    phi = gkz_vector(config, Subdivision(n=config.n, cells=simplices))
-    return sum((p * g for p, g in zip(phi, gamma)), Fraction(0))
+    zs, dz = clear_denominators(covector(config, gamma))
+    return Fraction(_pairing(config, zs), dz * config.lift_forms[1] ** config.n)
 
 
 def area_N(config: PointConfig, gamma) -> Fraction:
@@ -392,6 +402,40 @@ def enumerate_walls_1d(config: PointConfig) -> tuple[Wall, ...]:
                 circuit=config.circuit((ln, j, rn)),
             ))
     return tuple(sorted(walls, key=lambda w: (w.left.cells, w.moved)))
+
+
+def polygon_cones(config: PointConfig) -> tuple[tuple[Subdivision, Covector], ...]:
+    """Every (triangulation, generic witness) pair of a configuration spanning Q^2 with m <= 5, with no sampling.
+
+    Its secondary polytope has dimension m - 3 <= 2, and `probe_polygon` reads it off two integer calls at
+    the heights z that are nu off B, the first base of `PointConfig.lift_forms`, and 0 on B. The polytope's
+    points p satisfy sum_i p_i (1, a_i) = const, and the (1, a_i) of B are a basis, so the coordinates off B
+    fix p: the polygon is the projection of dx^2 times the polytope there, whose support at nu is the
+    secondary support at z. The value call is that support, the `_pairing` of z. The vertex call is
+    `_generic_triangulation` at the witness Z = `kronecker_point(z, N)`, N the power of 2 above twice the
+    largest circuit-form coefficient, and its `_gkz_ints` off B. Z is generic and its triangulation refines
+    z's subdivision, so its GKZ vector is a vertex maximizing <., z>, by `cone_witness`'s proof: the scan
+    compares only circuit forms with 0 and differences of two over one base, whose coefficients are below N.
+    Pairs are sorted by cells, as `discover_cones_random` sorts them.
+    """
+    _, _, circuits, bases, _ = config.lift_forms
+    off = [k for k in range(config.m) if k not in next(iter(bases))]
+    big = 1 << (2 * max((abs(c) for _, cs in circuits for c in cs), default=0)).bit_length()
+    found = {}
+
+    def heights(nu):
+        spot = dict(zip(off, nu))
+        return [spot.get(k, 0) for k in range(config.m)]
+
+    def vertex(nu):
+        witness = kronecker_point(heights(nu), big)
+        cells = tuple(_generic_triangulation(config, _oriented_scan(config, witness)))
+        phi = _gkz_ints(config, cells)
+        found[p := tuple(phi[k] for k in off)] = Subdivision(n=2, cells=cells), tuple(map(Fraction, witness))
+        return p
+
+    ring, _ = probe_polygon(lambda nu: _pairing(config, heights(nu)), vertex, len(off))
+    return tuple(sorted((found[p] for p in ring), key=lambda pair: pair[0].cells))
 
 
 def discover_cones_random(

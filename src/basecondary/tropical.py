@@ -73,14 +73,17 @@ def _equal_pairs(values) -> list[tuple[int, int]]:
     return [(u, w) for u, w in itertools.combinations(range(len(values)), 2) if values[u] == values[w]]
 
 
-def _breakpoints(support, cs):
-    """(i, j, den, num, values) per breakpoint of the envelope of integer cs over the nonzero exponents, ascending.
+def _zero_term(support) -> int:
+    """The index of exponent 0 in the support, else its length: the one term that decides no verdict."""
+    return support.index(0) if 0 in support else len(support)
 
-    Indices count the terms left once exponent 0 is dropped. Chain pair (i, j) breaks at num / den, den = a_j - a_i
-    > 0, num = cs_i - cs_j, where the term values times den are values[k] = cs_k * den + a_k * num. The maximizers
-    run from i, the first, to j, the last.
+
+def _breakpoints(support, cs):
+    """(i, j, den, num, values) per breakpoint of the envelope of integer cs over nonzero exponents, ascending.
+
+    Chain pair (i, j) breaks at num / den, den = a_j - a_i > 0, num = cs_i - cs_j, where the term values times
+    den are values[k] = cs_k * den + a_k * num. The maximizers run from i, the first, to j, the last.
     """
-    support, cs = zip(*[(a, c) for a, c in zip(support, cs) if a])
     chain = upper_chain(support, cs)
     for i, j in zip(chain, chain[1:]):
         den, num = support[j] - support[i], cs[i] - cs[j]
@@ -105,11 +108,14 @@ def _reasons(support, cs) -> tuple[str, ...]:
 def critical_points(p: TropicalPolynomial) -> tuple[CriticalPoint, ...]:
     """All critical points, the breakpoints of the envelope over the nonzero exponents, ascending, with tie annotations.
 
-    They are the `_breakpoints` of cs = d * coefficients, d > 0, with location and value divided by d.
+    They are the `_breakpoints` of cs = d * coefficients, d > 0, without the `_zero_term`, with location and
+    value divided by d.
     """
-    support, (cs, d) = [a for a in p.support if a], clear_denominators(p.coefficients)
+    k = _zero_term(p.support)
+    support, coefficients = p.support[:k] + p.support[k + 1:], p.coefficients[:k] + p.coefficients[k + 1:]
+    cs, d = clear_denominators(coefficients)
     out = []
-    for i, j, den, num, values in _breakpoints(p.support, cs):
+    for i, j, den, num, values in _breakpoints(support, cs):
         ties = [(support[u], support[w]) for u, w in _equal_pairs(values)]
         out.append(
             CriticalPoint(
@@ -165,8 +171,8 @@ def sample_morse_fraction(
     Each term, in support order, draws p in [-bound, bound] and then q in [1, bound] from
     `random.Random(seed)`; its coefficient is p/q, reported reduced. The draws are `randint`'s,
     read off its rejection stream by `rational_draws`, as `tests/tropical_reference.py` pins. Verdicts
-    are decided in integers, the p scaled by the lcm of the q; `Fraction`s are built only for listed
-    samples.
+    are decided in integers without the `_zero_term`, found once: the other p scaled by the lcm of their q.
+    `Fraction`s are built only for listed samples, of every term.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -175,11 +181,13 @@ def sample_morse_fraction(
         raise InputError("coefficient bound must be positive")
     supp = tuple(as_int(a, "support entry") for a in as_list(support, "support"))
     TropicalPolynomial(support=supp, coefficients=(0,) * len(supp))  # the support's checks, once
-    draw, bad = rational_draws(seed, bound), []
+    k, draw, bad = _zero_term(supp), rational_draws(seed, bound), []
+    kept = supp[:k] + supp[k + 1:]
     for _ in range(samples):
         draws = draw(len(supp))
-        d = math.lcm(*(q for _, q in draws))
-        reasons = _reasons(supp, [p * (d // q) for p, q in draws])
+        terms = draws[:k] + draws[k + 1:]
+        d = math.lcm(*(q for _, q in terms))
+        reasons = _reasons(kept, [p * (d // q) for p, q in terms])
         if reasons:
             bad.append((tuple(Fraction(p, q) for p, q in draws), reasons))
     morse_count = samples - len(bad)

@@ -37,6 +37,9 @@ def test_help(capsys):
     assert "verbs" in capsys.readouterr().out
     assert main(["eval", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: bck eval")
+    for verb in ("polytope", "convexify"):
+        assert main([verb, "--help"]) == 0
+        assert "m <= 5" in capsys.readouterr().out.replace("\n", " ")
 
 
 @pytest.mark.parametrize(
@@ -409,10 +412,22 @@ def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, verb, name, flags)
     assert code == 0 and out_path.read_bytes() == out.encode() and out.count("\n") == 1
 
 
-def test_pentagon_polytope_needs_seed(capsys):
-    code, out = run(capsys, "polytope", "--input", fixture("pentagon_indicator.json"))
+def test_hexagon_polytope_needs_seed(capsys, tmp_path):
+    path = tmp_path / "hexagon.json"
+    doc = {"n": 2, "A": [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2], [1, 1]], "F": {"kind": "neg_indicator_full"}}
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "polytope", "--input", str(path))
     assert code == 2
     assert "seed" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("flags", [(), ("--samples", "3", "--seed", "1")])
+def test_pentagon_polytope_reads_every_cone_and_ignores_the_seed(capsys, flags):
+    code, out = run(capsys, "polytope", "--input", fixture("pentagon_indicator.json"), *flags)
+    answer = json.loads(out)
+    assert code == 0 and answer["certified"] is True
+    assert len({tuple(v) for v in answer["vertices"]}) == 5
+    assert (code, out) == run(capsys, "polytope", "--input", fixture("pentagon_indicator.json"))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ nonlinear products as a first-order jet does.
 from fractions import Fraction as F
 
 import math
+import operator
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from basecondary.errors import InputError, InternalError
 from basecondary.exact_core import (
     Polygon2,
     affine_rank,
+    convex_hull_2d,
     fiber_polygon,
     find_circuit,
     integer_normal,
@@ -28,6 +30,7 @@ from basecondary.exact_core import (
     minkowski_sum,
     oriented_volume,
     point,
+    probe_polygon,
     rat,
     rat_str,
     rational_draws,
@@ -266,6 +269,52 @@ def test_kronecker_point_signs_are_those_of_z_plus_eps():
         expected = at_z or next((c for c in form if c), 0)
         at_kronecker = sum(a * b for a, b in zip(form, kronecker_point(z, base)))
         assert (at_kronecker > 0) - (at_kronecker < 0) == (expected > 0) - (expected < 0), (z, form, base)
+
+
+def _polygon_oracles(vertices, calls):
+    """The value and vertex calls of the polygon with these vertices, counted in `calls`."""
+    def value(nu):
+        calls["value"] += 1
+        return max(sum(map(operator.mul, p, nu)) for p in vertices)
+
+    def vertex(nu):
+        calls["vertex"] += 1
+        return max(vertices, key=lambda p: (sum(map(operator.mul, p, nu)), p))  # an end of the face: a vertex
+
+    return value, vertex
+
+
+def test_probe_polygon_reads_the_hull_with_one_vertex_call_per_vertex():
+    rng = random.Random("probe")
+    for _ in range(200):
+        while len(hull := convex_hull_2d([(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(12)])) < 3:
+            pass
+        hull, calls = tuple((int(x), int(y)) for x, y in hull), {"value": 0, "vertex": 0}
+        ring, edges = probe_polygon(*_polygon_oracles(hull, calls), 2)
+        start = ring.index(min(ring))
+        assert tuple(ring[start:] + ring[:start]) == hull
+        assert calls == {"value": 2 * len(hull) - 2, "vertex": len(hull)} and len(edges) == len(hull)
+        for (nu, top), a, b in zip(edges, ring, ring[1:] + ring[:1]):
+            assert math.gcd(*nu) == 1 and max(sum(map(operator.mul, p, nu)) for p in hull) == top
+            assert sum(map(operator.mul, a, nu)) == top == sum(map(operator.mul, b, nu))
+
+
+def test_probe_polygon_needs_only_the_seed_calls_below_dimension_two():
+    calls = {"value": 0, "vertex": 0}
+    assert probe_polygon(*_polygon_oracles([()], calls), 0) == ([()], [])
+    assert calls == {"value": 0, "vertex": 1}
+    calls = {"value": 0, "vertex": 0}
+    assert probe_polygon(*_polygon_oracles([(-3,), (4,)], calls), 1) == ([(-3,), (4,)], [])
+    assert calls == {"value": 0, "vertex": 2}
+
+
+def test_probe_polygon_refuses_a_support_that_is_not_convex():
+    # the seeds of the triangle are (0, 0) and (2, 0): their edge's normal (0, -1) has the value 0, the callback -1
+    value, vertex = _polygon_oracles([(0, 0), (2, 0), (1, 3)], {"value": 0, "vertex": 0})
+    with pytest.raises(InternalError, match=r"support is convex: value\(\(0, -1\)\) = -1 is below 0"):
+        probe_polygon(lambda nu: value(nu) - (nu == (0, -1)), vertex, 2)
+    with pytest.raises(InternalError, match=r"vertex call attains its value: <\(0, -1\), \(2, 0\)> is not value\(\(0, -1\)\) = 1"):
+        probe_polygon(lambda nu: value(nu) + 1, vertex, 2)
 
 
 def test_integer_normal_against_reference_minors():

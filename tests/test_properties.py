@@ -5,8 +5,8 @@
   max_k <g_k, gamma> = h(gamma) everywhere. Per-cone gradients miss vertices
   where h is not linear on a secondary cone, so this is a strict xfail
   until reconstruction walks the linearity chambers of h (ROADMAP item 2).
-  For n = 2 a few samples find too few cones, and the pentagon is still
-  `certified` with 2 or 3 of its 5 vertices: a second strict xfail.
+  A certified pentagon has all 5 vertices: its cones are read off the
+  secondary polygon, whatever samples and seed ask for.
 - The basecondary value is positively homogeneous and blind to affine
   functions added to the heights; the secondary support is homogeneous and
   additive on them.
@@ -127,10 +127,6 @@ def test_certified_gradients_are_the_support(source):
 PENTAGON = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP 2 (aim 3: a flag must imply its property): sampled n = 2 cones certify a partial pentagon",
-)
 @pytest.mark.parametrize("samples, seed", [(3, 1), (5, -1)])
 def test_certified_pentagon_has_all_five_vertices(samples, seed):
     rep = reconstruct_polytope(PENTAGON, neg_indicator_function(5, min_size=2), 0, samples=samples, seed=seed)

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -10,7 +11,7 @@ import quantity_reference
 import witness_reference
 from numeric_oracle import second_difference
 
-from basecondary import fiber_morse, secondary
+from basecondary import core, fiber_morse, secondary
 
 from basecondary.core import (
     enumerate_circuital,
@@ -31,7 +32,7 @@ from basecondary.secondary import (
     regular_subdivision,
     secondary_support,
 )
-from basecondary.setfun import table_function
+from basecondary.setfun import neg_indicator_function, table_function
 
 A1367 = make_config(1, [[1], [3], [6], [7]])
 G1 = (2, 4, 5, 3)
@@ -308,3 +309,87 @@ def test_upper_cells_n0():
     cfg = make_config(0, [[], [], []])
     assert regular_subdivision(cfg, (3, 2, 1)).cells == ((1,),)
     assert regular_subdivision(cfg, (3, 3, 1)).cells == ((1, 2),)
+
+
+def _planar_configs(count, seed):
+    """Seeded configurations spanning Q^2 with m = 3, 4, 5 in turn, on a small grid scaled by 1, 2 or 3."""
+    rng, configs = random.Random(seed), []
+    while len(configs) < count:
+        scale = rng.choice([1, 1, 2, 3])
+        grid = [(F(x, scale), F(y, scale)) for x in range(-3, 4) for y in range(-3, 4)]
+        config = make_config(2, rng.sample(grid, 3 + len(configs) % 3))
+        if config.lift_forms[3]:  # it spans
+            configs.append(config)
+    return configs
+
+
+def _has_collinear_triple(config):
+    return any(v == 0 for v in config.lift_forms[4].values())
+
+
+def test_polygon_cones_equal_sampled_discovery_on_150_planar_configurations():
+    configs = _planar_configs(150, 38)
+    assert sum(map(_has_collinear_triple, configs)) >= 20
+    assert sum(any(c.denominator > 1 for p in config.points for c in p) for config in configs) >= 20
+    rng = random.Random(39)
+    for k, config in enumerate(configs):
+        pairs = secondary.polygon_cones(config)
+        assert [t.cells for t, _ in pairs] == [t.cells for t, _ in discover_cones_random(config, 1000, k)]
+        for t, w in pairs:
+            assert is_generic(config, w) and regular_subdivision(config, w) == t
+        vertices = [gkz_vector(config, t) for t, _ in pairs]
+        for _ in range(3):
+            gamma = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(config.m))
+            assert max(sum(map(operator.mul, v, gamma)) for v in vertices) == secondary_support(config, gamma)
+
+
+def _counting_probe(monkeypatch):
+    """Counts of the vertex and value calls that `polygon_cones` makes, and of `discover_cones_random` calls."""
+    calls = {"vertex": 0, "value": 0, "discover": 0}
+    probe, discover = secondary.probe_polygon, core.discover_cones_random
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(secondary, "probe_polygon",
+                        lambda value, vertex, d: probe(counted("value", value), counted("vertex", vertex), d))
+    monkeypatch.setattr(core, "discover_cones_random", counted("discover", discover))
+    return calls
+
+
+def test_the_pentagon_costs_five_vertex_and_eight_value_calls_and_no_sample(monkeypatch):
+    calls = _counting_probe(monkeypatch)
+    pentagon = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2]])
+    f = neg_indicator_function(5, min_size=2)
+    rep = core.reconstruct_polytope(pentagon, f, 0, samples=3, seed=1)
+    assert rep.certified and len(set(rep.gradients)) == 5
+    assert calls == {"vertex": 5, "value": 8, "discover": 0}
+    assert core.min_convexifier(pentagon, f) == core.min_convexifier(pentagon, f, samples=800, seed=20240811)
+    assert calls == {"vertex": 15, "value": 24, "discover": 0}
+
+
+@pytest.mark.parametrize("points, vertex_calls", [
+    ([[0, 0], [2, 0], [0, 3]], 1),
+    ([[0, 0], [2, 0], [2, 2], [0, 2]], 2),
+    ([[0, 0], [4, 0], [0, 4], [1, 1]], 2),
+    ([[0, 0], [2, 0], [1, 0], [1, 2]], 2),  # a collinear triple
+])
+def test_triangles_and_quadrilaterals_need_only_the_seed_calls(monkeypatch, points, vertex_calls):
+    calls = _counting_probe(monkeypatch)
+    config = make_config(2, points)
+    pairs = core.cone_witnesses(config)
+    assert calls == {"vertex": vertex_calls, "value": 0, "discover": 0}
+    assert len(pairs) == vertex_calls
+    assert [t.cells for t, _ in pairs] == [t.cells for t, _ in discover_cones_random(config, 300, 5)]
+
+
+def test_other_planar_configurations_keep_sampled_discovery(monkeypatch):
+    calls = _counting_probe(monkeypatch)
+    hexagon = make_config(2, [[0, 0], [2, 0], [3, 2], [1, 4], [-1, 2], [1, 1]])
+    with pytest.raises(InputError, match="needs samples and a seed"):
+        core.cone_witnesses(hexagon)
+    assert core.cone_witnesses(hexagon, samples=20, seed=3) == discover_cones_random(hexagon, 20, 3)
+    assert calls == {"vertex": 0, "value": 0, "discover": 1}
