@@ -1,6 +1,8 @@
 """Command-line interface: JSON in, JSON out, deterministic output.
 
-Each verb returns library values as they are, and names keys itself only to
+`VERB_TABLE` spells each verb once, with its help line, its --help description
+and its handler, which reads the input document by name (`_Document`). Each
+verb returns library values as they are, and names keys itself only to
 print a tuple row or to add a derived field. One writer, `_write`, prints each
 answer and each error payload as one compact JSON line, keys sorted, so that
 CPython's C encoder runs, with one rule, `_json`, for the rest: a Fraction as
@@ -18,42 +20,18 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import core, fiber_morse, secondary, setfun, tropical
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 from .exact_core import PointConfig, affine_rank, as_int, make_config, rat, rat_str
 
-_VERB_HELP = {
-    "eval": "basecondary value at gamma (general evaluator)",
-    "eval-terms": "simplicial-expansion summands at a generic gamma",
-    "simplicial": "affine supports peaking on n+1 points",
-    "circuital": "affine supports peaking on n+2 points",
-    "subdivision": "regular subdivision induced by gamma",
-    "secondary": "secondary-polytope support value at gamma",
-    "base-polytope": "greedy vertices of a submodular base polytope",
-    "lovasz": "Lovász extension value at x",
-    "check-submodular": "exhaustive submodularity check",
-    "check-circuit-condition": "circuit inequality over all spanning (n+2)-subsets",
-    "convexify": "minimal convexifying multiple of the secondary support",
-    "polytope": "per-cone gradients with convexity certificate; n = 1 witnesses print as integers",
-    "morse-support": "Morse-discriminant Newton-polytope support at gamma",
-    "maxwell-support": "Maxwell-stratum Newton-polytope support at gamma",
-    "morse-polytope": "certified gradient representation (--variant); witnesses print as integers",
-    "trop-morse": "tropical Morse classification of a max-plus polynomial",
-    "trop-sample": "seeded Morse-fraction sampling over coefficients",
-}
-VERBS = tuple(_VERB_HELP)
 CONE_DISCOVERY = ("For n >= 2 the cones are found at --samples seeded heights (--seed); a configuration spanning Q^2 "
                   "with m <= 5 reads every cone off its secondary polygon, and accepts and ignores both flags.")
-
-USAGE = """usage: bck VERB --input PATH [--output PATH] [--seed N] [--samples N]
-           [--convexifier Q] [--variant morse|maxwell] [--svg PATH]
-
-verbs:
-""" + "".join(f"  {verb:<24} {text}\n" for verb, text in _VERB_HELP.items())
+SVG_WIDTH, SVG_HEIGHT = 480, 320  # pixels of each --svg picture
 
 
 def _json(value):
@@ -114,7 +92,10 @@ def _load_config(doc: dict) -> PointConfig:
             raise InputError(f"the points of 'A' must affinely span Q^{n}")
         return config
     if n == 0 and "m" in doc:
-        return make_config(0, [[] for _ in range(as_int(doc["m"], "field 'm'"))])
+        m = as_int(doc["m"], "field 'm'")
+        if (forms := math.comb(max(m, 0), 2)) > setfun.CIRCUIT_FORM_CAP:  # refused before any label is built
+            raise ResourceError(f"lift kernel capped at {setfun.CIRCUIT_FORM_CAP} circuit forms; m = {m} at n = 0 has {forms}")
+        return make_config(0, [[] for _ in range(m)])
     raise InputError("input needs a point list 'A' (or 'm' when n = 0)")
 
 
@@ -170,7 +151,7 @@ def _rep_json(rep: core.PiecewiseLinearRep) -> dict:
     return out
 
 
-def _svg_polyline(points, path, width=480, height=320):
+def _svg_polyline(points, path):
     """Best-effort SVG dump of a piecewise-linear graph; each pixel is exact until printed."""
     if not points:
         return
@@ -179,139 +160,142 @@ def _svg_polyline(points, path, width=480, height=320):
         lo, hi = min(vs), max(vs)
         return [20 + (v - lo) * (size - 40) / (hi - lo) if hi > lo else Fraction(20) for v in vs]
 
-    xs = pixels([rat(p[0]) for p in points], width)
-    ys = pixels([rat(p[1]) for p in points], height)
-    cmds = " ".join(f"{float(x):.2f},{float(height - y):.2f}" for x, y in zip(xs, ys))
+    xs = pixels([rat(p[0]) for p in points], SVG_WIDTH)
+    ys = pixels([rat(p[1]) for p in points], SVG_HEIGHT)
+    cmds = " ".join(f"{float(x):.2f},{float(SVG_HEIGHT - y):.2f}" for x, y in zip(xs, ys))
     body = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}">'
         f'<polyline fill="none" stroke="black" points="{cmds}"/></svg>'
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(body)
 
 
-def _run(verb: str, args, doc: dict):
-    if verb == "eval":
-        config = _load_config(doc)
-        f = _load_set_function(doc, config, min_size=config.n)
-        value = core.eval_basecondary_general(config, f, _load_gamma(doc, config))
-        return {"value": value}
+class _Document(dict):
+    """The input document of one call, read by name: loaded whole when the reader is built, and each other
+    field on its first read, through its `_load_*`. So the order in which a verb reads its fields decides
+    which message a document with two faults gets."""
 
-    if verb == "eval-terms":
-        config = _load_config(doc)
-        f = _load_set_function(doc, config, min_size=config.n)
-        gamma = _load_gamma(doc, config)
-        terms = core.expansion_terms(config, f, gamma)
-        return {
-            "value": sum((d * v for _, d, v in terms), Fraction(0)),
-            "terms": [{"tuple": t, "f_difference": d, "volume": v} for t, d, v in terms],
-        }
+    def __init__(self, path: str):
+        super().__init__(_load_doc(path))
 
-    if verb == "simplicial":
-        config = _load_config(doc)
-        gamma = _load_gamma(doc, config)
-        return {"supports": core.enumerate_simplicial(config, gamma), "generic": core.is_generic(config, gamma)}
+    @functools.cached_property
+    def config(self) -> PointConfig:
+        return _load_config(self)
 
-    if verb == "circuital":
-        config = _load_config(doc)
-        gamma = _load_gamma(doc, config)
-        return {
-            "supports": [
-                {**_json(s), "circuit": {**_json(c := s.circuit), "support": c.support, "p": c.p, "q": c.q}}
-                for s in core.enumerate_circuital(config, gamma)
-            ]
-        }
+    @functools.cached_property
+    def f(self) -> setfun.SetFunction:
+        """F at min_size = n, on `config`."""
+        return _load_set_function(self, self.config, min_size=self.config.n)
 
-    if verb == "subdivision":
-        config = _load_config(doc)
-        gamma = _load_gamma(doc, config)
-        sub = secondary.regular_subdivision(config, gamma)
-        if args.svg and config.n == 1:
-            pts = sorted(
-                (config.image(i)[0], gamma[i - 1]) for i in range(1, config.m + 1)
-            )
-            _svg_polyline(pts, args.svg)
-        return {"cells": sub.cells, "triangulation": sub.is_triangulation}
+    @functools.cached_property
+    def f0(self) -> setfun.SetFunction:
+        """F at min_size 0, for the verbs of F alone: m is read off 'A' if there is one, else off 'm'."""
+        return _load_set_function(self, None, min_size=0)
 
-    if verb == "secondary":
-        config = _load_config(doc)
-        value = secondary.secondary_support(config, _load_gamma(doc, config))
-        return {"value": value}
+    @functools.cached_property
+    def gamma(self) -> tuple[Fraction, ...]:
+        return _load_gamma(self, self.config)
 
-    if verb == "base-polytope":
-        f = _load_set_function(doc, None, min_size=0)
-        return {"vertices": setfun.base_polytope(f)}
+    @functools.cached_property
+    def exponents(self) -> fiber_morse.MorseConfig:
+        """The Morse exponents 'A'. Their points are `config` from then on, so `gamma` has one per exponent."""
+        mcfg = fiber_morse.morse_config(_need(self, "A"))
+        vars(self)["config"] = mcfg.config()
+        return mcfg
 
-    if verb == "lovasz":
-        f = _load_set_function(doc, None, min_size=0)
-        x = _need(doc, "x")
-        return {"value": setfun.lovasz_extension(f, x)}
 
-    if verb == "check-submodular":
-        f = _load_set_function(doc, None, min_size=0)
-        report = setfun.is_submodular(f)
-        out = {"holds": report.holds}
-        if report.witness is not None:
-            out["witness"] = dict(zip(("X", "x1", "x2", "values"), report.witness))
-        return out
+def _eval_terms(doc, args):
+    terms = core.expansion_terms(doc.config, doc.f, doc.gamma)
+    return {
+        "value": sum((d * v for _, d, v in terms), Fraction(0)),
+        "terms": [{"tuple": t, "f_difference": d, "volume": v} for t, d, v in terms],
+    }
 
-    if verb == "check-circuit-condition":
-        config = _load_config(doc)
-        f = _load_set_function(doc, config, min_size=config.n)
-        report = setfun.circuit_condition_check(f, config)
-        return {**_json(report), "rows": [{"J": j, "value": v} for j, v in report.rows]}
 
-    if verb == "convexify":
-        config = _load_config(doc)
-        f = _load_set_function(doc, config, min_size=config.n)
-        result = core.min_convexifier(
-            config, f, samples=args.samples, seed=args.seed
-        )
-        return {
-            **_json(result),
-            "walls": [{"circuit": c, "defect": d, "defect_secondary": ds} for c, d, ds in result.walls],
-        }
+def _subdivision(doc, args):
+    config, gamma = doc.config, doc.gamma
+    sub = secondary.regular_subdivision(config, gamma)
+    if args.svg and config.n == 1:
+        _svg_polyline(sorted((config.image(i)[0], gamma[i - 1]) for i in range(1, config.m + 1)), args.svg)
+    return {"cells": sub.cells, "triangulation": sub.is_triangulation}
 
-    if verb == "polytope":
-        config = _load_config(doc)
-        f = _load_set_function(doc, config, min_size=config.n)
-        convexifier = rat(args.convexifier) if args.convexifier is not None else Fraction(0)
-        rep = core.reconstruct_polytope(
-            config, f, convexifier, samples=args.samples, seed=args.seed
-        )
-        return _rep_json(rep)
 
-    if verb in ("morse-support", "maxwell-support"):
-        mcfg = fiber_morse.morse_config(_need(doc, "A"))
-        gamma = _load_gamma(doc, mcfg.config())
-        fn = fiber_morse.morse_support if verb == "morse-support" else fiber_morse.maxwell_support
-        return {"value": fn(mcfg, gamma)}
+def _check_submodular(doc, args):
+    report = setfun.is_submodular(doc.f0)
+    out = {"holds": report.holds}
+    if report.witness is not None:
+        out["witness"] = dict(zip(("X", "x1", "x2", "values"), report.witness))
+    return out
 
-    if verb == "morse-polytope":
-        mcfg = fiber_morse.morse_config(_need(doc, "A"))
-        rep = fiber_morse.morse_polytope(mcfg, args.variant)
-        return {**_rep_json(rep), "variant": args.variant}
 
-    if verb == "trop-morse":
-        poly = tropical.tropical_polynomial(_need(doc, "support"), _need(doc, "coefficients"))
-        report = tropical.is_morse(poly)
-        cps = report.critical_points
-        if args.svg:  # the envelope of the nonzero exponents, whose breakpoints are the critical points
-            xs = [cp.location for cp in cps] or [Fraction(0)]  # none: one nonzero exponent, a line
-            terms = [(a, c) for a, c in zip(poly.support, poly.coefficients) if a]
-            _svg_polyline([(x, max(c + a * x for a, c in terms)) for x in (xs[0] - 1, *xs, xs[-1] + 1)], args.svg)
-        return {**_json(report), "reason": report.reasons[0] if report.reasons else None}
+def _polytope(doc, args):
+    config, f = doc.config, doc.f
+    convexifier = rat(args.convexifier) if args.convexifier is not None else Fraction(0)
+    return _rep_json(core.reconstruct_polytope(config, f, convexifier, samples=args.samples, seed=args.seed))
 
-    # trop-sample, the last verb: main admits only VERBS
+
+def _trop_morse(doc, args):
+    poly = tropical.tropical_polynomial(_need(doc, "support"), _need(doc, "coefficients"))
+    report = tropical.is_morse(poly)
+    if args.svg:  # the envelope of the nonzero exponents, whose breakpoints are the critical points
+        xs = [cp.location for cp in report.critical_points] or [Fraction(0)]  # none: one nonzero exponent, a line
+        terms = [(a, c) for a, c in zip(poly.support, poly.coefficients) if a]
+        _svg_polyline([(x, max(c + a * x for a, c in terms)) for x in (xs[0] - 1, *xs, xs[-1] + 1)], args.svg)
+    return {**_json(report), "reason": report.reasons[0] if report.reasons else None}
+
+
+def _trop_sample(doc, args):
     if args.seed is None:
-        raise InputError("trop-sample is randomized and requires --seed")
+        raise InputError(f"{args.verb} is randomized and requires --seed")
     samples = args.samples if args.samples is not None else doc.get("samples")
     if samples is None:
-        raise InputError("trop-sample needs --samples (or a 'samples' field)")
-    report = tropical.sample_morse_fraction(
-        _need(doc, "support"), as_int(samples, "field 'samples'"), args.seed, doc.get("bound")
-    )
+        raise InputError(f"{args.verb} needs --samples (or a 'samples' field)")
+    report = tropical.sample_morse_fraction(_need(doc, "support"), as_int(samples, "field 'samples'"), args.seed, doc.get("bound"))
     return {**_json(report), "non_morse": [{"coefficients": c, "reasons": r} for c, r in report.non_morse]}
+
+
+# verb: (help line, description of the verb's --help, handler (document, flags) -> answer)
+VERB_TABLE = {
+    "eval": ("basecondary value at gamma (general evaluator)", None,
+             lambda doc, args: {"value": core.eval_basecondary_general(doc.config, doc.f, doc.gamma)}),
+    "eval-terms": ("simplicial-expansion summands at a generic gamma", None, _eval_terms),
+    "simplicial": ("affine supports peaking on n+1 points", None, lambda doc, args: {
+        "supports": core.enumerate_simplicial(doc.config, doc.gamma), "generic": core.is_generic(doc.config, doc.gamma)}),
+    "circuital": ("affine supports peaking on n+2 points", None, lambda doc, args: {"supports": [
+        {**_json(s), "circuit": {**_json(c := s.circuit), "support": c.support, "p": c.p, "q": c.q}}
+        for s in core.enumerate_circuital(doc.config, doc.gamma)]}),
+    "subdivision": ("regular subdivision induced by gamma", None, _subdivision),
+    "secondary": ("secondary-polytope support value at gamma", None,
+                  lambda doc, args: {"value": secondary.secondary_support(doc.config, doc.gamma)}),
+    "base-polytope": ("greedy vertices of a submodular base polytope", None,
+                      lambda doc, args: {"vertices": setfun.base_polytope(doc.f0)}),
+    "lovasz": ("Lovász extension value at x", None,
+               lambda doc, args: {"value": setfun.lovasz_extension(doc.f0, _need(doc, "x"))}),
+    "check-submodular": ("exhaustive submodularity check", None, _check_submodular),
+    "check-circuit-condition": ("circuit inequality over all spanning (n+2)-subsets", None, lambda doc, args: {
+        **_json(r := setfun.circuit_condition_check(doc.f, doc.config)), "rows": [{"J": j, "value": v} for j, v in r.rows]}),
+    "convexify": ("minimal convexifying multiple of the secondary support", CONE_DISCOVERY, lambda doc, args: {
+        **_json(r := core.min_convexifier(doc.config, doc.f, samples=args.samples, seed=args.seed)),
+        "walls": [{"circuit": c, "defect": d, "defect_secondary": ds} for c, d, ds in r.walls]}),
+    "polytope": ("per-cone gradients with convexity certificate; n = 1 witnesses print as integers", CONE_DISCOVERY,
+                 _polytope),
+    "morse-support": ("Morse-discriminant Newton-polytope support at gamma", None,
+                      lambda doc, args: {"value": fiber_morse.morse_support(doc.exponents, doc.gamma)}),
+    "maxwell-support": ("Maxwell-stratum Newton-polytope support at gamma", None,
+                        lambda doc, args: {"value": fiber_morse.maxwell_support(doc.exponents, doc.gamma)}),
+    "morse-polytope": ("certified gradient representation (--variant); witnesses print as integers", None,
+                       lambda doc, args: {**_rep_json(fiber_morse.morse_polytope(doc.exponents, args.variant)),
+                                          "variant": args.variant}),
+    "trop-morse": ("tropical Morse classification of a max-plus polynomial", tropical.CRITICAL_POINTS, _trop_morse),
+    "trop-sample": ("seeded Morse-fraction sampling over coefficients", tropical.CRITICAL_POINTS, _trop_sample),
+}
+VERBS = tuple(VERB_TABLE)
+USAGE = """usage: bck VERB --input PATH [--output PATH] [--seed N] [--samples N]
+           [--convexifier Q] [--variant morse|maxwell] [--svg PATH]
+
+verbs:
+""" + "".join(f"  {verb:<24} {text}\n" for verb, (text, _, _) in VERB_TABLE.items())
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -323,9 +307,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser(verb: str) -> argparse.ArgumentParser:
-    note = (tropical.CRITICAL_POINTS if verb.startswith("trop-")  # which envelope decides a verdict
-            else CONE_DISCOVERY if verb in ("convexify", "polytope") else None)  # which cones are sampled
-    parser = _ArgumentParser(prog=f"bck {verb}", description=note)
+    parser = _ArgumentParser(prog=f"bck {verb}", description=VERB_TABLE[verb][1])
+    parser.set_defaults(verb=verb)
     parser.add_argument("--input", required=True, help="path of the JSON problem file")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None)
@@ -342,13 +325,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(USAGE)
         return 0 if argv else 64
     verb = argv[0]
-    if verb not in VERBS:
+    if verb not in VERB_TABLE:
         sys.stderr.write(f"unknown verb: {verb}\n\n{USAGE}")
         return 64
     try:
         args = _parser(verb).parse_args(argv[1:])
-        doc = _load_doc(args.input)
-        _write(_run(verb, args, doc), args.output)
+        _write(VERB_TABLE[verb][2](_Document(args.input), args), args.output)
         return 0
     except InputError as exc:
         error, code = str(exc), 2

@@ -125,8 +125,9 @@ class PointConfig:
     """Ground set {1..m} together with its image points in Q^n.
 
     Kept with the config, no fields, so ignored by ==, hash and repr: `lift_forms`, the lift's integer kernel,
-    built on first use, and the last lift (`secondary._lift`), the scan rows of the last integer heights lifted,
-    keyed by them. The routes that share a lift run back to back, so one entry serves them and keeps one alive.
+    built on first use, the base of its witnesses (`secondary._kronecker_base`), and the last lift
+    (`secondary._lift`), the scan rows of the last integer heights lifted, keyed by them. The routes that share
+    a lift run back to back, so one entry serves them and keeps one alive.
     """
 
     n: int

@@ -213,6 +213,10 @@ def morse_polytope(config: MorseConfig, variant: str = "morse") -> PiecewiseLine
     linearity chambers it is that of the chamber toward
     eps_1 >> eps_2 >> ... The homogeneity identity <g, w> = support(w) is
     checked as an invariant.
+
+    Known defect, the missed-vertex defect of ROADMAP items 22 and 9: `certified: true` does not imply
+    that the gradients are all the polytope's vertices. With m >= 4 exponents one gradient per secondary
+    cone misses vertices, so their max falls below the support at some heights, and `certified` is still true.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")

@@ -337,21 +337,32 @@ def area_N(config: PointConfig, gamma) -> Fraction:
 # cone witnesses and walls (exact for n = 1)
 
 
+def _kronecker_base(config: PointConfig) -> int:
+    """N, the power of 2 above 2 M, M the largest |V| of the kernel (`PointConfig.lift_forms`); kept on config.
+
+    Every cone witness is `kronecker_point(z, N)` of integer heights z whose subdivision it is to refine. The
+    scan (`_oriented_scan`, `_generic_triangulation`) compares only a height h, a circuit form, with 0, and two
+    heights h_a - h_b over one base B with each other. A circuit form's coefficients are +-V of n + 1 of its
+    points, so at most M, and h_a - h_b has +-V(B) on z_a and z_b and a difference of two on each label of B,
+    so its coefficients are at most 2 M < N. Neither form is 0: h_l has the coefficient |V(B)| != 0 on z_l,
+    and h_a - h_b has it on z_a. So at Z = `kronecker_point(z, N)` no h or h_a - h_b is 0, and each has the
+    sign it has at z wherever that is not 0: Z is generic, and its triangulation refines z's subdivision.
+    """
+    kept = vars(config)
+    if "kronecker_base" not in kept:
+        kept["kronecker_base"] = 1 << (2 * max(map(abs, config.lift_forms[4].values()))).bit_length()
+    return kept["kronecker_base"]
+
+
 def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
     """A positive generic integer height vector inducing the triangulation t, with no scan and no retry.
 
     The heights big + 1 - x^2 on t's vertices (big = 1 + max x^2, so each is at least 2) and i / (m + 1)
     on each other label i, cleared to integers z, induce t: the vertices lie on a strictly concave parabola,
     and a non-vertex lies below every line through two vertices, which is at least 2 over the vertices' span.
-    So over each cell of t every other lifted height h < 0, and over every other base some h > 0.
-    The witness is `kronecker_point(z, N)`, z + eps, with N the power of 2 above 2 (x_max - x_min), x
-    the cleared coordinates of `PointConfig.lift_forms`. Why that N suffices: at n = 1 a circuit form's
-    coefficients are +-V of two of its three points, gaps between two x, so at most the span. The scan
-    (`_oriented_scan`, `_generic_triangulation`) only compares a height h, a circuit form, with 0 and two
-    heights h_a - h_b over one base, whose coefficients are then at most 2 (x_max - x_min) < N. Neither form
-    is 0: h_l has the coefficient |V(B)| != 0 on z_l, and h_a - h_b has it on z_a. So at Z every h keeps its
-    sign at z, where none is 0 off its base, and no h or h_a - h_b is 0: Z induces t, every cell has two
-    points and its tail heights are distinct, so Z is generic.
+    So over each cell of t every other lifted height h < 0, and over every other base some h > 0: z's
+    subdivision is t, a triangulation, and the witness `kronecker_point(z, _kronecker_base(config))` induces t
+    and is generic (`_kronecker_base`).
     """
     order = _labels_by_coordinate(config)
     verts = set(t.vertex_set())
@@ -361,8 +372,7 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
     big = 1 + max(p[0] * p[0] for p in config.points)
     z = clear_denominators([big + 1 - p[0] * p[0] if i in verts else Fraction(i, config.m + 1)
                             for i, p in enumerate(config.points, 1)])[0]
-    xs = [x for x, in config.lift_forms[0]]
-    return tuple(map(Fraction, kronecker_point(z, 1 << (2 * (max(xs) - min(xs))).bit_length())))
+    return tuple(map(Fraction, kronecker_point(z, _kronecker_base(config))))
 
 
 @dataclass(frozen=True)
@@ -412,16 +422,12 @@ def polygon_cones(config: PointConfig) -> tuple[tuple[Subdivision, Covector], ..
     points p satisfy sum_i p_i (1, a_i) = const, and the (1, a_i) of B are a basis, so the coordinates off B
     fix p: the polygon is the projection of dx^2 times the polytope there, whose support at nu is the
     secondary support at z. The value call is that support, the `_pairing` of z. The vertex call is
-    `_generic_triangulation` at the witness Z = `kronecker_point(z, N)`, N the power of 2 above twice the
-    largest circuit-form coefficient, and its `_gkz_ints` off B. Z is generic and its triangulation refines
-    z's subdivision, so its GKZ vector is a vertex maximizing <., z>, by `cone_witness`'s proof: the scan
-    compares only circuit forms with 0 and differences of two over one base, whose coefficients are below N.
-    Pairs are sorted by cells, as `discover_cones_random` sorts them.
+    `_generic_triangulation` at the witness Z = `kronecker_point(z, _kronecker_base(config))`, and its
+    `_gkz_ints` off B. Z is generic and its triangulation refines z's subdivision (`_kronecker_base`), so its
+    GKZ vector is a vertex maximizing <., z>. Pairs are sorted by cells, as `discover_cones_random` sorts them.
     """
-    _, _, circuits, bases, _ = config.lift_forms
-    off = [k for k in range(config.m) if k not in next(iter(bases))]
-    big = 1 << (2 * max((abs(c) for _, cs in circuits for c in cs), default=0)).bit_length()
-    found = {}
+    off = [k for k in range(config.m) if k not in next(iter(config.lift_forms[3]))]
+    big, found = _kronecker_base(config), {}
 
     def heights(nu):
         spot = dict(zip(off, nu))

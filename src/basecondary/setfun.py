@@ -17,6 +17,7 @@ from .exact_core import CircuitData, PointConfig, as_int, as_list, matrix_rank, 
 
 SUBMODULAR_CHECK_CAP = 16
 BASE_POLYTOPE_CAP = 8
+CIRCUIT_FORM_CAP = 500_000  # the C(m, 2) circuit forms of an n = 0 lift kernel: m <= 1000
 
 Subset = frozenset[int]
 
@@ -73,13 +74,16 @@ class SetFunction:
         if self.kind == "table":
             if self.table is None:
                 raise InputError("table kind needs a value map")
-            ground, denominators = frozenset(range(1, self.m + 1)), {_rational(self.default, "default").denominator}
+            ground, denominators = range(1, self.m + 1), {_rational(self.default, "default").denominator}
+            seen = set()  # the labels checked so far, all within 1..m: `_mask`'s rule, with no m-element set
             for key, q in self.table.items():
                 if not isinstance(key, frozenset):
                     raise InputError(f"table key {key!r} is not a frozenset")
-                if not key <= ground:
-                    shown = sorted(key) if all(isinstance(i, int) for i in key) else set(key)
-                    raise InputError(f"table key {shown} not within 1..{self.m}")
+                if not key <= seen:
+                    if not all(i in ground for i in key):
+                        shown = sorted(key) if all(isinstance(i, int) for i in key) else set(key)
+                        raise InputError(f"table key {shown} not within 1..{self.m}")
+                    seen |= key
                 if type(q) is not Fraction and type(q) is not int:  # exact types skip the full check
                     _rational(q, "value")
                 denominators.add(q.denominator)

@@ -2,10 +2,14 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import basecondary
 from basecondary import core, tropical
 from basecondary.cli import main
 from basecondary.errors import InternalError
@@ -218,6 +222,30 @@ def test_wide_0d_polytopes_are_refused_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert json.loads(out) == {"error": "full vertex enumeration capped at m = 8"}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))  # 1.5 GB, in the child only
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("eval", {"n": 0, "m": 3_000_000, "F": {"kind": "neg_card_ratio"}, "gamma": [1]},
+     "lift kernel capped at 500000 circuit forms; m = 3000000 at n = 0 has 4499998500000"),
+    ("check-circuit-condition", {"n": 0, "m": 10**9, "F": {"kind": "neg_card_ratio"}},
+     "lift kernel capped at 500000 circuit forms; m = 1000000000 at n = 0 has 499999999500000000"),
+    ("lovasz", {"m": 10**9, "F": {"kind": "table", "values": {}}, "x": [0]}, "expected a vector of length 1000000000"),
+    ("check-submodular", {"m": 10**9, "F": {"kind": "table", "values": {}}}, "exhaustive check capped at m = 16"),
+])
+def test_huge_bare_m_is_refused_before_allocating(tmp_path, verb, doc, message):
+    # neither the n = 0 labels nor a table's ground set is built: a 1.5 GB child answers at once
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(basecondary.__file__))}
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "basecondary.cli", verb, "--input", str(path)],
+                         capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (res.returncode, json.loads(res.stdout), res.stderr) == (2, {"error": message}, "")
 
 
 @pytest.mark.parametrize("xs, d", [([0, 1, 2, 3, 4], 1000), ([0, 1, 3, 4, 6, 7], 100000)])
