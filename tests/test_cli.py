@@ -231,13 +231,17 @@ def _limit_address_space():
 @pytest.mark.parametrize("verb, doc, message", [
     ("eval", {"n": 0, "m": 3_000_000, "F": {"kind": "neg_card_ratio"}, "gamma": [1]},
      "lift kernel capped at 500000 circuit forms; m = 3000000 at n = 0 has 4499998500000"),
+    ("eval", {"n": 0, "m": 1000, "F": {"kind": "neg_card_ratio"}, "gamma": [1]},  # the cap admits m = 1000
+     "field 'gamma' must be a list of 1000 rationals"),
+    ("eval", {"n": 0, "m": 1001, "F": {"kind": "neg_card_ratio"}, "gamma": [1]},
+     "lift kernel capped at 500000 circuit forms; m = 1001 at n = 0 has 500500"),
     ("check-circuit-condition", {"n": 0, "m": 10**9, "F": {"kind": "neg_card_ratio"}},
      "lift kernel capped at 500000 circuit forms; m = 1000000000 at n = 0 has 499999999500000000"),
     ("lovasz", {"m": 10**9, "F": {"kind": "table", "values": {}}, "x": [0]}, "expected a vector of length 1000000000"),
     ("check-submodular", {"m": 10**9, "F": {"kind": "table", "values": {}}}, "exhaustive check capped at m = 16"),
 ])
-def test_huge_bare_m_is_refused_before_allocating(tmp_path, verb, doc, message):
-    # neither the n = 0 labels nor a table's ground set is built: a 1.5 GB child answers at once
+def test_a_bare_m_is_bounded_before_allocating(tmp_path, verb, doc, message):
+    # above the cap no n = 0 label is built, and a table F builds no ground set: a 1.5 GB child answers at once
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(basecondary.__file__))}
