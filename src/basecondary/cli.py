@@ -251,7 +251,8 @@ def _trop_sample(doc, args):
     samples = args.samples if args.samples is not None else doc.get("samples")
     if samples is None:
         raise InputError(f"{args.verb} needs --samples (or a 'samples' field)")
-    report = tropical.sample_morse_fraction(_need(doc, "support"), as_int(samples, "field 'samples'"), args.seed, doc.get("bound"))
+    report = tropical.sample_morse_fraction(
+        _need(doc, "support"), as_int(samples, "field 'samples'"), args.seed, doc.get("bound"))
     return {**_json(report), "non_morse": [{"coefficients": c, "reasons": r} for c, r in report.non_morse]}
 
 
