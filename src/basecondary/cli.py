@@ -20,14 +20,13 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import core, fiber_morse, secondary, setfun, tropical
-from .errors import InputError, InternalError, ResourceError
-from .exact_core import PointConfig, affine_rank, as_int, make_config, rat, rat_str
+from .errors import InputError, InternalError
+from .exact_core import PointConfig, affine_rank, as_int, check_lift_size, make_config, rat, rat_str
 
 CONE_DISCOVERY = ("For n >= 2 the cones are found at --samples seeded heights (--seed); a configuration spanning Q^2 "
                   "with m <= 5 reads every cone off its secondary polygon, and accepts and ignores both flags.")
@@ -93,8 +92,7 @@ def _load_config(doc: dict) -> PointConfig:
         return config
     if n == 0 and "m" in doc:
         m = as_int(doc["m"], "field 'm'")
-        if (forms := math.comb(max(m, 0), 2)) > setfun.CIRCUIT_FORM_CAP:  # refused before any label is built
-            raise ResourceError(f"lift kernel capped at {setfun.CIRCUIT_FORM_CAP} circuit forms; m = {m} at n = 0 has {forms}")
+        check_lift_size(0, m)  # refused before any label is built
         return make_config(0, [[] for _ in range(m)])
     raise InputError("input needs a point list 'A' (or 'm' when n = 0)")
 
@@ -163,12 +161,9 @@ def _svg_polyline(points, path):
     xs = pixels([rat(p[0]) for p in points], SVG_WIDTH)
     ys = pixels([rat(p[1]) for p in points], SVG_HEIGHT)
     cmds = " ".join(f"{float(x):.2f},{float(SVG_HEIGHT - y):.2f}" for x, y in zip(xs, ys))
-    body = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}">'
-        f'<polyline fill="none" stroke="black" points="{cmds}"/></svg>'
-    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}">'
+                 f'<polyline fill="none" stroke="black" points="{cmds}"/></svg>')
 
 
 class _Document(dict):
@@ -229,12 +224,6 @@ def _check_submodular(doc, args):
     return out
 
 
-def _polytope(doc, args):
-    config, f = doc.config, doc.f
-    convexifier = rat(args.convexifier) if args.convexifier is not None else Fraction(0)
-    return _rep_json(core.reconstruct_polytope(config, f, convexifier, samples=args.samples, seed=args.seed))
-
-
 def _trop_morse(doc, args):
     poly = tropical.tropical_polynomial(_need(doc, "support"), _need(doc, "coefficients"))
     report = tropical.is_morse(poly)
@@ -280,7 +269,8 @@ VERB_TABLE = {
         **_json(r := core.min_convexifier(doc.config, doc.f, samples=args.samples, seed=args.seed)),
         "walls": [{"circuit": c, "defect": d, "defect_secondary": ds} for c, d, ds in r.walls]}),
     "polytope": ("per-cone gradients with convexity certificate; n = 1 witnesses print as integers", CONE_DISCOVERY,
-                 _polytope),
+                 lambda doc, args: _rep_json(core.reconstruct_polytope(
+                     doc.config, doc.f, args.convexifier, samples=args.samples, seed=args.seed))),
     "morse-support": ("Morse-discriminant Newton-polytope support at gamma", None,
                       lambda doc, args: {"value": fiber_morse.morse_support(doc.exponents, doc.gamma)}),
     "maxwell-support": ("Maxwell-stratum Newton-polytope support at gamma", None,
@@ -314,7 +304,7 @@ def _parser(verb: str) -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--convexifier", default=None, help="rational multiple, e.g. 2 or 3/2")
+    parser.add_argument("--convexifier", default="0", help="rational multiple, e.g. 2 or 3/2")
     parser.add_argument("--variant", choices=("morse", "maxwell"), default="morse")
     parser.add_argument("--svg", default=None, help="best-effort SVG dump for 2D graphs")
     return parser

@@ -18,7 +18,7 @@ normal form, and `solve_linear` reads x = N[:k] / N[k] off the minors N of [A | 
 The lift, for every n, takes the coordinate volumes and one integer form per circuit once per config
 (`PointConfig.lift_forms`), reads each lifted height as a signed circuit form of the cleared heights,
 summing each form at most once per lift; its minors are every simplex volume, orientation and circuit
-of A (`volume`, `circuit`).
+of A (`volume`, `circuit`). Its one guard, `check_lift_size`, caps it at `CIRCUIT_FORM_CAP` circuit forms.
 Tropical critical points, cone discovery and fiber polygons run on scaled
 integers: a positive scale per coordinate keeps every sign, equality, hull
 and edge-angle order, so only reported values become Fractions. `_fiber_sum` is the one fiber route: it cuts, hulls
@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 
 Point = tuple[Fraction, ...]
+CIRCUIT_FORM_CAP = 500_000  # C(m, n + 2) forms: m <= 1000 at n = 0, 145 at n = 1, 60 at n = 2
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +121,21 @@ def rational_draws(seed, bound: int):
 # point configurations
 
 
+def check_lift_size(n: int, m: int) -> None:
+    """Refuse, before anything is allocated, a lift kernel of more than `CIRCUIT_FORM_CAP` circuit forms."""
+    if (forms := math.comb(max(m, 0), n + 2)) > CIRCUIT_FORM_CAP:  # a negative bare m is InputError's to refuse
+        raise ResourceError(f"lift kernel capped at {CIRCUIT_FORM_CAP} circuit forms; m = {m} at n = {n} has {forms}")
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Ground set {1..m} together with its image points in Q^n.
 
     Kept with the config, no fields, so ignored by ==, hash and repr: `lift_forms`, the lift's integer kernel,
-    built on first use, the base of its witnesses (`secondary._kronecker_base`), and the last lift
-    (`secondary._lift`), the scan rows of the last integer heights lifted, keyed by them. The routes that share
-    a lift run back to back, so one entry serves them and keeps one alive.
+    built on first use and refused above `CIRCUIT_FORM_CAP` circuit forms, its one count, the base of its
+    witnesses (`secondary._kronecker_base`), and the last lift (`secondary._lift`), the scan rows of the last
+    integer heights lifted, keyed by them. The routes that share a lift run back to back, so one entry serves
+    them and keeps one alive.
     """
 
     n: int
@@ -188,8 +196,11 @@ class PointConfig:
         -j when h_l is form j or its negative, 0 on B. Both follow `itertools.combinations`.
         For n = 0 every point has volume 1 and the forms are z_a - z_b; for n = 1 they are
         the 3-point circuits. `vol` maps every sorted S to V(S): `volume` and `circuit` read it.
+        Above `CIRCUIT_FORM_CAP` forms `check_lift_size` raises before anything is built. That one count bounds
+        the C(m, n + 1) m ref slots too: (n + 2) m / (m - n - 1) per form, at most 2 (n + 2) once m >= 2 (n + 1).
         """
         n, m = self.n, self.m
+        check_lift_size(n, m)
         flat, dx = clear_denominators([c for p in self.points for c in p])
         xs = tuple(tuple(flat[k * n:(k + 1) * n]) for k in range(m))
         vol = {s: _int_det([[a - b for a, b in zip(xs[k], xs[s[0]])] for k in s[1:]])

@@ -17,7 +17,6 @@ from .exact_core import CircuitData, PointConfig, as_int, as_list, matrix_rank, 
 
 SUBMODULAR_CHECK_CAP = 16
 BASE_POLYTOPE_CAP = 8
-CIRCUIT_FORM_CAP = 500_000  # the C(m, 2) circuit forms of an n = 0 lift kernel: m <= 1000
 
 Subset = frozenset[int]
 

@@ -239,9 +239,17 @@ def _limit_address_space():
      "lift kernel capped at 500000 circuit forms; m = 1000000000 at n = 0 has 499999999500000000"),
     ("lovasz", {"m": 10**9, "F": {"kind": "table", "values": {}}, "x": [0]}, "expected a vector of length 1000000000"),
     ("check-submodular", {"m": 10**9, "F": {"kind": "table", "values": {}}}, "exhaustive check capped at m = 16"),
+    ("eval", {"n": 0, "m": -3, "F": {"kind": "neg_card_ratio"}, "gamma": [1]}, "ground size must exceed 1"),
+    ("eval", {"n": 1, "A": list(range(1, 301)), "F": {"kind": "neg_gcd"}, "gamma": [0] * 300},
+     "lift kernel capped at 500000 circuit forms; m = 300 at n = 1 has 4455100"),
+    ("eval", {"n": 0, "A": [[]] * 20_000, "F": {"kind": "neg_card_ratio"}, "gamma": [0] * 20_000},
+     "lift kernel capped at 500000 circuit forms; m = 20000 at n = 0 has 199990000"),
+    ("check-circuit-condition", {"n": 1, "A": list(range(1, 301)), "F": {"kind": "neg_gcd"}},
+     "lift kernel capped at 500000 circuit forms; m = 300 at n = 1 has 4455100"),
 ])
 def test_a_bare_m_is_bounded_before_allocating(tmp_path, verb, doc, message):
-    # above the cap no n = 0 label is built, and a table F builds no ground set: a 1.5 GB child answers at once
+    # above the cap no n = 0 label is built, and a table F builds no ground set; listed points, at any n, reach the
+    # same cap at the top of `PointConfig.lift_forms`, before any table of the kernel: a 1.5 GB child answers at once
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(basecondary.__file__))}

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,16 @@ from basecondary.secondary import Subdivision, discover_cones_random
 from basecondary import core, exact_core, secondary
 from basecondary.cli import main
 from basecondary.fiber_morse import maxwell_support, morse_config, morse_support
-from basecondary.exact_core import affine_rank, clear_denominators, find_circuit, make_config, solve_linear
+from basecondary.errors import ResourceError
+from basecondary.exact_core import (
+    CIRCUIT_FORM_CAP,
+    affine_rank,
+    check_lift_size,
+    clear_denominators,
+    find_circuit,
+    make_config,
+    solve_linear,
+)
 from basecondary.secondary import RANDOM_HEIGHT_BOUND, UpperCell, upper_cells
 from basecondary.setfun import neg_card_ratio_function
 
@@ -321,6 +331,40 @@ def test_lift_forms_are_built_once_per_config(monkeypatch):
     assert built == counts[0] and len(dets) == built and config.lift_forms is forms
     assert "lift_forms" in vars(config) and "lift_forms" not in vars(fresh)
     assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
+
+
+@pytest.mark.parametrize("route", ["eval", "morse-support"])
+def test_a_huge_listed_configuration_is_refused_before_its_kernel(monkeypatch, route):
+    # C(300, 3) = 4,455,100 circuit forms: refused before the kernel takes a volume, and a refused
+    # cached_property stores nothing, so the next read is refused again
+    dets = []
+    monkeypatch.setattr(exact_core, "_int_det", dets.append)
+    exponents = morse_config(list(range(1, 301)))
+    config = make_config(1, [[a] for a in range(1, 301)]) if route == "eval" else exponents.config()
+    message = "lift kernel capped at 500000 circuit forms; m = 300 at n = 1 has 4455100"
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as refused:
+        if route == "eval":
+            core.eval_basecondary_general(config, neg_card_ratio_function(300, min_size=1), [0] * 300)
+        else:
+            morse_support(exponents, [0] * 300)
+    assert time.perf_counter() - start < 1 and str(refused.value) == message
+    assert not dets and "lift_forms" not in vars(config)
+    with pytest.raises(ResourceError) as again:
+        config.lift_forms
+    assert str(again.value) == message and "lift_forms" not in vars(config)
+
+
+@pytest.mark.parametrize("n, m, forms", [(1, 145, 497_640), (1, 146, 508_080), (2, 60, 487_635), (2, 61, 521_855)])
+def test_the_kernel_cap_edges(n, m, forms):
+    # the helper counts C(m, n + 2) and builds nothing; the n = 0 edges, m = 1000 and 1001, run through the CLI
+    assert math.comb(m, n + 2) == forms
+    if forms <= CIRCUIT_FORM_CAP:
+        assert check_lift_size(n, m) is None
+    else:
+        with pytest.raises(ResourceError) as refused:
+            check_lift_size(n, m)
+        assert str(refused.value) == f"lift kernel capped at 500000 circuit forms; m = {m} at n = {n} has {forms}"
 
 
 class _CountedTable(tuple):
