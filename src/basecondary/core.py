@@ -210,7 +210,7 @@ def eval_basecondary_general(config: PointConfig, f: SetFunction, gamma) -> Frac
                 s *= Fraction(sum(abs(config.volume(t)) for t in _refine_cell(config, cell)),
                               abs(config.volume([j + 1 for j in base])))
             total += s
-    return total * Fraction(1, d * dz * config.lift_forms[1] ** config.n)
+    return total * Fraction(1, d * dz * config.lift_forms.scale)
 
 
 def _expansion_summands(config: PointConfig, f: SetFunction, gamma: Covector):
@@ -237,7 +237,7 @@ def _expansion_summands(config: PointConfig, f: SetFunction, gamma: Covector):
             if prev != cur:
                 terms.append((head + (i,), prev - cur, -heights[i - 1]))
             prev = cur
-    return terms, d, config.lift_forms[1] ** config.n * dz
+    return terms, d, config.lift_forms.scale * dz
 
 
 def expansion_terms(
@@ -280,7 +280,7 @@ def wall_defect_numeric(config: PointConfig, f: SetFunction, wall: Wall) -> Frac
     _check_f(config, f)
     circ = wall.circuit
     others = sorted(frozenset(circ.ordering) - {wall.moved})
-    return Fraction(abs(config.volume(others)), config.lift_forms[1] ** config.n) * circuit_value(f, circ)
+    return Fraction(abs(config.volume(others)), config.lift_forms.scale) * circuit_value(f, circ)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +298,12 @@ def gradient_on_cone(config: PointConfig, f: SetFunction, witness) -> tuple[Frac
     -dF * c_k, negated with the ref, divided once by d dx^n. Non-generic witnesses are refused with InputError.
     """
     terms, d, _ = _expansion_summands(config, f, covector(config, witness))
-    grad, (_, dx, circuits, bases, _) = [0] * config.m, config.lift_forms
+    grad, circuits, bases = [0] * config.m, config.lift_forms.circuits, config.lift_forms.bases
     for simplex, df, _ in terms:
         r = bases[tuple(sorted(i - 1 for i in simplex[:-1]))][simplex[-1] - 1]
         for k, c in zip(*circuits[abs(r) - 1]):
             grad[k] -= (df if r > 0 else -df) * c
-    return tuple(Fraction(g, d * dx ** config.n) for g in grad)
+    return tuple(Fraction(g, d * config.lift_forms.scale) for g in grad)
 
 
 def convexity_certificate(entries) -> tuple[bool, Optional[tuple]]:
@@ -340,7 +340,7 @@ def cone_witnesses(
         raise InputError("n = 0 cones are label orders; reconstruct_polytope reads them")
     if config.n == 1:
         return tuple((t, cone_witness(config, t)) for t in enumerate_triangulations_1d(config))
-    if config.n == 2 and config.m <= 5 and config.lift_forms[3]:
+    if config.n == 2 and config.m <= 5 and config.lift_forms.bases:
         return polygon_cones(config)
     if samples is None or seed is None:
         raise InputError("cone discovery for n >= 2 needs samples and a seed")
@@ -391,7 +391,7 @@ def min_convexifier(
                 f"no convexifier: F is not submodular above size {config.n + 1} "
                 f"({report.witness_str()})"
             )
-        rows, scale = [], 2 * config.lift_forms[1] ** config.n
+        rows, scale = [], 2 * config.lift_forms.scale
         for j, value in circuit_condition_check(f, config).rows:
             vol = Fraction(sum(abs(config.volume(face)) for face in itertools.combinations(j, config.n + 1)), scale)
             rows.append((j, vol * value, vol))

@@ -15,10 +15,10 @@ divisions keep every entry a minor. Ranks count the pivots of `_bareiss`.
 Every kernel is a vector of minors, with no back-substitution: a circuit is
 the signed maximal minors of its points under a row of ones, in `_circuit`'s
 normal form, and `solve_linear` reads x = N[:k] / N[k] off the minors N of [A | -b].
-The lift, for every n, takes the coordinate volumes and one integer form per circuit once per config
-(`PointConfig.lift_forms`), reads each lifted height as a signed circuit form of the cleared heights,
-summing each form at most once per lift; its minors are every simplex volume, orientation and circuit
-of A (`volume`, `circuit`). Its one guard, `check_lift_size`, caps it at `CIRCUIT_FORM_CAP` circuit forms.
+The lift, for every n, takes the coordinate volumes and one integer form per circuit once per config, a `LiftKernel`
+(`PointConfig.lift_forms`), and `_oriented_scan` beside it reads each lifted height as a signed circuit form of the
+cleared heights, each form summed at most once per lift; its minors are every simplex volume, orientation and circuit
+of A (`volume`, `circuit`, the witness base `kronecker_base`). `check_lift_size` caps its forms and volume steps.
 Tropical critical points, cone discovery and fiber polygons run on scaled
 integers: a positive scale per coordinate keeps every sign, equality, hull
 and edge-angle order, so only reported values become Fractions. `_fiber_sum` is the one fiber route: it cuts, hulls
@@ -32,15 +32,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalError, ResourceError
 
 Point = tuple[Fraction, ...]
-CIRCUIT_FORM_CAP = 500_000  # C(m, n + 2) forms: m <= 1000 at n = 0, 145 at n = 1, 60 at n = 2
+CIRCUIT_FORM_CAP = 500_000  # C(m, n + 2) forms: m <= 1000 at n = 0, 145 at n = 1, 60 at n = 2, 37 at n = 3
+VOLUME_STEP_CAP = 25_000_000  # C(m, n + 1) n^3 steps: first binding at n = 6, m <= 20; m <= 33 at n = 30
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +124,31 @@ def rational_draws(seed, bound: int):
 
 
 def check_lift_size(n: int, m: int) -> None:
-    """Refuse, before anything is allocated, a lift kernel of more than `CIRCUIT_FORM_CAP` circuit forms."""
+    """Refuse, before anything is allocated, a lift kernel over `CIRCUIT_FORM_CAP` forms or `VOLUME_STEP_CAP` steps."""
     if (forms := math.comb(max(m, 0), n + 2)) > CIRCUIT_FORM_CAP:  # a negative bare m is InputError's to refuse
         raise ResourceError(f"lift kernel capped at {CIRCUIT_FORM_CAP} circuit forms; m = {m} at n = {n} has {forms}")
+    if (steps := math.comb(max(m, 0), n + 1) * n**3) > VOLUME_STEP_CAP:  # n^3 per n x n volume
+        raise ResourceError(f"lift kernel capped at {VOLUME_STEP_CAP} volume steps; m = {m} at n = {n} has {steps}")
+
+
+class LiftKernel(NamedTuple):
+    """`PointConfig.lift_forms`, the lift's integer kernel, and its volume scale dx^n."""
+
+    x: tuple[tuple[int, ...], ...]
+    dx: int
+    circuits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    bases: dict[tuple[int, ...], tuple[int, ...]]
+    vol: dict[tuple[int, ...], int]
+    scale: int
 
 
 @dataclass(frozen=True)
 class PointConfig:
     """Ground set {1..m} together with its image points in Q^n.
 
-    Kept with the config, no fields, so ignored by ==, hash and repr: `lift_forms`, the lift's integer kernel,
-    built on first use and refused above `CIRCUIT_FORM_CAP` circuit forms, its one count, the base of its
-    witnesses (`secondary._kronecker_base`), and the last lift (`secondary._lift`), the scan rows of the last
+    Kept with the config, no fields, so ignored by ==, hash and repr: here `lift_forms`, the lift's integer
+    kernel, built on first use and refused above either cap of `check_lift_size`, and `kronecker_base`, its
+    witnesses' base; in `secondary`, the last lift (`_lift`), the scan rows of the last
     integer heights lifted, keyed by them. The routes that share a lift run back to back, so one entry serves
     them and keeps one alive.
     """
@@ -167,7 +182,7 @@ class PointConfig:
 
     def volume(self, labels: Sequence[int]) -> int:
         """dx^n times the oriented volume of n + 1 distinct 1-based labels in the order given: V times its parity."""
-        v = self.lift_forms[4].get(tuple(sorted(i - 1 for i in labels)))
+        v = self.lift_forms.vol.get(tuple(sorted(i - 1 for i in labels)))
         if v is None:
             raise InputError(f"a simplex of A needs {self.n + 1} distinct labels in 1..{self.m}, got {labels!r}")
         return -v if sum(a > b for a, b in itertools.combinations(labels, 2)) % 2 else v
@@ -177,12 +192,12 @@ class PointConfig:
         c = sorted(i - 1 for i in labels)
         if len(c) != self.n + 2 or len(set(c)) != len(c) or not 0 <= c[0] <= c[-1] < self.m:
             raise InputError(f"a circuit of A needs {self.n + 2} distinct labels in 1..{self.m}, got {labels!r}")
-        vol = self.lift_forms[4]
+        vol = self.lift_forms.vol
         return _circuit([(-1) ** k * vol[tuple(c[:k] + c[k + 1:])] for k in range(len(c))], [i + 1 for i in c])
 
     @functools.cached_property
-    def lift_forms(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple, dict, dict]:
-        """The lift's integer kernel (x, dx, circuits, bases, vol): the coordinates cleared by their lcm dx.
+    def lift_forms(self) -> LiftKernel:
+        """The lift's integer kernel (x, dx, circuits, bases, vol, scale): the coordinates cleared by their lcm dx.
 
         Lift x_k to (x_k, z_k); V(S) is the integer volume of an (n+1)-subset
         S of the x. For a base B with V(B) != 0 and a label l off it, the
@@ -195,9 +210,9 @@ class PointConfig:
         each B with V(B) != 0, 0-based, to a signed 1-based ref per label: +j or
         -j when h_l is form j or its negative, 0 on B. Both follow `itertools.combinations`.
         For n = 0 every point has volume 1 and the forms are z_a - z_b; for n = 1 they are
-        the 3-point circuits. `vol` maps every sorted S to V(S): `volume` and `circuit` read it.
-        Above `CIRCUIT_FORM_CAP` forms `check_lift_size` raises before anything is built. That one count bounds
-        the C(m, n + 1) m ref slots too: (n + 2) m / (m - n - 1) per form, at most 2 (n + 2) once m >= 2 (n + 1).
+        the 3-point circuits. `vol` maps every sorted S to V(S): `volume` and `circuit` read it; `scale` is dx^n.
+        Over either cap `check_lift_size` raises before anything is built. The form count bounds the C(m, n + 1) m
+        ref slots too: (n + 2) m / (m - n - 1) per form, at most 2 (n + 2) once m >= 2 (n + 1).
         """
         n, m = self.n, self.m
         check_lift_size(n, m)
@@ -214,7 +229,65 @@ class PointConfig:
                     cs.append(a * signs[i])
                     refs[face][l] = j if cs[-1] > 0 else -j
             circuits.append((tuple(ks), tuple(cs)))
-        return xs, dx, tuple(circuits), {s: tuple(r) for s, r in refs.items()}, vol
+        return LiftKernel(xs, dx, tuple(circuits), {s: tuple(r) for s, r in refs.items()}, vol, dx**n)
+
+    @functools.cached_property
+    def kronecker_base(self) -> int:
+        """N, the power of 2 above 2 M, M the largest |V| of the kernel (`lift_forms`), built on first use.
+
+        Every cone witness is `kronecker_point(z, N)` of integer heights z whose subdivision it is to refine. The scan
+        (`_oriented_scan`, `secondary._generic_triangulation`) compares only a height h, a circuit form, with 0, and
+        two heights h_a - h_b over one base B with each other. A form's coefficients are +-V of n + 1 of its points,
+        so at most M, and h_a - h_b has +-V(B) on z_a and z_b and a difference of two on each label of B, so at most
+        2 M < N. Neither is 0: h_l has |V(B)| != 0 on z_l, and h_a - h_b has it on z_a. So at `kronecker_point(z, N)`
+        none is 0, each has its sign at z where that is not 0: it is generic, and its triangulation refines z's.
+        """
+        return 1 << (2 * max(map(abs, self.lift_forms.vol.values()))).bit_length()
+
+
+def kronecker_point(z: Sequence[int], base: int) -> list[int]:
+    """Z = base^m z + (base^(m-1), ..., base, 1) for integers z of length m: z + eps, eps_1 >> ... >> eps_m.
+
+    For an integer linear form l with every |l_k| < base, l(Z) = base^m l(z) + sum_k l_k base^(m-1-k) has
+    the sign of l(z), or where l(z) = 0 that of l's first nonzero coefficient, and is 0 only for l = 0
+    (simulation of simplicity, Edelsbrunner-Mücke 1990).
+    """
+    m = len(z)
+    top = base**m
+    return [top * c + base ** (m - 1 - k) for k, c in enumerate(z)]
+
+
+def _oriented_scan(config: PointConfig, zs: Sequence):
+    """Upper cells from the circuit forms of `PointConfig.lift_forms`, for every n: the one lift.
+
+    Takes the heights cleared to integers zs, at any positive scale. Yields
+    (cell, base, heights h) once per cell and builds no Fraction; a base is
+    an upper face when no h is positive, and `secondary.upper_cells` turns it into
+    affine data. Circuit form j is summed at most
+    once per call, when a base first reads ref +j or -j; `signed`, indexed by
+    ref, keeps both signs, and signed[0] = 0 for a label on the base. A base
+    stops at its first positive h and builds its heights only if it survives.
+    `secondary._lift` keeps its triples for given heights; the seeded samplers stop at the first non-generic cell.
+    """
+    circuits, bases = config.lift_forms.circuits, config.lift_forms.bases
+    signed, z = [None] * (2 * len(circuits) + 1), zs.__getitem__
+    signed[0], seen = 0, set()
+    for base, refs in bases.items():
+        for r in refs:
+            if (h := signed[r]) is None:
+                ks, cs = circuits[abs(r) - 1]
+                h = sum(map(operator.mul, cs, map(z, ks)))
+                if r < 0:
+                    h = -h
+                signed[r], signed[-r] = h, -h
+            if h > 0:  # a point lies above: not an upper face
+                break
+        else:
+            heights = [signed[r] for r in refs]
+            cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
+            if cell not in seen:
+                seen.add(cell)
+                yield cell, base, heights
 
 
 def make_config(n: int, points) -> PointConfig:
@@ -229,18 +302,6 @@ def clear_denominators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """The integers d * x for d the lcm of the denominators of xs, and d > 0."""
     d = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def kronecker_point(z: Sequence[int], base: int) -> list[int]:
-    """Z = base^m z + (base^(m-1), ..., base, 1) for integers z of length m: z + eps, eps_1 >> ... >> eps_m.
-
-    For an integer linear form l with every |l_k| < base, l(Z) = base^m l(z) + sum_k l_k base^(m-1-k) has
-    the sign of l(z), or where l(z) = 0 that of l's first nonzero coefficient, and is 0 only for l = 0
-    (simulation of simplicity, Edelsbrunner-Mücke 1990).
-    """
-    m = len(z)
-    top = base**m
-    return [top * c + base ** (m - 1 - k) for k, c in enumerate(z)]
 
 
 def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
@@ -326,10 +387,10 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
 
 
 def oriented_volume(vertices: Sequence[Point]) -> Fraction:
-    """Lattice-normalized oriented volume det(v1-v0, ..., vk-v0).
+    """Lattice-normalized oriented volume det(v1-v0, ..., vk-v0), the `_det` of the edge rows.
 
-    Takes k+1 points of Q^k; the empty 0-simplex in Q^0 has volume 1.
-    Antisymmetric under vertex transpositions, zero iff affinely dependent.
+    Takes k+1 points of Q^k; the empty 0-simplex in Q^0 has volume 1. Antisymmetric under vertex transpositions,
+    zero iff affinely dependent. No library route calls it or `_det`; both stay because the benchmark tracer binds it.
     """
     k = len(vertices) - 1
     if k < 0:
@@ -353,8 +414,8 @@ def affine_rank(points: Sequence[Point]) -> int:
 def lattice_volume(points: Sequence[Point]) -> Fraction:
     """Nonnegative lattice d-volume of the convex hull (d = ambient dim <= 2).
 
-    0 when the hull is lower-dimensional; the hull of points in Q^0 has
-    volume 1 (counting measure of the single point).
+    0 when the hull is lower-dimensional; the hull of points in Q^0 has volume 1 (counting measure of the single
+    point). No library route calls it; it stays because the benchmark tracer binds it.
     """
     if not points:
         return Fraction(0)
@@ -425,8 +486,8 @@ def _circuit(alpha: Sequence[int], labels: Sequence[int]) -> Optional[CircuitDat
 def find_circuit(points: Sequence[Point], labels: Optional[Sequence[int]] = None) -> CircuitData:
     """Signed affine relation of n+2 points affinely spanning Q^n, labelled 1..n+2 unless given.
 
-    The `_circuit` of the `integer_normal` of the cleared coordinates under a row of ones;
-    labels of a configuration read theirs off the lift's kernel (`PointConfig.circuit`).
+    The `_circuit` of the `integer_normal` of the cleared coordinates under a row of ones. No library route calls
+    it, as a configuration's labels read theirs off the kernel (`PointConfig.circuit`); the benchmark tracer binds it.
     """
     if not points:
         raise InputError("find_circuit needs points")
@@ -633,15 +694,15 @@ def _fiber_sum(vs: list) -> tuple[Polygon2, int]:
 def fiber_polygon(vertices: Sequence[Point3]) -> Polygon2:
     """Minkowski integral of the first-axis fibers of conv(vertices).
 
-    Between consecutive breakpoints x_0 < ... < x_K, the distinct first
-    coordinates, the fiber varies Minkowski-linearly, so the cell
-    [x_{k-1}, x_k] contributes exactly ((x_k - x_{k-1})/2) * (fiber(x_{k-1})
-    + fiber(x_k)). Regrouped by breakpoint, the integral is one Minkowski
-    sum of the slices fiber(x_k) weighted (x_{k+1} - x_{k-1})/2, the ends
-    (x_1 - x_0)/2 and (x_K - x_{K-1})/2; a single breakpoint gives the origin.
+    Between consecutive breakpoints x_0 < ... < x_K, the distinct first coordinates, the fiber varies
+    Minkowski-linearly, so the cell [x_{k-1}, x_k] contributes exactly ((x_k - x_{k-1})/2) * (fiber(x_{k-1})
+    + fiber(x_k)). Regrouped by breakpoint, the integral is one Minkowski sum of the slices fiber(x_k) weighted
+    (x_{k+1} - x_{k-1})/2, the ends (x_1 - x_0)/2 and (x_K - x_{K-1})/2; a single breakpoint gives the origin.
 
     In integers: `_fiber_sum` of the vertices cleared by coordinate (scales dx, dy, dz), L the lcm of the x gaps
-    that span a breakpoint, divided once by 2 dx L dy and 2 dx L dz.
+    that span a breakpoint, divided once by 2 dx L dy and 2 dx L dz. No library route calls it, as
+    `fiber_morse.area_P_bar` sums its own fibers; it stays because the benchmark tracer binds it and
+    `tests/test_acceptance.py` imports it.
     """
     vs = [point(v) for v in vertices]
     if any(len(v) != 3 for v in vs):

@@ -1,7 +1,7 @@
 """Regular subdivisions, 1D triangulations and walls, GKZ vectors, secondary support.
 
-Cells, supports and genericity at given heights, and both evaluators of `core`, read one lift per height
-vector (GKZ 1994, ch. 7): `_lift`, kept on the configuration. The seeded samplers stream `_oriented_scan`.
+Cells, supports, genericity and both `core` evaluators read one lift per height vector (GKZ 1994, ch. 7), `_lift`,
+kept on the config. Its scan `_oriented_scan`, streamed by the samplers, and `kronecker_base` are `exact_core`'s.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .errors import InputError, ResourceError
 from .exact_core import (
-    CircuitData, PointConfig, _hull, clear_denominators, integer_normal, kronecker_point, probe_polygon, rat,
-    rational_draws,
+    CircuitData, PointConfig, _hull, _oriented_scan, clear_denominators, integer_normal, kronecker_point,
+    probe_polygon, rat, rational_draws,
 )
 
 Covector = tuple[Fraction, ...]
@@ -87,39 +87,6 @@ class CircuitalSupport:
     circuit: CircuitData
 
 
-def _oriented_scan(config: PointConfig, zs: Sequence):
-    """Upper cells from the circuit forms of `PointConfig.lift_forms`, for every n: the one lift.
-
-    Takes the heights cleared to integers zs, at any positive scale. Yields
-    (cell, base, heights h) once per cell and builds no Fraction; a base is
-    an upper face when no h is positive, and `upper_cells` turns it into
-    affine data. Circuit form j is summed at most
-    once per call, when a base first reads ref +j or -j; `signed`, indexed by
-    ref, keeps both signs, and signed[0] = 0 for a label on the base. A base
-    stops at its first positive h and builds its heights only if it survives.
-    `_lift` keeps its triples for given heights; the seeded samplers stop at the first non-generic cell.
-    """
-    _, _, circuits, bases, _ = config.lift_forms
-    signed, z = [None] * (2 * len(circuits) + 1), zs.__getitem__
-    signed[0], seen = 0, set()
-    for base, refs in bases.items():
-        for r in refs:
-            if (h := signed[r]) is None:
-                ks, cs = circuits[abs(r) - 1]
-                h = sum(map(operator.mul, cs, map(z, ks)))
-                if r < 0:
-                    h = -h
-                signed[r], signed[-r] = h, -h
-            if h > 0:  # a point lies above: not an upper face
-                break
-        else:
-            heights = [signed[r] for r in refs]
-            cell = tuple(i for i, h in enumerate(heights, 1) if h == 0)
-            if cell not in seen:
-                seen.add(cell)
-                yield cell, base, heights
-
-
 def _lift(config: PointConfig, zs: Sequence[int]) -> list:
     """`_oriented_scan`'s triples of zs, kept as the config's one last lift (`PointConfig`); callers never mutate a row."""
     key, kept = tuple(zs), vars(config)
@@ -153,7 +120,7 @@ def upper_cells(config: PointConfig, gamma: Covector) -> tuple[UpperCell, ...]:
     gamma - L o A is its maximum plus h / (dz |N_z|).
     """
     gamma = covector(config, gamma)
-    xs, dx = config.lift_forms[:2]
+    xs, dx = config.lift_forms.x, config.lift_forms.dx
     zs, dz = clear_denominators(gamma)
     cells = {}
     for cell, (b, *rest), heights in _lift(config, zs):
@@ -274,7 +241,7 @@ def gkz_vector(config: PointConfig, t: Subdivision) -> tuple[Fraction, ...]:
     """Per-point total volume |V(cell)| / dx^n of incident cells (`_gkz_ints`); zero on non-vertices."""
     if not t.is_triangulation:
         raise InputError("GKZ vectors are defined for triangulations")
-    return tuple(Fraction(v, config.lift_forms[1] ** config.n) for v in _gkz_ints(config, t.cells))
+    return tuple(Fraction(v, config.lift_forms.scale) for v in _gkz_ints(config, t.cells))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +260,7 @@ def _refine_cell(config: PointConfig, cell: Sequence[int]) -> list[tuple[int, ..
         order = sorted(cell, key=lambda i: config.image(i)[0])
         return [tuple(sorted(p)) for p in zip(order, order[1:])]
     if n == 2:
-        xs = config.lift_forms[0]
+        xs = config.lift_forms.x
         by_point = {xs[i - 1]: i for i in cell}  # dx > 0 keeps the hull ring and its start
         ring = [by_point[p] for p in _hull(by_point)]
         pivot = min(range(len(ring)), key=lambda k: ring[k])
@@ -320,7 +287,7 @@ def secondary_support(config: PointConfig, gamma) -> Fraction:
     `_pairing` of gamma cleared by dz, over dx^n dz.
     """
     zs, dz = clear_denominators(covector(config, gamma))
-    return Fraction(_pairing(config, zs), dz * config.lift_forms[1] ** config.n)
+    return Fraction(_pairing(config, zs), dz * config.lift_forms.scale)
 
 
 def area_N(config: PointConfig, gamma) -> Fraction:
@@ -337,23 +304,6 @@ def area_N(config: PointConfig, gamma) -> Fraction:
 # cone witnesses and walls (exact for n = 1)
 
 
-def _kronecker_base(config: PointConfig) -> int:
-    """N, the power of 2 above 2 M, M the largest |V| of the kernel (`PointConfig.lift_forms`); kept on config.
-
-    Every cone witness is `kronecker_point(z, N)` of integer heights z whose subdivision it is to refine. The
-    scan (`_oriented_scan`, `_generic_triangulation`) compares only a height h, a circuit form, with 0, and two
-    heights h_a - h_b over one base B with each other. A circuit form's coefficients are +-V of n + 1 of its
-    points, so at most M, and h_a - h_b has +-V(B) on z_a and z_b and a difference of two on each label of B,
-    so its coefficients are at most 2 M < N. Neither form is 0: h_l has the coefficient |V(B)| != 0 on z_l,
-    and h_a - h_b has it on z_a. So at Z = `kronecker_point(z, N)` no h or h_a - h_b is 0, and each has the
-    sign it has at z wherever that is not 0: Z is generic, and its triangulation refines z's subdivision.
-    """
-    kept = vars(config)
-    if "kronecker_base" not in kept:
-        kept["kronecker_base"] = 1 << (2 * max(map(abs, config.lift_forms[4].values()))).bit_length()
-    return kept["kronecker_base"]
-
-
 def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
     """A positive generic integer height vector inducing the triangulation t, with no scan and no retry.
 
@@ -361,8 +311,8 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
     on each other label i, cleared to integers z, induce t: the vertices lie on a strictly concave parabola,
     and a non-vertex lies below every line through two vertices, which is at least 2 over the vertices' span.
     So over each cell of t every other lifted height h < 0, and over every other base some h > 0: z's
-    subdivision is t, a triangulation, and the witness `kronecker_point(z, _kronecker_base(config))` induces t
-    and is generic (`_kronecker_base`).
+    subdivision is t, a triangulation, and the witness `kronecker_point(z, config.kronecker_base)` induces t
+    and is generic (`PointConfig.kronecker_base`).
     """
     order = _labels_by_coordinate(config)
     verts = set(t.vertex_set())
@@ -372,7 +322,7 @@ def cone_witness(config: PointConfig, t: Subdivision) -> Covector:
     big = 1 + max(p[0] * p[0] for p in config.points)
     z = clear_denominators([big + 1 - p[0] * p[0] if i in verts else Fraction(i, config.m + 1)
                             for i, p in enumerate(config.points, 1)])[0]
-    return tuple(map(Fraction, kronecker_point(z, _kronecker_base(config))))
+    return tuple(map(Fraction, kronecker_point(z, config.kronecker_base)))
 
 
 @dataclass(frozen=True)
@@ -422,12 +372,12 @@ def polygon_cones(config: PointConfig) -> tuple[tuple[Subdivision, Covector], ..
     points p satisfy sum_i p_i (1, a_i) = const, and the (1, a_i) of B are a basis, so the coordinates off B
     fix p: the polygon is the projection of dx^2 times the polytope there, whose support at nu is the
     secondary support at z. The value call is that support, the `_pairing` of z. The vertex call is
-    `_generic_triangulation` at the witness Z = `kronecker_point(z, _kronecker_base(config))`, and its
-    `_gkz_ints` off B. Z is generic and its triangulation refines z's subdivision (`_kronecker_base`), so its
+    `_generic_triangulation` at the witness Z = `kronecker_point(z, config.kronecker_base)`, and its
+    `_gkz_ints` off B. Z is generic and its triangulation refines z's subdivision (`config.kronecker_base`), so its
     GKZ vector is a vertex maximizing <., z>. Pairs are sorted by cells, as `discover_cones_random` sorts them.
     """
-    off = [k for k in range(config.m) if k not in next(iter(config.lift_forms[3]))]
-    big, found = _kronecker_base(config), {}
+    off = [k for k in range(config.m) if k not in next(iter(config.lift_forms.bases))]
+    big, found = config.kronecker_base, {}
 
     def heights(nu):
         spot = dict(zip(off, nu))

@@ -34,6 +34,7 @@ from basecondary.fiber_morse import maxwell_support, morse_config, morse_support
 from basecondary.errors import ResourceError
 from basecondary.exact_core import (
     CIRCUIT_FORM_CAP,
+    VOLUME_STEP_CAP,
     affine_rank,
     check_lift_size,
     clear_denominators,
@@ -367,6 +368,39 @@ def test_the_kernel_cap_edges(n, m, forms):
         assert str(refused.value) == f"lift kernel capped at 500000 circuit forms; m = {m} at n = {n} has {forms}"
 
 
+@pytest.mark.parametrize("n, m, steps", [(3, 37, 1_783_215), (5, 25, 22_137_500), (6, 20, 16_744_320),
+                                         (6, 21, 25_116_480), (30, 33, 14_256_000), (40, 42, 2_688_000),
+                                         (40, 43, 57_792_000)])
+def test_the_volume_step_cap_edges(n, m, steps):
+    # below m = 2 (n + 1) the kernel's cost is its C(m, n + 1) n x n volumes, counted at n^3 steps each; the form
+    # cap binds first up to n = 5, where m = 37 at n = 3 and m = 25 at n = 5 are admitted by both counts
+    assert math.comb(m, n + 1) * n**3 == steps and math.comb(m, n + 2) <= CIRCUIT_FORM_CAP
+    if steps <= VOLUME_STEP_CAP:
+        assert check_lift_size(n, m) is None
+    else:
+        with pytest.raises(ResourceError) as refused:
+            check_lift_size(n, m)
+        assert str(refused.value) == f"lift kernel capped at 25000000 volume steps; m = {m} at n = {n} has {steps}"
+
+
+@pytest.mark.parametrize("n, m", [(40, 43), (60, 63)])
+def test_a_near_simplex_is_refused_before_its_volumes(monkeypatch, capsys, tmp_path, n, m):
+    # m = n + 3 seeded points in [-5, 5]^n, documents of 6 and 13 KB: their 903 and 1,953 volumes of n x n
+    # determinants, well under the form cap, would take seconds to build
+    dets = []
+    monkeypatch.setattr(exact_core, "_int_det", dets.append)
+    rng = random.Random(f"near-simplex/{n}")
+    points = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+    path = tmp_path / "near_simplex.json"
+    path.write_text(json.dumps({"n": n, "A": points, "F": {"kind": "neg_card_ratio"}, "gamma": [0] * m}))
+    steps = math.comb(m, n + 1) * n**3
+    start = time.perf_counter()
+    code = main(["eval", "--input", str(path)])
+    assert time.perf_counter() - start < 1 and not dets
+    assert (code, json.loads(capsys.readouterr().out)) == (
+        2, {"error": f"lift kernel capped at 25000000 volume steps; m = {m} at n = {n} has {steps}"})
+
+
 class _CountedTable(tuple):
     """A circuit table that counts its reads: one per circuit form the scan sums."""
 
@@ -379,9 +413,8 @@ class _CountedTable(tuple):
 
 def _count_circuit_reads(config):
     """Swap a counting table into the config's kernel and return it."""
-    xs, dx, circuits, bases, vol = config.lift_forms
-    table = _CountedTable(circuits)
-    vars(config)["lift_forms"] = (xs, dx, table, bases, vol)
+    table = _CountedTable(config.lift_forms.circuits)
+    vars(config)["lift_forms"] = config.lift_forms._replace(circuits=table)
     return table
 
 

@@ -200,8 +200,8 @@ def test_cone_witness_refuses_a_subdivision_of_another_configuration():
 
 
 def test_every_kronecker_point_is_built_by_one_helper():
-    assert {"kronecker_point", "_kronecker_base"} <= set(secondary.cone_witness.__code__.co_names)
-    assert "_kronecker_base" in secondary.polygon_cones.__code__.co_names
+    assert {"kronecker_point", "kronecker_base"} <= set(secondary.cone_witness.__code__.co_names)
+    assert "kronecker_base" in secondary.polygon_cones.__code__.co_names
     assert "kronecker_point" in fiber_morse._gradient.__code__.co_names
 
 
@@ -213,13 +213,13 @@ def test_kronecker_base_equals_the_span_and_the_circuit_form_bounds():
         pts = {F(rng.randint(-20, 20), rng.choice((1, 2, 3))) for _ in range(rng.randint(2, 8))}
         config = make_config(1, [[a] for a in pts])
         xs = [x for x, in config.lift_forms[0]]
-        assert secondary._kronecker_base(config) == 1 << (2 * (max(xs) - min(xs))).bit_length()
+        assert config.kronecker_base == 1 << (2 * (max(xs) - min(xs))).bit_length()
     for config in _planar_configs(120, 40):
         largest = max((abs(c) for _, cs in config.lift_forms[2] for c in cs), default=None)
         if largest is not None:
-            assert secondary._kronecker_base(config) == 1 << (2 * largest).bit_length()
+            assert config.kronecker_base == 1 << (2 * largest).bit_length()
     triangle = make_config(2, [[0, 0], [2, 0], [0, 3]])
-    assert not triangle.lift_forms[2] and secondary._kronecker_base(triangle) == 16
+    assert not triangle.lift_forms[2] and triangle.kronecker_base == 16
 
 
 def test_walls_1367():
