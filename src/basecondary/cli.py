@@ -68,7 +68,7 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _load_config(doc: dict) -> PointConfig:
+def _load_config(doc: dict, lifted: bool) -> PointConfig:
     n = _need(doc, "n")
     if type(n) is not int or n < 0:  # a JSON true or false is a bool, an int subclass
         raise InputError("field 'n' must be a nonnegative integer")
@@ -86,6 +86,8 @@ def _load_config(doc: dict) -> PointConfig:
                 raise InputError("points of 'A' must be coordinate lists")
         if any(len(p) != n for p in pts):
             raise InputError(f"points of 'A' must have {n} coordinates")
+        if lifted:  # an oversized kernel is refused before the rank check, whose cost grows with the size as well
+            check_lift_size(n, len(pts))
         config = make_config(n, pts)
         if affine_rank(config.points) != n:
             raise InputError(f"the points of 'A' must affinely span Q^{n}")
@@ -102,8 +104,8 @@ def _load_set_function(doc: dict, config: Optional[PointConfig], min_size: int) 
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InputError("field 'F' must be an object with a 'kind'")
     kind = spec["kind"]
-    if config is None and "A" in doc:  # the verbs of F alone read m off a configuration too
-        config = _load_config(doc)
+    if config is None and "A" in doc:  # the verbs of F alone read m off a configuration too, and never lift it
+        config = _load_config(doc, lifted=False)
     m = config.m if config is not None else as_int(_need(doc, "m"), "field 'm'")
     if kind == "table":
         raw = spec.get("values", {})
@@ -176,7 +178,7 @@ class _Document(dict):
 
     @functools.cached_property
     def config(self) -> PointConfig:
-        return _load_config(self)
+        return _load_config(self, lifted=True)
 
     @functools.cached_property
     def f(self) -> setfun.SetFunction:

@@ -4,7 +4,9 @@ Critical points are read off the envelope of the nonzero exponents (`CRITICAL_PO
 Verdicts are decided in integers by one scan of the envelope chain. The sampler
 takes `randint`'s draws off `exact_core.rational_draws`, as cone discovery does
 and as the `randint` sampler of `tests/tropical_reference.py` pins, and builds
-`Fraction`s only for the samples its report lists.
+`Fraction`s only for the samples its report lists. It scans a chain only where
+a draw fails the crossing certificate of `sample_morse_fraction`, and draws
+nothing when at most two exponents are nonzero: every such draw is Morse.
 """
 
 from __future__ import annotations
@@ -173,6 +175,14 @@ def sample_morse_fraction(
     read off its rejection stream by `rational_draws`, as `tests/tropical_reference.py` pins. Verdicts
     are decided in integers without the `_zero_term`, found once: the other p scaled by the lcm of their q.
     `Fraction`s are built only for listed samples, of every term.
+
+    With at most two nonzero exponents the report is (samples, samples, 1, ()) whatever the draws, so
+    none is made; the seed still goes to `rational_draws`. Two lines cross once, with one tie pair at
+    one level, and one line has no breakpoint. With more, the kept lines u < w cross at
+    X = (c_u - c_w) / (a_w - a_u) with value V = (c_u a_w - c_w a_u) / (a_w - a_u), both compared
+    as integers times the lcm of the gaps a_w - a_u. A draw whose X are distinct and whose V are
+    distinct is Morse, so only the others reach `_reasons`. Proof: a degenerate breakpoint has two
+    tie pairs, which cross at its abscissa; two equal critical values are the V of two chain pairs.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -183,12 +193,20 @@ def sample_morse_fraction(
     TropicalPolynomial(support=supp, coefficients=(0,) * len(supp))  # the support's checks, once
     k, draw, bad = _zero_term(supp), rational_draws(seed, bound), []
     kept = supp[:k] + supp[k + 1:]
+    if len(kept) <= 2:  # at most one breakpoint, so one tie pair and one level: no draw is needed
+        return MorseSampleReport(samples=samples, morse_count=samples, fraction=Fraction(1), non_morse=())
+    pairs = [(u, w, kept[w] - kept[u]) for u, w in itertools.combinations(range(len(kept)), 2)]
+    lcm, n = math.lcm(*(g for _, _, g in pairs)), len(pairs)
+    xs = [(u, w, lcm // g) for u, w, g in pairs]  # lcm X_uw = (c_u - c_w) lcm / g
+    vs = [(u, w, lcm // g * kept[w], lcm // g * kept[u]) for u, w, g in pairs]  # lcm V_uw
     for _ in range(samples):
         draws = draw(len(supp))
         terms = draws[:k] + draws[k + 1:]
-        d = math.lcm(*(q for _, q in terms))
-        reasons = _reasons(kept, [p * (d // q) for p, q in terms])
-        if reasons:
+        d = math.lcm(*[q for _, q in terms])
+        cs = [p * (d // q) for p, q in terms]
+        if len({(cs[u] - cs[w]) * s for u, w, s in xs}) == n == len({cs[u] * sw - cs[w] * su for u, w, sw, su in vs}):
+            continue  # the crossing certificate: no chain is built
+        if reasons := _reasons(kept, cs):
             bad.append((tuple(Fraction(p, q) for p, q in draws), reasons))
     morse_count = samples - len(bad)
     return MorseSampleReport(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -228,6 +229,10 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))  # 1.5 GB, in the child only
 
 
+_RNG_200 = random.Random("n = 200")
+POINTS_200 = [[_RNG_200.randint(-9, 9) for _ in range(200)] for _ in range(203)]  # m = n + 3 seeded points
+
+
 @pytest.mark.parametrize("verb, doc, message", [
     ("eval", {"n": 0, "m": 3_000_000, "F": {"kind": "neg_card_ratio"}, "gamma": [1]},
      "lift kernel capped at 500000 circuit forms; m = 3000000 at n = 0 has 4499998500000"),
@@ -246,10 +251,12 @@ def _limit_address_space():
      "lift kernel capped at 500000 circuit forms; m = 20000 at n = 0 has 199990000"),
     ("check-circuit-condition", {"n": 1, "A": list(range(1, 301)), "F": {"kind": "neg_gcd"}},
      "lift kernel capped at 500000 circuit forms; m = 300 at n = 1 has 4455100"),
+    ("eval", {"n": 200, "A": POINTS_200, "F": {"kind": "neg_card_ratio"}, "gamma": [0] * 203},  # before the rank check
+     "lift kernel capped at 25000000 volume steps; m = 203 at n = 200 has 164024000000"),
 ])
 def test_a_bare_m_is_bounded_before_allocating(tmp_path, verb, doc, message):
     # above the cap no n = 0 label is built, and a table F builds no ground set; listed points, at any n, reach the
-    # same cap at the top of `PointConfig.lift_forms`, before any table of the kernel: a 1.5 GB child answers at once
+    # same cap before their rank check and at the top of `PointConfig.lift_forms`: a 1.5 GB child answers at once
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(basecondary.__file__))}
@@ -258,6 +265,13 @@ def test_a_bare_m_is_bounded_before_allocating(tmp_path, verb, doc, message):
                          capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=60)
     assert time.perf_counter() - start < 1
     assert (res.returncode, json.loads(res.stdout), res.stderr) == (2, {"error": message}, "")
+
+
+def test_verbs_of_f_alone_read_listed_points_past_the_lift_cap(capsys, tmp_path):
+    # lovasz reads m off 'A' and lifts nothing, so the kernel's cap does not refuse it
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 1, "A": list(range(1, 301)), "F": {"kind": "neg_card_ratio"}, "x": [0] * 300}))
+    assert run(capsys, "lovasz", "--input", str(path)) == (0, '{"value": "0"}\n')
 
 
 @pytest.mark.parametrize("xs, d", [([0, 1, 2, 3, 4], 1000), ([0, 1, 3, 4, 6, 7], 100000)])

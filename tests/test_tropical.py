@@ -3,13 +3,17 @@
 from fractions import Fraction as F
 
 import functools
+import json
+import os
 import random
+import time
 
 import pytest
 
 import tropical_reference
 from basecondary import tropical
 from basecondary.errors import InputError
+from basecondary.exact_core import clear_denominators
 from basecondary.tropical import (
     TropicalPolynomial,
     critical_points,
@@ -284,6 +288,92 @@ def test_tie_heavy_bounds_draw_both_reasons():
     assert reasons.count("degenerate_critical_point") >= 100
     # 27 draws, all on [-2, -1, 1, 2]: without c0 no other sampled support draws coinciding values
     assert reasons.count("coinciding_critical_values") >= 25
+
+
+SIX_NONZERO = [[-4, -3, -1, 1, 2, 5], [0, 1, 2, 4, 7, 8, 11]]
+
+
+def _recorded_run(monkeypatch, support, samples, seed, bound):
+    """One sampler call: its report, every draw it made, and the indices of the draws that reached `_reasons`."""
+    draws, fallback = [], set()
+    rational_draws, reasons = tropical.rational_draws, tropical._reasons
+
+    def recording_draws(seed, bound):
+        draw = rational_draws(seed, bound)
+        return lambda k: draws.append(draw(k)) or draws[-1]
+
+    def recording_reasons(kept, cs):
+        fallback.add(len(draws) - 1)
+        return reasons(kept, cs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tropical, "rational_draws", recording_draws)
+        patch.setattr(tropical, "_reasons", recording_reasons)
+        report = sample_morse_fraction(support, samples, seed, bound)
+    return report, draws, fallback
+
+
+def test_the_crossing_certificate_passes_only_morse_draws(monkeypatch):
+    # all crossings at distinct abscissae and distinct values: no degenerate point and no equal critical values
+    made = fell_back = at_one = at_one_fell_back = 0
+    for support in SAMPLED_SUPPORTS + SIX_NONZERO:
+        kept = tuple(a for a in support if a != 0)
+        for seed, bound in enumerate(TIE_HEAVY_BOUNDS):
+            report, draws, fallback = _recorded_run(monkeypatch, support, 200, seed, bound)
+            assert repr(report) == repr(tropical_reference.sample_morse_fraction(support, 200, seed, bound))
+            for i, draw in enumerate(draws):
+                if i not in fallback:
+                    cs, _ = clear_denominators([F(p, q) for a, (p, q) in zip(support, draw) if a != 0])
+                    assert tropical._reasons(kept, cs) == (), (support, seed, draw)
+            made, fell_back = made + len(draws), fell_back + len(fallback)
+            if bound == 1:
+                at_one, at_one_fell_back = at_one + len(draws), at_one_fell_back + len(fallback)
+    # the exact fallback stays exercised: it decides about 60 % of the bound-1 draws
+    assert at_one_fell_back >= at_one / 4 > 0 and fell_back < made
+
+
+def test_the_crossing_certificate_decides_almost_every_default_draw(monkeypatch):
+    for support in [s for s in SAMPLED_SUPPORTS if sum(a != 0 for a in s) >= 3] + SIX_NONZERO:
+        _, draws, fallback = _recorded_run(monkeypatch, support, 1000, 43, None)
+        assert len(draws) == 1000 and len(fallback) <= 10, support
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        _CountingRandom.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("support", [[0, 1, 2], [3, 9], [-1, 0, 2], [0, 5]])
+def test_at_most_two_nonzero_exponents_draw_nothing(monkeypatch, support):
+    # two lines cross once, with one tie pair at one level, and one line has no breakpoint: every draw is Morse
+    monkeypatch.setattr(random, "Random", _CountingRandom)
+    _CountingRandom.calls = 0
+    start = time.perf_counter()
+    report = sample_morse_fraction(support, 10**6, seed=1)
+    assert time.perf_counter() - start < 0.1
+    assert _CountingRandom.calls == 0
+    assert report == tropical.MorseSampleReport(10**6, 10**6, F(1), ())
+    sample_morse_fraction([-1, 1, 2], 1, seed=1)  # three nonzero exponents do draw, through the counted stream
+    assert _CountingRandom.calls > 0
+    monkeypatch.undo()
+    for seed, bound in enumerate(TIE_HEAVY_BOUNDS):
+        got = sample_morse_fraction(support, 200, seed, bound)
+        assert repr(got) == repr(tropical_reference.sample_morse_fraction(support, 200, seed, bound))
+    for sample in (sample_morse_fraction, tropical_reference.sample_morse_fraction):
+        with pytest.raises(TypeError):  # the seed is still handed to random.Random, which refuses a list
+            sample(support, 5, seed=[1])
+
+
+def test_criterion_10_fixture_loop_matches_the_fraction_reference():
+    # criterion 10 samples [0, 1, 2], which draws nothing; its other fixture has four nonzero exponents
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures", "w_shape.json")) as fh:
+        support = json.load(fh)["support"]
+    assert sum(a != 0 for a in support) >= 3
+    got = sample_morse_fraction(support, 2000, seed=20240817)
+    assert repr(got) == repr(tropical_reference.sample_morse_fraction(support, 2000, seed=20240817))
 
 
 @pytest.mark.parametrize(
