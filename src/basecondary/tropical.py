@@ -7,6 +7,13 @@ and as the `randint` sampler of `tests/tropical_reference.py` pins, and builds
 `Fraction`s only for the samples its report lists. It scans a chain only where
 a draw fails the crossing certificate of `sample_morse_fraction`, and draws
 nothing when at most two exponents are nonzero: every such draw is Morse.
+
+The certificate compares the crossing abscissae of every pair of lines, but
+crossing values only across the sign split: with no exponent 0 the envelope
+falls strictly left of its minimum and rises strictly right of it, so two equal
+critical values join two negative exponents and two positive ones. The sampler
+decides `_BLOCK` draws at a time, each integer stage mapped over the block's
+columns, one per term, so its memory does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -15,12 +22,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_, floordiv, mul, not_, sub
 from typing import Optional
 
 from .errors import InputError
 from .exact_core import as_int, as_list, clear_denominators, rat, rational_draws, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
+_BLOCK = 256  # draws the sampler decides at a time: its memory is bounded by this, whatever `samples` is
 CRITICAL_POINTS = ("Critical points are the roots of x f', the breakpoints of the envelope over the nonzero exponents: "
                    "the constant term decides no verdict, and a support with one nonzero exponent is Morse.")
 
@@ -180,9 +189,20 @@ def sample_morse_fraction(
     none is made; the seed still goes to `rational_draws`. Two lines cross once, with one tie pair at
     one level, and one line has no breakpoint. With more, the kept lines u < w cross at
     X = (c_u - c_w) / (a_w - a_u) with value V = (c_u a_w - c_w a_u) / (a_w - a_u), both compared
-    as integers times the lcm of the gaps a_w - a_u. A draw whose X are distinct and whose V are
-    distinct is Morse, so only the others reach `_reasons`. Proof: a degenerate breakpoint has two
-    tie pairs, which cross at its abscissa; two equal critical values are the V of two chain pairs.
+    as integers times the lcm of the gaps a_w - a_u. A draw is Morse when its X are distinct and the
+    V of its negative-negative pairs avoid those of its positive-positive pairs; only the others reach
+    `_reasons`. Proof: a degenerate breakpoint has two tie pairs, which cross at its abscissa. A
+    critical value is the V of its chain pair. No kept exponent is 0, so the envelope's slope, the
+    maximizing exponent, is negative left of the breakpoint where a negative line meets a positive one
+    and positive right of it: the envelope falls strictly to that minimum and rises strictly after it.
+    The critical values of the breakpoints left of it, which join two negative exponents, are then
+    distinct, and so are those right of it, which join two positive ones; the minimum lies below both.
+    Two equal critical values are therefore a negative-negative V and a positive-positive V, so with
+    exponents of one sign there is no value test.
+
+    The draws are decided `_BLOCK` at a time. One `draw(len(support) * block)` call continues the
+    stream; each kept term's p * (d // q) over the block, d the lcm of a draw's q, is one column, and
+    the X and V of every draw are mapped over the columns, so memory is bounded by the block.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -195,19 +215,25 @@ def sample_morse_fraction(
     kept = supp[:k] + supp[k + 1:]
     if len(kept) <= 2:  # at most one breakpoint, so one tie pair and one level: no draw is needed
         return MorseSampleReport(samples=samples, morse_count=samples, fraction=Fraction(1), non_morse=())
+    t, columns = len(supp), [j for j in range(len(supp)) if j != k]
     pairs = [(u, w, kept[w] - kept[u]) for u, w in itertools.combinations(range(len(kept)), 2)]
     lcm, n = math.lcm(*(g for _, _, g in pairs)), len(pairs)
     xs = [(u, w, lcm // g) for u, w, g in pairs]  # lcm X_uw = (c_u - c_w) lcm / g
     vs = [(u, w, lcm // g * kept[w], lcm // g * kept[u]) for u, w, g in pairs]  # lcm V_uw
-    for _ in range(samples):
-        draws = draw(len(supp))
-        terms = draws[:k] + draws[k + 1:]
-        d = math.lcm(*[q for _, q in terms])
-        cs = [p * (d // q) for p, q in terms]
-        if len({(cs[u] - cs[w]) * s for u, w, s in xs}) == n == len({cs[u] * sw - cs[w] * su for u, w, sw, su in vs}):
-            continue  # the crossing certificate: no chain is built
-        if reasons := _reasons(kept, cs):
-            bad.append((tuple(Fraction(p, q) for p, q in draws), reasons))
+    sides = [v for v in vs if kept[v[1]] < 0], [v for v in vs if kept[v[0]] > 0]  # negative-negative, positive-positive
+    for start in range(0, samples, _BLOCK):
+        ps, qs = zip(*draw(t * min(_BLOCK, samples - start)))  # term j of draw i is pair t * i + j
+        ds = list(map(math.lcm, *(qs[j::t] for j in columns)))
+        cs = [list(map(mul, ps[j::t], map(floordiv, ds, qs[j::t]))) for j in columns]
+        x = zip(*(map(s.__mul__, map(sub, cs[u], cs[w])) for u, w, s in xs))
+        passed = map(n.__eq__, map(len, map(set, x)))
+        if all(sides):
+            neg, pos = (zip(*(map(sub, map(sw.__mul__, cs[u]), map(su.__mul__, cs[w])) for u, w, sw, su in side))
+                        for side in sides)
+            passed = map(and_, passed, map(set.isdisjoint, map(set, neg), pos))
+        for i in itertools.compress(range(len(ds)), map(not_, passed)):  # the certificate failed: build the chain
+            if reasons := _reasons(kept, [c[i] for c in cs]):
+                bad.append((tuple(map(Fraction, ps[t * i:t * i + t], qs[t * i:t * i + t])), reasons))
     morse_count = samples - len(bad)
     return MorseSampleReport(
         samples=samples,
