@@ -13,23 +13,23 @@ crossing values only across the sign split: with no exponent 0 the envelope
 falls strictly left of its minimum and rises strictly right of it, so two equal
 critical values join two negative exponents and two positive ones. The sampler
 decides `_BLOCK` draws at a time, each integer stage mapped over the block's
-columns, one per term, so its memory does not grow with the number of samples.
+columns, one per term, so its working memory does not grow with the samples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import and_, floordiv, mul, not_, sub
 from typing import Optional
 
 from .errors import InputError
 from .exact_core import as_int, as_list, clear_denominators, rat, rational_draws, upper_chain
 
 DEFAULT_COEFF_BOUND = 10**4
-_BLOCK = 256  # draws the sampler decides at a time: its memory is bounded by this, whatever `samples` is
+_BLOCK = 256  # draws the sampler decides at a time: its working memory is bounded by this, whatever `samples` is
 CRITICAL_POINTS = ("Critical points are the roots of x f', the breakpoints of the envelope over the nonzero exponents: "
                    "the constant term decides no verdict, and a support with one nonzero exponent is Morse.")
 
@@ -99,6 +99,11 @@ def _breakpoints(support, cs):
     for i, j in zip(chain, chain[1:]):
         den, num = support[j] - support[i], cs[i] - cs[j]
         yield i, j, den, num, [c * den + a * num for a, c in zip(support, cs)]
+
+
+def _times(column, s):
+    """The entries of column times s, lazily."""
+    return map(operator.mul, column, itertools.repeat(s))
 
 
 def _reasons(support, cs) -> tuple[str, ...]:
@@ -202,7 +207,7 @@ def sample_morse_fraction(
 
     The draws are decided `_BLOCK` at a time. One `draw(len(support) * block)` call continues the
     stream; each kept term's p * (d // q) over the block, d the lcm of a draw's q, is one column, and
-    the X and V of every draw are mapped over the columns, so memory is bounded by the block.
+    the X and V of every draw are mapped over the columns, so working memory is bounded by the block.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -224,14 +229,14 @@ def sample_morse_fraction(
     for start in range(0, samples, _BLOCK):
         ps, qs = zip(*draw(t * min(_BLOCK, samples - start)))  # term j of draw i is pair t * i + j
         ds = list(map(math.lcm, *(qs[j::t] for j in columns)))
-        cs = [list(map(mul, ps[j::t], map(floordiv, ds, qs[j::t]))) for j in columns]
-        x = zip(*(map(s.__mul__, map(sub, cs[u], cs[w])) for u, w, s in xs))
+        cs = [list(map(operator.mul, ps[j::t], map(operator.floordiv, ds, qs[j::t]))) for j in columns]
+        x = zip(*(_times(map(operator.sub, cs[u], cs[w]), s) for u, w, s in xs))
         passed = map(n.__eq__, map(len, map(set, x)))
         if all(sides):
-            neg, pos = (zip(*(map(sub, map(sw.__mul__, cs[u]), map(su.__mul__, cs[w])) for u, w, sw, su in side))
+            neg, pos = (zip(*(map(operator.sub, _times(cs[u], sw), _times(cs[w], su)) for u, w, sw, su in side))
                         for side in sides)
-            passed = map(and_, passed, map(set.isdisjoint, map(set, neg), pos))
-        for i in itertools.compress(range(len(ds)), map(not_, passed)):  # the certificate failed: build the chain
+            passed = map(operator.and_, passed, map(set.isdisjoint, map(set, neg), pos))
+        for i in itertools.compress(range(len(ds)), map(operator.not_, passed)):  # the certificate failed: scan a chain
             if reasons := _reasons(kept, [c[i] for c in cs]):
                 bad.append((tuple(map(Fraction, ps[t * i:t * i + t], qs[t * i:t * i + t])), reasons))
     morse_count = samples - len(bad)
